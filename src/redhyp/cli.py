@@ -11,6 +11,7 @@ byte-identical across runs at --threads 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -438,27 +439,34 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Built on the first dispatch, not at import; parsing leaves it unchanged.
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> tuple[int, str]:
     """Run one command; returns (exit code, stdout text)."""
     started = time.perf_counter()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         return EXIT_INPUT, f"error {exc}\n"
     try:
         code, text = _HANDLERS[args.command](args, started)
+        if getattr(args, "report", None):
+            Path(args.report).write_text(text)
+            return code, ""
     except CapExceeded as exc:
         return EXIT_EXHAUSTED, f"error cap-exceeded: {exc}\n"
     except (ParseError, DomainError) as exc:
         return EXIT_INPUT, f"error {exc}\n"
     except FileNotFoundError as exc:
         return EXIT_INPUT, f"error missing file: {exc.filename}\n"
+    except OSError as exc:
+        return EXIT_INPUT, f"error {exc}\n"
     except RedhypError as exc:
         return EXIT_INPUT, f"error {exc}\n"
-    if getattr(args, "report", None):
-        Path(args.report).write_text(text)
-        return code, ""
     return code, text
 
 

@@ -45,7 +45,7 @@ class Constituent:
     """
 
     __slots__ = (
-        "triple", "sizes", "edges", "packed",
+        "triple", "sizes", "edges",
         "comp01", "comp02", "comp12",
         "proj01", "proj02", "proj10", "proj12", "proj20", "proj21",
         "occupied",
@@ -60,16 +60,13 @@ class Constituent:
         comp01 = [0] * (s0 * s1)
         comp02 = [0] * (s0 * s2)
         comp12 = [0] * (s1 * s2)
-        packed = set()
         for a, b, c in self.edges:
             comp01[a * s1 + b] |= 1 << c
             comp02[a * s2 + c] |= 1 << b
             comp12[b * s2 + c] |= 1 << a
-            packed.add((a * s1 + b) * s2 + c)
         self.comp01 = comp01
         self.comp02 = comp02
         self.comp12 = comp12
-        self.packed = frozenset(packed)
         proj01 = [0] * s0
         proj02 = [0] * s0
         proj10 = [0] * s1
@@ -98,27 +95,6 @@ class Constituent:
 
     def has(self, a: int, b: int, c: int) -> bool:
         return (a, b, c) in self.edges
-
-    def completion_bits(self, slot_x: int, slot_y: int, vx: int, vy: int) -> int:
-        """Bitset of third-slot vertices completing (vx in slot_x, vy in slot_y)."""
-        if (slot_x, slot_y) == (0, 1):
-            return self.comp01[vx * self.sizes[1] + vy]
-        if (slot_x, slot_y) == (0, 2):
-            return self.comp02[vx * self.sizes[2] + vy]
-        if (slot_x, slot_y) == (1, 2):
-            return self.comp12[vx * self.sizes[2] + vy]
-        raise DomainError(f"slot pair must be ascending, got ({slot_x}, {slot_y})")
-
-    def support_bits(self, slot_from: int, slot_to: int, v: int) -> int:
-        """Bitset of slot_to vertices co-occurring with v in slot_from."""
-        table = {
-            (0, 1): self.proj01, (0, 2): self.proj02,
-            (1, 0): self.proj10, (1, 2): self.proj12,
-            (2, 0): self.proj20, (2, 1): self.proj21,
-        }.get((slot_from, slot_to))
-        if table is None:
-            raise DomainError(f"bad slot pair ({slot_from}, {slot_to})")
-        return table[v]
 
 
 class ReducedHypergraph:

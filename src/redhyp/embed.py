@@ -8,6 +8,16 @@ domains through the host's link bitsets.  "not-found" is only reported
 after complete refutation; running out of node budget is a distinct
 outcome.
 
+Counting (count_all) caches subtree results within one index map.  The
+state of a subtree is the set of assigned pairs plus the values of the
+frontier: the assigned pairs that share a pattern edge with an unassigned
+pair.  Pruning narrows a pair's domain only through the values of the
+pairs it shares an edge with, so the domains of the unassigned pairs, and
+with them the subtree's count and node total, depend on nothing else.  A
+state reached again returns its cached count and spends its cached nodes
+in one step, so node counts, and where a budget runs out, are exactly
+those of the plain branching search.
+
 The oracle enumerates candidate maps naively in fixed lexicographic
 order with direct edge-set membership checks and no propagation; it is
 the ground truth the engine is tested against.
@@ -129,13 +139,17 @@ class _BudgetTracker:
         if self._lock is None:
             self.nodes += n
             if self.limit is not None and self.nodes > self.limit:
-                raise _BudgetExhausted
+                self._exhaust(n)
         else:
             with self._lock:
                 self.nodes += n
-                over = self.limit is not None and self.nodes > self.limit
-            if over:
-                raise _BudgetExhausted
+                if self.limit is not None and self.nodes > self.limit:
+                    self._exhaust(n)
+
+    def _exhaust(self, n: int) -> None:
+        # A bulk spend stops where spending node by node would have stopped.
+        self.nodes = max(self.limit + 1, self.nodes - n + 1)
+        raise _BudgetExhausted
 
 
 def _comp_bits(con: Constituent, sx: int, sy: int, vx: int, vy: int) -> int:
@@ -155,6 +169,26 @@ def _proj_bits(con: Constituent, sf: int, st: int, v: int) -> int:
     return (con.proj20 if st == 0 else con.proj21)[v]
 
 
+@dataclass(frozen=True, slots=True)
+class _CountPlan:
+    """What the counting search does once a given set of pairs is assigned.
+
+    freed: unassigned pairs with no unassigned neighbour, multiplied out;
+    after: the assigned-pair mask with the freed pairs added;
+    todo: the pairs still to branch on, ascending;
+    frontier: assigned pairs sharing an edge with a pair in todo;
+    memo: whether some assigned pair is interior (not on the frontier).
+    Without an interior pair the subtree state determines its path from
+    the root, so no other path can reach it and caching cannot pay.
+    """
+
+    freed: tuple[int, ...]
+    after: int
+    todo: tuple[int, ...]
+    frontier: tuple[int, ...]
+    memo: bool
+
+
 class _Engine:
     def __init__(self, host: ReducedHypergraph, pattern: Pattern):
         self.host = host
@@ -168,9 +202,15 @@ class _Engine:
             pidx = (pair_idx[(u, v)], pair_idx[(u, w)], pair_idx[(v, w)])
             self.edges.append((e, pidx))
         self.pair_edges: list[list[int]] = [[] for _ in self.pairs]
+        # neighbours[p]: bitmask of the pairs sharing an edge with pair p
+        self.neighbours: list[int] = [0] * len(self.pairs)
         for ei, (_, pidx) in enumerate(self.edges):
             for p in pidx:
                 self.pair_edges[p].append(ei)
+                for q in pidx:
+                    if q != p:
+                        self.neighbours[p] |= 1 << q
+        self._plans: dict[int, _CountPlan] = {}
         # shadow neighbours among earlier vertices, for distinctness pruning
         self.distinct_before: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in self.pairs:
@@ -307,14 +347,6 @@ class _Engine:
                             return False
         return True
 
-    def _all_others_assigned(self, p, assigned, edge_ctx) -> bool:
-        for ei in self.pair_edges[p]:
-            _, pidx, _ = edge_ctx[ei]
-            for q in pidx:
-                if q != p and assigned[q] is None:
-                    return False
-        return True
-
     def _phi_find(self, lam, budget: _BudgetTracker) -> ReducedMap | None:
         setup = self._phi_setup(lam)
         if setup is None:
@@ -356,60 +388,85 @@ class _Engine:
             phi[(u, v)] = (cls, assigned[p])
         return ReducedMap(lam={u: lam[u] for u in range(1, self.n + 1)}, phi=phi)
 
+    def _count_plan(self, mask: int) -> _CountPlan:
+        """Compile the plan of the counting search for one assigned-pair mask."""
+        nbrs = self.neighbours
+        np_ = len(self.pairs)
+        freed = tuple(p for p in range(np_)
+                      if not mask >> p & 1 and not nbrs[p] & ~mask)
+        after = mask
+        for p in freed:
+            after |= 1 << p
+        todo = tuple(p for p in range(np_) if not after >> p & 1)
+        frontier = tuple(p for p in range(np_)
+                         if after >> p & 1 and nbrs[p] & ~after)
+        memo = bool(todo) and len(frontier) < after.bit_count()
+        plan = self._plans[mask] = _CountPlan(freed, after, todo, frontier, memo)
+        return plan
+
     def _phi_count(self, lam, budget: _BudgetTracker) -> int:
         setup = self._phi_setup(lam)
         if setup is None:
             return 0
         doms, edge_ctx = setup
-        np_ = len(self.pairs)
-        assigned: list[int | None] = [None] * np_
+        assigned: list[int | None] = [None] * len(self.pairs)
+        plans = self._plans
+        # subtree state -> (count, nodes); valid for this index map only
+        cache: dict[tuple, tuple[int, int]] = {}
+        spent = 0  # nodes spent by this call, for the cached subtree sizes
 
-        def rec() -> int:
-            # Pairs whose every incident edge has its other two pairs
-            # concretely assigned are fully pruned already: multiply their
-            # domain sizes out instead of branching.  Two such pairs never
-            # share an edge, so the factors are independent.
-            freed = []
+        def rec(mask: int) -> int:
+            nonlocal spent
+            plan = plans.get(mask) or self._count_plan(mask)
+            # Freed pairs have every incident edge's other two pairs
+            # concretely assigned, so they are fully pruned already: multiply
+            # their domain sizes out instead of branching.  Two freed pairs
+            # never share an edge, so the factors are independent.
             mult = 1
-            for p in range(np_):
-                if assigned[p] is None and self._all_others_assigned(p, assigned, edge_ctx):
-                    mult *= doms[p].bit_count()
-                    freed.append(p)
-                    assigned[p] = -1
+            for p in plan.freed:
+                mult *= doms[p].bit_count()
             if mult == 0:
-                for p in freed:
-                    assigned[p] = None
                 return 0
-            best = -1
-            best_size = 1 << 62
-            for p in range(np_):
-                if assigned[p] is None:
-                    size = doms[p].bit_count()
-                    if size < best_size:
-                        best, best_size = p, size
-            if best == -1:
-                for p in freed:
-                    assigned[p] = None
+            todo = plan.todo
+            if not todo:
                 return mult
-            p = best
+            if plan.memo:
+                key = (plan.after, tuple([assigned[p] for p in plan.frontier]))
+                hit = cache.get(key)
+                if hit is not None:
+                    spent += hit[1]
+                    budget.spend(hit[1])
+                    return mult * hit[0]
+                spent_before = spent
+            p = todo[0]
+            best_size = doms[p].bit_count()
+            for q in todo:
+                size = doms[q].bit_count()
+                if size < best_size:
+                    p, best_size = q, size
             saved = doms[p]
+            child = plan.after | 1 << p
             subtotal = 0
             for val in iter_bits(saved):
+                spent += 1
                 budget.spend()
                 trail: list[tuple[int, int]] = []
                 assigned[p] = val
                 doms[p] = 1 << val
                 if self._propagate(p, val, doms, assigned, edge_ctx, trail):
-                    subtotal += rec()
+                    subtotal += rec(child)
                 assigned[p] = None
                 doms[p] = saved
                 for q, old in reversed(trail):
                     doms[q] = old
-            for p in freed:
-                assigned[p] = None
+            if plan.memo:
+                cache[key] = (subtotal, spent - spent_before)
             return mult * subtotal
 
-        return rec()
+        try:
+            return rec(0)
+        finally:
+            cache.clear()  # rec refers to itself, so the closure dies only in a gc pass
 
 
 def find_reduced_image(host: ReducedHypergraph, pattern: Pattern,
@@ -510,7 +567,7 @@ def _oracle_count_for_lam(host: ReducedHypergraph, pattern: Pattern,
     np_ = len(pairs)
     pos = {p: i for i, p in enumerate(pairs)}
     sizes = [host.class_size(lam0[u - 1], lam0[v - 1]) for u, v in pairs]
-    sched: list[list[tuple[frozenset, int, int, int, int, int]]] = [[] for _ in range(np_)]
+    sched: list[list[tuple[frozenset, int, int, int]]] = [[] for _ in range(np_)]
     plain_checks: list[bool] = []
     for e in sorted(pattern.edges):
         u, v, w = e
@@ -525,8 +582,7 @@ def _oracle_count_for_lam(host: ReducedHypergraph, pattern: Pattern,
                     order.append(pos[pp])
                     break
         last = max(pos[pp] for pp in ps)
-        sched[last].append((con.packed, order[0], order[1], order[2],
-                            con.sizes[1], con.sizes[2]))
+        sched[last].append((con.edges, order[0], order[1], order[2]))
     if np_ == 0:
         return 1
 
@@ -542,9 +598,8 @@ def _oracle_count_for_lam(host: ReducedHypergraph, pattern: Pattern,
         for val in range(sizes[d]):
             assignment[d] = val
             ok = True
-            for packed, p0, p1, p2, s1, s2 in checks:
-                key = (assignment[p0] * s1 + assignment[p1]) * s2 + assignment[p2]
-                if key not in packed:
+            for edges, p0, p1, p2 in checks:
+                if (assignment[p0], assignment[p1], assignment[p2]) not in edges:
                     ok = False
                     break
             if ok:

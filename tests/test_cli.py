@@ -97,6 +97,18 @@ def test_unknown_flags_exit_3(orientation_file):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--host", "{dir}", "--d", "1/4"],
+    ["find", "--host", "{dir}", "--pattern", "K4"],
+    ["audit", "--graph", "{dir}", "--d", "1/4", "--eta", "1/20"],
+], ids=["density", "find", "audit"])
+def test_unreadable_input_path_exits_3(tmp_path, argv):
+    code, text = run([a.format(dir=tmp_path) for a in argv])
+    assert code == 3
+    assert text.startswith("error ") and str(tmp_path) in text
+    assert text.count("\n") == 1
+
+
 def test_gen_round_trip(tmp_path):
     out = tmp_path / "host.rh"
     code, text = run(["gen", "--kind", "random", "--m", "5", "--class-size",

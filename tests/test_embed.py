@@ -1,10 +1,13 @@
 """Embedding tests: validator conditions, engine/oracle agreement,
 certificates, budgets, and monotonicity."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redhyp import (CapExceeded, DanglingReferenceError, DomainError, Pattern,
                     ReducedHypergraph, ReducedMap, blow_up, exhaustive_oracle,
@@ -144,9 +147,78 @@ def test_budget_exhaustion_is_distinct():
     host = orientation_reduced(6)
     result = find_reduced_image(host, pattern_catalog("Fstar"), budget=50)
     assert result.status == "budget-exhausted"
-    assert result.nodes >= 50
+    assert result.nodes == 51
     with pytest.raises(DomainError):
         find_reduced_image(host, pattern_catalog("Fstar"), budget=0)
+
+
+# (status, count, nodes) of the plain branching count-all search, with no
+# caching of subtree results, on fixed hosts.
+COUNT_ALL_PINS = {
+    "m5c3d9": {"single_edge": ("found", 1500, 850),
+               "K4minus": ("found", 69558, 5110),
+               "K4": ("found", 64536, 36100),
+               "Fstar": ("found", 4837430, 122710)},
+    "m6c2d3/4": {"single_edge": ("found", 720, 914),
+                 "K4minus": ("found", 9702, 5813),
+                 "K4": ("found", 7224, 12474),
+                 "Fstar": ("found", 174540, 63662)},
+    "orient6": {"single_edge": ("found", 240, 702),
+                "K4minus": ("not-found", 0, 2382),
+                "K4": ("not-found", 0, 2382),
+                "Fstar": ("not-found", 0, 5982)},
+}
+PIN_HOSTS = {
+    "m5c3d9": lambda: random_box_dense(5, 3, Fraction(9, 10), seed=0),
+    "m6c2d3/4": lambda: random_box_dense(6, 2, Fraction(3, 4), seed=2),
+    "orient6": lambda: orientation_reduced(6),
+}
+
+
+@pytest.mark.parametrize("label", sorted(COUNT_ALL_PINS))
+def test_count_all_nodes_and_budgets_are_pinned(label):
+    host = PIN_HOSTS[label]()
+    for name, (status, count, nodes) in COUNT_ALL_PINS[label].items():
+        pat = pattern_catalog(name)
+        r = find_reduced_image(host, pat, count_all=True)
+        assert (r.status, r.count, r.nodes) == (status, count, nodes), name
+        for budget in (1, nodes // 3, nodes - 1):
+            r = find_reduced_image(host, pat, count_all=True, budget=budget)
+            assert (r.status, r.count, r.nodes) == \
+                ("budget-exhausted", None, budget + 1), (name, budget)
+        r = find_reduced_image(host, pat, count_all=True, budget=nodes)
+        assert (r.status, r.count, r.nodes) == (status, count, nodes), name
+
+
+@st.composite
+def small_instances(draw):
+    """A random host and a random pattern small enough for the oracle."""
+    n = draw(st.integers(1, 5))
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    edges = draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
+    pattern = Pattern(n, edges)
+    m = draw(st.integers(3, 5))
+    p = draw(st.integers(1, 3))
+    if m ** n * p ** len(pattern.shadow) > 200_000:
+        p = 1
+    d = Fraction(draw(st.integers(0, 10)), 10)
+    host = random_box_dense(m, p, d, seed=draw(st.integers(0, 10 ** 6)))
+    return host, pattern
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(small_instances())
+def test_engine_matches_oracle_on_generated_patterns(instance):
+    host, pat = instance
+    oracle = exhaustive_oracle(host, pat)
+    count = find_reduced_image(host, pat, count_all=True)
+    assert count.count == oracle.count
+    assert count.status == ("found" if oracle.found else "not-found")
+    first = find_reduced_image(host, pat)
+    assert (first.status == "found") == oracle.found
+    if first.certificate is not None:
+        ok, violation = validate_reduced_map(host, pat, first.certificate.rmap)
+        assert ok, violation
 
 
 def test_engine_matches_oracle_on_seeded_hosts():
