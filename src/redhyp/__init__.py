@@ -15,7 +15,8 @@ from .core import (Pattern, ReducedHypergraph, ReducedMap, blow_up,
 from .embed import (EmbedCertificate, OracleResult, SearchResult,
                     exhaustive_oracle, find_reduced_image, validate_reduced_map)
 from .errors import (CapExceeded, DanglingReferenceError, DomainError,
-                     ParseError, RedhypError, RowPreparationError)
+                     ParseError, RedhypError, RowPreparationError,
+                     SelfCheckError)
 from .glue import (GlueConfig, GluedConfiguration, GlueResult,
                    brute_force_glued, find_glued, prepare_row_glue,
                    validate_glued)

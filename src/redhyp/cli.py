@@ -4,7 +4,8 @@ the row pipeline, glued configurations, generators, and audits.
 Reports are line-oriented "key value" pairs on stdout (or --report FILE).
 Rationals are always written a/b; decimals are rejected.  Exit codes:
 0 success/found, 1 legitimate negative, 2 resource exhaustion, 3 input
-error.  Under --deterministic, reports carry no timing lines and are
+error, 4 internal error (one of the program's own self-checks failed).
+Under --deterministic, reports carry no timing lines and are
 byte-identical across runs at --threads 1.
 """
 
@@ -24,7 +25,8 @@ from .constructions import (RNG_ALGORITHM, cyclic_triple_3graph,
 from .core import (Pattern, ReducedHypergraph, ReducedMap, constituent_density,
                    is_box_dense, pattern_catalog)
 from .embed import exhaustive_oracle, find_reduced_image
-from .errors import CapExceeded, DomainError, ParseError, RedhypError
+from .errors import (CapExceeded, DomainError, ParseError, RedhypError,
+                     SelfCheckError)
 from .glue import GlueConfig, GluedConfiguration, brute_force_glued, find_glued
 from .pipeline import PipelineConfig, find_fstar
 from .plain import uniform_density_audit
@@ -33,15 +35,23 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_EXHAUSTED = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """Carries the help text that argparse would print before exiting."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{message}\n{self.format_usage()}")
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -452,6 +462,8 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         args = _parser().parse_args(argv)
     except _UsageError as exc:
         return EXIT_INPUT, f"error {exc}\n"
+    except _HelpRequested as exc:
+        return EXIT_OK, exc.args[0]
     try:
         code, text = _HANDLERS[args.command](args, started)
         if getattr(args, "report", None):
@@ -467,6 +479,8 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         return EXIT_INPUT, f"error {exc}\n"
     except RedhypError as exc:
         return EXIT_INPUT, f"error {exc}\n"
+    except SelfCheckError as exc:
+        return EXIT_INTERNAL, f"error internal: {exc}\n"
     return code, text
 
 

@@ -10,15 +10,19 @@ any decision path.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError
+from .errors import CapExceeded, DomainError
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 Edge = tuple[int, int, int]
+
+# Refuse hosts whose constituents plus eagerly built table entries exceed this.
+TABLE_ENTRY_CAP = 10 ** 7
 
 
 def sorted_pair(i: int, j: int) -> Pair:
@@ -36,12 +40,16 @@ class Constituent:
     (j,k) of the triple i<j<k.  An edge (a, b, c) selects vertex a from
     slot 0, b from slot 1, c from slot 2.
 
-    Precomputed tables:
+    Tables:
       comp01[a*s1+b] -> bitset over slot-2 completions, and likewise
         comp02 (fix slots 0,2) and comp12 (fix slots 1,2);
       proj_xy[v] -> bitset of slot-y vertices co-occurring with v in
         slot x, for all six ordered slot pairs;
       occupied[s] -> bitset of slot-s vertices used by at least one edge.
+    comp01 and comp12, which cleaning, rows and projections read, are built
+    eagerly; the search-only tables (comp02, the proj_xy, occupied) are None
+    until ensure_search_tables() builds them together, on the embedding
+    search's first use of the constituent.
     """
 
     __slots__ = (
@@ -58,15 +66,22 @@ class Constituent:
         self.edges = frozenset(edges)
         s0, s1, s2 = sizes
         comp01 = [0] * (s0 * s1)
-        comp02 = [0] * (s0 * s2)
         comp12 = [0] * (s1 * s2)
         for a, b, c in self.edges:
             comp01[a * s1 + b] |= 1 << c
-            comp02[a * s2 + c] |= 1 << b
             comp12[b * s2 + c] |= 1 << a
         self.comp01 = comp01
-        self.comp02 = comp02
         self.comp12 = comp12
+        self.comp02 = self.occupied = None
+        self.proj01 = self.proj02 = self.proj10 = None
+        self.proj12 = self.proj20 = self.proj21 = None
+
+    def ensure_search_tables(self) -> None:
+        """Build comp02, the proj_xy and occupied, unless already built."""
+        if self.occupied is not None:
+            return
+        s0, s1, s2 = self.sizes
+        comp02 = [0] * (s0 * s2)
         proj01 = [0] * s0
         proj02 = [0] * s0
         proj10 = [0] * s1
@@ -74,34 +89,84 @@ class Constituent:
         proj20 = [0] * s2
         proj21 = [0] * s2
         for a, b, c in self.edges:
+            comp02[a * s2 + c] |= 1 << b
             proj01[a] |= 1 << b
             proj02[a] |= 1 << c
             proj10[b] |= 1 << a
             proj12[b] |= 1 << c
             proj20[c] |= 1 << a
             proj21[c] |= 1 << b
+        self.comp02 = comp02
         self.proj01 = proj01
         self.proj02 = proj02
         self.proj10 = proj10
         self.proj12 = proj12
         self.proj20 = proj20
         self.proj21 = proj21
-        occ0 = occ1 = occ2 = 0
-        for a, b, c in self.edges:
-            occ0 |= 1 << a
-            occ1 |= 1 << b
-            occ2 |= 1 << c
-        self.occupied = (occ0, occ1, occ2)
+        # Assigned last, so a set `occupied` means every table is complete.
+        # A slot-0 vertex is used by an edge exactly when it has a partner in slot 1.
+        self.occupied = (
+            sum(1 << a for a, bits in enumerate(proj01) if bits),
+            sum(1 << b for b, bits in enumerate(proj10) if bits),
+            sum(1 << c for c, bits in enumerate(proj20) if bits))
 
     def has(self, a: int, b: int, c: int) -> bool:
         return (a, b, c) in self.edges
+
+
+def _eager_table_size(index_count: int, sizes: Mapping[Pair, int]) -> int:
+    """Constituents plus comp01 and comp12 entries over all triples.
+
+    comp01 of (i,j,k) has |P^{ij}| * |P^{ik}| entries and comp12 has
+    |P^{ik}| * |P^{jk}|; summing each over the pairs j<k (or i<j) that share
+    the index i (or k) turns the triple sum into O(M^2) work.
+    """
+    total = math.comb(index_count, 3)
+    for x in range(1, index_count + 1):
+        above = [sizes[(x, y)] for y in range(x + 1, index_count + 1)]
+        below = [sizes[(y, x)] for y in range(1, x)]
+        for row in (above, below):
+            s = sum(row)
+            total += (s * s - sum(v * v for v in row)) // 2
+    return total
+
+
+def _edge_set(t: Triple, edges: Iterable[Edge],
+              s0: int, s1: int, s2: int) -> frozenset[Edge]:
+    """The constituent's edges, checked for range and duplicates.
+
+    Raises DomainError naming the first offending edge in input order.
+    """
+    edges = list(edges)
+    try:
+        edge_set = frozenset(edges)
+        if (len(edge_set) == len(edges) and set(map(len, edge_set)) <= {3}
+                and all(0 <= min(col) and max(col) < s
+                        for col, s in zip(zip(*edge_set), (s0, s1, s2)))):
+            return edge_set
+    except TypeError:  # unhashable or incomparable edges: the loop below decides
+        pass
+    seen: set[Edge] = set()
+    for e in edges:
+        a, b, c = e
+        if not (0 <= a < s0 and 0 <= b < s1 and 0 <= c < s2):
+            raise DomainError(
+                f"edge {e} of constituent {t} out of class ranges "
+                f"({s0}, {s1}, {s2})")
+        if (a, b, c) in seen:
+            raise DomainError(f"duplicate edge {e} in constituent {t}")
+        seen.add((a, b, c))
+    return frozenset(seen)
 
 
 class ReducedHypergraph:
     """Immutable reduced hypergraph on indices 1..M.
 
     class_sizes must cover every pair {i,j}; constituents maps sorted
-    triples to edge collections and may omit empty constituents.
+    triples to edge collections and may omit empty constituents.  Hosts
+    whose constituents and eagerly built tables would exceed
+    TABLE_ENTRY_CAP entries are refused with CapExceeded before any
+    table is allocated.
     """
 
     def __init__(self, index_count: int,
@@ -121,6 +186,11 @@ class ReducedHypergraph:
             if (i, j) not in sizes:
                 raise DomainError(f"missing class size for pair ({i}, {j})")
         self._sizes = sizes
+        entries = _eager_table_size(index_count, sizes)
+        if entries > TABLE_ENTRY_CAP:
+            raise CapExceeded(
+                f"host needs {entries} constituent table entries, "
+                f"above the cap {TABLE_ENTRY_CAP}")
 
         edge_sets: dict[Triple, frozenset[Edge]] = {}
         for t, edges in constituents.items():
@@ -129,24 +199,14 @@ class ReducedHypergraph:
             i, j, k = t
             if not (1 <= i < j < k <= index_count):
                 raise DomainError(f"constituent key {t} out of range 1..{index_count}")
-            s0, s1, s2 = sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]
-            seen: set[Edge] = set()
-            for e in edges:
-                a, b, c = e
-                if not (0 <= a < s0 and 0 <= b < s1 and 0 <= c < s2):
-                    raise DomainError(
-                        f"edge {e} of constituent {t} out of class ranges "
-                        f"({s0}, {s1}, {s2})")
-                if (a, b, c) in seen:
-                    raise DomainError(f"duplicate edge {e} in constituent {t}")
-                seen.add((a, b, c))
-            edge_sets[t] = frozenset(seen)
+            edge_sets[t] = _edge_set(t, edges, sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
 
         self._constituents: dict[Triple, Constituent] = {}
+        empty: frozenset[Edge] = frozenset()
         for t in itertools.combinations(range(1, index_count + 1), 3):
             i, j, k = t
             s = (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
-            self._constituents[t] = Constituent(t, s, edge_sets.get(t, frozenset()))
+            self._constituents[t] = Constituent(t, s, edge_sets.get(t, empty))
 
     @property
     def index_count(self) -> int:

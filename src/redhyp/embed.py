@@ -34,7 +34,8 @@ from threading import Lock
 from ._bits import iter_bits
 from .core import (Constituent, Pair, Pattern, ReducedHypergraph, ReducedMap,
                    sorted_pair, sorted_triple)
-from .errors import CapExceeded, DanglingReferenceError, DomainError
+from .errors import (CapExceeded, DanglingReferenceError, DomainError,
+                     SelfCheckError)
 
 DEFAULT_ORACLE_CAP = 10 ** 9
 
@@ -272,7 +273,7 @@ class _Engine:
             rmap = found_cert[0]
             ok, violation = validate_reduced_map(host, self.pattern, rmap)
             if not ok:
-                raise RuntimeError(f"engine produced an invalid map: {violation}")
+                raise SelfCheckError(f"engine produced an invalid map: {violation}")
             cert = EmbedCertificate(rmap, self.pattern, nodes=budget.nodes)
             return SearchResult("found", cert, None, budget.nodes)
         return SearchResult("not-found", None, None, budget.nodes)
@@ -295,6 +296,7 @@ class _Engine:
         for e, pidx in self.edges:
             t = sorted_triple(lam[e[0]], lam[e[1]], lam[e[2]])
             con = host.constituent(t)
+            con.ensure_search_tables()
             slot_pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
             slots = tuple(slot_pairs.index(classes[p]) for p in pidx)
             edge_ctx.append((con, pidx, slots))
@@ -568,7 +570,6 @@ def _oracle_count_for_lam(host: ReducedHypergraph, pattern: Pattern,
     pos = {p: i for i, p in enumerate(pairs)}
     sizes = [host.class_size(lam0[u - 1], lam0[v - 1]) for u, v in pairs]
     sched: list[list[tuple[frozenset, int, int, int]]] = [[] for _ in range(np_)]
-    plain_checks: list[bool] = []
     for e in sorted(pattern.edges):
         u, v, w = e
         ps = (sorted_pair(u, v), sorted_pair(u, w), sorted_pair(v, w))

@@ -39,3 +39,11 @@ class RowPreparationError(RedhypError, RuntimeError):
         super().__init__(f"{step}: {reason}")
         self.step = step
         self.reason = reason
+
+
+class SelfCheckError(RuntimeError):
+    """One of the program's own consistency checks failed.
+
+    This is a defect of the program, not of its input, so it is not a
+    RedhypError: handlers of input and resource errors do not catch it.
+    """

@@ -20,6 +20,7 @@ canonical form: P lines then E lines, each sorted lexicographically.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 from .core import Pattern, ReducedHypergraph
 from .errors import ParseError
@@ -28,10 +29,9 @@ from .plain import Plain3Graph
 
 def _tokens(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            yield lineno, parts
 
 
 def _ints(lineno: int, parts: list[str], expect: int, what: str) -> list[int]:
@@ -46,14 +46,50 @@ def _ints(lineno: int, parts: list[str], expect: int, what: str) -> list[int]:
     return out
 
 
+def _check_e_line(lineno: int, i: int, j: int, k: int, a: int, b: int, c: int,
+                  m: int, sizes: dict[tuple[int, int], int]) -> None:
+    """Raise the first fault of an E line's triple and vertices, if any.
+
+    Per pair, presence is checked before range, pair by pair in slot order,
+    so a line with several faults always reports the same one.
+    """
+    if not (1 <= i < j < k <= m):
+        raise ParseError(lineno, f"triple ({i}, {j}, {k}) not sorted within 1..{m}")
+    for (x, y), v in (((i, j), a), ((i, k), b), ((j, k), c)):
+        if (x, y) not in sizes:
+            raise ParseError(lineno, f"E line uses pair ({x}, {y}) with no P line")
+        if not (0 <= v < sizes[(x, y)]):
+            raise ParseError(
+                lineno, f"vertex {v} out of range for class P^{{{x},{y}}} "
+                f"of size {sizes[(x, y)]}")
+
+
 def parse_host(text: str) -> ReducedHypergraph:
     m = None
     sizes: dict[tuple[int, int], int] = {}
-    cons: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    edge_seen: set[tuple] = set()
+    # per triple, checked on its first E line: slot sizes and the edge set
+    cons: dict[tuple[int, int, int], tuple[int, int, int, set]] = {}
     for lineno, parts in _tokens(text):
         tag = parts[0]
-        if tag == "M":
+        if tag == "E":
+            if m is None:
+                raise ParseError(lineno, "E line before M line")
+            try:
+                i, j, k, a, b, c = map(int, parts[1:])
+            except ValueError:
+                i, j, k, a, b, c = _ints(lineno, parts[1:], 6, "E")
+            entry = cons.get((i, j, k))
+            if entry is None:
+                _check_e_line(lineno, i, j, k, a, b, c, m, sizes)
+                entry = cons[(i, j, k)] = (
+                    sizes[(i, j)], sizes[(i, k)], sizes[(j, k)], set())
+            s0, s1, s2, edges = entry
+            if not (0 <= a < s0 and 0 <= b < s1 and 0 <= c < s2):
+                _check_e_line(lineno, i, j, k, a, b, c, m, sizes)
+            if (a, b, c) in edges:
+                raise ParseError(lineno, f"duplicate edge {(i, j, k, a, b, c)}")
+            edges.add((a, b, c))
+        elif tag == "M":
             if m is not None:
                 raise ParseError(lineno, "duplicate M line")
             (m,) = _ints(lineno, parts[1:], 1, "M")
@@ -70,34 +106,15 @@ def parse_host(text: str) -> ReducedHypergraph:
             if s < 1:
                 raise ParseError(lineno, f"class size must be >= 1, got {s}")
             sizes[(i, j)] = s
-        elif tag == "E":
-            if m is None:
-                raise ParseError(lineno, "E line before M line")
-            i, j, k, a, b, c = _ints(lineno, parts[1:], 6, "E")
-            if not (1 <= i < j < k <= m):
-                raise ParseError(lineno, f"triple ({i}, {j}, {k}) not sorted within 1..{m}")
-            for (x, y), v in (((i, j), a), ((i, k), b), ((j, k), c)):
-                if (x, y) not in sizes:
-                    raise ParseError(lineno, f"E line uses pair ({x}, {y}) with no P line")
-                if not (0 <= v < sizes[(x, y)]):
-                    raise ParseError(
-                        lineno, f"vertex {v} out of range for class P^{{{x},{y}}} "
-                        f"of size {sizes[(x, y)]}")
-            key = (i, j, k, a, b, c)
-            if key in edge_seen:
-                raise ParseError(lineno, f"duplicate edge {key}")
-            edge_seen.add(key)
-            cons.setdefault((i, j, k), []).append((a, b, c))
         else:
             raise ParseError(lineno, f"unknown line tag {tag!r}")
     if m is None:
         raise ParseError(1, "missing M line")
-    missing = [p for p in
-               ((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
-               if p not in sizes]
-    if missing:
-        raise ParseError(1, f"missing P line for pair {missing[0]}")
-    return ReducedHypergraph(m, sizes, cons)
+    missing = next((p for p in itertools.combinations(range(1, m + 1), 2)
+                    if p not in sizes), None)
+    if missing is not None:
+        raise ParseError(1, f"missing P line for pair {missing}")
+    return ReducedHypergraph(m, sizes, {t: e[3] for t, e in cons.items()})
 
 
 def write_host(host: ReducedHypergraph) -> str:

@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 
 from ._bits import iter_bits, least_bit
 from .core import ReducedHypergraph, Triple, sorted_pair, sorted_triple
-from .errors import CapExceeded, DomainError, RowPreparationError
+from .errors import (CapExceeded, DomainError, RowPreparationError,
+                     SelfCheckError)
 from .pipeline import (PipelineConfig, ProjectionRecord, _max_count_least_arg,
                        covered_vertex)
 from .qsystem import (DEFAULT_RAMSEY_EXACT_CAP, CleanResult, QGraphSystem,
@@ -271,11 +272,11 @@ def _verify_row_glue(system: QGraphSystem, row: GlueRowRecord, top: int) -> None
     r, x = row.row_index, row.apex
     for (j, k), y in row.witnesses.items():
         if not system.q_low[(r, j, top)].has(y, x):
-            raise RuntimeError(f"row {row.index}: apex edge missing at column {j}")
+            raise SelfCheckError(f"row {row.index}: apex edge missing at column {j}")
         if not system.q_low[(r, k, top)].has(row.spine[k], x):
-            raise RuntimeError(f"row {row.index}: apex edge missing at column {k}")
+            raise SelfCheckError(f"row {row.index}: apex edge missing at column {k}")
         if not system.q_low[(r, j, k)].has(y, row.spine[k]):
-            raise RuntimeError(f"row {row.index}: witness edge missing for ({j}, {k})")
+            raise SelfCheckError(f"row {row.index}: witness edge missing for ({j}, {k})")
 
 
 def find_glued(host: ReducedHypergraph, config: GlueConfig,
@@ -384,7 +385,7 @@ def find_glued(host: ReducedHypergraph, config: GlueConfig,
         alpha23_prime=row_j.apex, alpha24_prime=row_j.spine[m_prime])
     ok, why = validate_glued(work, cfg_work)
     if not ok:
-        raise RuntimeError(f"assembled configuration invalid on working host: {why}")
+        raise SelfCheckError(f"assembled configuration invalid on working host: {why}")
     back = system.to_original
     cfg = GluedConfiguration(
         indices=tuple(back[i - 1] for i in cfg_work.indices),
@@ -393,7 +394,7 @@ def find_glued(host: ReducedHypergraph, config: GlueConfig,
         alpha24_prime=cfg_work.alpha24_prime)
     ok, why = validate_glued(host, cfg)
     if not ok:
-        raise RuntimeError(f"assembled configuration invalid on original host: {why}")
+        raise SelfCheckError(f"assembled configuration invalid on original host: {why}")
     trace.append("configuration validated")
     return GlueResult(True, cfg, None, cleaned, rows, projections, pigeonhole, trace)
 

@@ -23,7 +23,7 @@ from typing import Sequence
 from ._bits import iter_bits, least_bit
 from .core import Pattern, ReducedHypergraph, ReducedMap, Triple, pattern_catalog, sorted_pair
 from .embed import EmbedCertificate, validate_reduced_map
-from .errors import DomainError, RowPreparationError
+from .errors import DomainError, RowPreparationError, SelfCheckError
 from .qsystem import (DEFAULT_RAMSEY_EXACT_CAP, CleanResult, QGraphSystem,
                       StageFailure, clean)
 
@@ -251,12 +251,12 @@ def _verify_row(system: QGraphSystem, row: RowRecord, top: int) -> None:
     r, x, y = row.row_index, row.apex, row.connector
     rn = row.r_next
     if not system.q_low[(r, rn, top)].has(y, x):
-        raise RuntimeError(f"row {row.index}: apex-connector edge missing")
+        raise SelfCheckError(f"row {row.index}: apex-connector edge missing")
     for j, z in row.spine.items():
         if not system.q_low[(r, j, top)].has(z, x):
-            raise RuntimeError(f"row {row.index}: apex-spine edge missing at {j}")
+            raise SelfCheckError(f"row {row.index}: apex-spine edge missing at {j}")
         if not system.q_low[(r, rn, j)].has(y, z):
-            raise RuntimeError(f"row {row.index}: connector-spine edge missing at {j}")
+            raise SelfCheckError(f"row {row.index}: connector-spine edge missing at {j}")
 
 
 def projection_set(system: QGraphSystem, row: RowRecord, m_prime: int,
@@ -371,11 +371,11 @@ def find_fstar(host: ReducedHypergraph, config: PipelineConfig,
 
     ok, violation = validate_reduced_map(work, pattern, rmap_work)
     if not ok:
-        raise RuntimeError(f"assembled map fails validation on working host: {violation}")
+        raise SelfCheckError(f"assembled map fails validation on working host: {violation}")
     rmap = _unrelabel_map(system, rmap_work)
     ok, violation = validate_reduced_map(host, pattern, rmap)
     if not ok:
-        raise RuntimeError(f"assembled map fails validation on original host: {violation}")
+        raise SelfCheckError(f"assembled map fails validation on original host: {violation}")
     cert = EmbedCertificate(rmap, pattern)
     trace.append("certificate validated")
     return PipelineResult(True, cert, None, cleaned, rows, projections,

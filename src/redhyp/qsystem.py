@@ -4,8 +4,10 @@ monochromatic extraction, and S-sets.
 For a triple i<j<k two bipartite graphs are kept.  The low graph joins
 w in P^{ij} to v in P^{ik} when at least eps^2 * |P^{jk}| vertices of
 P^{jk} complete wv to a constituent edge; the high graph joins v in
-P^{ik} to w in P^{jk} with completions counted in P^{ij}.  Thresholds
-are exact rational comparisons against integer counts.
+P^{ik} to w in P^{jk} with completions counted in P^{ij}.  Counts are
+integers, so every threshold is exact: a rational bound q is rounded up to
+the integer ceil(q) once, and count >= q is tested as count >= ceil(q);
+a bound q * X on an integer sum is tested as sum * den(q) >= num(q) * X.
 
 `clean` runs the whole process: color every triple blue or red by a
 degree-square inequality, extract a monochromatic index subset (an exact
@@ -20,10 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .core import ReducedHypergraph, Triple, sorted_triple
-from .errors import DomainError
+from .errors import DomainError, SelfCheckError
 
 DEFAULT_RAMSEY_EXACT_CAP = 32
 
@@ -38,15 +40,20 @@ class BipartiteGraph:
     right_adj: list[int]  # per right vertex: bitset over left vertices
 
     @classmethod
-    def build(cls, left_size: int, right_size: int,
-              has_edge: Callable[[int, int], bool]) -> "BipartiteGraph":
+    def from_counts(cls, comp: Sequence[int], left_size: int, right_size: int,
+                    need: int) -> "BipartiteGraph":
+        """Join left a to right b when the bitset comp[a*right_size+b] has
+        at least `need` members."""
         left_adj = [0] * left_size
         right_adj = [0] * right_size
         for a in range(left_size):
-            for b in range(right_size):
-                if has_edge(a, b):
-                    left_adj[a] |= 1 << b
+            base = a * right_size
+            bits = 0
+            for b, members in enumerate(comp[base:base + right_size]):
+                if members.bit_count() >= need:
+                    bits |= 1 << b
                     right_adj[b] |= 1 << a
+            left_adj[a] = bits
         return cls(left_size, right_size, left_adj, right_adj)
 
     def has(self, left: int, right: int) -> bool:
@@ -95,26 +102,30 @@ class QGraphSystem:
         return self.s_sets[key]
 
 
+def _ceil(x: Fraction) -> int:
+    return -(-x.numerator // x.denominator)
+
+
+def _ceil_per_size(host: ReducedHypergraph, q: Fraction) -> dict[int, int]:
+    """ceil(q * s) for every class size s of the host: the least integer
+    count that reaches q * s."""
+    return {s: _ceil(q * s) for s in {host.class_size(*p) for p in host.pairs()}}
+
+
 def build_q_graphs(host: ReducedHypergraph, eps,
                    threads: int = 1) -> QGraphSystem:
     """Build both Q-graph families for every index triple of the host."""
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    eps_sq = eps * eps
     triples = list(host.triples())
+    need = _ceil_per_size(host, eps * eps)
 
     def build_one(t: Triple) -> tuple[Triple, BipartiteGraph, BipartiteGraph]:
         con = host.constituent(t)
         s0, s1, s2 = con.sizes
-        low_threshold = eps_sq * s2
-        high_threshold = eps_sq * s0
-        comp01 = con.comp01
-        comp12 = con.comp12
-        low = BipartiteGraph.build(
-            s0, s1, lambda a, b: comp01[a * s1 + b].bit_count() >= low_threshold)
-        high = BipartiteGraph.build(
-            s1, s2, lambda b, c: comp12[b * s2 + c].bit_count() >= high_threshold)
+        low = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
+        high = BipartiteGraph.from_counts(con.comp12, s1, s2, need[s0])
         return t, low, high
 
     if threads > 1:
@@ -136,11 +147,11 @@ def check_sum_of_squares(host: ReducedHypergraph, system: QGraphSystem,
     low = system.q_low[t]
     high = system.q_high[t]
     i, j, k = t
-    lhs = Fraction(sum(low.right_adj[v].bit_count() * high.left_adj[v].bit_count()
-                       for v in range(low.right_size)))
-    rhs = (Fraction(1, 4) + system.eps / 2) * host.class_size(i, j) \
-        * host.class_size(j, k) * host.class_size(i, k)
-    return lhs, lhs >= rhs
+    lhs = sum(low.right_adj[v].bit_count() * high.left_adj[v].bit_count()
+              for v in range(low.right_size))
+    quarter = Fraction(1, 4) + system.eps / 2
+    volume = host.class_size(i, j) * host.class_size(j, k) * host.class_size(i, k)
+    return Fraction(lhs), lhs * quarter.denominator >= quarter.numerator * volume
 
 
 def color_triples(host: ReducedHypergraph,
@@ -155,24 +166,19 @@ def color_triples(host: ReducedHypergraph,
     """
     colors: dict[Triple, str] = {}
     quarter = Fraction(1, 4) + system.eps / 2
+    num, den = quarter.numerator, quarter.denominator
     for t in host.triples():
-        i, j, k = t
-        low = system.q_low[t]
-        high = system.q_high[t]
-        blue_lhs = Fraction(sum(low.right_adj[v].bit_count() ** 2
-                                for v in range(low.right_size)))
-        blue_rhs = quarter * host.class_size(i, j) ** 2 * host.class_size(i, k)
-        if blue_lhs >= blue_rhs:
+        s_ij, s_ik, s_jk = host.constituent(t).sizes
+        blue_lhs = sum(x.bit_count() ** 2 for x in system.q_low[t].right_adj)
+        if blue_lhs * den >= num * s_ij ** 2 * s_ik:
             colors[t] = "blue"
             continue
         colors[t] = "red"
         sos_lhs, sos_holds = check_sum_of_squares(host, system, t)
         if sos_holds:
-            red_lhs = Fraction(sum(high.left_adj[v].bit_count() ** 2
-                                   for v in range(high.left_size)))
-            red_rhs = quarter * host.class_size(j, k) ** 2 * host.class_size(i, k)
-            if red_lhs < red_rhs:
-                raise RuntimeError(
+            red_lhs = sum(x.bit_count() ** 2 for x in system.q_high[t].left_adj)
+            if red_lhs * den < num * s_jk ** 2 * s_ik:
+                raise SelfCheckError(
                     f"degree-square dichotomy violated at triple {t}: "
                     f"product bound holds ({sos_lhs}) but neither square bound does")
     return colors
@@ -180,8 +186,7 @@ def color_triples(host: ReducedHypergraph,
 
 def level_cap(delta: Fraction) -> int:
     """Highest S-set level: ceil(1 / (2 delta))."""
-    inv = Fraction(1, 2) / delta
-    return -(-inv.numerator // inv.denominator)
+    return _ceil(Fraction(1, 2) / delta)
 
 
 def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem, delta,
@@ -194,15 +199,14 @@ def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem, delta,
     delta = Fraction(delta)
     cap = level_cap(delta) if max_level is None else max_level
     out: dict[tuple[Triple, int], frozenset[int]] = {}
+    needs = [_ceil_per_size(host, Fraction(1, 2) + r * delta) for r in range(1, cap + 2)]
     for t in host.triples():
         i, j, k = t
-        low = system.q_low[t]
         size_ij = host.class_size(i, j)
-        degrees = [low.right_adj[x].bit_count() for x in range(low.right_size)]
-        for r in range(1, cap + 2):
-            threshold = (Fraction(1, 2) + r * delta) * size_ij
-            out[(t, r)] = frozenset(x for x, deg in enumerate(degrees)
-                                    if deg >= threshold)
+        degrees = [x.bit_count() for x in system.q_low[t].right_adj]
+        for r, need in enumerate(needs, start=1):
+            least = need[size_ij]
+            out[(t, r)] = frozenset(x for x, deg in enumerate(degrees) if deg >= least)
     return out
 
 
@@ -216,12 +220,13 @@ def level_coloring(host: ReducedHypergraph, system: QGraphSystem, delta,
     delta = Fraction(delta)
     cap = level_cap(delta)
     colors: dict[Triple, int] = {}
+    need = _ceil_per_size(host, delta)
     for t in host.triples():
         i, j, k = t
-        floor = delta * host.class_size(i, k)
+        least = need[host.class_size(i, k)]
         level = 0
         for r in range(cap, 0, -1):
-            if len(s_sets[(t, r)]) >= floor:
+            if len(s_sets[(t, r)]) >= least:
                 level = r
                 break
         colors[t] = level
@@ -424,17 +429,17 @@ def verify_star(host: ReducedHypergraph, system: QGraphSystem, delta,
     """
     delta = Fraction(delta)
     quarter = Fraction(1, 4) + system.eps / 2
+    num, den = quarter.numerator, quarter.denominator
+    need = _ceil_per_size(host, delta)
     for t in host.triples():
         i, j, k = t
-        low = system.q_low[t]
-        blue_lhs = sum(low.right_adj[v].bit_count() ** 2
-                       for v in range(low.right_size))
-        blue_rhs = quarter * host.class_size(i, j) ** 2 * host.class_size(i, k)
-        if blue_lhs < blue_rhs:
+        s_ij, s_ik, _ = host.constituent(t).sizes
+        blue_lhs = sum(x.bit_count() ** 2 for x in system.q_low[t].right_adj)
+        if blue_lhs * den < num * s_ij ** 2 * s_ik:
             return f"triple {t} fails the blue degree-square bound"
-        floor = delta * host.class_size(i, k)
-        if len(s_sets[(t, r_star)]) < floor:
+        least = need[s_ik]
+        if len(s_sets[(t, r_star)]) < least:
             return f"triple {t} has |S(r_star)| below delta * |P^{{{i},{k}}}|"
-        if not len(s_sets[(t, r_star + 1)]) < floor:
+        if not len(s_sets[(t, r_star + 1)]) < least:
             return f"triple {t} has |S(r_star + 1)| not below delta * |P^{{{i},{k}}}|"
     return None

@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
-from redhyp import pattern_catalog, validate_reduced_map
+from redhyp import pattern_catalog, pipeline, validate_reduced_map
 from redhyp.cli import (dispatch, parse_certificate, parse_fraction,
                         parse_glued)
 from redhyp.fileio import parse_host, write_host
+from redhyp.embed import Violation
 from redhyp.glue import validate_glued
 from redhyp.errors import DomainError
 
@@ -107,6 +108,35 @@ def test_unreadable_input_path_exits_3(tmp_path, argv):
     assert code == 3
     assert text.startswith("error ") and str(tmp_path) in text
     assert text.count("\n") == 1
+
+
+def test_help_is_returned_not_printed(capsys):
+    code, text = run(["find", "--help"])
+    assert code == 0
+    assert text.startswith("usage: redhyp find ") and "--count-all" in text
+    code, top = run(["--help"])
+    assert code == 0 and top.startswith("usage: redhyp ")
+    assert capsys.readouterr().out == ""
+
+
+def test_oversized_host_exits_2(tmp_path):
+    path = tmp_path / "huge.rh"
+    path.write_text("M 3\nP 1 2 1000000\nP 1 3 1000000\nP 2 3 1\n")
+    code, text = run(["density", "--host", str(path), "--d", "1/4"])
+    assert code == 2 and text.startswith("error cap-exceeded: ")
+
+
+def test_failed_self_check_exits_4(tmp_path, monkeypatch):
+    code, text = run(["gen", "--kind", "random", "--m", "10", "--class-size",
+                      "2", "--d", "1", "--seed", "0"])
+    host_path = tmp_path / "complete10.rh"
+    host_path.write_text(text)
+    monkeypatch.setattr(pipeline, "validate_reduced_map",
+                        lambda host, pattern, rmap: (False, Violation("edge", "forced")))
+    code, text = run(["pipeline", "--host", str(host_path), "--eps", "7/10",
+                      "--delta", "1/4", "--rounds", "4", "--deterministic"])
+    assert (code, text) == (4, "error internal: assembled map fails validation "
+                               "on working host: Violation(kind='edge', detail='forced')\n")
 
 
 def test_gen_round_trip(tmp_path):

@@ -179,6 +179,46 @@ def test_host_validation():
         ReducedHypergraph.with_uniform_classes(3, 1, {(2, 1, 3): [(0, 0, 0)]})
 
 
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 0, 3)], "edge (0, 0, 3) of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
+    ([(2, 0, 0)], "edge (2, 0, 0) of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
+    ([(0, -1, 0)], "edge (0, -1, 0) of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
+    ([(0, 0, 0), (1, 1, 1), (0, 0, 0)], "duplicate edge (0, 0, 0) in constituent (1, 2, 3)"),
+    # the first offending edge in input order is named, whatever its fault
+    ([(0, 0, 0), (1, 1, 1), (0, 0, 3), (1, 1, 1)],
+     "edge (0, 0, 3) of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
+    ([(0, 0, 0), (1, 1, 1), (1, 1, 1), (0, 0, 3)],
+     "duplicate edge (1, 1, 1) in constituent (1, 2, 3)"),
+    ([[0, 0, 0], [1, 1, 1], [0, 0, 0]], "duplicate edge [0, 0, 0] in constituent (1, 2, 3)"),
+    ([[0, 0, 0], [1, 1, 7]], "edge [1, 1, 7] of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
+])
+def test_host_edge_error_messages(edges, message):
+    sizes = {(1, 2): 2, (1, 3): 2, (2, 3): 3}
+    with pytest.raises(DomainError) as err:
+        ReducedHypergraph(3, sizes, {(1, 2, 3): edges})
+    assert str(err.value) == message
+
+
+def test_constituent_tables_match_edges():
+    rng = random.Random(3)
+    sizes = {(1, 2): 3, (1, 3): 4, (2, 3): 2}
+    edges = {(a, b, c) for a in range(3) for b in range(4) for c in range(2)
+             if rng.random() < 0.3}
+    con = ReducedHypergraph(3, sizes, {(1, 2, 3): edges}).constituent((1, 2, 3))
+    assert con.comp02 is None and con.occupied is None
+    con.ensure_search_tables()
+    slots = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # fixed, fixed, completed
+    for (x, y, z), comp in zip(slots, (con.comp01, con.comp02, con.comp12)):
+        for key, bits in enumerate(comp):
+            vx, vy = divmod(key, con.sizes[y])
+            assert bits == sum({1 << e[z] for e in edges if (e[x], e[y]) == (vx, vy)})
+    for x, y in itertools.permutations(range(3), 2):
+        proj = getattr(con, f"proj{x}{y}")
+        for v, bits in enumerate(proj):
+            assert bits == sum({1 << e[y] for e in edges if e[x] == v})
+    assert con.occupied == tuple(sum({1 << e[s] for e in edges}) for s in range(3))
+
+
 def test_induced_reversal_matches_by_hand():
     h = complete_host(4, 2)
     cons = {t: set(h.edges(t)) for t in h.triples()}

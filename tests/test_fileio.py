@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from redhyp import ParseError, random_box_dense
+from redhyp import CapExceeded, ParseError, ReducedHypergraph, random_box_dense
 from redhyp.constructions import cyclic_triple_3graph, random_tournament
 from redhyp.core import pattern_catalog
 from redhyp.fileio import (parse_host, parse_pattern, parse_plain3, write_host,
@@ -54,6 +55,111 @@ def test_host_parser_rejects_with_line_numbers(text, line):
 def test_host_parser_requires_all_pairs():
     with pytest.raises(ParseError):
         parse_host("M 3\nP 1 2 1\nP 1 3 1\n")
+
+
+HEAD = "M 3\nP 1 2 2\nP 1 3 3\nP 2 3 4\n"
+
+
+# (text, line, message) of the parser's first error, pinned so that a faster
+# parser reports the same fault for lines with several faults.
+@pytest.mark.parametrize("text,line,message", [
+    ("", 1, "missing M line"),
+    ("P 1 2 1\n", 1, "P line before M line"),
+    ("E 1 2 3 0 0 0\n", 1, "E line before M line"),
+    ("M 1 2\n", 1, "M line needs 1 fields, got 2"),
+    ("M x\n", 1, "M line has non-integer field 'x'"),
+    ("M 1\n", 1, "index count must be >= 2, got 1"),
+    ("M 3\nM 3\n", 2, "duplicate M line"),
+    ("M 3\nP 1 2 y\n", 2, "P line has non-integer field 'y'"),
+    ("M 3\nP 1 4 1\n", 2, "pair (1, 4) not sorted within 1..3"),
+    ("M 3\nP 1 2 0\n", 2, "class size must be >= 1, got 0"),
+    ("M 3\nP 1 2 1\nP 1 2 2\n", 3, "duplicate P line for pair (1, 2)"),
+    ("M 3\nQ 1 2\n", 2, "unknown line tag 'Q'"),
+    ("M 4\nP 1 2 1\nP 1 3 1\nP 2 3 1\nP 1 4 1\nP 3 4 1\n", 1,
+     "missing P line for pair (2, 4)"),
+    ("M 60\n", 1, "missing P line for pair (1, 2)"),
+    (HEAD + "E 1 2 3 0 0\n", 5, "E line needs 6 fields, got 5"),
+    (HEAD + "E 1 2 3 0 0 z\n", 5, "E line has non-integer field 'z'"),
+    # two faults: the field count is reported before the bad field
+    (HEAD + "E 1 2 3 0 0 z 9\n", 5, "E line needs 6 fields, got 7"),
+    (HEAD + "E 1 2 3 0 0 " + "1" * 5000 + "\n", 5,
+     "E line has non-integer field '" + "1" * 5000 + "'"),
+    (HEAD + "E 1 3 2 0 0 0\n", 5, "triple (1, 3, 2) not sorted within 1..3"),
+    (HEAD + "E 1 2 4 0 0 0\n", 5, "triple (1, 2, 4) not sorted within 1..3"),
+    # out-of-range vertices in each slot, on a triple's first line and later
+    (HEAD + "E 1 2 3 2 0 0\n", 5, "vertex 2 out of range for class P^{1,2} of size 2"),
+    (HEAD + "E 1 2 3 0 3 0\n", 5, "vertex 3 out of range for class P^{1,3} of size 3"),
+    (HEAD + "E 1 2 3 0 0 -1\n", 5, "vertex -1 out of range for class P^{2,3} of size 4"),
+    (HEAD + "E 1 2 3 0 0 0\nE 1 2 3 2 0 0\n", 6,
+     "vertex 2 out of range for class P^{1,2} of size 2"),
+    (HEAD + "E 1 2 3 0 0 0\nE 1 2 3 0 3 0\n", 6,
+     "vertex 3 out of range for class P^{1,3} of size 3"),
+    (HEAD + "E 1 2 3 0 0 0\nE 1 2 3 1 2 9\n", 6,
+     "vertex 9 out of range for class P^{2,3} of size 4"),
+    # several out-of-range slots: the first slot is reported
+    (HEAD + "E 1 2 3 2 3 4\n", 5, "vertex 2 out of range for class P^{1,2} of size 2"),
+    (HEAD + "E 1 2 3 0 3 4\n", 5, "vertex 3 out of range for class P^{1,3} of size 3"),
+    # a missing P pair: pair by pair, presence before range
+    ("M 3\nE 1 2 3 0 0 0\n", 2, "E line uses pair (1, 2) with no P line"),
+    ("M 3\nP 1 2 2\nP 1 3 3\nE 1 2 3 0 0 0\n", 4, "E line uses pair (2, 3) with no P line"),
+    ("M 3\nP 1 3 2\nP 2 3 3\nE 1 2 3 0 9 0\n", 4, "E line uses pair (1, 2) with no P line"),
+    ("M 3\nP 1 2 2\nP 2 3 3\nE 1 2 3 5 0 0\n", 4,
+     "vertex 5 out of range for class P^{1,2} of size 2"),
+    ("M 3\nP 1 2 2\nP 1 3 3\nE 1 2 3 0 9 9\n", 4,
+     "vertex 9 out of range for class P^{1,3} of size 3"),
+    ("M 3\nP 1 2 2\nP 1 3 3\nE 1 2 3 0 0 9\n", 4, "E line uses pair (2, 3) with no P line"),
+    ("M 4\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 0\nE 1 2 4 0 0 0\n", 6,
+     "E line uses pair (1, 4) with no P line"),
+    # duplicates, also after another edge and in a second triple
+    (HEAD + "E 1 2 3 0 0 0\nE 1 2 3 0 0 0\n", 6, "duplicate edge (1, 2, 3, 0, 0, 0)"),
+    (HEAD + "E 1 2 3 1 2 3\nE 1 2 3 0 0 0\nE 1 2 3 1 2 3\n", 7,
+     "duplicate edge (1, 2, 3, 1, 2, 3)"),
+    (HEAD + "E 1 2 3 +1 0 0\nE 1 2 3 1 0 0\n", 6, "duplicate edge (1, 2, 3, 1, 0, 0)"),
+    ("M 4\nP 1 2 1\nP 1 3 1\nP 2 3 1\nP 1 4 1\nP 2 4 1\nP 3 4 1\n"
+     "E 1 2 3 0 0 0\nE 1 2 4 0 0 0\nE 1 2 4 0 0 0\n", 10, "duplicate edge (1, 2, 4, 0, 0, 0)"),
+    (HEAD + "E 1 2 3 0 0 0\nE 3 2 1 0 0 0\n", 6, "triple (3, 2, 1) not sorted within 1..3"),
+    (HEAD + "E 1 2 3 0 0 0\nP 1 2 2\n", 6, "duplicate P line for pair (1, 2)"),
+])
+def test_host_parser_error_messages(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_host(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+def test_oversized_hosts_refused_before_allocation():
+    # Two classes of 10^6 would ask for 10^12 completion-table entries.
+    text = "M 3\nP 1 2 1000000\nP 1 3 1000000\nP 2 3 1\n"
+    with pytest.raises(CapExceeded):
+        parse_host(text)
+    with pytest.raises(ParseError) as err:
+        parse_host("M 1000000\n")
+    assert str(err.value) == "line 1: missing P line for pair (1, 2)"
+    # 400 indices give comb(400, 3) > 10^7 constituents even with classes of 1
+    sizes = {(i, j): 1 for i in range(1, 401) for j in range(i + 1, 401)}
+    with pytest.raises(CapExceeded):
+        ReducedHypergraph(400, sizes, {})
+
+
+@st.composite
+def _hosts(draw):
+    m = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    sizes = {p: draw(st.integers(1, 3)) for p in pairs}
+    cons = {}
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            for k in range(j + 1, m + 1):
+                edge = st.tuples(st.integers(0, sizes[(i, j)] - 1),
+                                 st.integers(0, sizes[(i, k)] - 1),
+                                 st.integers(0, sizes[(j, k)] - 1))
+                cons[(i, j, k)] = draw(st.sets(edge, max_size=8))
+    return ReducedHypergraph(m, sizes, cons)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_hosts())
+def test_host_round_trip_generated(host):
+    assert parse_host(write_host(host)) == host
 
 
 def test_pattern_round_trip():

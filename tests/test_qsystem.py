@@ -252,3 +252,129 @@ def test_build_q_graphs_threads_match_sequential():
     for t in host.triples():
         assert seq.q_low[t].left_adj == par.q_low[t].left_adj
         assert seq.q_high[t].left_adj == par.q_high[t].left_adj
+
+
+# -- integer thresholds against a naive rational reference -----------------
+#
+# The reference below compares integer counts with the exact rational
+# bounds directly, recounting completions from the raw edge sets.
+
+def _ref_colors(host, eps):
+    quarter = Fraction(1, 4) + eps / 2
+    colors = {}
+    for t in host.triples():
+        i, j, k = t
+        low, high = naive_q_edges(host, eps, t)
+        s_ij, s_ik, s_jk = (host.class_size(i, j), host.class_size(i, k),
+                            host.class_size(j, k))
+        low_deg = [sum(1 for _, v in low if v == x) for x in range(s_ik)]
+        high_deg = [sum(1 for v, _ in high if v == x) for x in range(s_ik)]
+        if Fraction(sum(d * d for d in low_deg)) >= quarter * s_ij ** 2 * s_ik:
+            colors[t] = "blue"
+            continue
+        colors[t] = "red"
+        product = sum(a * b for a, b in zip(low_deg, high_deg))
+        if product >= quarter * s_ij * s_jk * s_ik:
+            assert Fraction(sum(d * d for d in high_deg)) >= quarter * s_jk ** 2 * s_ik
+    return colors
+
+
+def _ref_s_sets(host, eps, delta, cap):
+    out = {}
+    for t in host.triples():
+        i, j, k = t
+        low, _ = naive_q_edges(host, eps, t)
+        size_ij = host.class_size(i, j)
+        degrees = [sum(1 for _, v in low if v == x) for x in range(host.class_size(i, k))]
+        for r in range(1, cap + 2):
+            bound = (Fraction(1, 2) + r * delta) * size_ij
+            out[(t, r)] = frozenset(x for x, d in enumerate(degrees) if d >= bound)
+    return out
+
+
+def _ref_levels(host, delta, s_sets, cap):
+    levels = {}
+    for t in host.triples():
+        floor = delta * host.class_size(t[0], t[2])
+        levels[t] = next((r for r in range(cap, 0, -1)
+                          if len(s_sets[(t, r)]) >= floor), 0)
+    return levels
+
+
+def _ref_verify(host, eps, delta, s_sets, r_star):
+    quarter = Fraction(1, 4) + eps / 2
+    for t in host.triples():
+        i, j, k = t
+        low, _ = naive_q_edges(host, eps, t)
+        s_ij, s_ik = host.class_size(i, j), host.class_size(i, k)
+        squares = sum(sum(1 for _, v in low if v == x) ** 2 for x in range(s_ik))
+        if squares < quarter * s_ij ** 2 * s_ik:
+            return f"triple {t} fails the blue degree-square bound"
+        floor = delta * s_ik
+        if len(s_sets[(t, r_star)]) < floor:
+            return f"triple {t} has |S(r_star)| below delta * |P^{{{i},{k}}}|"
+        if not len(s_sets[(t, r_star + 1)]) < floor:
+            return f"triple {t} has |S(r_star + 1)| not below delta * |P^{{{i},{k}}}|"
+    return None
+
+
+def _random_host(rng, sizes_from):
+    m = rng.randint(3, 5)
+    sizes = {p: rng.choice(sizes_from) for p in itertools.combinations(range(1, m + 1), 2)}
+    density = rng.choice((0.5, 0.75, 0.9, 1.0))
+    cons = {}
+    for t in itertools.combinations(range(1, m + 1), 3):
+        i, j, k = t
+        cons[t] = [e for e in itertools.product(range(sizes[(i, j)]), range(sizes[(i, k)]),
+                                                range(sizes[(j, k)]))
+                   if rng.random() < density]
+    return ReducedHypergraph(m, sizes, cons)
+
+
+@pytest.mark.parametrize("eps,delta", [
+    # eps = 1/2 puts eps^2 * 4 = 1 and (1/4 + eps/2) = 1/2; delta = 1/4 puts
+    # (1/2 + r delta) * 4 and delta * 4 on integers: every bound is exact.
+    (Fraction(1, 2), Fraction(1, 4)),
+    (Fraction(1, 2), Fraction(1, 8)),
+    (Fraction(7, 10), Fraction(1, 4)),
+    (Fraction(1, 3), Fraction(1, 6)),
+    (Fraction(3, 5), Fraction(1, 5)),
+])
+def test_integer_thresholds_match_rational_reference(eps, delta):
+    rng = random.Random(f"{eps}-{delta}")
+    cap = level_cap(delta)
+    for _ in range(6):
+        host = _random_host(rng, (1, 2, 3, 4, 4, 5, 6, 8))
+        system = build_q_graphs(host, eps)
+        for t in host.triples():
+            low, high = naive_q_edges(host, eps, t)
+            assert {(w, v) for w, bits in enumerate(system.q_low[t].left_adj)
+                    for v in range(system.q_low[t].right_size) if bits >> v & 1} == low
+            assert {(v, u) for v, bits in enumerate(system.q_high[t].left_adj)
+                    for u in range(system.q_high[t].right_size) if bits >> u & 1} == high
+        assert color_triples(host, system) == _ref_colors(host, eps)
+        s_sets = compute_s_sets(host, system, delta)
+        assert s_sets == _ref_s_sets(host, eps, delta, cap)
+        assert level_coloring(host, system, delta, s_sets) == \
+            _ref_levels(host, delta, s_sets, cap)
+        for r_star in range(1, cap + 1):
+            assert verify_star(host, system, delta, s_sets, r_star) == \
+                _ref_verify(host, eps, delta, s_sets, r_star)
+
+
+def test_thresholds_exactly_on_an_integer():
+    # Classes of 4 and eps = 1/2: a Q-edge needs exactly 1 completion, an
+    # S-set at level 1 (delta = 1/4) exactly 3 of 4 neighbours.
+    sizes = {(1, 2): 4, (1, 3): 4, (2, 3): 4}
+    edges = [(w, v, 0) for w in range(3) for v in range(4)]
+    host = ReducedHypergraph(3, sizes, {(1, 2, 3): edges})
+    system = build_q_graphs(host, Fraction(1, 2))
+    low = system.q_low[(1, 2, 3)]
+    assert [low.right_degree(v) for v in range(4)] == [3, 3, 3, 3]
+    s_sets = compute_s_sets(host, system, Fraction(1, 4))
+    assert s_sets[((1, 2, 3), 1)] == frozenset(range(4))   # 3 >= (1/2 + 1/4) * 4
+    assert s_sets[((1, 2, 3), 2)] == frozenset()           # 3 < (1/2 + 2/4) * 4
+    assert level_coloring(host, system, Fraction(1, 4), s_sets) == {(1, 2, 3): 1}
+    # blue bound: 4 * 3^2 = 36 >= (1/4 + 1/4) * 4^2 * 4 = 32
+    assert color_triples(host, system) == {(1, 2, 3): "blue"}
+    assert verify_star(host, system, Fraction(1, 4), s_sets, 1) is None
