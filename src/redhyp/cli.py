@@ -6,7 +6,9 @@ Rationals are always written a/b; decimals are rejected.  Exit codes:
 0 success/found, 1 legitimate negative, 2 resource exhaustion, 3 input
 error, 4 internal error (one of the program's own self-checks failed).
 Under --deterministic, reports carry no timing lines and are
-byte-identical across runs at --threads 1.
+byte-identical across runs.  Every command accepts --threads N (N >= 1)
+for compatibility; runs are single-threaded whatever N is, and `find`
+echoes N in its report.
 """
 
 from __future__ import annotations
@@ -80,16 +82,20 @@ def certificate_lines(rmap: ReducedMap) -> list[str]:
 
 
 def parse_certificate(text: str) -> ReducedMap:
+    """The reduced map in a report's L and F lines; other lines are skipped.
+
+    A malformed L or F line raises ParseError with its line number."""
     lam: dict[int, int] = {}
     phi: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
-        if parts[0] == "L" and len(parts) == 3:
-            lam[int(parts[1])] = int(parts[2])
-        elif parts[0] == "F" and len(parts) == 6:
-            u, v, i, j, a = map(int, parts[1:])
+        if parts[0] == "L":
+            u, i = fileio.int_fields(lineno, parts[1:], 2, "L")
+            lam[u] = i
+        elif parts[0] == "F":
+            u, v, i, j, a = fileio.int_fields(lineno, parts[1:], 5, "F")
             phi[(u, v)] = ((i, j), a)
     return ReducedMap(lam=lam, phi=phi)
 
@@ -103,21 +109,30 @@ def glued_lines(cfg: GluedConfiguration) -> list[str]:
     return lines
 
 
+_ROLE_PAIRS = {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
+
+
 def parse_glued(text: str) -> GluedConfiguration:
+    """The configuration in a report's G-indices, G and G-prime lines; other
+    lines are skipped.  A malformed one raises ParseError with its line
+    number; a missing one, or G lines naming other than the six role pairs,
+    DomainError."""
     indices = None
     alpha: dict[tuple[int, int], int] = {}
     primes: dict[tuple[int, int], int] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
-        if parts[0] == "G-indices" and len(parts) == 5:
-            indices = tuple(int(x) for x in parts[1:])
-        elif parts[0] == "G" and len(parts) == 4:
-            alpha[(int(parts[1]), int(parts[2]))] = int(parts[3])
-        elif parts[0] == "G-prime" and len(parts) == 4:
-            primes[(int(parts[1]), int(parts[2]))] = int(parts[3])
-    if indices is None or len(alpha) != 6 or set(primes) != {(2, 3), (2, 4)}:
+        if parts[0] == "G-indices":
+            indices = tuple(fileio.int_fields(lineno, parts[1:], 4, "G-indices"))
+        elif parts[0] == "G":
+            j, k, v = fileio.int_fields(lineno, parts[1:], 3, "G")
+            alpha[(j, k)] = v
+        elif parts[0] == "G-prime":
+            j, k, v = fileio.int_fields(lineno, parts[1:], 3, "G-prime")
+            primes[(j, k)] = v
+    if indices is None or set(alpha) != _ROLE_PAIRS or set(primes) != {(2, 3), (2, 4)}:
         raise DomainError("incomplete glued-configuration lines")
     return GluedConfiguration(indices=indices, alpha=alpha,
                               alpha23_prime=primes[(2, 3)],
@@ -148,7 +163,8 @@ def build_parser() -> _Parser:
         p.add_argument("--report", help="write the report to this file")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timing lines for reproducible reports")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; runs are single-threaded")
 
     p = sub.add_parser("density", help="check (d, box)-density of a host")
     p.add_argument("--host", required=True)
@@ -259,9 +275,7 @@ def _cmd_find(args, started) -> tuple[int, str]:
              f"threads {args.threads}",
              f"deterministic {'true' if args.deterministic else 'false'}"]
     result = find_reduced_image(host, pattern, budget=args.budget,
-                                count_all=args.count_all,
-                                deterministic=args.deterministic,
-                                threads=args.threads)
+                                count_all=args.count_all)
     lines.append(f"outcome {result.status}")
     lines.append(f"nodes {result.nodes}")
     if result.count is not None:
@@ -307,7 +321,7 @@ def _cmd_pipeline(args, started) -> tuple[int, str]:
              f"m-star {config.ramsey_target_1}",
              f"m {config.ramsey_target_2}",
              f"min-final {config.min_final_indices}"]
-    result = find_fstar(host, config, threads=args.threads)
+    result = find_fstar(host, config)
     if args.trace:
         Path(args.trace).write_text("\n".join(result.trace) + "\n")
     if result.ok:
@@ -348,7 +362,7 @@ def _cmd_glue(args, started) -> tuple[int, str]:
              f"ladder {','.join(str(x) for x in config.ladder)}",
              f"m-star {config.ramsey_target_1}",
              f"m {config.ramsey_target_2}"]
-    result = find_glued(host, config, threads=args.threads)
+    result = find_glued(host, config)
     if args.trace:
         Path(args.trace).write_text("\n".join(result.trace) + "\n")
     if result.ok:
@@ -426,8 +440,7 @@ def _cmd_audit(args, started) -> tuple[int, str]:
              f"mode {mode}"]
     result = uniform_density_audit(graph, d, eta, mode=mode,
                                    samples=args.samples, seed=args.seed,
-                                   sizes=sizes, vertex_cap=args.cap,
-                                   threads=args.threads)
+                                   sizes=sizes, vertex_cap=args.cap)
     lines.append(f"outcome {result.status}")
     lines.append(f"subsets-checked {result.subsets_checked}")
     if result.status == "fail":
@@ -465,6 +478,8 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     except _HelpRequested as exc:
         return EXIT_OK, exc.args[0]
     try:
+        if args.threads < 1:
+            raise DomainError(f"threads must be >= 1, got {args.threads}")
         code, text = _HANDLERS[args.command](args, started)
         if getattr(args, "report", None):
             Path(args.report).write_text(text)

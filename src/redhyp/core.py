@@ -21,7 +21,7 @@ Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 Edge = tuple[int, int, int]
 
-# Refuse hosts whose constituents plus eagerly built table entries exceed this.
+# Refuse hosts whose constituents plus all their table entries exceed this.
 TABLE_ENTRY_CAP = 10 ** 7
 
 
@@ -114,20 +114,24 @@ class Constituent:
         return (a, b, c) in self.edges
 
 
-def _eager_table_size(index_count: int, sizes: Mapping[Pair, int]) -> int:
-    """Constituents plus comp01 and comp12 entries over all triples.
+def _table_size(index_count: int, sizes: Mapping[Pair, int]) -> int:
+    """Constituents plus every table entry they can build, over all triples.
 
-    comp01 of (i,j,k) has |P^{ij}| * |P^{ik}| entries and comp12 has
-    |P^{ik}| * |P^{jk}|; summing each over the pairs j<k (or i<j) that share
-    the index i (or k) turns the triple sum into O(M^2) work.
+    With s0, s1, s2 the class sizes of (i,j), (i,k), (j,k), triple i<j<k
+    builds comp01 (s0*s1 entries), comp12 (s1*s2) and, for the search,
+    comp02 (s0*s2), the six proj_xy (2*(s0+s1+s2)) and occupied (3).
+    Summing each product over the pairs that share its fixed index (i for
+    comp01, k for comp12, the middle j for comp02), and each class over its
+    M-2 triples, turns the triple sum into O(M^2) work.
     """
-    total = math.comb(index_count, 3)
+    total = 4 * math.comb(index_count, 3) + 2 * (index_count - 2) * sum(sizes.values())
     for x in range(1, index_count + 1):
         above = [sizes[(x, y)] for y in range(x + 1, index_count + 1)]
         below = [sizes[(y, x)] for y in range(1, x)]
         for row in (above, below):
             s = sum(row)
             total += (s * s - sum(v * v for v in row)) // 2
+        total += sum(below) * sum(above)
     return total
 
 
@@ -164,8 +168,8 @@ class ReducedHypergraph:
 
     class_sizes must cover every pair {i,j}; constituents maps sorted
     triples to edge collections and may omit empty constituents.  Hosts
-    whose constituents and eagerly built tables would exceed
-    TABLE_ENTRY_CAP entries are refused with CapExceeded before any
+    whose constituents and tables, the search-only ones included, would
+    exceed TABLE_ENTRY_CAP entries are refused with CapExceeded before any
     table is allocated.
     """
 
@@ -186,7 +190,7 @@ class ReducedHypergraph:
             if (i, j) not in sizes:
                 raise DomainError(f"missing class size for pair ({i}, {j})")
         self._sizes = sizes
-        entries = _eager_table_size(index_count, sizes)
+        entries = _table_size(index_count, sizes)
         if entries > TABLE_ENTRY_CAP:
             raise CapExceeded(
                 f"host needs {entries} constituent table entries, "

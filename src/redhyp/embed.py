@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Lock
 
 from ._bits import iter_bits
 from .core import (Constituent, Pair, Pattern, ReducedHypergraph, ReducedMap,
@@ -129,28 +127,18 @@ class _BudgetExhausted(Exception):
 
 
 class _BudgetTracker:
-    """Node counter with optional limit; optionally shared across threads."""
+    """Node counter with optional limit."""
 
-    def __init__(self, limit: int | None, shared: bool = False):
+    def __init__(self, limit: int | None):
         self.limit = limit
         self.nodes = 0
-        self._lock = Lock() if shared else None
 
     def spend(self, n: int = 1) -> None:
-        if self._lock is None:
-            self.nodes += n
-            if self.limit is not None and self.nodes > self.limit:
-                self._exhaust(n)
-        else:
-            with self._lock:
-                self.nodes += n
-                if self.limit is not None and self.nodes > self.limit:
-                    self._exhaust(n)
-
-    def _exhaust(self, n: int) -> None:
-        # A bulk spend stops where spending node by node would have stopped.
-        self.nodes = max(self.limit + 1, self.nodes - n + 1)
-        raise _BudgetExhausted
+        self.nodes += n
+        if self.limit is not None and self.nodes > self.limit:
+            # A bulk spend stops where spending node by node would have stopped.
+            self.nodes = max(self.limit + 1, self.nodes - n + 1)
+            raise _BudgetExhausted
 
 
 def _comp_bits(con: Constituent, sx: int, sy: int, vx: int, vy: int) -> int:
@@ -221,8 +209,7 @@ class _Engine:
         for ei, (e, _) in enumerate(self.edges):
             self.lam_sched[max(e)].append(ei)
 
-    def run(self, budget: _BudgetTracker, count_all: bool,
-            first_index: int | None = None) -> SearchResult:
+    def run(self, budget: _BudgetTracker, count_all: bool) -> SearchResult:
         lam = [0] * (self.n + 1)
         found_cert: list[ReducedMap] = []
         total = 0
@@ -241,11 +228,7 @@ class _Engine:
                     found_cert.append(rmap)
                     return True
                 return False
-            if u == 1 and first_index is not None:
-                values = (first_index,)
-            else:
-                values = range(1, M + 1)
-            for i in values:
+            for i in range(1, M + 1):
                 budget.spend()
                 if any(lam[v] == i for v in self.distinct_before[u]):
                     continue
@@ -472,52 +455,19 @@ class _Engine:
 
 
 def find_reduced_image(host: ReducedHypergraph, pattern: Pattern,
-                       budget: int | None = None, count_all: bool = False,
-                       deterministic: bool = True,
-                       threads: int = 1) -> SearchResult:
+                       budget: int | None = None,
+                       count_all: bool = False) -> SearchResult:
     """Search for a reduced image of the pattern in the host.
 
     budget is a node limit (None = unbounded); exceeding it yields status
     'budget-exhausted', never a silent 'not-found'.  count_all counts all
-    valid maps instead of stopping at the first.  threads > 1 splits the
-    top-level index assignment across worker threads; branch results are
-    merged in ascending branch order, so outcomes match a sequential run
-    whenever no budget is set.
+    valid maps instead of stopping at the first.
     """
     if budget is not None and budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
     started = time.perf_counter()
-
-    if threads == 1 or pattern.vertex_count == 0:
-        tracker = _BudgetTracker(budget)
-        result = _Engine(host, pattern).run(tracker, count_all)
-        return _stamp(result, started)
-
-    tracker = _BudgetTracker(budget, shared=True)
-    branches = list(range(1, host.index_count + 1))
-
-    def run_branch(i: int) -> SearchResult:
-        return _Engine(host, pattern).run(tracker, count_all, first_index=i)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_branch, branches))
-
-    nodes = tracker.nodes
-    if count_all:
-        if any(r.status == "budget-exhausted" for r in results):
-            return _stamp(SearchResult("budget-exhausted", None, None, nodes), started)
-        total = sum(r.count for r in results)
-        status = "found" if total > 0 else "not-found"
-        return _stamp(SearchResult(status, None, total, nodes), started)
-    for r in results:  # ascending branch order: lowest branch wins
-        if r.status == "found":
-            cert = EmbedCertificate(r.certificate.rmap, pattern, nodes=nodes)
-            return _stamp(SearchResult("found", cert, None, nodes), started)
-        if r.status == "budget-exhausted":
-            return _stamp(SearchResult("budget-exhausted", None, None, nodes), started)
-    return _stamp(SearchResult("not-found", None, None, nodes), started)
+    result = _Engine(host, pattern).run(_BudgetTracker(budget), count_all)
+    return _stamp(result, started)
 
 
 def _stamp(result: SearchResult, started: float) -> SearchResult:

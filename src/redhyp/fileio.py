@@ -34,7 +34,9 @@ def _tokens(text: str):
             yield lineno, parts
 
 
-def _ints(lineno: int, parts: list[str], expect: int, what: str) -> list[int]:
+def int_fields(lineno: int, parts: list[str], expect: int, what: str) -> list[int]:
+    """The integer fields after a line's key; a wrong count or a non-integer
+    field raises ParseError naming the line."""
     if len(parts) != expect:
         raise ParseError(lineno, f"{what} line needs {expect} fields, got {len(parts)}")
     out = []
@@ -77,7 +79,7 @@ def parse_host(text: str) -> ReducedHypergraph:
             try:
                 i, j, k, a, b, c = map(int, parts[1:])
             except ValueError:
-                i, j, k, a, b, c = _ints(lineno, parts[1:], 6, "E")
+                i, j, k, a, b, c = int_fields(lineno, parts[1:], 6, "E")
             entry = cons.get((i, j, k))
             if entry is None:
                 _check_e_line(lineno, i, j, k, a, b, c, m, sizes)
@@ -92,13 +94,13 @@ def parse_host(text: str) -> ReducedHypergraph:
         elif tag == "M":
             if m is not None:
                 raise ParseError(lineno, "duplicate M line")
-            (m,) = _ints(lineno, parts[1:], 1, "M")
+            (m,) = int_fields(lineno, parts[1:], 1, "M")
             if m < 2:
                 raise ParseError(lineno, f"index count must be >= 2, got {m}")
         elif tag == "P":
             if m is None:
                 raise ParseError(lineno, "P line before M line")
-            i, j, s = _ints(lineno, parts[1:], 3, "P")
+            i, j, s = int_fields(lineno, parts[1:], 3, "P")
             if not (1 <= i < j <= m):
                 raise ParseError(lineno, f"pair ({i}, {j}) not sorted within 1..{m}")
             if (i, j) in sizes:
@@ -136,13 +138,13 @@ def _parse_vertex_triples(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         if tag == "V":
             if n is not None:
                 raise ParseError(lineno, "duplicate V line")
-            (n,) = _ints(lineno, parts[1:], 1, "V")
+            (n,) = int_fields(lineno, parts[1:], 1, "V")
             if n < 1:
                 raise ParseError(lineno, f"vertex count must be >= 1, got {n}")
         elif tag == "T":
             if n is None:
                 raise ParseError(lineno, "T line before V line")
-            u, v, w = _ints(lineno, parts[1:], 3, "T")
+            u, v, w = int_fields(lineno, parts[1:], 3, "T")
             if len({u, v, w}) != 3:
                 raise ParseError(lineno, f"triple ({u}, {v}, {w}) has repeated vertices")
             if not all(1 <= x <= n for x in (u, v, w)):

@@ -13,6 +13,9 @@ admit, for EVERY pair j < k of surviving non-top columns, some y in P^{rj}
 making x z_k y a triangle.  Spines are chosen from the largest remaining
 column downward; when a pigeonhole leaves no survivors the mandated
 arbitrary choice (vertex 0) is taken and flagged degenerate.
+
+The finder runs on the pipeline's row driver, `pipeline.run_rows`, with
+this module's row preparation and a pigeonhole over two projections.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._bits import iter_bits, least_bit
-from .core import ReducedHypergraph, Triple, sorted_pair, sorted_triple
+from .core import ReducedHypergraph, sorted_pair, sorted_triple
 from .errors import (CapExceeded, DomainError, RowPreparationError,
                      SelfCheckError)
-from .pipeline import (PipelineConfig, ProjectionRecord, _max_count_least_arg,
-                       covered_vertex)
+from .pipeline import (ProjectionRecord, StageFailed, completion_vertex,
+                       max_count_least_arg, run_rows, select_apex,
+                       validate_clean_fields)
 from .qsystem import (DEFAULT_RAMSEY_EXACT_CAP, CleanResult, QGraphSystem,
-                      StageFailure, clean)
+                      StageFailure)
 
 DEFAULT_GLUE_ORACLE_CAP = 10 ** 9
 
@@ -61,17 +65,7 @@ class GlueConfig:
             raise DomainError(f"ladder entries must be >= 1, got {self.ladder}")
         if any(a <= b for a, b in zip(self.ladder, self.ladder[1:])):
             raise DomainError(f"ladder must be strictly decreasing, got {self.ladder}")
-        # Cleaning parameters are shared with the pipeline configuration.
-        self._clean_config  # validates eps/delta/targets
-
-    @property
-    def _clean_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            eps=self.eps, delta=self.delta,
-            ramsey_target_1=self.ramsey_target_1,
-            ramsey_target_2=self.ramsey_target_2,
-            min_final_indices=self.min_final_indices,
-            ramsey_exact_cap=self.ramsey_exact_cap)
+        validate_clean_fields(self)
 
 
 @dataclass(frozen=True)
@@ -191,22 +185,8 @@ def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
     if top not in working or top != max(working):
         raise DomainError(f"top index {top} must be the maximum of {working}")
     r = working[0]
-    r_star = system.r_star
-    middle = [j for j in working if j not in (r, top)]
-
-    size_rm = system.host.class_size(r, top)
-    member_bits = []
-    for j in middle:
-        bits = 0
-        for x in system.s_set((r, j, top), r_star):
-            bits |= 1 << x
-        member_bits.append(bits)
-    hit_count, apex = _max_count_least_arg(range(size_rm), member_bits)
-    if hit_count <= 0:
-        raise RowPreparationError(
-            "apex-pigeonhole", "no apex vertex lies in any S-set of the row")
-    i_prime = [j for j, bits in zip(middle, member_bits) if bits >> apex & 1]
-    a_sets = {j: system.q_low[(r, j, top)].right_adj[apex] for j in i_prime}
+    apex, a_sets = select_apex(system, working, top)
+    i_prime = list(a_sets)
 
     chosen: list[int] = []
     spine: dict[int, int] = {}
@@ -235,7 +215,7 @@ def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
                 degenerate.append(k)
             kept: list[int] = []
         else:
-            count, z_k = _max_count_least_arg(list(iter_bits(a_k)), d_bits)
+            count, z_k = max_count_least_arg(list(iter_bits(a_k)), d_bits)
             if count <= 0:
                 degenerate.append(k)
                 z_k = least_bit(a_k)
@@ -279,111 +259,27 @@ def _verify_row_glue(system: QGraphSystem, row: GlueRowRecord, top: int) -> None
             raise SelfCheckError(f"row {row.index}: witness edge missing for ({j}, {k})")
 
 
-def find_glued(host: ReducedHypergraph, config: GlueConfig,
-               threads: int = 1) -> GlueResult:
+def find_glued(host: ReducedHypergraph, config: GlueConfig) -> GlueResult:
     """Clean, run the ladder of all-pairs rows, pigeonhole two projections,
     and return a validated glued configuration or a structured failure."""
-    trace: list[str] = []
-    cleaned = clean(host, config._clean_config, threads=threads)
-    trace.extend(f"clean {line}" for line in cleaned.log)
-    if not cleaned.ok:
-        trace.append(f"fail {cleaned.failure.stage}")
-        return GlueResult(False, None, cleaned.failure, cleaned, trace=trace)
-    system = cleaned.system
-    work = system.host
-    top = work.index_count
-
-    rows: list[GlueRowRecord] = []
-    current = list(range(1, top + 1))
-    for t, target in enumerate(config.ladder, start=1):
-        if len(current) < 3:
-            failure = StageFailure(f"row-{t}", f"index set exhausted: {current}")
-            trace.append(f"fail {failure.stage}")
-            return GlueResult(False, None, failure, cleaned, rows, trace=trace)
-        try:
-            row = prepare_row_glue(system, current, top, target, round_index=t)
-        except RowPreparationError as exc:
-            failure = StageFailure(f"row-{t}", f"{exc.step}: {exc.reason}")
-            trace.append(f"fail {failure.stage}")
-            return GlueResult(False, None, failure, cleaned, rows, trace=trace)
-        rows.append(row)
-        trace.append(f"row {t} r={row.row_index} x={row.apex} "
-                     f"J={list(row.surviving)} degenerate={list(row.degenerate)}")
-        current = list(row.surviving)
-
-    if len(current) < config.min_final_indices:
-        failure = StageFailure(
-            "final-index-set",
-            f"final set {current} smaller than {config.min_final_indices}")
-        trace.append(f"fail {failure.stage}")
-        return GlueResult(False, None, failure, cleaned, rows, trace=trace)
-    m_prime = max(j for j in current if j != top)
-    trace.append(f"m-prime {m_prime}")
-
-    projections: list[ProjectionRecord] = []
-    for row in rows:
-        if m_prime not in row.spine:
-            failure = StageFailure(
-                "projection", f"row {row.index} lacks a spine vertex at {m_prime}")
-            trace.append(f"fail {failure.stage}")
-            return GlueResult(False, None, failure, cleaned, rows, trace=trace)
-        r, z = row.row_index, row.spine[m_prime]
-        con = work.constituent((r, m_prime, top))
-        members = tuple(iter_bits(con.comp01[z * con.sizes[1] + row.apex]))
-        meets = Fraction(len(members)) >= system.eps ** 2 * work.class_size(m_prime, top)
-        projections.append(ProjectionRecord(row=row.index, edge=(row.apex, z),
-                                            m_prime=m_prime, members=members,
-                                            meets_eps_bound=meets))
-        trace.append(f"projection {row.index} size={len(members)}")
-
-    hit = covered_vertex(work.class_size(m_prime, top),
-                         [p.members for p in projections], 2)
-    if hit is None:
-        failure = StageFailure(
-            "pigeonhole", "no completion vertex shared by two projections")
-        trace.append(f"fail {failure.stage}")
-        return GlueResult(False, None, failure, cleaned, rows, projections,
-                          trace=trace)
-    v, covering = hit
-    ri, rj = covering[0], covering[1]
-    trace.append(f"pigeonhole v={v} rows={[ri + 1, rj + 1]}")
-    pigeonhole = {"vertex": v, "rows": (ri + 1, rj + 1)}
-
-    row_i, row_j = rows[ri], rows[rj]
-    r_i, r_j = row_i.row_index, row_j.row_index
-    x_i, z_im = row_i.apex, row_i.spine[m_prime]
-    pair = (r_j, m_prime)
-    if pair not in row_i.witnesses:
-        failure = StageFailure(
-            "completion-recovery",
-            f"row {row_i.index} has no triangle witness for pair {pair}")
-        trace.append(f"fail {failure.stage}")
-        return GlueResult(False, None, failure, cleaned, rows, projections,
-                          pigeonhole, trace)
-    y = row_i.witnesses[pair]
-
-    def completion(t: Triple, va: int, vb: int, what: str) -> int:
-        con = work.constituent(t)
-        bits = con.comp01[va * con.sizes[1] + vb]
-        if bits == 0:
-            raise RowPreparationError("completion-recovery", f"no completion for {what}")
-        return least_bit(bits)
-
+    result = GlueResult(False, None, None, None)
+    ladder = config.ladder
     try:
-        u1 = completion((r_i, r_j, top), y, x_i, "apex-witness")
-        u2 = completion((r_i, r_j, m_prime), y, z_im, "spine-witness")
-    except RowPreparationError as exc:
-        failure = StageFailure("completion-recovery", f"{exc.step}: {exc.reason}")
-        trace.append(f"fail {failure.stage}")
-        return GlueResult(False, None, failure, cleaned, rows, projections,
-                          pigeonhole, trace)
+        system, m_prime, v, covering = run_rows(
+            host, config, result, len(ladder),
+            lambda system, working, top, t: prepare_row_glue(
+                system, working, top, ladder[t - 1], round_index=t),
+            lambda row: (f"row {row.index} r={row.row_index} x={row.apex} "
+                         f"J={list(row.surviving)} degenerate={list(row.degenerate)}"),
+            2)
+        cfg_work = _assemble_glued(system, result.rows[covering[0]],
+                                   result.rows[covering[1]], m_prime, v)
+    except StageFailed as exc:
+        result.failure = exc.failure
+        result.trace.append(f"fail {exc.failure.stage}")
+        return result
 
-    cfg_work = GluedConfiguration(
-        indices=(r_i, r_j, top, m_prime),
-        alpha={(1, 2): y, (1, 3): x_i, (1, 4): z_im,
-               (2, 3): u1, (2, 4): u2, (3, 4): v},
-        alpha23_prime=row_j.apex, alpha24_prime=row_j.spine[m_prime])
-    ok, why = validate_glued(work, cfg_work)
+    ok, why = validate_glued(system.host, cfg_work)
     if not ok:
         raise SelfCheckError(f"assembled configuration invalid on working host: {why}")
     back = system.to_original
@@ -395,8 +291,31 @@ def find_glued(host: ReducedHypergraph, config: GlueConfig,
     ok, why = validate_glued(host, cfg)
     if not ok:
         raise SelfCheckError(f"assembled configuration invalid on original host: {why}")
-    trace.append("configuration validated")
-    return GlueResult(True, cfg, None, cleaned, rows, projections, pigeonhole, trace)
+    result.ok = True
+    result.configuration = cfg
+    result.trace.append("configuration validated")
+    return result
+
+
+def _assemble_glued(system: QGraphSystem, row_i: GlueRowRecord,
+                    row_j: GlueRowRecord, m_prime: int, v: int) -> GluedConfiguration:
+    """The working-host configuration on rows i < j and the shared vertex v."""
+    top = system.host.index_count
+    r_i, r_j = row_i.row_index, row_j.row_index
+    x_i, z_im = row_i.apex, row_i.spine[m_prime]
+    pair = (r_j, m_prime)
+    if pair not in row_i.witnesses:
+        raise StageFailed(StageFailure(
+            "completion-recovery",
+            f"row {row_i.index} has no triangle witness for pair {pair}"))
+    y = row_i.witnesses[pair]
+    u1 = completion_vertex(system, (r_i, r_j, top), y, x_i, "apex-witness")
+    u2 = completion_vertex(system, (r_i, r_j, m_prime), y, z_im, "spine-witness")
+    return GluedConfiguration(
+        indices=(r_i, r_j, top, m_prime),
+        alpha={(1, 2): y, (1, 3): x_i, (1, 4): z_im,
+               (2, 3): u1, (2, 4): u2, (3, 4): v},
+        alpha23_prime=row_j.apex, alpha24_prime=row_j.spine[m_prime])
 
 
 def _role_assignments(subset: tuple[int, int, int, int]):

@@ -10,6 +10,11 @@ row shrinks I; after all rounds, each row contributes an edge whose
 completion set projects into P^{m'm}, and a vertex covered by three of
 those sets stitches the rows into the final map.
 
+`run_rows` is the row driver this finder and glue's share: clean, one row
+per round through a caller's preparation, the final index set, m', the
+projections into P^{m'm} and the pigeonhole.  `select_apex` is the apex
+step both row preparations start with.
+
 Every tie is broken lexicographic-least among maximizers, so runs are
 deterministic.  Stage failures are structured results, never crashes.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._bits import iter_bits, least_bit
 from .core import Pattern, ReducedHypergraph, ReducedMap, Triple, pattern_catalog, sorted_pair
@@ -30,6 +35,30 @@ from .qsystem import (DEFAULT_RAMSEY_EXACT_CAP, CleanResult, QGraphSystem,
 
 def _ceil_fraction(x: Fraction) -> int:
     return -(-x.numerator // x.denominator)
+
+
+def validate_clean_fields(config, rounds: int | None = None) -> None:
+    """Check the fields that `clean` and `run_rows` read: eps and delta
+    (already Fractions), min_final_indices, the two Ramsey targets, and
+    rounds when one is given.  PipelineConfig and GlueConfig both call it."""
+    if not (0 < config.eps < 1):
+        raise DomainError(f"eps must lie in (0, 1), got {config.eps}")
+    if not (0 < config.delta < config.eps):
+        raise DomainError(
+            f"delta must lie in (0, eps), got delta={config.delta}, eps={config.eps}")
+    if config.min_final_indices < 3:
+        raise DomainError(
+            f"min_final_indices must be >= 3, got {config.min_final_indices}")
+    if rounds is not None and rounds < 1:
+        raise DomainError(f"rounds must be >= 1, got {rounds}")
+    if config.ramsey_target_2 < config.min_final_indices:
+        raise DomainError(
+            f"ramsey_target_2 must be >= min_final_indices "
+            f"({config.min_final_indices}), got {config.ramsey_target_2}")
+    if config.ramsey_target_1 < config.ramsey_target_2:
+        raise DomainError(
+            f"ramsey_target_1 ({config.ramsey_target_1}) must be >= "
+            f"ramsey_target_2 ({config.ramsey_target_2})")
 
 
 @dataclass(frozen=True)
@@ -52,24 +81,7 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
         object.__setattr__(self, "delta", Fraction(self.delta))
-        if not (0 < self.eps < 1):
-            raise DomainError(f"eps must lie in (0, 1), got {self.eps}")
-        if not (0 < self.delta < self.eps):
-            raise DomainError(
-                f"delta must lie in (0, eps), got delta={self.delta}, eps={self.eps}")
-        if self.min_final_indices < 3:
-            raise DomainError(
-                f"min_final_indices must be >= 3, got {self.min_final_indices}")
-        if self.rounds is not None and self.rounds < 1:
-            raise DomainError(f"rounds must be >= 1, got {self.rounds}")
-        if self.ramsey_target_2 < self.min_final_indices:
-            raise DomainError(
-                f"ramsey_target_2 must be >= min_final_indices "
-                f"({self.min_final_indices}), got {self.ramsey_target_2}")
-        if self.ramsey_target_1 < self.ramsey_target_2:
-            raise DomainError(
-                f"ramsey_target_1 ({self.ramsey_target_1}) must be >= "
-                f"ramsey_target_2 ({self.ramsey_target_2})")
+        validate_clean_fields(self, self.rounds)
 
     @property
     def effective_rounds(self) -> int:
@@ -152,7 +164,7 @@ def find_many_triangles(system: QGraphSystem, i: int, j1: int, j2: int,
     return out
 
 
-def _max_count_least_arg(universe: Sequence[int], bitsets: Sequence[int]) -> tuple[int, int]:
+def max_count_least_arg(universe: Sequence[int], bitsets: Sequence[int]) -> tuple[int, int]:
     """(best count, least element achieving it) of membership counts.
 
     universe holds candidate bit positions; bitsets are the sets counted.
@@ -165,6 +177,32 @@ def _max_count_least_arg(universe: Sequence[int], bitsets: Sequence[int]) -> tup
             best_count = c
             best_v = v
     return best_count, best_v
+
+
+def select_apex(system: QGraphSystem, working: Sequence[int],
+                top: int) -> tuple[int, dict[int, int]]:
+    """The row's apex and its neighbourhoods in the columns that keep it.
+
+    working is sorted with r = working[0]; the apex is the P^{r top} vertex
+    lying in the most S^r_{j,top}(r_star) over the middle columns j.  The
+    returned dict maps each column whose S-set holds the apex, ascending,
+    to the apex's neighbourhood in the low Q-graph of (r, j, top).
+    """
+    r = working[0]
+    middle = [j for j in working if j not in (r, top)]
+    member_bits = []
+    for j in middle:
+        bits = 0
+        for x in system.s_set((r, j, top), system.r_star):
+            bits |= 1 << x
+        member_bits.append(bits)
+    hit_count, apex = max_count_least_arg(range(system.host.class_size(r, top)),
+                                          member_bits)
+    if hit_count <= 0:
+        raise RowPreparationError(
+            "apex-pigeonhole", "no apex vertex lies in any S-set of the row")
+    return apex, {j: system.q_low[(r, j, top)].right_adj[apex]
+                  for j, bits in zip(middle, member_bits) if bits >> apex & 1}
 
 
 def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
@@ -189,26 +227,10 @@ def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
         raise DomainError(
             f"|I| = {len(working)} does not exceed 2/delta^2 = {2 / (delta * delta)}")
     r = working[0]
-    r_star = system.r_star
-    middle = [j for j in working if j not in (r, top)]
-
-    # Apex: the P^{rm} vertex lying in the most S^r_{j,top}(r_star).
-    size_rm = system.host.class_size(r, top)
-    member_bits = []
-    for j in middle:
-        bits = 0
-        for x in system.s_set((r, j, top), r_star):
-            bits |= 1 << x
-        member_bits.append(bits)
-    hit_count, apex = _max_count_least_arg(range(size_rm), member_bits)
-    if hit_count <= 0:
-        raise RowPreparationError(
-            "apex-pigeonhole", "no apex vertex lies in any S-set of the row")
-    i_prime = [j for j, bits in zip(middle, member_bits) if bits >> apex & 1]
+    apex, a_sets = select_apex(system, working, top)
+    i_prime = list(a_sets)
 
     r_next = i_prime[0]
-    # Neighbourhoods of the apex, one per surviving column.
-    a_sets = {j: system.q_low[(r, j, top)].right_adj[apex] for j in i_prime}
     a_rnext = a_sets[r_next]
     if a_rnext == 0:
         raise RowPreparationError(
@@ -223,7 +245,7 @@ def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
             if link.left_adj[y] & a_sets[j]:
                 bits |= 1 << y
         d_bits.append(bits)
-    conn_hits, connector = _max_count_least_arg(list(iter_bits(a_rnext)), d_bits)
+    conn_hits, connector = max_count_least_arg(list(iter_bits(a_rnext)), d_bits)
     i_dprime = [j for j, bits in zip(i_prime[1:], d_bits) if bits >> connector & 1]
 
     surviving = sorted(i_dprime + [r_next, top])
@@ -259,9 +281,12 @@ def _verify_row(system: QGraphSystem, row: RowRecord, top: int) -> None:
             raise SelfCheckError(f"row {row.index}: connector-spine edge missing at {j}")
 
 
-def projection_set(system: QGraphSystem, row: RowRecord, m_prime: int,
+def projection_set(system: QGraphSystem, row, m_prime: int,
                    top: int) -> ProjectionRecord:
-    """Completions in P^{m' top} of the row's (apex, spine at m') edge."""
+    """Completions in P^{m' top} of the row's (apex, spine at m') edge.
+
+    row is a RowRecord or a glue row; both carry index, row_index, apex
+    and spine."""
     if m_prime not in row.spine:
         raise DomainError(f"row {row.index} has no spine vertex at {m_prime}")
     r = row.row_index
@@ -291,124 +316,152 @@ def covered_vertex(universe_size: int, member_lists: Sequence[Sequence[int]],
     return v, rows
 
 
-def find_fstar(host: ReducedHypergraph, config: PipelineConfig,
-               pattern: Pattern | None = None, threads: int = 1) -> PipelineResult:
-    """Clean, iterate rows, pigeonhole, and return a validated certificate
-    embedding the five-vertex target, or a structured stage failure."""
-    if pattern is None:
-        pattern = pattern_catalog("Fstar")
-    trace: list[str] = []
-    cleaned = clean(host, config, threads=threads)
+class StageFailed(Exception):
+    """Ends a row-driver run; carries the StageFailure the result reports."""
+
+    def __init__(self, failure: StageFailure):
+        super().__init__(f"{failure.stage}: {failure.reason}")
+        self.failure = failure
+
+
+_IN_WORDS = {2: "two", 3: "three"}
+
+
+def run_rows(host: ReducedHypergraph, config, result, rounds: int,
+             prepare: Callable, describe: Callable,
+             multiplicity: int) -> tuple[QGraphSystem, int, int, list[int]]:
+    """The row driver shared by find_fstar and find_glued.
+
+    Cleans the host, prepares rows 1..rounds with prepare(system, working,
+    top, t), each on the row before's surviving indices and traced by
+    describe(row), checks the final index set, takes m' as its largest index below top, projects each row's
+    (apex, spine at m') edge into P^{m' top}, and pigeonholes a vertex v
+    covered by `multiplicity` projections.  result (a PipelineResult or
+    GlueResult) takes the clean result, rows, projections (all or none),
+    pigeonhole and trace lines as they are made; a stage failure raises
+    StageFailed.  Returns (system, m', v, 0-based covering row positions).
+    """
+    trace = result.trace
+    cleaned = result.clean = clean(host, config)
     trace.extend(f"clean {line}" for line in cleaned.log)
     if not cleaned.ok:
-        trace.append(f"fail {cleaned.failure.stage}")
-        return PipelineResult(False, None, cleaned.failure, cleaned, trace=trace)
+        raise StageFailed(cleaned.failure)
     system = cleaned.system
-    work = system.host
-    top = work.index_count
+    top = system.host.index_count
 
-    rows: list[RowRecord] = []
     current = list(range(1, top + 1))
-    rounds = config.effective_rounds
     for t in range(1, rounds + 1):
         if len(current) < 3:
-            failure = StageFailure(f"row-{t}", f"index set exhausted: {current}")
-            trace.append(f"fail {failure.stage}")
-            return PipelineResult(False, None, failure, cleaned, rows, trace=trace)
+            raise StageFailed(StageFailure(f"row-{t}", f"index set exhausted: {current}"))
         try:
-            row = prepare_row(system, current, top,
-                              require_size_hypothesis=False, round_index=t)
+            row = prepare(system, current, top, t)
         except RowPreparationError as exc:
-            failure = StageFailure(f"row-{t}", f"{exc.step}: {exc.reason}")
-            trace.append(f"fail {failure.stage}")
-            return PipelineResult(False, None, failure, cleaned, rows, trace=trace)
-        rows.append(row)
-        trace.append(
-            f"row {t} r={row.row_index} x={row.apex} y={row.connector} "
-            f"next={row.r_next} J={list(row.surviving)}")
+            raise StageFailed(StageFailure(f"row-{t}", f"{exc.step}: {exc.reason}")) from None
+        result.rows.append(row)
+        trace.append(describe(row))
         current = list(row.surviving)
 
     if len(current) < config.min_final_indices:
-        failure = StageFailure(
+        raise StageFailed(StageFailure(
             "final-index-set",
-            f"final set {current} smaller than {config.min_final_indices}")
-        trace.append(f"fail {failure.stage}")
-        return PipelineResult(False, None, failure, cleaned, rows, trace=trace)
+            f"final set {current} smaller than {config.min_final_indices}"))
     m_prime = max(j for j in current if j != top)
     trace.append(f"m-prime {m_prime}")
 
     projections = []
-    for row in rows:
+    for row in result.rows:
         if m_prime not in row.spine:
-            failure = StageFailure(
-                "projection", f"row {row.index} lacks a spine vertex at {m_prime}")
-            trace.append(f"fail {failure.stage}")
-            return PipelineResult(False, None, failure, cleaned, rows, trace=trace)
+            raise StageFailed(StageFailure(
+                "projection", f"row {row.index} lacks a spine vertex at {m_prime}"))
         proj = projection_set(system, row, m_prime, top)
         projections.append(proj)
         trace.append(f"projection {row.index} size={len(proj.members)}")
+    result.projections = projections
 
-    universe = work.class_size(m_prime, top)
-    hit = covered_vertex(universe, [p.members for p in projections], 3)
+    hit = covered_vertex(system.host.class_size(m_prime, top),
+                         [p.members for p in projections], multiplicity)
     if hit is None:
-        failure = StageFailure(
-            "pigeonhole", "no completion vertex shared by three projections")
-        trace.append(f"fail {failure.stage}")
-        return PipelineResult(False, None, failure, cleaned, rows, projections,
-                              trace=trace)
+        raise StageFailed(StageFailure(
+            "pigeonhole",
+            f"no completion vertex shared by {_IN_WORDS[multiplicity]} projections"))
     v, covering = hit
-    ri, rj, rk = covering[0], covering[1], covering[2]  # 0-based row positions
-    trace.append(f"pigeonhole v={v} rows={[ri + 1, rj + 1, rk + 1]}")
-    pigeonhole = {"vertex": v, "rows": (ri + 1, rj + 1, rk + 1)}
+    rows_hit = [i + 1 for i in covering[:multiplicity]]
+    trace.append(f"pigeonhole v={v} rows={rows_hit}")
+    result.pigeonhole = {"vertex": v, "rows": tuple(rows_hit)}
+    return system, m_prime, v, covering
 
+
+def find_fstar(host: ReducedHypergraph, config: PipelineConfig,
+               pattern: Pattern | None = None) -> PipelineResult:
+    """Clean, iterate rows, pigeonhole, and return a validated certificate
+    embedding the five-vertex target, or a structured stage failure."""
+    if pattern is None:
+        pattern = pattern_catalog("Fstar")
+    result = PipelineResult(False, None, None, None)
     try:
-        rmap_work = _assemble_map(system, rows, ri, rk, m_prime, top, v)
-    except RowPreparationError as exc:
-        failure = StageFailure("completion-recovery", f"{exc.step}: {exc.reason}")
-        trace.append(f"fail {failure.stage}")
-        return PipelineResult(False, None, failure, cleaned, rows, projections,
-                              pigeonhole, trace)
+        system, m_prime, v, covering = run_rows(
+            host, config, result, config.effective_rounds,
+            lambda system, working, top, t: prepare_row(
+                system, working, top, require_size_hypothesis=False, round_index=t),
+            lambda row: (f"row {row.index} r={row.row_index} x={row.apex} "
+                         f"y={row.connector} next={row.r_next} "
+                         f"J={list(row.surviving)}"),
+            3)
+        rmap_work = _assemble_map(system, result.rows, covering[0], covering[2],
+                                  m_prime, v)
+    except StageFailed as exc:
+        result.failure = exc.failure
+        result.trace.append(f"fail {exc.failure.stage}")
+        return result
 
-    ok, violation = validate_reduced_map(work, pattern, rmap_work)
+    ok, violation = validate_reduced_map(system.host, pattern, rmap_work)
     if not ok:
         raise SelfCheckError(f"assembled map fails validation on working host: {violation}")
     rmap = _unrelabel_map(system, rmap_work)
     ok, violation = validate_reduced_map(host, pattern, rmap)
     if not ok:
         raise SelfCheckError(f"assembled map fails validation on original host: {violation}")
-    cert = EmbedCertificate(rmap, pattern)
-    trace.append("certificate validated")
-    return PipelineResult(True, cert, None, cleaned, rows, projections,
-                          pigeonhole, trace)
+    result.ok = True
+    result.certificate = EmbedCertificate(rmap, pattern)
+    result.trace.append("certificate validated")
+    return result
 
 
-def _completion_vertex(system: QGraphSystem, t: Triple, va: int, vb: int,
-                       what: str) -> int:
+def _recovery_failed(reason: str) -> StageFailed:
+    # The reason repeats the stage name, as every report has shown it.
+    return StageFailed(StageFailure("completion-recovery",
+                                    f"completion-recovery: {reason}"))
+
+
+def completion_vertex(system: QGraphSystem, t: Triple, va: int, vb: int,
+                      what: str) -> int:
+    """Least slot-2 completion of the slot-0/slot-1 pair (va, vb) in the
+    constituent of t; none ends the run at stage completion-recovery."""
     con = system.host.constituent(t)
     bits = con.comp01[va * con.sizes[1] + vb]
     if bits == 0:
-        raise RowPreparationError("completion-recovery", f"no completion for {what}")
+        raise _recovery_failed(f"no completion for {what}")
     return least_bit(bits)
 
 
 def _assemble_map(system: QGraphSystem, rows: Sequence[RowRecord],
-                  ri: int, rk: int, m_prime: int, top: int, v: int) -> ReducedMap:
+                  ri: int, rk: int, m_prime: int, v: int) -> ReducedMap:
     """Build the ten-vertex map from rows ri and rk (0-based positions)."""
+    top = system.host.index_count
     row_i, row_k = rows[ri], rows[rk]
     r_i, r_ip1 = row_i.row_index, row_i.r_next
     r_k = row_k.row_index
     x_i, y_i = row_i.apex, row_i.connector
     z_im = row_i.spine[m_prime]
     if r_k not in row_i.spine:
-        raise RowPreparationError("completion-recovery",
-                                  f"row {row_i.index} lacks a spine vertex at {r_k}")
+        raise _recovery_failed(f"row {row_i.index} lacks a spine vertex at {r_k}")
     z_irk = row_i.spine[r_k]
     x_k = row_k.apex
     z_km = row_k.spine[m_prime]
 
-    u1 = _completion_vertex(system, (r_i, r_ip1, top), y_i, x_i, "apex-connector")
-    u2 = _completion_vertex(system, (r_i, r_ip1, m_prime), y_i, z_im, "m'-spine-connector")
-    u3 = _completion_vertex(system, (r_i, r_ip1, r_k), y_i, z_irk, "r_k-spine-connector")
+    u1 = completion_vertex(system, (r_i, r_ip1, top), y_i, x_i, "apex-connector")
+    u2 = completion_vertex(system, (r_i, r_ip1, m_prime), y_i, z_im, "m'-spine-connector")
+    u3 = completion_vertex(system, (r_i, r_ip1, r_k), y_i, z_irk, "r_k-spine-connector")
 
     lam = {1: r_i, 2: r_ip1, 3: top, 4: m_prime, 5: r_k}
     phi = {

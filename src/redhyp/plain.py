@@ -83,12 +83,11 @@ def _edge_counts_by_subset(graph: Plain3Graph) -> list[int]:
     return counts
 
 
-def _scan_masks(graph: Plain3Graph, counts, lo: int, hi: int,
-                d: Fraction, eta: Fraction):
-    """Worst violation among subset masks in [lo, hi); None when all hold."""
+def _scan_masks(graph: Plain3Graph, counts, d: Fraction, eta: Fraction):
+    """Worst violation among all non-empty subset masks; None when all hold."""
     n = graph.vertex_count
     worst: tuple[Fraction, int, tuple[int, ...]] | None = None
-    for mask in range(lo, hi):
+    for mask in range(1, 1 << n):
         size = mask.bit_count()
         margin = _deficiency(counts[mask], size, n, d, eta)
         if margin > 0:
@@ -102,15 +101,12 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
                           mode: str = "exhaustive",
                           samples: int = 0, seed: int = 0,
                           sizes: Sequence[int] | None = None,
-                          vertex_cap: int = EXHAUSTIVE_VERTEX_CAP,
-                          threads: int = 1) -> AuditResult:
+                          vertex_cap: int = EXHAUSTIVE_VERTEX_CAP) -> AuditResult:
     """Audit the uniform density condition with exact rational arithmetic.
 
     mode 'exhaustive' checks every subset (requires n <= vertex_cap);
     mode 'sampled' draws `samples` subsets uniformly for each size in
     `sizes` (default 3..n) and can only return 'sampled-pass' or 'fail'.
-    threads > 1 splits the exhaustive subset scan; the result is
-    independent of the split.
     """
     d = Fraction(d)
     eta = Fraction(eta)
@@ -125,26 +121,12 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
             raise CapExceeded(
                 f"exhaustive audit capped at {vertex_cap} vertices (graph has {n}); "
                 "use sampled mode")
-        counts = _edge_counts_by_subset(graph)
-        total = 1 << n
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            step = -(-total // threads)
-            chunks = [(lo, min(lo + step, total))
-                      for lo in range(1, total, step)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(
-                    lambda c: _scan_masks(graph, counts, c[0], c[1], d, eta),
-                    chunks))
-            candidates = [w for w in results if w is not None]
-            worst = min(candidates, key=lambda w: (-w[0], w[1], w[2])) \
-                if candidates else None
-        else:
-            worst = _scan_masks(graph, counts, 1, total, d, eta)
+        worst = _scan_masks(graph, _edge_counts_by_subset(graph), d, eta)
+        checked = (1 << n) - 1
         if worst is None:
-            return AuditResult("pass", subsets_checked=total - 1)
+            return AuditResult("pass", subsets_checked=checked)
         return AuditResult("fail", witness=worst[2], deficiency=worst[0],
-                           subsets_checked=total - 1)
+                           subsets_checked=checked)
 
     if mode == "sampled":
         if samples < 1:

@@ -112,30 +112,19 @@ def _ceil_per_size(host: ReducedHypergraph, q: Fraction) -> dict[int, int]:
     return {s: _ceil(q * s) for s in {host.class_size(*p) for p in host.pairs()}}
 
 
-def build_q_graphs(host: ReducedHypergraph, eps,
-                   threads: int = 1) -> QGraphSystem:
+def build_q_graphs(host: ReducedHypergraph, eps) -> QGraphSystem:
     """Build both Q-graph families for every index triple of the host."""
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    triples = list(host.triples())
     need = _ceil_per_size(host, eps * eps)
-
-    def build_one(t: Triple) -> tuple[Triple, BipartiteGraph, BipartiteGraph]:
+    q_low: dict[Triple, BipartiteGraph] = {}
+    q_high: dict[Triple, BipartiteGraph] = {}
+    for t in host.triples():
         con = host.constituent(t)
         s0, s1, s2 = con.sizes
-        low = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
-        high = BipartiteGraph.from_counts(con.comp12, s1, s2, need[s0])
-        return t, low, high
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(build_one, triples))
-    else:
-        built = [build_one(t) for t in triples]
-    q_low = {t: low for t, low, _ in built}
-    q_high = {t: high for t, _, high in built}
+        q_low[t] = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
+        q_high[t] = BipartiteGraph.from_counts(con.comp12, s1, s2, need[s0])
     return QGraphSystem(host=host, eps=eps, q_low=q_low, q_high=q_high)
 
 
@@ -336,12 +325,13 @@ class CleanResult:
     log: list[str] = field(default_factory=list)
 
 
-def clean(host: ReducedHypergraph, config, threads: int = 1) -> CleanResult:
-    """Run the full cleaning process under a pipeline configuration.
+def clean(host: ReducedHypergraph, config) -> CleanResult:
+    """Run the full cleaning process under a pipeline or glue configuration.
 
-    On success the returned system's host is the surviving relabeled
-    hypergraph, all of whose triples are blue and share the level r_star,
-    with both survival clauses re-verified from scratch.
+    config supplies eps, delta, ramsey_target_1, ramsey_target_2 and
+    ramsey_exact_cap.  On success the returned system's host is the
+    surviving relabeled hypergraph, all of whose triples are blue and share
+    the level r_star, with both survival clauses re-verified from scratch.
     """
     log: list[str] = []
     eps, delta = config.eps, config.delta
@@ -351,7 +341,7 @@ def clean(host: ReducedHypergraph, config, threads: int = 1) -> CleanResult:
             "ramsey-color", f"host has {host.index_count} indices, "
             f"need at least {target1}"), log)
 
-    system = build_q_graphs(host, eps, threads=threads)
+    system = build_q_graphs(host, eps)
     colors = color_triples(host, system)
     blue = sum(1 for c in colors.values() if c == "blue")
     log.append(f"color1 blue={blue} red={len(colors) - blue}")
@@ -370,7 +360,7 @@ def clean(host: ReducedHypergraph, config, threads: int = 1) -> CleanResult:
         map1 = list(reversed(extraction.subset))  # order reversal turns red into blue
         log.append("relabel reversed order for red subset")
     host2 = host.induced(map1)
-    system2 = build_q_graphs(host2, eps, threads=threads)
+    system2 = build_q_graphs(host2, eps)
     colors2 = color_triples(host2, system2)
     offenders = sorted(t for t, c in colors2.items() if c != "blue")
     if offenders:
@@ -402,7 +392,7 @@ def clean(host: ReducedHypergraph, config, threads: int = 1) -> CleanResult:
 
     map2 = list(extraction2.subset)
     host3 = host2.induced(map2)
-    system3 = build_q_graphs(host3, eps, threads=threads)
+    system3 = build_q_graphs(host3, eps)
     s_sets3 = compute_s_sets(host3, system3, delta)
     to_original = tuple(map1[map2[x - 1] - 1] for x in range(1, host3.index_count + 1))
 

@@ -11,7 +11,7 @@ from redhyp.cli import (dispatch, parse_certificate, parse_fraction,
 from redhyp.fileio import parse_host, write_host
 from redhyp.embed import Violation
 from redhyp.glue import validate_glued
-from redhyp.errors import DomainError
+from redhyp.errors import DomainError, ParseError
 
 
 def run(args):
@@ -280,12 +280,59 @@ def test_glue_cli_trace(tmp_path):
     assert "row 1" in trace and "configuration validated" in trace
 
 
-def test_find_cli_threads(tmp_path, complete_file):
-    one = run(["find", "--host", complete_file, "--pattern", "K4minus",
-               "--count-all", "--deterministic", "--threads", "1"])
-    two = run(["find", "--host", complete_file, "--pattern", "K4minus",
-               "--count-all", "--deterministic", "--threads", "2"])
-    assert one[0] == two[0]
-    # node accounting differs across thread splits; counts must not
-    count_line = [l for l in one[1].splitlines() if l.startswith("count ")]
-    assert count_line == [l for l in two[1].splitlines() if l.startswith("count ")]
+@pytest.mark.parametrize("extra", [["--count-all"], ["--count-all", "--budget", "50"],
+                                   ["--budget", "3"], []])
+def test_find_cli_threads(complete_file, extra):
+    # --threads selects nothing: only the echoed threads line differs.
+    job = ["find", "--host", complete_file, "--pattern", "K4minus", "--deterministic"]
+    code1, one = run(job + ["--threads", "1"] + extra)
+    code2, two = run(job + ["--threads", "2"] + extra)
+    assert code1 == code2
+    assert "threads 1\n" in one
+    assert two == one.replace("threads 1\n", "threads 2\n")
+    if "--budget" in extra:
+        assert code1 == 2 and "outcome budget-exhausted" in one
+
+
+@pytest.mark.parametrize("command", [
+    ["find", "--pattern", "K4minus"],
+    ["pipeline", "--eps", "1/2", "--delta", "1/4"],
+])
+def test_threads_below_one_is_an_input_error(complete_file, command):
+    for threads in ("0", "-1"):
+        code, text = run(command + ["--host", complete_file, "--threads", threads])
+        assert (code, text) == (3, f"error threads must be >= 1, got {threads}\n")
+
+
+_GLUED = ("G-indices 1 2 5 4\nG 1 2 0\nG 1 3 0\nG 1 4 0\nG 2 3 0\nG 2 4 0\n"
+          "G 3 4 0\nG-prime 2 3 0\nG-prime 2 4 0\n")
+
+
+@pytest.mark.parametrize("parse,text,line,message", [
+    (parse_certificate, "command find\nL 1 2\nL 2\n", 3, "L line needs 2 fields, got 1"),
+    (parse_certificate, "L 1 2 3\n", 1, "L line needs 2 fields, got 3"),
+    (parse_certificate, "\nL 1 x\n", 2, "L line has non-integer field 'x'"),
+    (parse_certificate, "F 1 2 1 2\n", 1, "F line needs 5 fields, got 4"),
+    (parse_certificate, "L 1 1\nF 1 2 1 2 0 7\n", 2, "F line needs 5 fields, got 6"),
+    (parse_certificate, "F 1 2 1 2 1/2\n", 1, "F line has non-integer field '1/2'"),
+    (parse_glued, "G-indices 1 2 3\n", 1, "G-indices line needs 4 fields, got 3"),
+    (parse_glued, "G-indices 1 2 3 x\n", 1, "G-indices line has non-integer field 'x'"),
+    (parse_glued, _GLUED + "G 1 2\n", 10, "G line needs 3 fields, got 2"),
+    (parse_glued, "G 1 2 0.5\n", 1, "G line has non-integer field '0.5'"),
+    (parse_glued, "G-prime 2 3\n" + _GLUED, 1, "G-prime line needs 3 fields, got 2"),
+    (parse_glued, "exit 0\nG-prime 2 4 a\n", 2, "G-prime line has non-integer field 'a'"),
+])
+def test_certificate_parsers_reject_malformed_lines(parse, text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+def test_parse_glued_needs_the_six_role_pairs():
+    # validate_glued indexes the role pairs, so (1, 5) in place of (3, 4) must not parse.
+    for text in (_GLUED.replace("G 3 4 0", "G 1 5 0"), _GLUED.replace("G 3 4 0\n", ""),
+                 _GLUED.replace("G-prime 2 4 0", "G-prime 3 4 0")):
+        with pytest.raises(DomainError, match="incomplete glued-configuration lines"):
+            parse_glued(text)
+    assert parse_glued(_GLUED).alpha == {(1, 2): 0, (1, 3): 0, (1, 4): 0,
+                                         (2, 3): 0, (2, 4): 0, (3, 4): 0}

@@ -264,16 +264,3 @@ def test_blow_up_containment_consistency():
     if find_reduced_image(host, pat).status == "found":
         sub = Pattern(pat.vertex_count, sorted(pat.edges)[:-1])
         assert find_reduced_image(host, blow_up(sub, 1)).status == "found"
-
-
-def test_threads_match_sequential():
-    host = random_box_dense(5, 2, Fraction(1, 2), seed=9)
-    pat = pattern_catalog("K4minus")
-    seq = find_reduced_image(host, pat, count_all=True)
-    par = find_reduced_image(host, pat, count_all=True, threads=3)
-    assert seq.count == par.count
-    seq_f = find_reduced_image(host, pat)
-    par_f = find_reduced_image(host, pat, threads=3)
-    assert seq_f.status == par_f.status
-    if seq_f.status == "found":
-        assert par_f.certificate.rmap == seq_f.certificate.rmap

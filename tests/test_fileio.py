@@ -1,5 +1,6 @@
 """Text format tests: round trips, canonical order, line-numbered errors."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redhyp import CapExceeded, ParseError, ReducedHypergraph, random_box_dense
+from redhyp import core
+from redhyp.cli import dispatch
 from redhyp.constructions import cyclic_triple_3graph, random_tournament
 from redhyp.core import pattern_catalog
 from redhyp.fileio import (parse_host, parse_pattern, parse_plain3, write_host,
@@ -126,6 +129,38 @@ def test_host_parser_error_messages(text, line, message):
     assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
+def test_search_tables_count_toward_the_cap(monkeypatch, tmp_path):
+    # comp01 and comp12 of (1, 2, 3) have 10^5 entries each, but the
+    # search-only comp02 would have 10^5 * 10^5.
+    text = "M 3\nP 1 2 100000\nP 1 3 1\nP 2 3 100000\n"
+
+    def refuse(*args):
+        raise AssertionError("a Constituent was built")
+
+    monkeypatch.setattr(core.Constituent, "__init__", refuse)
+    message = "host needs 10000600006 constituent table entries, above the cap 10000000"
+    with pytest.raises(CapExceeded) as err:
+        parse_host(text)
+    assert str(err.value) == message
+    path = tmp_path / "wide.rh"
+    path.write_text(text)
+    assert dispatch(["find", "--host", str(path), "--pattern", "Fstar"]) == \
+        (2, f"error cap-exceeded: {message}\n")
+
+
+def test_table_size_matches_per_triple_sum():
+    rng = random.Random(3)
+    for _ in range(40):
+        m = rng.randint(2, 8)
+        sizes = {(i, j): rng.randint(1, 9) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+        want = 0
+        for i, j, k in itertools.combinations(range(1, m + 1), 3):
+            s0, s1, s2 = sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]
+            # constituent, comp01, comp12, comp02, six proj_xy, occupied
+            want += 1 + s0 * s1 + s1 * s2 + s0 * s2 + 2 * (s0 + s1 + s2) + 3
+        assert core._table_size(m, sizes) == want
+
+
 def test_oversized_hosts_refused_before_allocation():
     # Two classes of 10^6 would ask for 10^12 completion-table entries.
     text = "M 3\nP 1 2 1000000\nP 1 3 1000000\nP 2 3 1\n"
@@ -160,6 +195,27 @@ def _hosts(draw):
 @given(_hosts())
 def test_host_round_trip_generated(host):
     assert parse_host(write_host(host)) == host
+
+
+@st.composite
+def _host_and_maps(draw):
+    """A host, an injective index map a into it, and one b into host.induced(a)."""
+    host = draw(_hosts())
+    a = draw(st.permutations(range(1, host.index_count + 1)))
+    a = a[:draw(st.integers(2, len(a)))]
+    b = draw(st.permutations(range(1, len(a) + 1)))
+    return host, a, b[:draw(st.integers(2, len(b)))]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_host_and_maps())
+def test_induced_relabelings_compose(case):
+    # clean composes its two extractions through to_original, and turns a
+    # red subset blue by reversing it.
+    host, a, b = case
+    assert host.induced(a).induced(b) == host.induced([a[x - 1] for x in b])
+    reverse = list(range(len(a), 0, -1))
+    assert host.induced(a).induced(reverse) == host.induced(a[::-1])
 
 
 def test_pattern_round_trip():

@@ -249,3 +249,107 @@ def test_glue_config_validation():
     with pytest.raises(DomainError):
         GlueConfig(eps=Fraction(1, 4), delta=Fraction(1, 2), ladder=(3, 2),
                    ramsey_target_1=5, ramsey_target_2=4)
+
+
+# -- every stage a seeded host reaches, pinned ------------------------------
+#
+# As in test_pipeline: (M, class size, d, seed, eps, delta, ramsey_target_1,
+# ramsey_target_2, ladder), then ok, (stage, reason), trace, len(rows),
+# len(projections) and the pigeonhole.  No seeded host reaches
+# star-verification, projection or completion-recovery.
+
+GLUE_PINS = [
+    ((5, 2, "1/2", 0, "1/10", "1/20", 5, 5, (3, 2)),
+     False, ("ramsey-color", "no monochromatic index subset of size 5"),
+     ["clean color1 blue=9 red=1",
+      "fail ramsey-color"],
+     0, 0, None),
+    ((5, 2, "1/2", 0, "9/10", "1/2", 5, 5, (3, 2)),
+     False, ("blue-verification", "triple (1, 2, 3) (original (5, 4, 3)) is not blue "
+                                   "after relabeling; degree-product lhs=0"),
+     ["clean color1 blue=0 red=10",
+      "clean ramsey1 color=red subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean relabel reversed order for red subset",
+      "fail blue-verification"],
+     0, 0, None),
+    ((8, 4, "3/4", 3, "3/5", "1/3", 8, 8, (3, 2)),
+     False, ("ramsey-level", "no level-monochromatic index subset of size 8"),
+     ["clean color1 blue=56 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5, 6, 7, 8] exhaustive=True",
+      "clean levels min=0 max=1",
+      "fail ramsey-level"],
+     0, 0, None),
+    ((5, 2, "1/2", 0, "1/10", "1/20", 4, 4, (3, 2)),
+     False, ("row-1", "spine-step-2: no candidate columns remain (secured 1 of 3)"),
+     ["clean color1 blue=9 red=1",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 5] exhaustive=True",
+      "clean levels min=10 max=10",
+      "clean ramsey2 r_star=10 subset=[1, 2, 3, 4] exhaustive=True",
+      "clean surviving=[1, 2, 3, 5]",
+      "fail row-1"],
+     0, 0, None),
+    ((7, 3, "3/4", 2, "7/10", "1/4", 7, 7, (3, 2)),
+     False, ("row-2", "spine-step-2: no candidate columns remain (secured 1 of 2)"),
+     ["clean color1 blue=35 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5, 6, 7] exhaustive=True",
+      "clean levels min=2 max=2",
+      "clean ramsey2 r_star=2 subset=[1, 2, 3, 4, 5, 6, 7] exhaustive=True",
+      "clean surviving=[1, 2, 3, 4, 5, 6, 7]",
+      "row 1 r=1 x=0 J=[3, 4, 6, 7] degenerate=[]",
+      "fail row-2"],
+     1, 0, None),
+    ((5, 2, "3/4", 0, "1/2", "1/4", 5, 5, (2, 1)),
+     False, ("final-index-set", "final set [4, 5] smaller than 3"),
+     ["clean color1 blue=10 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean levels min=2 max=2",
+      "clean ramsey2 r_star=2 subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean surviving=[1, 2, 3, 4, 5]",
+      "row 1 r=1 x=0 J=[3, 4, 5] degenerate=[]",
+      "row 2 r=3 x=0 J=[4, 5] degenerate=[]",
+      "fail final-index-set"],
+     2, 0, None),
+    ((5, 2, "1/2", 1, "1/2", "1/4", 5, 5, (2,)),
+     False, ("pigeonhole", "no completion vertex shared by two projections"),
+     ["clean color1 blue=10 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean levels min=2 max=2",
+      "clean ramsey2 r_star=2 subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean surviving=[1, 2, 3, 4, 5]",
+      "row 1 r=1 x=0 J=[3, 4, 5] degenerate=[]",
+      "m-prime 4",
+      "projection 1 size=1",
+      "fail pigeonhole"],
+     1, 1, None),
+    ((5, 2, "3/4", 0, "1/2", "1/4", 5, 5, (3, 2)),
+     True, None,
+     ["clean color1 blue=10 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean levels min=2 max=2",
+      "clean ramsey2 r_star=2 subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean surviving=[1, 2, 3, 4, 5]",
+      "row 1 r=1 x=0 J=[2, 3, 4, 5] degenerate=[]",
+      "row 2 r=2 x=0 J=[3, 4, 5] degenerate=[]",
+      "m-prime 4",
+      "projection 1 size=2",
+      "projection 2 size=2",
+      "pigeonhole v=0 rows=[1, 2]",
+      "configuration validated"],
+     2, 2, {'vertex': 0, 'rows': (1, 2)}),
+]
+
+
+@pytest.mark.parametrize("case,ok,failure,trace,rows,projections,pigeonhole",
+                         GLUE_PINS)
+def test_find_glued_stages_pinned(case, ok, failure, trace, rows, projections,
+                                  pigeonhole):
+    m, p, d, seed, eps, delta, t1, t2, ladder = case
+    host = random_box_dense(m, p, Fraction(d), seed=seed)
+    config = GlueConfig(eps=Fraction(eps), delta=Fraction(delta), ladder=ladder,
+                        ramsey_target_1=t1, ramsey_target_2=t2)
+    result = find_glued(host, config)
+    got_failure = (result.failure.stage, result.failure.reason) if result.failure else None
+    assert (result.ok, got_failure, result.trace, len(result.rows),
+            len(result.projections), result.pigeonhole) == \
+        (ok, failure, trace, rows, projections, pigeonhole)
+    assert (result.configuration is not None) == ok

@@ -229,12 +229,115 @@ def test_find_many_triangles_contrapositive_on_broken_link():
     assert verify_star(host, system, delta, system.s_sets, 1) is not None
 
 
-def test_find_fstar_threads_match_sequential():
-    host = random_box_dense(10, 3, Fraction(9, 10), seed=3)
-    config = PipelineConfig(eps=Fraction(7, 10), delta=Fraction(1, 4),
-                            rounds=4, ramsey_target_1=9, ramsey_target_2=7)
-    seq = find_fstar(host, config)
-    par = find_fstar(host, config, threads=3)
-    assert seq.ok == par.ok
-    if seq.ok:
-        assert seq.certificate.rmap == par.certificate.rmap
+# -- every stage a seeded host reaches, pinned ------------------------------
+#
+# Each case is a random_box_dense host and config, (M, class size, d, seed,
+# eps, delta, ramsey_target_1, ramsey_target_2, rounds), then ok, the
+# failure's (stage, reason), the trace, len(rows), len(projections) and the
+# pigeonhole.  No seeded host reaches star-verification, projection or
+# completion-recovery.
+
+FSTAR_PINS = [
+    ((5, 2, "1/2", 0, "1/10", "1/20", 5, 5, 2),
+     False, ("ramsey-color", "no monochromatic index subset of size 5"),
+     ["clean color1 blue=9 red=1",
+      "fail ramsey-color"],
+     0, 0, None),
+    ((5, 2, "1/2", 0, "9/10", "1/2", 5, 5, 2),
+     False, ("blue-verification", "triple (1, 2, 3) (original (5, 4, 3)) is not blue "
+                                   "after relabeling; degree-product lhs=0"),
+     ["clean color1 blue=0 red=10",
+      "clean ramsey1 color=red subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean relabel reversed order for red subset",
+      "fail blue-verification"],
+     0, 0, None),
+    ((8, 4, "3/4", 3, "3/5", "1/3", 8, 8, 2),
+     False, ("ramsey-level", "no level-monochromatic index subset of size 8"),
+     ["clean color1 blue=56 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5, 6, 7, 8] exhaustive=True",
+      "clean levels min=0 max=1",
+      "fail ramsey-level"],
+     0, 0, None),
+    ((5, 2, "1/2", 0, "1/10", "1/20", 4, 4, 2),
+     False, ("row-2", "index set exhausted: [2, 4]"),
+     ["clean color1 blue=9 red=1",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 5] exhaustive=True",
+      "clean levels min=10 max=10",
+      "clean ramsey2 r_star=10 subset=[1, 2, 3, 4] exhaustive=True",
+      "clean surviving=[1, 2, 3, 5]",
+      "row 1 r=1 x=0 y=0 next=2 J=[2, 4]",
+      "fail row-2"],
+     1, 0, None),
+    ((5, 2, "1/2", 3, "1/2", "1/4", 5, 5, 4),
+     False, ("row-4", "index set exhausted: [4, 5]"),
+     ["clean color1 blue=10 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean levels min=2 max=2",
+      "clean ramsey2 r_star=2 subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean surviving=[1, 2, 3, 4, 5]",
+      "row 1 r=1 x=1 y=0 next=2 J=[2, 3, 4, 5]",
+      "row 2 r=2 x=0 y=0 next=3 J=[3, 4, 5]",
+      "row 3 r=3 x=0 y=0 next=4 J=[4, 5]",
+      "fail row-4"],
+     3, 0, None),
+    ((5, 2, "1/2", 1, "1/2", "1/4", 5, 5, 2),
+     False, ("final-index-set", "final set [4, 5] smaller than 3"),
+     ["clean color1 blue=10 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean levels min=2 max=2",
+      "clean ramsey2 r_star=2 subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean surviving=[1, 2, 3, 4, 5]",
+      "row 1 r=1 x=0 y=0 next=3 J=[3, 4, 5]",
+      "row 2 r=3 x=1 y=0 next=4 J=[4, 5]",
+      "fail final-index-set"],
+     2, 0, None),
+    ((5, 2, "1/2", 3, "7/10", "1/4", 5, 5, 2),
+     False, ("pigeonhole", "no completion vertex shared by three projections"),
+     ["clean color1 blue=10 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean levels min=2 max=2",
+      "clean ramsey2 r_star=2 subset=[1, 2, 3, 4, 5] exhaustive=True",
+      "clean surviving=[1, 2, 3, 4, 5]",
+      "row 1 r=1 x=1 y=0 next=2 J=[2, 3, 4, 5]",
+      "row 2 r=2 x=0 y=0 next=3 J=[3, 4, 5]",
+      "m-prime 4",
+      "projection 1 size=1",
+      "projection 2 size=1",
+      "fail pigeonhole"],
+     2, 2, None),
+    ((7, 2, "3/4", 0, "1/2", "1/4", 7, 7, 4),
+     True, None,
+     ["clean color1 blue=35 red=0",
+      "clean ramsey1 color=blue subset=[1, 2, 3, 4, 5, 6, 7] exhaustive=True",
+      "clean levels min=2 max=2",
+      "clean ramsey2 r_star=2 subset=[1, 2, 3, 4, 5, 6, 7] exhaustive=True",
+      "clean surviving=[1, 2, 3, 4, 5, 6, 7]",
+      "row 1 r=1 x=0 y=0 next=2 J=[2, 3, 4, 5, 6, 7]",
+      "row 2 r=2 x=0 y=0 next=3 J=[3, 4, 5, 6, 7]",
+      "row 3 r=3 x=1 y=0 next=4 J=[4, 5, 6, 7]",
+      "row 4 r=4 x=0 y=0 next=5 J=[5, 6, 7]",
+      "m-prime 6",
+      "projection 1 size=2",
+      "projection 2 size=2",
+      "projection 3 size=2",
+      "projection 4 size=1",
+      "pigeonhole v=1 rows=[1, 2, 3]",
+      "certificate validated"],
+     4, 4, {'vertex': 1, 'rows': (1, 2, 3)}),
+]
+
+
+@pytest.mark.parametrize("case,ok,failure,trace,rows,projections,pigeonhole",
+                         FSTAR_PINS)
+def test_find_fstar_stages_pinned(case, ok, failure, trace, rows, projections,
+                                  pigeonhole):
+    m, p, d, seed, eps, delta, t1, t2, rounds = case
+    host = random_box_dense(m, p, Fraction(d), seed=seed)
+    config = PipelineConfig(eps=Fraction(eps), delta=Fraction(delta),
+                            ramsey_target_1=t1, ramsey_target_2=t2, rounds=rounds)
+    result = find_fstar(host, config)
+    got_failure = (result.failure.stage, result.failure.reason) if result.failure else None
+    assert (result.ok, got_failure, result.trace, len(result.rows),
+            len(result.projections), result.pigeonhole) == \
+        (ok, failure, trace, rows, projections, pigeonhole)
+    assert (result.certificate is not None) == ok

@@ -156,12 +156,3 @@ def test_count_copies_matches_naive_at_n12():
                in extra.edges for u, v, w in pat.edges):
             naive += 1
     assert count_copies(extra, pat) == naive >= 6
-
-
-def test_audit_threads_match_sequential():
-    edges = [t for i, t in enumerate(itertools.combinations(range(1, 10), 3))
-             if i % 3 != 0]
-    g = Plain3Graph(9, edges)
-    seq = uniform_density_audit(g, Fraction(2, 3), Fraction(1, 100))
-    par = uniform_density_audit(g, Fraction(2, 3), Fraction(1, 100), threads=4)
-    assert seq == par

@@ -245,15 +245,6 @@ def test_clean_reports_small_host():
     assert not result.ok and result.failure.stage == "ramsey-color"
 
 
-def test_build_q_graphs_threads_match_sequential():
-    host = random_box_dense(6, 4, Fraction(2, 5), seed=17)
-    seq = build_q_graphs(host, Fraction(1, 3))
-    par = build_q_graphs(host, Fraction(1, 3), threads=3)
-    for t in host.triples():
-        assert seq.q_low[t].left_adj == par.q_low[t].left_adj
-        assert seq.q_high[t].left_adj == par.q_high[t].left_adj
-
-
 # -- integer thresholds against a naive rational reference -----------------
 #
 # The reference below compares integer counts with the exact rational
