@@ -29,7 +29,8 @@ from .core import (Pattern, ReducedHypergraph, ReducedMap, constituent_density,
 from .embed import exhaustive_oracle, find_reduced_image
 from .errors import (CapExceeded, DomainError, ParseError, RedhypError,
                      SelfCheckError)
-from .glue import GlueConfig, GluedConfiguration, brute_force_glued, find_glued
+from .glue import (ROLE_PAIRS, GlueConfig, GluedConfiguration, brute_force_glued,
+                   find_glued)
 from .pipeline import PipelineConfig, find_fstar
 from .plain import uniform_density_audit
 
@@ -81,10 +82,17 @@ def certificate_lines(rmap: ReducedMap) -> list[str]:
     return lines
 
 
+def _refuse_repeat(lineno: int, what: str, key, seen: dict) -> None:
+    if key in seen:
+        name = " ".join(map(str, key)) if isinstance(key, tuple) else key
+        raise ParseError(lineno, f"repeated {what} {name} line")
+
+
 def parse_certificate(text: str) -> ReducedMap:
     """The reduced map in a report's L and F lines; other lines are skipped.
 
-    A malformed L or F line raises ParseError with its line number."""
+    A malformed L or F line, or a second L line for one vertex or F line for
+    one pair, raises ParseError with its line number."""
     lam: dict[int, int] = {}
     phi: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -93,9 +101,11 @@ def parse_certificate(text: str) -> ReducedMap:
             continue
         if parts[0] == "L":
             u, i = fileio.int_fields(lineno, parts[1:], 2, "L")
+            _refuse_repeat(lineno, "L", u, lam)
             lam[u] = i
         elif parts[0] == "F":
             u, v, i, j, a = fileio.int_fields(lineno, parts[1:], 5, "F")
+            _refuse_repeat(lineno, "F", (u, v), phi)
             phi[(u, v)] = ((i, j), a)
     return ReducedMap(lam=lam, phi=phi)
 
@@ -109,14 +119,11 @@ def glued_lines(cfg: GluedConfiguration) -> list[str]:
     return lines
 
 
-_ROLE_PAIRS = {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
-
-
 def parse_glued(text: str) -> GluedConfiguration:
     """The configuration in a report's G-indices, G and G-prime lines; other
-    lines are skipped.  A malformed one raises ParseError with its line
-    number; a missing one, or G lines naming other than the six role pairs,
-    DomainError."""
+    lines are skipped.  A malformed or repeated one raises ParseError with
+    its line number; a missing one, or G lines naming other than the six
+    role pairs, DomainError."""
     indices = None
     alpha: dict[tuple[int, int], int] = {}
     primes: dict[tuple[int, int], int] = {}
@@ -125,14 +132,19 @@ def parse_glued(text: str) -> GluedConfiguration:
         if not parts:
             continue
         if parts[0] == "G-indices":
-            indices = tuple(fileio.int_fields(lineno, parts[1:], 4, "G-indices"))
+            found = tuple(fileio.int_fields(lineno, parts[1:], 4, "G-indices"))
+            if indices is not None:
+                raise ParseError(lineno, "repeated G-indices line")
+            indices = found
         elif parts[0] == "G":
             j, k, v = fileio.int_fields(lineno, parts[1:], 3, "G")
+            _refuse_repeat(lineno, "G", (j, k), alpha)
             alpha[(j, k)] = v
         elif parts[0] == "G-prime":
             j, k, v = fileio.int_fields(lineno, parts[1:], 3, "G-prime")
+            _refuse_repeat(lineno, "G-prime", (j, k), primes)
             primes[(j, k)] = v
-    if indices is None or set(alpha) != _ROLE_PAIRS or set(primes) != {(2, 3), (2, 4)}:
+    if indices is None or set(alpha) != ROLE_PAIRS or set(primes) != {(2, 3), (2, 4)}:
         raise DomainError("incomplete glued-configuration lines")
     return GluedConfiguration(indices=indices, alpha=alpha,
                               alpha23_prime=primes[(2, 3)],
@@ -432,7 +444,11 @@ def _cmd_audit(args, started) -> tuple[int, str]:
     mode = "exhaustive" if args.exhaustive or args.samples == 0 else "sampled"
     sizes = None
     if args.sizes:
-        sizes = [int(x) for x in args.sizes.split(",")]
+        try:
+            sizes = [int(x) for x in args.sizes.split(",")]
+        except ValueError:
+            raise DomainError(f"--sizes must be comma-separated integers, "
+                              f"got {args.sizes!r}") from None
     lines = ["command audit",
              f"graph sha256:{fileio.plain3_digest(graph)}",
              f"d {format_fraction(d)}",

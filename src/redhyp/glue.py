@@ -36,6 +36,7 @@ from .qsystem import (DEFAULT_RAMSEY_EXACT_CAP, CleanResult, QGraphSystem,
                       StageFailure)
 
 DEFAULT_GLUE_ORACLE_CAP = 10 ** 9
+ROLE_PAIRS = frozenset(itertools.combinations(range(1, 5), 2))
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,9 @@ def _config_edges(host: ReducedHypergraph, cfg: GluedConfiguration):
 def validate_glued(host: ReducedHypergraph,
                    cfg: GluedConfiguration) -> tuple[bool, str | None]:
     """Check the four constituent-edge memberships by direct lookup."""
+    if set(cfg.alpha) != ROLE_PAIRS:
+        raise DomainError(f"alpha must name exactly the role pairs {sorted(ROLE_PAIRS)}, "
+                          f"got {sorted(cfg.alpha)}")
     i1, i2, i3, i4 = cfg.indices
     if len({i1, i2, i3, i4}) != 4:
         return False, f"indices {cfg.indices} are not distinct"

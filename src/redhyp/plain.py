@@ -6,7 +6,10 @@ The audit checks, for vertex subsets U, the exact-rational inequality
     #(edges inside U)  >=  d * C(|U|, 3) - eta * n^3
 
 either over every subset (exhaustive) or over random samples.  A sampled
-run can never report a full "pass", only "sampled-pass".
+run can never report a full "pass", only "sampled-pass".  The inequality
+stays exact: both sides are multiplied by den(d) * den(eta), so each subset
+is judged by comparing integers, with one threshold per subset size, and
+only a reported deficiency becomes a Fraction again.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
-from .core import Pattern
+from .core import TABLE_ENTRY_CAP, Pattern
 from .errors import CapExceeded, DomainError
 
 EXHAUSTIVE_VERTEX_CAP = 20
+_SLICE = 4096  # entries per slice addition in _edge_counts_by_subset
 
 
 @dataclass(frozen=True)
@@ -65,36 +70,81 @@ class AuditResult:
     subsets_checked: int = 0
 
 
-def _deficiency(count: int, size: int, n: int, d: Fraction, eta: Fraction) -> Fraction:
-    return d * comb(size, 3) - eta * n ** 3 - count
-
-
 def _edge_counts_by_subset(graph: Plain3Graph) -> list[int]:
-    """counts[mask] = number of edges contained in the subset encoded by mask."""
+    """counts[mask] = number of edges contained in the subset encoded by mask.
+
+    A sum over subsets: for each bit, every mask with the bit set adds the
+    count of the mask without it.  The additions run as list-slice maps of at
+    most _SLICE entries, strided across the table for low bits and in
+    contiguous blocks for high bits, so the temporaries stay small.
+    """
     n = graph.vertex_count
-    counts = [0] * (1 << n)
+    size = 1 << n
+    counts = [0] * size
     for u, v, w in graph.edges:
         counts[(1 << (u - 1)) | (1 << (v - 1)) | (1 << (w - 1))] += 1
     for bit in range(n):
         step = 1 << bit
-        for mask in range(1 << n):
-            if mask & step:
-                counts[mask] += counts[mask ^ step]
+        stride = 2 * step
+        if step * stride <= size:
+            # Few residues, long strides: one strided slice per residue.
+            span = stride * _SLICE
+            for lo in range(step):
+                for start in range(lo, size, span):
+                    hi = slice(start + step, start + span, stride)
+                    counts[hi] = map(add, counts[hi], counts[start:start + span:stride])
+        else:
+            # Few blocks, long runs: the upper half of each block.
+            width = min(step, _SLICE)
+            for base in range(0, size, stride):
+                for lo in range(base, base + step, width):
+                    hi = slice(lo + step, lo + step + width)
+                    counts[hi] = map(add, counts[hi], counts[lo:lo + width])
     return counts
 
 
-def _scan_masks(graph: Plain3Graph, counts, d: Fraction, eta: Fraction):
-    """Worst violation among all non-empty subset masks; None when all hold."""
-    n = graph.vertex_count
-    worst: tuple[Fraction, int, tuple[int, ...]] | None = None
-    for mask in range(1, 1 << n):
+def _thresholds(n: int, d: Fraction, eta: Fraction) -> tuple[int, list[int]]:
+    """The scale D = den(d) * den(eta) and, for each size s in 0..n, the
+    integer T_s = D * (d * C(s, 3) - eta * n^3): a subset of size s with
+    `count` edges violates iff count * D < T_s, and its deficiency is
+    (T_s - count * D) / D."""
+    scale = d.denominator * eta.denominator
+    slack = eta.numerator * d.denominator * n ** 3
+    weight = d.numerator * eta.denominator
+    return scale, [weight * comb(s, 3) - slack for s in range(n + 1)]
+
+
+def _least_count(scale: int, threshold: int) -> int:
+    """The smallest count that does not violate: ceil(threshold / scale)."""
+    return -(-threshold // scale)
+
+
+def _scan_masks(counts: list[int], n: int, d: Fraction, eta: Fraction):
+    """Worst violation among all subset masks as (deficiency, subset); None
+    when all hold."""
+    scale, thresholds = _thresholds(n, d, eta)
+    least = [_least_count(scale, t) for t in thresholds]
+    worst = None
+    for mask, count in enumerate(counts):
         size = mask.bit_count()
-        margin = _deficiency(counts[mask], size, n, d, eta)
-        if margin > 0:
-            subset = tuple(v + 1 for v in range(n) if mask >> v & 1)
-            if worst is None or (-margin, size, subset) < (-worst[0], worst[1], worst[2]):
-                worst = (margin, size, subset)
-    return worst
+        if count >= least[size]:
+            continue
+        margin = thresholds[size] - count * scale
+        if worst is not None and (margin < worst[0] or margin == worst[0] and size > worst[1]):
+            continue
+        subset = tuple(v + 1 for v in range(n) if mask >> v & 1)
+        if worst is None or (-margin, size, subset) < (-worst[0], worst[1], worst[2]):
+            worst = (margin, size, subset)
+    return None if worst is None else (Fraction(worst[0], scale), worst[2])
+
+
+def _pair_links(graph: Plain3Graph) -> dict[tuple[int, int], int]:
+    """links[(u, v)] = bitmask (bit w) of the w > v with (u, v, w) an edge,
+    so each edge is found once, through its two smallest vertices."""
+    links: dict[tuple[int, int], int] = {}
+    for u, v, w in graph.edges:
+        links[(u, v)] = links.get((u, v), 0) | 1 << w
+    return links
 
 
 def uniform_density_audit(graph: Plain3Graph, d, eta,
@@ -102,11 +152,12 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
                           samples: int = 0, seed: int = 0,
                           sizes: Sequence[int] | None = None,
                           vertex_cap: int = EXHAUSTIVE_VERTEX_CAP) -> AuditResult:
-    """Audit the uniform density condition with exact rational arithmetic.
+    """Audit the uniform density condition exactly.
 
-    mode 'exhaustive' checks every subset (requires n <= vertex_cap);
-    mode 'sampled' draws `samples` subsets uniformly for each size in
-    `sizes` (default 3..n) and can only return 'sampled-pass' or 'fail'.
+    mode 'exhaustive' checks every subset (requires n <= vertex_cap and a
+    table of 2^n counts within core.TABLE_ENTRY_CAP); mode 'sampled' draws
+    `samples` subsets uniformly for each size in `sizes` (default 3..n) and
+    can only return 'sampled-pass' or 'fail'.
     """
     d = Fraction(d)
     eta = Fraction(eta)
@@ -121,11 +172,15 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
             raise CapExceeded(
                 f"exhaustive audit capped at {vertex_cap} vertices (graph has {n}); "
                 "use sampled mode")
-        worst = _scan_masks(graph, _edge_counts_by_subset(graph), d, eta)
+        if n >= TABLE_ENTRY_CAP.bit_length():  # 2^n > TABLE_ENTRY_CAP
+            raise CapExceeded(
+                f"exhaustive audit of {n} vertices needs 2^{n} subset counts, "
+                f"above the cap {TABLE_ENTRY_CAP}; use sampled mode")
+        worst = _scan_masks(_edge_counts_by_subset(graph), n, d, eta)
         checked = (1 << n) - 1
         if worst is None:
             return AuditResult("pass", subsets_checked=checked)
-        return AuditResult("fail", witness=worst[2], deficiency=worst[0],
+        return AuditResult("fail", witness=worst[1], deficiency=worst[0],
                            subsets_checked=checked)
 
     if mode == "sampled":
@@ -136,16 +191,23 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
         for s in size_list:
             if not (1 <= s <= n):
                 raise DomainError(f"sample size {s} out of range 1..{n}")
+        scale, thresholds = _thresholds(n, d, eta)
+        links = _pair_links(graph)
         checked = 0
         for s in size_list:
+            least = _least_count(scale, thresholds[s])
             for _ in range(samples):
                 subset = tuple(sorted(rng.sample(range(1, n + 1), s)))
-                inside = set(subset)
-                count = sum(1 for e in graph.edges if inside.issuperset(e))
+                inside = sum(1 << v for v in subset)
+                count = 0
+                for u, v in itertools.combinations(subset, 2):
+                    link = links.get((u, v))
+                    if link:
+                        count += (link & inside).bit_count()
                 checked += 1
-                margin = _deficiency(count, s, n, d, eta)
-                if margin > 0:
-                    return AuditResult("fail", witness=subset, deficiency=margin,
+                if count < least:
+                    return AuditResult("fail", witness=subset,
+                                       deficiency=Fraction(thresholds[s] - count * scale, scale),
                                        subsets_checked=checked)
         return AuditResult("sampled-pass", subsets_checked=checked)
 

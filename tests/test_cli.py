@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
-from redhyp import pattern_catalog, pipeline, validate_reduced_map
+from redhyp import (Plain3Graph, cyclic_triple_3graph, pattern_catalog, pipeline,
+                    random_tournament, validate_reduced_map)
 from redhyp.cli import (dispatch, parse_certificate, parse_fraction,
                         parse_glued)
-from redhyp.fileio import parse_host, write_host
+from redhyp.fileio import parse_host, write_host, write_plain3
 from redhyp.embed import Violation
 from redhyp.glue import validate_glued
 from redhyp.errors import DomainError, ParseError
@@ -208,6 +209,46 @@ def test_audit_cli(tmp_path):
     assert code == 0 and "outcome pass" in text
 
 
+_CYCLIC17_HEAD = ("command audit\n"
+                  "graph sha256:821afa5472f429660158ee4d5f1aeda0e2a7563d9cf1de9bd300883e73bbce38\n")
+
+
+@pytest.mark.parametrize("d,eta,tail", [
+    ("1/3", "1/97", "d 1/3\neta 1/97\nmode exhaustive\noutcome fail\n"
+     "subsets-checked 131071\nwitness 1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17\n"
+     "deficiency 5/291\nexit 1\n"),
+    ("3/10", "1/1000", "d 3/10\neta 1/1000\nmode exhaustive\noutcome fail\n"
+     "subsets-checked 131071\nwitness 1,2,3,4,5,6,7,8,9,11,12,13,15,16,17\n"
+     "deficiency 24587/1000\nexit 1\n"),
+])
+def test_audit_cli_fail_reports_are_pinned(tmp_path, d, eta, tail):
+    # Reports of the Fraction-per-subset audit, kept byte for byte.
+    g = tmp_path / "cyclic17.p3"
+    g.write_text(write_plain3(cyclic_triple_3graph(random_tournament(17, 0))))
+    code, text = run(["audit", "--graph", str(g), "--d", d, "--eta", eta,
+                      "--deterministic"])
+    assert (code, text) == (1, _CYCLIC17_HEAD + tail)
+
+
+def test_audit_cli_refuses_a_table_above_the_entry_cap(tmp_path):
+    g = tmp_path / "empty24.p3"
+    g.write_text(write_plain3(Plain3Graph(24, [])))
+    code, text = run(["audit", "--graph", str(g), "--d", "1", "--eta", "0",
+                      "--exhaustive", "--cap", "30"])
+    assert (code, text) == (2, "error cap-exceeded: exhaustive audit of 24 vertices "
+                               "needs 2^24 subset counts, above the cap 10000000; "
+                               "use sampled mode\n")
+
+
+def test_audit_cli_malformed_sizes_is_an_input_error(tmp_path):
+    g = tmp_path / "empty6.p3"
+    g.write_text("V 6\n")
+    code, text = run(["audit", "--graph", str(g), "--d", "1/2", "--eta", "0",
+                      "--samples", "3", "--sizes", "3,x"])
+    assert (code, text) == (3, "error --sizes must be comma-separated integers, "
+                               "got '3,x'\n")
+
+
 def test_report_file_redirect(tmp_path, orientation_file):
     report = tmp_path / "report.txt"
     code, text = run(["density", "--host", orientation_file, "--d", "1/4",
@@ -321,6 +362,11 @@ _GLUED = ("G-indices 1 2 5 4\nG 1 2 0\nG 1 3 0\nG 1 4 0\nG 2 3 0\nG 2 4 0\n"
     (parse_glued, "G 1 2 0.5\n", 1, "G line has non-integer field '0.5'"),
     (parse_glued, "G-prime 2 3\n" + _GLUED, 1, "G-prime line needs 3 fields, got 2"),
     (parse_glued, "exit 0\nG-prime 2 4 a\n", 2, "G-prime line has non-integer field 'a'"),
+    (parse_certificate, "L 1 2\nL 1 3\n", 2, "repeated L 1 line"),
+    (parse_certificate, "L 1 1\nF 1 2 1 2 0\nL 2 2\nF 1 2 1 2 0\n", 4, "repeated F 1 2 line"),
+    (parse_glued, "G-indices 1 2 3 4\n" + _GLUED, 2, "repeated G-indices line"),
+    (parse_glued, _GLUED + "G 2 4 1\n", 10, "repeated G 2 4 line"),
+    (parse_glued, "G-prime 2 3 1\n" + _GLUED, 9, "repeated G-prime 2 3 line"),
 ])
 def test_certificate_parsers_reject_malformed_lines(parse, text, line, message):
     with pytest.raises(ParseError) as err:

@@ -201,6 +201,19 @@ def test_validate_glued_detects_missing_edge():
     assert not ok and "A^(2, 3, 4)" in why
 
 
+@pytest.mark.parametrize("change", [{(1, 5): 0}, {(3, 4): None}],
+                         ids=["extra-pair", "missing-pair"])
+def test_validate_glued_needs_exactly_the_role_pairs(change):
+    host = random_box_dense(5, 1, 1, seed=0)
+    alpha = {pair: 0 for pair in itertools.combinations(range(1, 5), 2)}
+    alpha.update(change)
+    alpha = {pair: v for pair, v in alpha.items() if v is not None}
+    cfg = GluedConfiguration(indices=(1, 2, 3, 4), alpha=alpha,
+                             alpha23_prime=0, alpha24_prime=0)
+    with pytest.raises(DomainError, match="alpha must name exactly the role pairs"):
+        validate_glued(host, cfg)
+
+
 def test_find_glued_matches_oracle_on_dense_hosts():
     for seed in range(5):
         host = random_box_dense(6, 3, Fraction(9, 10), seed=seed)

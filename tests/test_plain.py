@@ -6,13 +6,42 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redhyp import (CapExceeded, DomainError, Plain3Graph, automorphism_count,
                     count_copies, cyclic_triple_3graph, pattern_catalog,
                     random_tournament, uniform_density_audit)
+from redhyp.plain import _edge_counts_by_subset
+
 
 def complete_k(n):
     return Plain3Graph(n, itertools.combinations(range(1, n + 1), 3))
+
+
+def naive_worst_violation(g, d, eta):
+    """(deficiency, witness) of the worst violating subset, or None: every
+    subset from itertools.combinations, edges counted by a scan, Fraction
+    arithmetic, ties to the smaller size, then the lexicographically least."""
+    n = g.vertex_count
+    violations = []
+    for size in range(1, n + 1):
+        for sub in itertools.combinations(range(1, n + 1), size):
+            inside = sum(1 for e in g.edges if set(e) <= set(sub))
+            margin = d * comb(size, 3) - eta * n ** 3 - inside
+            if margin > 0:
+                violations.append((-margin, size, sub))
+    if not violations:
+        return None
+    worst = min(violations)
+    return -worst[0], worst[2]
+
+
+def audit_outcome(result):
+    if result.status == "pass":
+        return None
+    assert result.status == "fail"
+    return result.deficiency, result.witness
 
 
 def test_audit_complete_passes():
@@ -45,6 +74,13 @@ def test_audit_exhaustive_cap_refusal():
         uniform_density_audit(g, 1, 0)
 
 
+def test_audit_exhaustive_refuses_a_table_above_the_entry_cap():
+    # 2^24 counts exceed core.TABLE_ENTRY_CAP whatever vertex_cap allows;
+    # the refusal comes before the table is allocated.
+    with pytest.raises(CapExceeded, match="needs 2\\^24 subset counts"):
+        uniform_density_audit(Plain3Graph(24, []), 1, 0, vertex_cap=30)
+
+
 def test_audit_sampled_never_full_pass():
     g = complete_k(8)
     result = uniform_density_audit(g, 1, 0, mode="sampled", samples=5, seed=3)
@@ -65,22 +101,103 @@ def test_audit_exhaustive_matches_naive_subset_scan():
         g = Plain3Graph(n, edges)
         d, eta = Fraction(1, 3), Fraction(1, 100)
         result = uniform_density_audit(g, d, eta)
-        violations = []
-        for size in range(1, n + 1):
-            for sub in itertools.combinations(range(1, n + 1), size):
-                inside = sum(1 for e in g.edges if set(e) <= set(sub))
-                margin = d * comb(size, 3) - eta * n ** 3 - inside
-                if margin > 0:
-                    violations.append((margin, size, sub))
-        if not violations:
-            assert result.status == "pass"
-        else:
-            best_margin = max(v[0] for v in violations)
-            contenders = [v for v in violations if v[0] == best_margin]
-            expected = min(contenders, key=lambda v: (v[1], v[2]))
-            assert result.status == "fail"
-            assert result.witness == expected[2]
-            assert result.deficiency == expected[0]
+        assert audit_outcome(result) == naive_worst_violation(g, d, eta)
+
+
+@st.composite
+def audit_instances(draw):
+    n = draw(st.integers(1, 9))
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    edges = draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
+    den = draw(st.integers(1, 12))
+    d = Fraction(draw(st.integers(0, den)), den)
+    eta = Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 2 * n ** 3)))
+    return Plain3Graph(n, edges), d, eta
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(audit_instances())
+def test_audit_exhaustive_matches_naive_on_generated_graphs(instance):
+    g, d, eta = instance
+    result = uniform_density_audit(g, d, eta)
+    assert audit_outcome(result) == naive_worst_violation(g, d, eta)
+    assert result.subsets_checked == (1 << g.vertex_count) - 1
+
+
+def test_audit_count_equal_to_its_bound_holds():
+    # K4 minus the edge 234, d = 1: at eta = 1/64 the full set (3 edges) and
+    # the empty triple 234 sit exactly on their bounds 3 and 0.  At
+    # eta = 1/65 both miss by 1/65, and the smaller size wins the tie.
+    g = Plain3Graph(4, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
+    assert uniform_density_audit(g, 1, Fraction(1, 64)).status == "pass"
+    result = uniform_density_audit(g, 1, Fraction(1, 65))
+    assert (result.status, result.witness, result.deficiency) == (
+        "fail", (2, 3, 4), Fraction(1, 65))
+    # Every triple of K5 holds with equality at d = 1, eta = 0.
+    assert uniform_density_audit(complete_k(5), 1, 0).status == "pass"
+
+
+def test_audit_tie_on_margin_and_size_takes_the_lex_least():
+    # The two empty triples tie at margin 1/4; (1, 3, 4) has the smaller
+    # mask, (1, 2, 5) is lexicographically least.
+    missing = {(1, 2, 5), (1, 3, 4)}
+    g = Plain3Graph(5, set(itertools.combinations(range(1, 6), 3)) - missing)
+    result = uniform_density_audit(g, Fraction(1, 4), 0)
+    assert (result.status, result.witness, result.deficiency) == (
+        "fail", (1, 2, 5), Fraction(1, 4))
+    assert audit_outcome(result) == naive_worst_violation(g, Fraction(1, 4), 0)
+
+
+def naive_sampled_audit(g, d, eta, samples, seed, sizes):
+    """Replays the audit's draws from random.Random(seed), counting edges by
+    a scan of the whole edge set."""
+    n = g.vertex_count
+    rng = random.Random(seed)
+    checked = 0
+    for s in sizes:
+        for _ in range(samples):
+            subset = tuple(sorted(rng.sample(range(1, n + 1), s)))
+            inside = sum(1 for e in g.edges if set(e) <= set(subset))
+            checked += 1
+            margin = d * comb(s, 3) - eta * n ** 3 - inside
+            if margin > 0:
+                return "fail", subset, margin, checked
+    return "sampled-pass", None, None, checked
+
+
+@pytest.mark.parametrize("n,d,eta,sizes", [
+    (30, Fraction(1, 4), Fraction(1, 1000), (5, 10, 20)),
+    (30, Fraction(1, 3), Fraction(1, 10000), (8, 15)),
+    (30, Fraction(1, 5), 0, (10,)),
+    (12, Fraction(1, 4), Fraction(1, 20), None),
+])
+def test_audit_sampled_matches_a_replayed_naive_scan(n, d, eta, sizes):
+    for seed in range(4):
+        g = cyclic_triple_3graph(random_tournament(n, seed))
+        result = uniform_density_audit(g, d, eta, mode="sampled", samples=25,
+                                       seed=seed, sizes=sizes)
+        expected = naive_sampled_audit(g, d, eta, 25, seed,
+                                       sizes or range(3, n + 1))
+        assert (result.status, result.witness, result.deficiency,
+                result.subsets_checked) == expected
+
+
+def test_edge_counts_match_the_bit_by_bit_sum_over_subsets():
+    # Up to n = 14 the slices cover both the strided and the block-wise
+    # additions, each split into more than one slice at n = 14.
+    rng = random.Random(7)
+    for n in range(1, 15):
+        edges = [t for t in itertools.combinations(range(1, n + 1), 3)
+                 if rng.random() < 0.5]
+        g = Plain3Graph(n, edges)
+        expected = [0] * (1 << n)
+        for u, v, w in g.edges:
+            expected[(1 << (u - 1)) | (1 << (v - 1)) | (1 << (w - 1))] += 1
+        for bit in range(n):
+            for mask in range(1 << n):
+                if mask >> bit & 1:
+                    expected[mask] += expected[mask ^ (1 << bit)]
+        assert _edge_counts_by_subset(g) == expected
 
 
 def test_count_copies_cyclic_is_k4minus_free():
