@@ -45,19 +45,19 @@ class Constituent:
         comp02 (fix slots 0,2) and comp12 (fix slots 1,2);
       proj_xy[v] -> bitset of slot-y vertices co-occurring with v in
         slot x, for all six ordered slot pairs;
-      occupied[s] -> bitset of slot-s vertices used by at least one edge.
-    comp01 and comp12, which cleaning, rows and projections read, are built
-    eagerly; the search-only tables (comp02, the proj_xy, occupied) are None
-    until ensure_search_tables() builds them together, on the embedding
-    search's first use of the constituent.
+      occupied[s] -> bitset of slot-s vertices used by at least one edge;
+      fwd[x][y] (x != y) -> (comp, mx, my, proj_xy), where comp[vx*mx + vy*my]
+        is the bitset of third-slot completions of slot-x vertex vx and
+        slot-y vertex vy: comp is comp01, comp02 or comp12 with its
+        operands in the order x, y.
+    comp01 and comp12, which cleaning, rows and projections read, are
+    attributes built eagerly.  The search-only tables, comp02 and the
+    proj_xy, are reached through fwd; fwd and occupied are None until
+    ensure_search_tables() builds them, on the embedding search's first
+    use of the constituent.
     """
 
-    __slots__ = (
-        "triple", "sizes", "edges",
-        "comp01", "comp02", "comp12",
-        "proj01", "proj02", "proj10", "proj12", "proj20", "proj21",
-        "occupied",
-    )
+    __slots__ = ("triple", "sizes", "edges", "comp01", "comp12", "occupied", "fwd")
 
     def __init__(self, triple: Triple, sizes: tuple[int, int, int],
                  edges: Iterable[Edge]):
@@ -72,13 +72,11 @@ class Constituent:
             comp12[b * s2 + c] |= 1 << a
         self.comp01 = comp01
         self.comp12 = comp12
-        self.comp02 = self.occupied = None
-        self.proj01 = self.proj02 = self.proj10 = None
-        self.proj12 = self.proj20 = self.proj21 = None
+        self.occupied = self.fwd = None
 
     def ensure_search_tables(self) -> None:
-        """Build comp02, the proj_xy and occupied, unless already built."""
-        if self.occupied is not None:
+        """Build occupied and fwd, unless already built."""
+        if self.fwd is not None:
             return
         s0, s1, s2 = self.sizes
         comp02 = [0] * (s0 * s2)
@@ -96,19 +94,21 @@ class Constituent:
             proj12[b] |= 1 << c
             proj20[c] |= 1 << a
             proj21[c] |= 1 << b
-        self.comp02 = comp02
-        self.proj01 = proj01
-        self.proj02 = proj02
-        self.proj10 = proj10
-        self.proj12 = proj12
-        self.proj20 = proj20
-        self.proj21 = proj21
-        # Assigned last, so a set `occupied` means every table is complete.
         # A slot-0 vertex is used by an edge exactly when it has a partner in slot 1.
         self.occupied = (
             sum(1 << a for a, bits in enumerate(proj01) if bits),
             sum(1 << b for b, bits in enumerate(proj10) if bits),
             sum(1 << c for c, bits in enumerate(proj20) if bits))
+        fwd = [[None] * 3 for _ in range(3)]
+        # comp_xy (x < y) is keyed by the slot-x vertex times slot y's size.
+        for x, y, comp, stride, proj_xy, proj_yx in (
+                (0, 1, self.comp01, s1, proj01, proj10),
+                (0, 2, comp02, s2, proj02, proj20),
+                (1, 2, self.comp12, s2, proj12, proj21)):
+            fwd[x][y] = (comp, stride, 1, proj_xy)
+            fwd[y][x] = (comp, 1, stride, proj_yx)
+        # Assigned last, so a set `fwd` means every table is complete.
+        self.fwd = fwd
 
     def has(self, a: int, b: int, c: int) -> bool:
         return (a, b, c) in self.edges
@@ -224,6 +224,11 @@ class ReducedHypergraph:
 
     def triples(self) -> Iterator[Triple]:
         return itertools.combinations(range(1, self._m + 1), 3)
+
+    @property
+    def constituents(self) -> Mapping[Triple, Constituent]:
+        """Every constituent, keyed by its sorted index triple."""
+        return self._constituents
 
     def class_size(self, i: int, j: int) -> int:
         key = sorted_pair(i, j)

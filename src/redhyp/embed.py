@@ -8,6 +8,16 @@ domains through the host's link bitsets.  "not-found" is only reported
 after complete refutation; running out of node budget is a distinct
 outcome.
 
+Nothing that depends on the pattern alone is worked out per index map.
+An edge's slot layout in its constituent depends only on the order of
+its three index values, so each edge's six layouts are compiled once per
+pattern.  When an edge becomes index-complete, its constituent is looked
+up and its pruning entries are resolved against that constituent's
+tables: each of the edge's pairs gets one flat tuple naming the other
+two pairs, their completion tables with the operand order, and the
+projection tables.  The class-vertex stage then reads those entries and
+does no slot arithmetic.
+
 Counting (count_all) caches subtree results within one index map.  The
 state of a subtree is the set of assigned pairs plus the values of the
 frontier: the assigned pairs that share a pattern edge with an unassigned
@@ -26,11 +36,11 @@ the ground truth the engine is tested against.
 from __future__ import annotations
 
 import itertools
-import time
+import math
 from dataclasses import dataclass
 
 from ._bits import iter_bits
-from .core import (Constituent, Pair, Pattern, ReducedHypergraph, ReducedMap,
+from .core import (Pair, Pattern, ReducedHypergraph, ReducedMap, Triple,
                    sorted_pair, sorted_triple)
 from .errors import (CapExceeded, DanglingReferenceError, DomainError,
                      SelfCheckError)
@@ -51,7 +61,6 @@ class EmbedCertificate:
     rmap: ReducedMap
     pattern: Pattern
     nodes: int = 0
-    elapsed_ms: float | None = None
 
 
 @dataclass(frozen=True)
@@ -133,29 +142,79 @@ class _BudgetTracker:
         self.limit = limit
         self.nodes = 0
 
-    def spend(self, n: int = 1) -> None:
-        self.nodes += n
+    def spend(self) -> None:
+        self.nodes += 1
         if self.limit is not None and self.nodes > self.limit:
-            # A bulk spend stops where spending node by node would have stopped.
-            self.nodes = max(self.limit + 1, self.nodes - n + 1)
             raise _BudgetExhausted
 
 
-def _comp_bits(con: Constituent, sx: int, sy: int, vx: int, vy: int) -> int:
-    # sx < sy; returns bitset over the remaining slot
-    if sx == 0:
-        if sy == 1:
-            return con.comp01[vx * con.sizes[1] + vy]
-        return con.comp02[vx * con.sizes[2] + vy]
-    return con.comp12[vx * con.sizes[2] + vy]
+def _edge_layout(a: int, b: int, c: int) -> tuple[Triple, int]:
+    """The sorted triple of distinct indices a, b, c, and the index into
+    _SLOTS of the order they come in."""
+    if a < b:
+        if b < c:
+            return (a, b, c), 0
+        if a < c:
+            return (a, c, b), 1
+        return (c, a, b), 2
+    if a < c:
+        return (b, a, c), 3
+    if b < c:
+        return (b, c, a), 4
+    return (c, b, a), 5
 
 
-def _proj_bits(con: Constituent, sf: int, st: int, v: int) -> int:
-    if sf == 0:
-        return (con.proj01 if st == 1 else con.proj02)[v]
-    if sf == 1:
-        return (con.proj10 if st == 0 else con.proj12)[v]
-    return (con.proj20 if st == 0 else con.proj21)[v]
+# _SLOTS[L]: the constituent slots of the pairs uv, uw, vw of an edge
+# u < v < w whose indices come in order L (see _edge_layout).  A pair's
+# slot is 2 minus the rank, within the sorted triple, of the edge's third
+# index: slot 0 is (t0, t1), slot 1 is (t0, t2), slot 2 is (t1, t2).
+_SLOTS = ((0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1), (1, 2, 0), (2, 1, 0))
+
+
+def _propagate(entries, val: int, doms: list[int],
+               assigned: list[int | None], trail: list[tuple[int, int]]) -> bool:
+    """Forward-check the edges of a pair that has just taken value val.
+
+    entries holds one tuple per edge of the pair, ascending by edge:
+    (q, r, comp_q, mp_q, m_q, proj_q, comp_r, mp_r, m_r, proj_r) with q, r
+    the edge's other two pairs.  comp_q[val*mp_q + vq*m_q] is the bitset of
+    r's values completing the edge with q's value vq, and proj_q[val] the
+    bitset of q's values sharing an edge with val; likewise with q and r
+    swapped.  Narrowed domains are saved on the trail.  False on a wipeout.
+    """
+    for q, r, comp_q, mp_q, m_q, proj_q, comp_r, mp_r, m_r, proj_r in entries:
+        aq = assigned[q]
+        ar = assigned[r]
+        if aq is not None:
+            if ar is not None:
+                continue  # was already completion-pruned when the second one landed
+            new = doms[r] & comp_q[val * mp_q + aq * m_q]
+            if new != doms[r]:
+                trail.append((r, doms[r]))
+                doms[r] = new
+                if not new:
+                    return False
+        elif ar is not None:
+            new = doms[q] & comp_r[val * mp_r + ar * m_r]
+            if new != doms[q]:
+                trail.append((q, doms[q]))
+                doms[q] = new
+                if not new:
+                    return False
+        else:
+            new = doms[q] & proj_q[val]
+            if new != doms[q]:
+                trail.append((q, doms[q]))
+                doms[q] = new
+                if not new:
+                    return False
+            new = doms[r] & proj_r[val]
+            if new != doms[r]:
+                trail.append((r, doms[r]))
+                doms[r] = new
+                if not new:
+                    return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,15 +244,13 @@ class _Engine:
         self.n = pattern.vertex_count
         self.pairs: list[Pair] = sorted(pattern.shadow)
         pair_idx = {p: i for i, p in enumerate(self.pairs)}
-        self.edges: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = []
-        for e in sorted(pattern.edges):
-            u, v, w = e
-            pidx = (pair_idx[(u, v)], pair_idx[(u, w)], pair_idx[(v, w)])
-            self.edges.append((e, pidx))
+        edges = sorted(pattern.edges)
+        pidxs = [(pair_idx[(u, v)], pair_idx[(u, w)], pair_idx[(v, w)])
+                 for u, v, w in edges]
         self.pair_edges: list[list[int]] = [[] for _ in self.pairs]
         # neighbours[p]: bitmask of the pairs sharing an edge with pair p
         self.neighbours: list[int] = [0] * len(self.pairs)
-        for ei, (_, pidx) in enumerate(self.edges):
+        for ei, pidx in enumerate(pidxs):
             for p in pidx:
                 self.pair_edges[p].append(ei)
                 for q in pidx:
@@ -204,45 +261,79 @@ class _Engine:
         self.distinct_before: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in self.pairs:
             self.distinct_before[v].append(u)
-        # edges become index-complete once their largest vertex is assigned
-        self.lam_sched: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for ei, (e, _) in enumerate(self.edges):
-            self.lam_sched[max(e)].append(ei)
+        # lam_sched[w]: the edges (u, v, w, layouts) with u < v < w, which
+        # become index-complete once w is assigned.  layouts[L] holds, for each
+        # pair p of the edge, (p, q, r, sp, sq, sr, k): q and r the edge's other
+        # pairs, s* the slots of p, q, r when the indices come in order L, and
+        # k the edge's place among p's edges.
+        self.lam_sched: list[list[tuple]] = [[] for _ in range(self.n + 1)]
+        for ei, (e, pidx) in enumerate(zip(edges, pidxs)):
+            layouts = []
+            for slots in _SLOTS:
+                layout = []
+                for j, p in enumerate(pidx):
+                    q, r = (x for x in range(3) if x != j)
+                    layout.append((p, pidx[q], pidx[r], slots[j], slots[q], slots[r],
+                                   self.pair_edges[p].index(ei)))
+                layouts.append(tuple(layout))
+            self.lam_sched[max(e)].append((*e, tuple(layouts)))
 
     def run(self, budget: _BudgetTracker, count_all: bool) -> SearchResult:
-        lam = [0] * (self.n + 1)
+        n = self.n
+        lam = [0] * (n + 1)
         found_cert: list[ReducedMap] = []
         total = 0
 
         host = self.host
         M = host.index_count
+        cons = host.constituents
+        distinct_before = self.distinct_before
+        lam_sched = self.lam_sched
+        # props[p][k]: pair p's pruning entry for its k-th edge (see _propagate),
+        # written when the edge becomes index-complete
+        props: list[list[tuple | None]] = [[None] * len(es) for es in self.pair_edges]
+        # doms[u]: the class-vertex domains allowed by the edges complete at
+        # level u, -1 for a pair in none of them
+        doms = [[-1] * len(self.pairs) for _ in range(n + 1)]
 
         def lam_rec(u: int) -> bool:
             nonlocal total
-            if u > self.n:
-                if count_all:
-                    total += self._phi_count(lam, budget)
+            if u > n:
+                if 0 in doms[n]:
                     return False
-                rmap = self._phi_find(lam, budget)
-                if rmap is not None:
-                    found_cert.append(rmap)
+                if count_all:
+                    total += self._phi_count(props, doms[n][:], budget)
+                    return False
+                phi = self._phi_find(props, doms[n][:], budget)
+                if phi is not None:
+                    found_cert.append(self._reduced_map(lam, phi))
                     return True
                 return False
+            banned = 0
+            for v in distinct_before[u]:
+                banned |= 1 << lam[v]
+            above, here = doms[u - 1], doms[u]
+            sched = lam_sched[u]
             for i in range(1, M + 1):
                 budget.spend()
-                if any(lam[v] == i for v in self.distinct_before[u]):
+                if banned >> i & 1:
                     continue
                 lam[u] = i
-                ok = True
-                for ei in self.lam_sched[u]:
-                    e, _ = self.edges[ei]
-                    t = sorted_triple(lam[e[0]], lam[e[1]], lam[e[2]])
-                    if not host.constituent(t).edges:
-                        ok = False
+                here[:] = above
+                for x, y, z, layouts in sched:
+                    t, order = _edge_layout(lam[x], lam[y], lam[z])
+                    con = cons[t]
+                    if not con.edges:
                         break
-                if ok and lam_rec(u + 1):
-                    return True
-                lam[u] = 0
+                    if con.fwd is None:
+                        con.ensure_search_tables()
+                    fwd, occupied = con.fwd, con.occupied
+                    for p, q, r, sp, sq, sr, k in layouts[order]:
+                        props[p][k] = (q, r) + fwd[sp][sq] + fwd[sp][sr]
+                        here[p] &= occupied[sp]
+                else:  # no edge's constituent is empty
+                    if lam_rec(u + 1):
+                        return True
             return False
 
         try:
@@ -261,83 +352,20 @@ class _Engine:
             return SearchResult("found", cert, None, budget.nodes)
         return SearchResult("not-found", None, None, budget.nodes)
 
+    def _reduced_map(self, lam: list[int], phi: list[int]) -> ReducedMap:
+        return ReducedMap(
+            lam={u: lam[u] for u in range(1, self.n + 1)},
+            phi={(u, v): (sorted_pair(lam[u], lam[v]), phi[p])
+                 for p, (u, v) in enumerate(self.pairs)})
+
     # -- class-vertex stage ------------------------------------------------
+    #
+    # Both searches take the pruning entries and the initial domains of one
+    # complete index map, none of them empty; doms is theirs to narrow.
 
-    def _phi_setup(self, lam):
-        """Domains and per-edge contexts for a complete index assignment.
-
-        Returns None when some initial domain is empty.
-        """
-        host = self.host
-        doms = []
-        classes = []
-        for u, v in self.pairs:
-            cls = sorted_pair(lam[u], lam[v])
-            classes.append(cls)
-            doms.append((1 << host.class_size(*cls)) - 1)
-        edge_ctx = []
-        for e, pidx in self.edges:
-            t = sorted_triple(lam[e[0]], lam[e[1]], lam[e[2]])
-            con = host.constituent(t)
-            con.ensure_search_tables()
-            slot_pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-            slots = tuple(slot_pairs.index(classes[p]) for p in pidx)
-            edge_ctx.append((con, pidx, slots))
-            for p, s in zip(pidx, slots):
-                doms[p] &= con.occupied[s]
-        if any(d == 0 for d in doms):
-            return None
-        return doms, edge_ctx
-
-    def _propagate(self, p, val, doms, assigned, edge_ctx, trail):
-        """Forward-check all edges containing pair p; False on a wipeout."""
-        for ei in self.pair_edges[p]:
-            con, pidx, slots = edge_ctx[ei]
-            k = pidx.index(p)
-            sp = slots[k]
-            q, r = (pidx[1], pidx[2]) if k == 0 else (pidx[0], pidx[2]) if k == 1 else (pidx[0], pidx[1])
-            sq, sr = (slots[1], slots[2]) if k == 0 else (slots[0], slots[2]) if k == 1 else (slots[0], slots[1])
-            aq, ar = assigned[q], assigned[r]
-            if aq is not None and ar is not None:
-                continue  # was already completion-pruned when the second one landed
-            if aq is not None:
-                if sp < sq:
-                    bits = _comp_bits(con, sp, sq, val, aq)
-                else:
-                    bits = _comp_bits(con, sq, sp, aq, val)
-                new = doms[r] & bits
-                if new != doms[r]:
-                    trail.append((r, doms[r]))
-                    doms[r] = new
-                    if new == 0:
-                        return False
-            elif ar is not None:
-                if sp < sr:
-                    bits = _comp_bits(con, sp, sr, val, ar)
-                else:
-                    bits = _comp_bits(con, sr, sp, ar, val)
-                new = doms[q] & bits
-                if new != doms[q]:
-                    trail.append((q, doms[q]))
-                    doms[q] = new
-                    if new == 0:
-                        return False
-            else:
-                for other, so in ((q, sq), (r, sr)):
-                    new = doms[other] & _proj_bits(con, sp, so, val)
-                    if new != doms[other]:
-                        trail.append((other, doms[other]))
-                        doms[other] = new
-                        if new == 0:
-                            return False
-        return True
-
-    def _phi_find(self, lam, budget: _BudgetTracker) -> ReducedMap | None:
-        setup = self._phi_setup(lam)
-        if setup is None:
-            return None
-        doms, edge_ctx = setup
-        np_ = len(self.pairs)
+    def _phi_find(self, props, doms: list[int], budget: _BudgetTracker) -> list[int] | None:
+        """The first class-vertex map, as the value of each pair, or None."""
+        np_ = len(doms)
         assigned: list[int | None] = [None] * np_
 
         def rec() -> bool:
@@ -357,7 +385,7 @@ class _Engine:
                 trail: list[tuple[int, int]] = []
                 assigned[p] = val
                 doms[p] = 1 << val
-                if self._propagate(p, val, doms, assigned, edge_ctx, trail) and rec():
+                if _propagate(props[p], val, doms, assigned, trail) and rec():
                     return True
                 assigned[p] = None
                 doms[p] = saved
@@ -365,13 +393,7 @@ class _Engine:
                     doms[q] = old
             return False
 
-        if not rec():
-            return None
-        phi = {}
-        for p, (u, v) in enumerate(self.pairs):
-            cls = sorted_pair(lam[u], lam[v])
-            phi[(u, v)] = (cls, assigned[p])
-        return ReducedMap(lam={u: lam[u] for u in range(1, self.n + 1)}, phi=phi)
+        return assigned if rec() else None
 
     def _count_plan(self, mask: int) -> _CountPlan:
         """Compile the plan of the counting search for one assigned-pair mask."""
@@ -389,15 +411,14 @@ class _Engine:
         plan = self._plans[mask] = _CountPlan(freed, after, todo, frontier, memo)
         return plan
 
-    def _phi_count(self, lam, budget: _BudgetTracker) -> int:
-        setup = self._phi_setup(lam)
-        if setup is None:
-            return 0
-        doms, edge_ctx = setup
-        assigned: list[int | None] = [None] * len(self.pairs)
+    def _phi_count(self, props, doms: list[int], budget: _BudgetTracker) -> int:
+        """The number of class-vertex maps."""
+        assigned: list[int | None] = [None] * len(doms)
         plans = self._plans
         # subtree state -> (count, nodes); valid for this index map only
         cache: dict[tuple, tuple[int, int]] = {}
+        # Nodes are spent inline: past `room` the budget is exhausted.
+        room = math.inf if budget.limit is None else budget.limit - budget.nodes
         spent = 0  # nodes spent by this call, for the cached subtree sizes
 
         def rec(mask: int) -> int:
@@ -420,7 +441,8 @@ class _Engine:
                 hit = cache.get(key)
                 if hit is not None:
                     spent += hit[1]
-                    budget.spend(hit[1])
+                    if spent > room:
+                        raise _BudgetExhausted
                     return mult * hit[0]
                 spent_before = spent
             p = todo[0]
@@ -429,16 +451,21 @@ class _Engine:
                 size = doms[q].bit_count()
                 if size < best_size:
                     p, best_size = q, size
-            saved = doms[p]
+            saved = rest = doms[p]
+            entries = props[p]
             child = plan.after | 1 << p
             subtotal = 0
-            for val in iter_bits(saved):
+            while rest:
+                low = rest & -rest
+                rest ^= low
                 spent += 1
-                budget.spend()
+                if spent > room:
+                    raise _BudgetExhausted
+                val = low.bit_length() - 1
                 trail: list[tuple[int, int]] = []
                 assigned[p] = val
-                doms[p] = 1 << val
-                if self._propagate(p, val, doms, assigned, edge_ctx, trail):
+                doms[p] = low
+                if _propagate(entries, val, doms, assigned, trail):
                     subtotal += rec(child)
                 assigned[p] = None
                 doms[p] = saved
@@ -451,6 +478,8 @@ class _Engine:
         try:
             return rec(0)
         finally:
+            # Out of budget, the count stops where spending node by node would have.
+            budget.nodes += min(spent, room + 1)
             cache.clear()  # rec refers to itself, so the closure dies only in a gc pass
 
 
@@ -465,18 +494,7 @@ def find_reduced_image(host: ReducedHypergraph, pattern: Pattern,
     """
     if budget is not None and budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    started = time.perf_counter()
-    result = _Engine(host, pattern).run(_BudgetTracker(budget), count_all)
-    return _stamp(result, started)
-
-
-def _stamp(result: SearchResult, started: float) -> SearchResult:
-    if result.certificate is None:
-        return result
-    elapsed = (time.perf_counter() - started) * 1000.0
-    cert = EmbedCertificate(result.certificate.rmap, result.certificate.pattern,
-                            nodes=result.nodes, elapsed_ms=elapsed)
-    return SearchResult(result.status, cert, result.count, result.nodes)
+    return _Engine(host, pattern).run(_BudgetTracker(budget), count_all)
 
 
 def exhaustive_oracle(host: ReducedHypergraph, pattern: Pattern,

@@ -149,6 +149,8 @@ def validate_glued(host: ReducedHypergraph,
     if set(cfg.alpha) != ROLE_PAIRS:
         raise DomainError(f"alpha must name exactly the role pairs {sorted(ROLE_PAIRS)}, "
                           f"got {sorted(cfg.alpha)}")
+    if len(cfg.indices) != 4:
+        raise DomainError(f"indices must name four roles, got {cfg.indices}")
     i1, i2, i3, i4 = cfg.indices
     if len({i1, i2, i3, i4}) != 4:
         return False, f"indices {cfg.indices} are not distinct"

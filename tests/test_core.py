@@ -205,17 +205,18 @@ def test_constituent_tables_match_edges():
     edges = {(a, b, c) for a in range(3) for b in range(4) for c in range(2)
              if rng.random() < 0.3}
     con = ReducedHypergraph(3, sizes, {(1, 2, 3): edges}).constituent((1, 2, 3))
-    assert con.comp02 is None and con.occupied is None
+    assert con.fwd is None and con.occupied is None
     con.ensure_search_tables()
-    slots = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # fixed, fixed, completed
-    for (x, y, z), comp in zip(slots, (con.comp01, con.comp02, con.comp12)):
-        for key, bits in enumerate(comp):
-            vx, vy = divmod(key, con.sizes[y])
-            assert bits == sum({1 << e[z] for e in edges if (e[x], e[y]) == (vx, vy)})
     for x, y in itertools.permutations(range(3), 2):
-        proj = getattr(con, f"proj{x}{y}")
-        for v, bits in enumerate(proj):
-            assert bits == sum({1 << e[y] for e in edges if e[x] == v})
+        z = 3 - x - y
+        comp, mx, my, proj = con.fwd[x][y]
+        for vx in range(con.sizes[x]):
+            for vy in range(con.sizes[y]):
+                assert comp[vx * mx + vy * my] == sum(
+                    {1 << e[z] for e in edges if (e[x], e[y]) == (vx, vy)})
+            assert proj[vx] == sum({1 << e[y] for e in edges if e[x] == vx})
+    for (x, y), comp in zip(((0, 1), (1, 2)), (con.comp01, con.comp12)):
+        assert con.fwd[x][y][0] is comp
     assert con.occupied == tuple(sum({1 << e[s] for e in edges}) for s in range(3))
 
 

@@ -14,10 +14,31 @@ from redhyp import (CapExceeded, DanglingReferenceError, DomainError, Pattern,
                     find_reduced_image, pattern_catalog, random_box_dense,
                     validate_reduced_map)
 from redhyp.constructions import orientation_reduced
+from redhyp.core import sorted_pair
+from redhyp.embed import _SLOTS, _edge_layout
 
 
 def complete_host(m, p=1):
     return random_box_dense(m, p, 1, seed=0)
+
+
+def mixed_host(m, sizes, d, seed):
+    """Host whose class P^{i,j} has sizes[(i, j)] vertices; each edge of
+    every constituent's box is kept with probability d."""
+    rng = random.Random(seed)
+    cons = {}
+    for i, j, k in itertools.combinations(range(1, m + 1), 3):
+        box = itertools.product(range(sizes[(i, j)]), range(sizes[(i, k)]),
+                                range(sizes[(j, k)]))
+        cons[(i, j, k)] = [e for e in box if rng.random() < d]
+    return ReducedHypergraph(m, sizes, cons)
+
+
+def seeded_mixed_host(m, d, seed):
+    """mixed_host with class sizes in 1..3 drawn from the same seed."""
+    rng = random.Random(seed)
+    sizes = {p: rng.randint(1, 3) for p in itertools.combinations(range(1, m + 1), 2)}
+    return mixed_host(m, sizes, d, seed=rng.randrange(10 ** 6))
 
 
 def five_row_host():
@@ -167,11 +188,47 @@ COUNT_ALL_PINS = {
                 "K4minus": ("not-found", 0, 2382),
                 "K4": ("not-found", 0, 2382),
                 "Fstar": ("not-found", 0, 5982)},
+    "mixed6d1/2": {"single_edge": ("found", 648, 736),
+                   "K4minus": ("found", 4512, 4150),
+                   "K4": ("found", 2256, 5076),
+                   "Fstar": ("found", 37448, 18543)},
+    "mixed7d1/4": {"single_edge": ("found", 324, 752),
+                   "K4minus": ("found", 558, 2311),
+                   "K4": ("found", 144, 2150),
+                   "Fstar": ("found", 808, 5115)},
+}
+# (status, nodes, certificate) of the first-hit search on the same hosts;
+# a certificate is (lam of vertices 1..n, phi vertices of the sorted shadow).
+FIND_PINS = {
+    "m5c3d9": {"single_edge": ("found", 9, ((1, 2, 3), (0, 0, 0))),
+               "K4minus": ("found", 16, ((1, 2, 3, 4), (0, 0, 0, 0, 0, 0))),
+               "K4": ("found", 16, ((1, 2, 3, 4), (0, 0, 0, 0, 0, 0))),
+               "Fstar": ("found", 25, ((1, 2, 3, 4, 5), (0,) * 10))},
+    "m6c2d3/4": {"single_edge": ("found", 9, ((1, 2, 3), (0, 0, 0))),
+                 "K4minus": ("found", 16, ((1, 2, 3, 4), (0, 0, 0, 0, 0, 0))),
+                 "K4": ("found", 16, ((1, 2, 3, 4), (0, 0, 0, 0, 0, 0))),
+                 "Fstar": ("found", 25, ((1, 2, 3, 4, 5), (0,) * 10))},
+    "mixed6d1/2": {"single_edge": ("found", 9, ((1, 2, 3), (0, 0, 0))),
+                   "K4minus": ("found", 16, ((1, 2, 3, 4), (0, 0, 1, 0, 0, 0))),
+                   "K4": ("found", 16, ((1, 2, 3, 4), (0, 0, 1, 1, 0, 0))),
+                   "Fstar": ("found", 25, ((1, 2, 3, 4, 5),
+                                           (0, 0, 1, 0, 0, 0, 1, 0, 1, 0)))},
+    "mixed7d1/4": {"single_edge": ("found", 9, ((1, 2, 3), (0, 0, 0))),
+                   "K4minus": ("found", 21, ((1, 2, 3, 7), (0, 0, 0, 0, 1, 0))),
+                   "K4": ("found", 78, ((1, 3, 5, 6), (1, 0, 1, 1, 0, 0))),
+                   "Fstar": ("found", 120, ((1, 3, 4, 5, 6),
+                                            (1, 0, 0, 1, 2, 1, 0, 2, 0, 1)))},
+    "orient6": {"single_edge": ("found", 9, ((1, 2, 3), (0, 1, 0))),
+                "K4minus": ("not-found", 2382, None),
+                "K4": ("not-found", 2382, None),
+                "Fstar": ("not-found", 5982, None)},
 }
 PIN_HOSTS = {
     "m5c3d9": lambda: random_box_dense(5, 3, Fraction(9, 10), seed=0),
     "m6c2d3/4": lambda: random_box_dense(6, 2, Fraction(3, 4), seed=2),
     "orient6": lambda: orientation_reduced(6),
+    "mixed6d1/2": lambda: seeded_mixed_host(6, 0.5, seed=3),
+    "mixed7d1/4": lambda: seeded_mixed_host(7, 0.25, seed=4),
 }
 
 
@@ -188,6 +245,40 @@ def test_count_all_nodes_and_budgets_are_pinned(label):
                 ("budget-exhausted", None, budget + 1), (name, budget)
         r = find_reduced_image(host, pat, count_all=True, budget=nodes)
         assert (r.status, r.count, r.nodes) == (status, count, nodes), name
+
+
+def certificate_key(result):
+    if result.certificate is None:
+        return None
+    rmap = result.certificate.rmap
+    return (tuple(rmap.lam[u] for u in sorted(rmap.lam)),
+            tuple(rmap.phi[p][1] for p in sorted(rmap.phi)))
+
+
+@pytest.mark.parametrize("label", sorted(FIND_PINS))
+def test_first_hit_nodes_certificates_and_budgets_are_pinned(label):
+    host = PIN_HOSTS[label]()
+    for name, (status, nodes, cert) in FIND_PINS[label].items():
+        pat = pattern_catalog(name)
+        r = find_reduced_image(host, pat)
+        assert (r.status, r.nodes, certificate_key(r)) == (status, nodes, cert), name
+        if r.certificate is not None:
+            assert r.certificate.nodes == nodes
+        for budget in sorted({1, nodes // 2, nodes - 1}):
+            r = find_reduced_image(host, pat, budget=budget)
+            assert (r.status, r.nodes, r.certificate) == \
+                ("budget-exhausted", budget + 1, None), (name, budget)
+        r = find_reduced_image(host, pat, budget=nodes)
+        assert (r.status, r.nodes, certificate_key(r)) == (status, nodes, cert), name
+
+
+@pytest.mark.parametrize("a, b, c", list(itertools.permutations((2, 5, 7))))
+def test_edge_layout_matches_slot_lookup(a, b, c):
+    t, order = _edge_layout(a, b, c)
+    assert t == tuple(sorted((a, b, c)))
+    slot_pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+    assert _SLOTS[order] == tuple(slot_pairs.index(sorted_pair(x, y))
+                                  for x, y in ((a, b), (a, c), (b, c)))
 
 
 @st.composite
@@ -216,6 +307,55 @@ def test_engine_matches_oracle_on_generated_patterns(instance):
     assert count.status == ("found" if oracle.found else "not-found")
     first = find_reduced_image(host, pat)
     assert (first.status == "found") == oracle.found
+    if first.certificate is not None:
+        ok, violation = validate_reduced_map(host, pat, first.certificate.rmap)
+        assert ok, violation
+
+
+@st.composite
+def mixed_size_instances(draw):
+    """A host whose classes have their own sizes in 1..3, with random
+    constituents, and a catalog or generated pattern."""
+    if draw(st.booleans()):
+        pattern = pattern_catalog(draw(st.sampled_from(
+            ["single_edge", "K4minus", "K4", "Fstar"])))
+    else:
+        n = draw(st.integers(3, 5))
+        triples = list(itertools.combinations(range(1, n + 1), 3))
+        pattern = Pattern(n, draw(st.lists(st.sampled_from(triples), unique=True)))
+    m = draw(st.integers(max(3, pattern.vertex_count - 1), 6))
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    sizes = dict(zip(pairs, draw(st.lists(st.integers(1, 3), min_size=len(pairs),
+                                          max_size=len(pairs)))))
+    d = draw(st.integers(1, 9)) / 10
+    seed = draw(st.integers(0, 10 ** 6))
+    host = mixed_host(m, sizes, d, seed)
+    # Keep the oracle's candidate space small: shrink classes until it is.
+    for cap in (3, 2, 1):
+        space = 0
+        for lam in itertools.permutations(range(1, m + 1), pattern.vertex_count):
+            width = 1
+            for u, v in pattern.shadow:
+                width *= min(cap, host.class_size(lam[u - 1], lam[v - 1]))
+            space += width
+        if space <= 100_000:
+            break
+    if cap < 3:
+        sizes = {p: min(cap, s) for p, s in sizes.items()}
+        host = mixed_host(m, sizes, d, seed)
+    return host, pattern
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(mixed_size_instances())
+def test_engine_matches_oracle_with_unequal_class_sizes(instance):
+    host, pat = instance
+    oracle = exhaustive_oracle(host, pat)
+    count = find_reduced_image(host, pat, count_all=True)
+    assert (count.status, count.count) == \
+        ("found" if oracle.found else "not-found", oracle.count)
+    first = find_reduced_image(host, pat)
+    assert first.status == count.status
     if first.certificate is not None:
         ok, violation = validate_reduced_map(host, pat, first.certificate.rmap)
         assert ok, violation

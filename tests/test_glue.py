@@ -214,6 +214,16 @@ def test_validate_glued_needs_exactly_the_role_pairs(change):
         validate_glued(host, cfg)
 
 
+@pytest.mark.parametrize("indices", [(1, 2, 3), (1, 2, 3, 4, 5)], ids=["three", "five"])
+def test_validate_glued_needs_four_indices(indices):
+    host = random_box_dense(5, 1, 1, seed=0)
+    alpha = {pair: 0 for pair in itertools.combinations(range(1, 5), 2)}
+    cfg = GluedConfiguration(indices=indices, alpha=alpha,
+                             alpha23_prime=0, alpha24_prime=0)
+    with pytest.raises(DomainError, match="indices must name four roles"):
+        validate_glued(host, cfg)
+
+
 def test_find_glued_matches_oracle_on_dense_hosts():
     for seed in range(5):
         host = random_box_dense(6, 3, Fraction(9, 10), seed=seed)
