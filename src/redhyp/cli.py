@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 from . import fileio
-from .constructions import (RNG_ALGORITHM, cyclic_triple_3graph,
-                            orientation_reduced, random_box_dense,
-                            random_tournament, reduced_blow_up)
+from .constructions import (RNG_ALGORITHM, check_3graph_request,
+                            cyclic_triple_3graph, orientation_reduced,
+                            random_box_dense, random_tournament, reduced_blow_up)
 from .core import (Pattern, ReducedHypergraph, ReducedMap, constituent_density,
                    is_box_dense, pattern_catalog)
 from .embed import exhaustive_oracle, find_reduced_image
@@ -407,30 +408,25 @@ def _cmd_gen(args, started) -> tuple[int, str]:
     if args.kind == "random":
         if args.m is None or args.d is None:
             raise DomainError("gen --kind random needs --m and --d")
-        host = random_box_dense(args.m, args.class_size, parse_fraction(args.d),
-                                args.seed)
-        payload = fileio.write_host(host)
-        digest = fileio.host_digest(host)
+        payload = fileio.write_host(random_box_dense(
+            args.m, args.class_size, parse_fraction(args.d), args.seed))
     elif args.kind == "orientation":
         if args.m is None:
             raise DomainError("gen --kind orientation needs --m")
-        host = orientation_reduced(args.m)
-        payload = fileio.write_host(host)
-        digest = fileio.host_digest(host)
+        payload = fileio.write_host(orientation_reduced(args.m))
     elif args.kind == "blowup":
         if args.host is None:
             raise DomainError("gen --kind blowup needs --host")
-        host = reduced_blow_up(_read_host(args.host), args.t)
-        payload = fileio.write_host(host)
-        digest = fileio.host_digest(host)
+        payload = fileio.write_host(reduced_blow_up(_read_host(args.host), args.t))
     else:  # tournament3
         if args.n is None:
             raise DomainError("gen --kind tournament3 needs --n")
-        graph = cyclic_triple_3graph(random_tournament(args.n, args.seed))
-        payload = fileio.write_plain3(graph)
-        digest = fileio.plain3_digest(graph)
+        check_3graph_request(args.n)
+        payload = fileio.write_plain3(
+            cyclic_triple_3graph(random_tournament(args.n, args.seed)))
     if args.out and args.out != "-":
         Path(args.out).write_text(payload)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
         lines = ["command gen", f"kind {args.kind}", f"rng {RNG_ALGORITHM}",
                  f"seed {args.seed}", f"out {args.out}", f"digest sha256:{digest}"]
         return _finish(args, lines, EXIT_OK, started)

@@ -17,10 +17,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Mapping
+from math import ceil, comb
+from typing import Callable, Mapping
 
-from .core import Pair, ReducedHypergraph, Triple, sorted_pair
+from .core import (Pair, ReducedHypergraph, Triple, check_table_size,
+                   refuse_above_cap, sorted_pair)
 from .errors import DomainError
 from .plain import Plain3Graph
 
@@ -30,6 +31,23 @@ RNG_ALGORITHM = "mt19937-partial-fisher-yates"
 # induced 3-vertex tournament is a directed cycle.  The other six of the
 # eight patterns are transitive.
 _CYCLIC_PATTERNS = frozenset({(0, 1, 0), (1, 0, 1)})
+
+
+def _check_host_request(index_count: int, class_size: Callable[[Pair], int],
+                        edges: Callable[[], int]) -> None:
+    """Refuse, from the sizes alone and before any allocation, a host over
+    TABLE_ENTRY_CAP: first its constituents, so an absurd index count never
+    builds a size dict, then its tables, then its edge list."""
+    refuse_above_cap(4 * comb(index_count, 3), f"a host on {index_count} indices")
+    check_table_size(index_count, {p: class_size(p) for p in
+                                   itertools.combinations(range(1, index_count + 1), 2)})
+    refuse_above_cap(edges(), "the host's edge list")
+
+
+def check_3graph_request(vertex_count: int) -> None:
+    """Refuse, before any allocation, a 3-graph on more vertices than
+    TABLE_ENTRY_CAP leaves room for: it may hold every triple."""
+    refuse_above_cap(comb(max(vertex_count, 0), 3), f"a 3-graph on {vertex_count} vertices")
 
 
 def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
@@ -106,6 +124,9 @@ def random_box_dense(index_count: int, class_size: int, d, seed: int) -> Reduced
     p = class_size
     space = p ** 3
     k = ceil(d * space) if d > 0 else 0
+    _check_host_request(index_count, lambda pair: p, lambda: comb(index_count, 3) * k)
+    if index_count >= 3:
+        refuse_above_cap(space, "the sampling pool")
     rng = random.Random(seed)
     cons: dict[Triple, list[tuple[int, int, int]]] = {}
     for t in itertools.combinations(range(1, index_count + 1), 3):
@@ -123,6 +144,7 @@ def orientation_reduced(index_count: int) -> ReducedHypergraph:
     """
     if index_count < 3:
         raise DomainError(f"need >= 3 indices, got {index_count}")
+    _check_host_request(index_count, lambda pair: 2, lambda: 2 * comb(index_count, 3))
     # Vertex value v corresponds to orientation bit 1 - v.
     edges = sorted((1 - a, 1 - b, 1 - c) for a, b, c in _CYCLIC_PATTERNS)
     cons = {t: list(edges)
@@ -135,6 +157,8 @@ def reduced_blow_up(host: ReducedHypergraph, t: int) -> ReducedHypergraph:
     copy combinations, so constituent densities are preserved exactly."""
     if t < 1:
         raise DomainError(f"blow-up factor must be >= 1, got {t}")
+    _check_host_request(host.index_count, lambda pair: host.class_size(*pair) * t,
+                        lambda: host.total_edge_count() * t ** 3)
     sizes = {p: host.class_size(*p) * t for p in host.pairs()}
     cons: dict[Triple, list[tuple[int, int, int]]] = {}
     for triple in host.triples():

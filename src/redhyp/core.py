@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -55,13 +56,15 @@ class Constituent:
     proj_xy, are reached through fwd; fwd and occupied are None until
     ensure_search_tables() builds them, on the embedding search's first
     use of the constituent.
+
+    A constituent does not know its triple: hosts relabeled by `induced`
+    share it wherever a triple keeps its index order, and every table above
+    depends only on the sizes and the edges.
     """
 
-    __slots__ = ("triple", "sizes", "edges", "comp01", "comp12", "occupied", "fwd")
+    __slots__ = ("sizes", "edges", "comp01", "comp12", "occupied", "fwd")
 
-    def __init__(self, triple: Triple, sizes: tuple[int, int, int],
-                 edges: Iterable[Edge]):
-        self.triple = triple
+    def __init__(self, sizes: tuple[int, int, int], edges: Iterable[Edge]):
         self.sizes = sizes
         self.edges = frozenset(edges)
         s0, s1, s2 = sizes
@@ -135,6 +138,23 @@ def _table_size(index_count: int, sizes: Mapping[Pair, int]) -> int:
     return total
 
 
+def check_table_size(index_count: int, sizes: Mapping[Pair, int]) -> None:
+    """Refuse, with CapExceeded, a host whose constituents and tables would
+    exceed TABLE_ENTRY_CAP entries; sizes must cover every pair."""
+    entries = _table_size(index_count, sizes)
+    if entries > TABLE_ENTRY_CAP:
+        raise CapExceeded(
+            f"host needs {entries} constituent table entries, "
+            f"above the cap {TABLE_ENTRY_CAP}")
+
+
+def refuse_above_cap(entries: int, what: str) -> None:
+    """Refuse, with CapExceeded, anything of more than TABLE_ENTRY_CAP
+    entries before it is allocated; `what` names it."""
+    if entries > TABLE_ENTRY_CAP:
+        raise CapExceeded(f"{what} needs {entries} entries, above the cap {TABLE_ENTRY_CAP}")
+
+
 def _edge_set(t: Triple, edges: Iterable[Edge],
               s0: int, s1: int, s2: int) -> frozenset[Edge]:
     """The constituent's edges, checked for range and duplicates.
@@ -171,6 +191,9 @@ class ReducedHypergraph:
     whose constituents and tables, the search-only ones included, would
     exceed TABLE_ENTRY_CAP entries are refused with CapExceeded before any
     table is allocated.
+
+    canonical_sha256 is the sha256 of this host's canonical text
+    (fileio.write_host) when the parser already hashed it, else None.
     """
 
     def __init__(self, index_count: int,
@@ -190,11 +213,7 @@ class ReducedHypergraph:
             if (i, j) not in sizes:
                 raise DomainError(f"missing class size for pair ({i}, {j})")
         self._sizes = sizes
-        entries = _table_size(index_count, sizes)
-        if entries > TABLE_ENTRY_CAP:
-            raise CapExceeded(
-                f"host needs {entries} constituent table entries, "
-                f"above the cap {TABLE_ENTRY_CAP}")
+        check_table_size(index_count, sizes)
 
         edge_sets: dict[Triple, frozenset[Edge]] = {}
         for t, edges in constituents.items():
@@ -205,12 +224,23 @@ class ReducedHypergraph:
                 raise DomainError(f"constituent key {t} out of range 1..{index_count}")
             edge_sets[t] = _edge_set(t, edges, sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
 
-        self._constituents: dict[Triple, Constituent] = {}
         empty: frozenset[Edge] = frozenset()
-        for t in itertools.combinations(range(1, index_count + 1), 3):
-            i, j, k = t
-            s = (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
-            self._constituents[t] = Constituent(t, s, edge_sets.get(t, empty))
+        self._constituents: dict[Triple, Constituent] = {
+            (i, j, k): Constituent((sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]),
+                                   edge_sets.get((i, j, k), empty))
+            for i, j, k in itertools.combinations(range(1, index_count + 1), 3)}
+        self.canonical_sha256: str | None = None
+
+    @classmethod
+    def _assemble(cls, index_count: int, sizes: dict[Pair, int],
+                  constituents: dict[Triple, Constituent]) -> "ReducedHypergraph":
+        """A host from parts of a validated host; nothing is checked again."""
+        host = cls.__new__(cls)
+        host._m = index_count
+        host._sizes = sizes
+        host._constituents = constituents
+        host.canonical_sha256 = None
+        return host
 
     @property
     def index_count(self) -> int:
@@ -285,7 +315,9 @@ class ReducedHypergraph:
 
         index_map must be injective; it need not be monotone, so this also
         implements order-reversing relabelings.  Class vertices keep their
-        numbering.
+        numbering.  A triple whose image keeps its index order shares the
+        old Constituent object; every other triple gets a new one, its
+        edges permuted into the new slot order.
         """
         if len(set(index_map)) != len(index_map):
             raise DomainError("index_map must be injective")
@@ -297,18 +329,21 @@ class ReducedHypergraph:
         for x in range(1, t_new + 1):
             for y in range(x + 1, t_new + 1):
                 new_sizes[(x, y)] = self._sizes[sorted_pair(index_map[x - 1], index_map[y - 1])]
-        new_cons: dict[Triple, set[Edge]] = {}
+        new_cons: dict[Triple, Constituent] = {}
         for x, y, z in itertools.combinations(range(1, t_new + 1), 3):
             ox, oy, oz = index_map[x - 1], index_map[y - 1], index_map[z - 1]
-            o = sorted_triple(ox, oy, oz)
-            old = self._constituents[o].edges
-            if not old:
+            if ox < oy < oz:
+                new_cons[(x, y, z)] = self._constituents[(ox, oy, oz)]
                 continue
+            o = sorted_triple(ox, oy, oz)
+            old = self._constituents[o]
             old_slot_pairs = ((o[0], o[1]), (o[0], o[2]), (o[1], o[2]))
             sel = tuple(old_slot_pairs.index(p) for p in
                         (sorted_pair(ox, oy), sorted_pair(ox, oz), sorted_pair(oy, oz)))
-            new_cons[(x, y, z)] = {(e[sel[0]], e[sel[1]], e[sel[2]]) for e in old}
-        return ReducedHypergraph(t_new, new_sizes, new_cons)
+            new_cons[(x, y, z)] = Constituent(
+                (new_sizes[(x, y)], new_sizes[(x, z)], new_sizes[(y, z)]),
+                map(operator.itemgetter(*sel), old.edges))
+        return ReducedHypergraph._assemble(t_new, new_sizes, new_cons)
 
 
 def constituent_density(host: ReducedHypergraph, triple: Triple) -> Fraction:

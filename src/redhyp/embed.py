@@ -340,6 +340,8 @@ class _Engine:
             hit = lam_rec(1)
         except _BudgetExhausted:
             return SearchResult("budget-exhausted", None, None, budget.nodes)
+        finally:
+            del lam_rec  # it refers to itself; unbound, the closure dies at once
         if count_all:
             status = "found" if total > 0 else "not-found"
             return SearchResult(status, None, total, budget.nodes)
@@ -393,7 +395,10 @@ class _Engine:
                     doms[q] = old
             return False
 
-        return assigned if rec() else None
+        try:
+            return assigned if rec() else None
+        finally:
+            del rec  # it refers to itself; unbound, the closure dies at once
 
     def _count_plan(self, mask: int) -> _CountPlan:
         """Compile the plan of the counting search for one assigned-pair mask."""
@@ -480,7 +485,7 @@ class _Engine:
         finally:
             # Out of budget, the count stops where spending node by node would have.
             budget.nodes += min(spent, room + 1)
-            cache.clear()  # rec refers to itself, so the closure dies only in a gc pass
+            del rec  # it refers to itself; unbound, the closure and cache die at once
 
 
 def find_reduced_image(host: ReducedHypergraph, pattern: Pattern,
@@ -574,5 +579,8 @@ def _oracle_count_for_lam(host: ReducedHypergraph, pattern: Pattern,
             if ok:
                 rec(d + 1)
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        del rec  # it refers to itself; unbound, the closure dies at once
     return count

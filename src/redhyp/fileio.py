@@ -15,12 +15,19 @@ Pattern and plain-graph files share one format:
 Blank lines and lines starting with '#' are ignored.  Malformed or
 out-of-range lines raise ParseError with the line number.  Writers emit a
 canonical form: P lines then E lines, each sorted lexicographically.
+
+A host text in exactly that canonical form, as write_host emits it, is
+parsed in bulk, a column at a time, and its digest is the sha256 of the
+input itself.  Any other text, malformed or not, goes through the line
+parser, the only code that words a ParseError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+from collections import Counter
+from operator import le, lt
 
 from .core import Pattern, ReducedHypergraph
 from .errors import ParseError
@@ -66,7 +73,72 @@ def _check_e_line(lineno: int, i: int, j: int, k: int, a: int, b: int, c: int,
                 f"of size {sizes[(x, y)]}")
 
 
+def _parse_canonical(text: str) -> ReducedHypergraph | None:
+    """The host of a text equal to write_host of that host, or None.
+
+    None defers to the line parser, on any failure of any kind.  One
+    split gives the tokens.  Each is followed by exactly one separator
+    when the lengths add up, and the counts of newlines, of spaces and of
+    newlines before each tag then pin every separator to its canonical
+    place.  Numbers are read through a table of the distinct tokens that
+    keeps only canonical decimals.  The P lines must name every pair in
+    order, and the E rows must rise strictly, which also rules out
+    duplicates.  That makes the text canonical; the constructor then
+    checks what makes it a host (index count, class sizes, triples and
+    vertex ranges), and any complaint defers.
+    """
+    if not (text.isascii() and text.startswith("M ") and text.endswith("\n")):
+        return None
+    try:
+        tokens = text.split()
+        if len(text) != len("".join(tokens)) + len(tokens):
+            return None
+        numbers = {}
+        for tok in set(tokens).difference(("M", "P", "E")):
+            v = int(tok)
+            if str(v) != tok:
+                return None
+            numbers[tok] = v
+        num = numbers.__getitem__
+        m = num(tokens[1])
+        n_pairs = m * (m - 1) // 2
+        e0 = 2 + 4 * n_pairs
+        n_edges, rest = divmod(len(tokens) - e0, 7)
+        if (n_edges < 0 or rest
+                or text.count("\n") != 1 + n_pairs + n_edges
+                or text.count(" ") != len(tokens) - 1 - n_pairs - n_edges
+                or text.count("\nP") != n_pairs or text.count("\nE") != n_edges
+                or tokens[2:e0:4] != ["P"] * n_pairs or tokens[e0::7] != ["E"] * n_edges):
+            return None
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        if list(zip(map(num, tokens[3:e0:4]), map(num, tokens[4:e0:4]))) != pairs:
+            return None
+        keys = list(zip(*(map(num, tokens[e0 + x::7]) for x in (1, 2, 3))))
+        if not all(map(le, keys, itertools.islice(keys, 1, None))):
+            return None
+        rows = list(zip(*(map(num, tokens[e0 + x::7]) for x in (4, 5, 6))))
+        cons = {}
+        start = 0
+        for t, count in Counter(keys).items():
+            block = rows[start:start + count]
+            if not all(map(lt, block, itertools.islice(block, 1, None))):
+                return None
+            cons[t] = block
+            start += count
+        host = ReducedHypergraph(m, dict(zip(pairs, map(num, tokens[5:e0:4]))), cons)
+    except Exception:
+        return None
+    host.canonical_sha256 = hashlib.sha256(text.encode()).hexdigest()
+    return host
+
+
 def parse_host(text: str) -> ReducedHypergraph:
+    host = _parse_canonical(text)
+    return _parse_lines(text) if host is None else host
+
+
+def _parse_lines(text: str) -> ReducedHypergraph:
+    """The line parser: any host text, checked line by line."""
     m = None
     sizes: dict[tuple[int, int], int] = {}
     # per triple, checked on its first E line: slot sizes and the edge set
@@ -112,8 +184,9 @@ def parse_host(text: str) -> ReducedHypergraph:
             raise ParseError(lineno, f"unknown line tag {tag!r}")
     if m is None:
         raise ParseError(1, "missing M line")
-    missing = next((p for p in itertools.combinations(range(1, m + 1), 2)
-                    if p not in sizes), None)
+    # pairs generated lazily: combinations() would first copy all m indices
+    missing = next(((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+                    if (i, j) not in sizes), None)
     if missing is not None:
         raise ParseError(1, f"missing P line for pair {missing}")
     return ReducedHypergraph(m, sizes, {t: e[3] for t, e in cons.items()})
@@ -186,7 +259,10 @@ def write_plain3(graph: Plain3Graph) -> str:
 
 
 def host_digest(host: ReducedHypergraph) -> str:
-    """sha256 of the canonical serialization; stable across formatting."""
+    """sha256 of the canonical serialization; stable across formatting.
+    A host parsed from canonical text already carries it."""
+    if host.canonical_sha256 is not None:
+        return host.canonical_sha256
     return hashlib.sha256(write_host(host).encode()).hexdigest()
 
 

@@ -21,6 +21,7 @@ deterministic.  Stage failures are structured results, never crashes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -31,10 +32,6 @@ from .embed import EmbedCertificate, validate_reduced_map
 from .errors import DomainError, RowPreparationError, SelfCheckError
 from .qsystem import (DEFAULT_RAMSEY_EXACT_CAP, CleanResult, QGraphSystem,
                       StageFailure, clean)
-
-
-def _ceil_fraction(x: Fraction) -> int:
-    return -(-x.numerator // x.denominator)
 
 
 def validate_clean_fields(config, rounds: int | None = None) -> None:
@@ -87,7 +84,7 @@ class PipelineConfig:
     def effective_rounds(self) -> int:
         if self.rounds is not None:
             return self.rounds
-        return _ceil_fraction(2 / (self.eps * self.eps)) + 1
+        return math.ceil(2 / (self.eps * self.eps)) + 1
 
 
 @dataclass(frozen=True)

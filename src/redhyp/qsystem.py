@@ -20,6 +20,7 @@ triples from scratch.  Every stage failure is a structured result.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -89,10 +90,6 @@ class QGraphSystem:
     r_star: int | None = None
     to_original: tuple[int, ...] | None = None
 
-    @property
-    def surviving_indices(self) -> tuple[int, ...] | None:
-        return self.to_original
-
     def s_set(self, triple: Triple, r: int) -> frozenset[int]:
         if self.s_sets is None:
             raise DomainError("S-sets are only available after clean()")
@@ -102,26 +99,37 @@ class QGraphSystem:
         return self.s_sets[key]
 
 
-def _ceil(x: Fraction) -> int:
-    return -(-x.numerator // x.denominator)
-
-
 def _ceil_per_size(host: ReducedHypergraph, q: Fraction) -> dict[int, int]:
     """ceil(q * s) for every class size s of the host: the least integer
     count that reaches q * s."""
-    return {s: _ceil(q * s) for s in {host.class_size(*p) for p in host.pairs()}}
+    return {s: math.ceil(q * s) for s in {host.class_size(*p) for p in host.pairs()}}
 
 
-def build_q_graphs(host: ReducedHypergraph, eps) -> QGraphSystem:
-    """Build both Q-graph families for every index triple of the host."""
+def build_q_graphs(host: ReducedHypergraph, eps,
+                   shared_with: QGraphSystem | None = None) -> QGraphSystem:
+    """Build both Q-graph families for every index triple of the host.
+
+    A triple whose Constituent object is also one of shared_with's host
+    keeps that system's graphs, which depend only on the constituent and
+    eps; shared_with must have the same eps.  Graphs are never mutated.
+    """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    known = {}
+    if shared_with is not None:
+        if shared_with.eps != eps:
+            raise DomainError(f"shared Q-graphs were built for eps={shared_with.eps}, not {eps}")
+        known = {con: t for t, con in shared_with.host.constituents.items()}
     need = _ceil_per_size(host, eps * eps)
     q_low: dict[Triple, BipartiteGraph] = {}
     q_high: dict[Triple, BipartiteGraph] = {}
-    for t in host.triples():
-        con = host.constituent(t)
+    for t, con in host.constituents.items():
+        old = known.get(con)
+        if old is not None:
+            q_low[t] = shared_with.q_low[old]
+            q_high[t] = shared_with.q_high[old]
+            continue
         s0, s1, s2 = con.sizes
         q_low[t] = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
         q_high[t] = BipartiteGraph.from_counts(con.comp12, s1, s2, need[s0])
@@ -175,7 +183,7 @@ def color_triples(host: ReducedHypergraph,
 
 def level_cap(delta: Fraction) -> int:
     """Highest S-set level: ceil(1 / (2 delta))."""
-    return _ceil(Fraction(1, 2) / delta)
+    return math.ceil(Fraction(1, 2) / delta)
 
 
 def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem, delta,
@@ -360,7 +368,7 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
         map1 = list(reversed(extraction.subset))  # order reversal turns red into blue
         log.append("relabel reversed order for red subset")
     host2 = host.induced(map1)
-    system2 = build_q_graphs(host2, eps)
+    system2 = build_q_graphs(host2, eps, shared_with=system)
     colors2 = color_triples(host2, system2)
     offenders = sorted(t for t, c in colors2.items() if c != "blue")
     if offenders:
@@ -392,7 +400,7 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
 
     map2 = list(extraction2.subset)
     host3 = host2.induced(map2)
-    system3 = build_q_graphs(host3, eps)
+    system3 = build_q_graphs(host3, eps, shared_with=system2)
     s_sets3 = compute_s_sets(host3, system3, delta)
     to_original = tuple(map1[map2[x - 1] - 1] for x in range(1, host3.index_count + 1))
 

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, report shape, round trips, determinism."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -148,6 +149,46 @@ def test_gen_round_trip(tmp_path):
     assert code == 0 and "digest sha256:" in text
     host = parse_host(out.read_text())
     assert write_host(host) == out.read_text()
+
+
+@pytest.mark.parametrize("kind_args", [
+    ["--kind", "random", "--m", "5", "--class-size", "3", "--d", "1/2", "--seed", "9"],
+    ["--kind", "orientation", "--m", "5"],
+    ["--kind", "blowup", "--t", "2"],
+    ["--kind", "tournament3", "--n", "7", "--seed", "3"],
+])
+def test_gen_digest_is_the_sha256_of_the_file(tmp_path, orientation_file, kind_args):
+    if "blowup" in kind_args:
+        kind_args = kind_args + ["--host", orientation_file]
+    out = tmp_path / "out.txt"
+    code, text = run(["gen", *kind_args, "--out", str(out), "--deterministic"])
+    assert code == 0
+    assert f"digest sha256:{hashlib.sha256(out.read_bytes()).hexdigest()}\n" in text
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--kind", "random", "--m", "8", "--class-size", "100", "--d", "1"],
+     "the host's edge list needs 56000000 entries, above the cap 10000000"),
+    (["--kind", "random", "--m", "3", "--class-size", "300", "--d", "0"],
+     "the sampling pool needs 27000000 entries, above the cap 10000000"),
+    (["--kind", "random", "--m", "3", "--class-size", "5000", "--d", "0"],
+     "host needs 75030004 constituent table entries, above the cap 10000000"),
+    (["--kind", "random", "--m", "1000000", "--d", "1/2"],
+     "a host on 1000000 indices needs 666664666668000000 entries, above the cap 10000000"),
+    (["--kind", "orientation", "--m", "400"],
+     "a host on 400 indices needs 42347200 entries, above the cap 10000000"),
+    (["--kind", "tournament3", "--n", "100000"],
+     "a 3-graph on 100000 vertices needs 166661666700000 entries, above the cap 10000000"),
+])
+def test_gen_refuses_oversized_requests_before_allocating(argv, message):
+    assert run(["gen", *argv]) == (2, f"error cap-exceeded: {message}\n")
+
+
+def test_gen_blowup_refuses_an_oversized_edge_list(orientation_file):
+    # 4 triples of 2 edges, each lifted to 200^3 copies
+    assert run(["gen", "--kind", "blowup", "--host", orientation_file, "--t", "200"]) == \
+        (2, "error cap-exceeded: the host's edge list needs 64000000 entries, "
+            "above the cap 10000000\n")
 
 
 def test_gen_blowup_and_tournament(tmp_path, orientation_file):

@@ -233,3 +233,45 @@ def test_induced_reversal_matches_by_hand():
     h = ReducedHypergraph.with_uniform_classes(4, 2, cons)
     g = h.induced([3, 2, 1])
     assert g.edges((1, 2, 3)) == frozenset({(1, 1, 0)})
+
+
+def _induced_from_scratch(host, index_map):
+    """host.induced(index_map) rebuilt through the validating constructor:
+    each edge is read as {class pair: vertex} and written in the new slots."""
+    n = len(index_map)
+    sizes = {(x, y): host.class_size(index_map[x - 1], index_map[y - 1])
+             for x, y in itertools.combinations(range(1, n + 1), 2)}
+    cons = {}
+    for x, y, z in itertools.combinations(range(1, n + 1), 3):
+        ox, oy, oz = index_map[x - 1], index_map[y - 1], index_map[z - 1]
+        i, j, k = sorted_triple(ox, oy, oz)
+        cons[(x, y, z)] = [
+            (by_pair[sorted_pair(ox, oy)], by_pair[sorted_pair(ox, oz)],
+             by_pair[sorted_pair(oy, oz)])
+            for by_pair in ({(i, j): a, (i, k): b, (j, k): c}
+                            for a, b, c in host.edges((i, j, k)))]
+    return ReducedHypergraph(n, sizes, cons)
+
+
+@pytest.mark.parametrize("index_map", [
+    [1, 2, 3, 4, 5, 6], [2, 3, 5, 6], [6, 5, 4, 3, 2, 1], [5, 3, 2],
+    [3, 1, 6, 2, 5], [4, 6, 1, 2]])
+def test_induced_matches_a_fresh_host_and_shares_kept_triples(index_map):
+    rng = random.Random(11)
+    sizes = {p: rng.randint(1, 4) for p in itertools.combinations(range(1, 7), 2)}
+    cons = {(i, j, k): {(rng.randrange(sizes[(i, j)]), rng.randrange(sizes[(i, k)]),
+                         rng.randrange(sizes[(j, k)])) for _ in range(rng.randint(0, 9))}
+            for i, j, k in itertools.combinations(range(1, 7), 3)}
+    host = ReducedHypergraph(6, sizes, cons)
+    got = host.induced(index_map)
+    want = _induced_from_scratch(host, index_map)
+    assert got == want
+    for t in got.triples():
+        g, w = got.constituent(t), want.constituent(t)
+        assert (g.sizes, g.edges, g.comp01, g.comp12) == (w.sizes, w.edges, w.comp01, w.comp12)
+        images = [index_map[x - 1] for x in t]
+        # shared exactly where the order is kept: always, for a monotone map
+        assert (g is host.constituent(images)) == (images == sorted(images))
+        g.ensure_search_tables()
+        w.ensure_search_tables()
+        assert (g.fwd, g.occupied) == (w.fwd, w.occupied)

@@ -1,19 +1,21 @@
 """Text format tests: round trips, canonical order, line-numbered errors."""
 
+import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redhyp import CapExceeded, ParseError, ReducedHypergraph, random_box_dense
-from redhyp import core
+from redhyp import core, fileio
 from redhyp.cli import dispatch
 from redhyp.constructions import cyclic_triple_3graph, random_tournament
 from redhyp.core import pattern_catalog
-from redhyp.fileio import (parse_host, parse_pattern, parse_plain3, write_host,
-                           write_pattern, write_plain3)
+from redhyp.fileio import (host_digest, parse_host, parse_pattern, parse_plain3,
+                           write_host, write_pattern, write_plain3)
 
 
 def test_host_round_trip_canonical():
@@ -195,6 +197,140 @@ def _hosts(draw):
 @given(_hosts())
 def test_host_round_trip_generated(host):
     assert parse_host(write_host(host)) == host
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_hosts())
+def test_canonical_text_is_parsed_in_bulk_and_hashed(host):
+    text = write_host(host)
+    bulk = fileio._parse_canonical(text)
+    assert bulk is not None and bulk == host == fileio._parse_lines(text)
+    assert host_digest(bulk) == bulk.canonical_sha256 == hashlib.sha256(text.encode()).hexdigest()
+    assert host_digest(host) == bulk.canonical_sha256  # serialised, not parsed
+
+
+def test_generated_hosts_are_parsed_in_bulk():
+    rng = random.Random(5)
+    hosts = [random_box_dense(rng.randint(2, 8), rng.randint(1, 12),
+                              Fraction(rng.randint(0, 10), 10), seed=rng.randint(0, 99))
+             for _ in range(30)]
+    hosts.append(random_box_dense(12, 6, Fraction(9, 10), seed=0))
+    for host in hosts:
+        assert fileio._parse_canonical(write_host(host)) == host
+
+
+# Characters that canonical text may or may not contain, each a way to break it.
+_NOISE = "0123456789 \n\t\r\x0b\x1cMPE#-+_x\u0663\u00a0"
+
+
+def _non_canonical_number(draw, token):
+    return draw(st.sampled_from(["0" + token, "+" + token, "-" + token, token + "_0",
+                                 token[:1] + "_" + token[1:], " " + token,
+                                 "\u0663", token + ".0", str(int(token) + 10 ** 6)]))
+
+
+@st.composite
+def _mutated_texts(draw):
+    lines = write_host(draw(_hosts())).splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["char", "duplicate", "swap", "drop", "number"]))
+        n = len(lines)
+        at = draw(st.integers(0, n - 1))
+        if kind == "duplicate":
+            lines.insert(at, lines[at])
+        elif kind == "swap":
+            other = draw(st.integers(0, n - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif kind == "drop" and n > 1:
+            del lines[at]
+        elif kind == "number":
+            tokens = lines[at].split()
+            slots = [x for x, tok in enumerate(tokens) if tok.isdigit()]
+            if slots:
+                slot = draw(st.sampled_from(slots))
+                tokens[slot] = _non_canonical_number(draw, tokens[slot])
+                lines[at] = " ".join(tokens) + "\n"
+        else:
+            text = "".join(lines)
+            pos = draw(st.integers(0, len(text)))
+            edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+            char = draw(st.sampled_from(_NOISE))
+            if edit == "insert":
+                text = text[:pos] + char + text[pos:]
+            elif edit == "delete":
+                text = text[:pos] + text[pos + 1:]
+            else:
+                text = text[:pos] + char + text[pos + 1:]
+            lines = text.splitlines(keepends=True) or [""]
+    return "".join(lines)
+
+
+def _line_parse(text):
+    try:
+        return fileio._parse_lines(text)
+    except (ParseError, CapExceeded) as exc:
+        return exc
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_mutated_texts())
+def test_bulk_parser_defers_or_agrees_with_the_line_parser(text):
+    bulk = fileio._parse_canonical(text)
+    if bulk is not None:
+        assert text == write_host(bulk)
+        assert bulk == _line_parse(text)
+        assert bulk.canonical_sha256 == hashlib.sha256(text.encode()).hexdigest()
+    # parse_host answers exactly as the line parser does, error text included
+    try:
+        got = parse_host(text)
+    except (ParseError, CapExceeded) as exc:
+        got = exc
+    want = _line_parse(text)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("text", [
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 0",       # no final newline
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 0\n\n",   # blank line
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 00\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 +0\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0  0 0\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0\t0\n",
+    "M 3\r\nP 1 2 1\r\nP 1 3 1\r\nP 2 3 1\r\n",
+    "M 3\nP 1 2 1\nP 1 3 1 P 2 3 1\n\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 \u0660\n",
+    "M 3\nP 1 2 2\nP 1 3 1\nP 2 3 1\nE 1 2 3 1 0 0\nE 1 2 3 0 0 0\n",  # unsorted
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 0\nE 1 2 3 0 0 0\n",  # duplicate
+    "M 3\nP 1 3 1\nP 1 2 1\nP 2 3 1\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 3 2 0 0 0\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 1 0\n",   # vertex out of range
+    "M 3\nP 1 2 0\nP 1 3 1\nP 2 3 1\n",
+    "M 1\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 -0\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 -1\n",
+    "M 4\nP 1 2 1\nP 1 3 1\nP 1 4 1\nP 2 3 1\nP 2 4 1\nP 3 4 1\n"
+    "E 1 2 4 0 0 0\nE 1 2 3 0 0 0\n",                           # triples unsorted
+    "M 3\nP 1 2 1 P\n1 3 1\nP 2 3 1\n",                        # separators moved
+    "M 3\nP 1 2 2\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 0 E\n1 2 3 1 0 0\n",
+])
+def test_bulk_parser_defers_on_non_canonical_text(text):
+    assert fileio._parse_canonical(text) is None
+
+
+def test_absurd_index_count_is_refused_without_allocating():
+    tracemalloc.start()
+    try:
+        for text in ("M 1000000\n", "M 10000000000000\n"):
+            with pytest.raises(ParseError) as err:
+                parse_host(text)
+            assert str(err.value) == "line 1: missing P line for pair (1, 2)"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @st.composite

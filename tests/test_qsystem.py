@@ -12,6 +12,7 @@ from redhyp import (DomainError, PipelineConfig, ReducedHypergraph,
                     compute_s_sets, level_coloring, ramsey_extract,
                     random_box_dense)
 from redhyp.constructions import orientation_reduced
+from redhyp import qsystem
 from redhyp.qsystem import level_cap, verify_star
 
 
@@ -369,3 +370,51 @@ def test_thresholds_exactly_on_an_integer():
     # blue bound: 4 * 3^2 = 36 >= (1/4 + 1/4) * 4^2 * 4 = 32
     assert color_triples(host, system) == {(1, 2, 3): "blue"}
     assert verify_star(host, system, Fraction(1, 4), s_sets, 1) is None
+
+
+@pytest.mark.parametrize("index_map", [[1, 2, 3, 4, 5, 6], [1, 3, 4, 6],
+                                       [6, 5, 4, 3, 2, 1], [2, 6, 1, 4, 3]])
+def test_shared_q_graphs_equal_fresh_ones(index_map):
+    host = random_box_dense(6, 3, Fraction(1, 2), seed=4)
+    eps = Fraction(1, 3)
+    system = build_q_graphs(host, eps)
+    sub = host.induced(index_map)
+    shared = build_q_graphs(sub, eps, shared_with=system)
+    fresh = build_q_graphs(sub, eps)
+    assert (shared.q_low, shared.q_high) == (fresh.q_low, fresh.q_high)
+    for t in sub.triples():
+        images = [index_map[x - 1] for x in t]
+        kept = images == sorted(images)
+        old = tuple(sorted(images))
+        assert (shared.q_low[t] is system.q_low[old]) == kept
+        assert (shared.q_high[t] is system.q_high[old]) == kept
+    with pytest.raises(DomainError):
+        build_q_graphs(sub, Fraction(1, 4), shared_with=system)
+
+
+@pytest.mark.parametrize("m,p,d,seed,eps,delta,t1,t2", [
+    (12, 6, "9/10", 0, "1/10", "1/20", 8, 5),      # blue subset, star verified
+    (5, 2, "1/2", 0, "9/10", "1/2", 5, 5),         # red subset, relabeled reversed
+    (7, 2, "3/4", 0, "1/2", "1/4", 7, 7),
+    (8, 4, "3/4", 3, "3/5", "1/3", 8, 8),
+])
+def test_clean_q_graphs_equal_fresh_ones(monkeypatch, m, p, d, seed, eps, delta, t1, t2):
+    built = []
+
+    def record(host, eps, shared_with=None):
+        system = build(host, eps, shared_with=shared_with)
+        built.append(system)
+        return system
+
+    build = qsystem.build_q_graphs
+    monkeypatch.setattr(qsystem, "build_q_graphs", record)
+    host = random_box_dense(m, p, Fraction(d), seed=seed)
+    config = PipelineConfig(eps=Fraction(eps), delta=Fraction(delta),
+                            ramsey_target_1=t1, ramsey_target_2=t2)
+    result = clean(host, config)
+    assert len(built) >= 2
+    for system in built:
+        fresh = build(system.host, system.eps)
+        assert (system.q_low, system.q_high) == (fresh.q_low, fresh.q_high)
+    if result.ok:
+        assert result.system is built[-1]
