@@ -8,15 +8,24 @@ domains through the host's link bitsets.  "not-found" is only reported
 after complete refutation; running out of node budget is a distinct
 outcome.
 
-Nothing that depends on the pattern alone is worked out per index map.
-An edge's slot layout in its constituent depends only on the order of
-its three index values, so each edge's six layouts are compiled once per
-pattern.  When an edge becomes index-complete, its constituent is looked
-up and its pruning entries are resolved against that constituent's
-tables: each of the edge's pairs gets one flat tuple naming the other
-two pairs, their completion tables with the operand order, and the
-projection tables.  The class-vertex stage then reads those entries and
-does no slot arithmetic.
+Each class-vertex problem is searched once per run.  With the index map
+complete, the class-vertex stage depends only on each pattern edge's
+relation: its constituent's edges with the slots put in the order of the
+edge's pairs uv, uw, vw.  Which slot a pair takes depends only on the
+order of the edge's three index values (one of six layouts), so the
+relation is the constituent's value (sizes and edges) read through a
+layout.  A run numbers the relations in order of first use; the index
+stage finds an edge's number with one lookup of its ordered index triple,
+and a complete index map's leaf key is the tuple of its edges' numbers.
+The first leaf with a key resolves the pruning entries and initial
+domains, searches, and stores its count and node total.  A later leaf
+with that key adds the count and spends the nodes in one step, stopping
+at exactly limit + 1 when the budget runs out, as spending them node by
+node would.  The first-hit search stores a failed leaf with count 0; a
+successful leaf ends the search, so the first hit and its certificate
+are unchanged.  The table of searched leaves stops taking entries at
+LEAF_TABLE_CAP, so its memory does not grow with the length of a run;
+the other tables hold at most one entry per ordered index triple.
 
 Counting (count_all) caches subtree results within one index map.  The
 state of a subtree is the set of assigned pairs plus the values of the
@@ -46,6 +55,8 @@ from .errors import (CapExceeded, DanglingReferenceError, DomainError,
                      SelfCheckError)
 
 DEFAULT_ORACLE_CAP = 10 ** 9
+# A run's table of searched leaves stops taking entries at this size.
+LEAF_TABLE_CAP = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -147,6 +158,14 @@ class _BudgetTracker:
         if self.limit is not None and self.nodes > self.limit:
             raise _BudgetExhausted
 
+    def spend_many(self, k: int) -> None:
+        """Spend k nodes at once; out of budget, stop where spending them
+        one by one would have."""
+        self.nodes += k
+        if self.limit is not None and self.nodes > self.limit:
+            self.nodes = self.limit + 1
+            raise _BudgetExhausted
+
 
 def _edge_layout(a: int, b: int, c: int) -> tuple[Triple, int]:
     """The sorted triple of distinct indices a, b, c, and the index into
@@ -169,6 +188,9 @@ def _edge_layout(a: int, b: int, c: int) -> tuple[Triple, int]:
 # slot is 2 minus the rank, within the sorted triple, of the edge's third
 # index: slot 0 is (t0, t1), slot 1 is (t0, t2), slot 2 is (t1, t2).
 _SLOTS = ((0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1), (1, 2, 0), (2, 1, 0))
+# For the pairs uv, uw, vw of an edge: the pair's place and the places of the
+# edge's other two pairs.
+_OTHERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def _propagate(entries, val: int, doms: list[int],
@@ -261,22 +283,17 @@ class _Engine:
         self.distinct_before: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in self.pairs:
             self.distinct_before[v].append(u)
-        # lam_sched[w]: the edges (u, v, w, layouts) with u < v < w, which
-        # become index-complete once w is assigned.  layouts[L] holds, for each
-        # pair p of the edge, (p, q, r, sp, sq, sr, k): q and r the edge's other
-        # pairs, s* the slots of p, q, r when the indices come in order L, and
-        # k the edge's place among p's edges.
-        self.lam_sched: list[list[tuple]] = [[] for _ in range(self.n + 1)]
+        # lam_sched[w]: the edges (u, v, ei) with u < v < w, ei the edge's
+        # place in sorted order, which become index-complete once w is assigned
+        self.lam_sched: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n + 1)]
+        # edge_pairs[ei]: for the pairs uv, uw, vw of edge ei, (p, (q, r), k):
+        # q and r the edge's other pairs and k the edge's place among p's edges
+        self.edge_pairs: list[tuple[tuple[int, tuple[int, int], int], ...]] = []
         for ei, (e, pidx) in enumerate(zip(edges, pidxs)):
-            layouts = []
-            for slots in _SLOTS:
-                layout = []
-                for j, p in enumerate(pidx):
-                    q, r = (x for x in range(3) if x != j)
-                    layout.append((p, pidx[q], pidx[r], slots[j], slots[q], slots[r],
-                                   self.pair_edges[p].index(ei)))
-                layouts.append(tuple(layout))
-            self.lam_sched[max(e)].append((*e, tuple(layouts)))
+            self.edge_pairs.append(tuple(
+                (pidx[p], (pidx[q], pidx[r]), self.pair_edges[pidx[p]].index(ei))
+                for p, q, r in _OTHERS))
+            self.lam_sched[e[2]].append((e[0], e[1], ei))
 
     def run(self, budget: _BudgetTracker, count_all: bool) -> SearchResult:
         n = self.n
@@ -286,51 +303,91 @@ class _Engine:
 
         host = self.host
         M = host.index_count
+        S = M + 1
         cons = host.constituents
         distinct_before = self.distinct_before
         lam_sched = self.lam_sched
-        # props[p][k]: pair p's pruning entry for its k-th edge (see _propagate),
-        # written when the edge becomes index-complete
-        props: list[list[tuple | None]] = [[None] * len(es) for es in self.pair_edges]
-        # doms[u]: the class-vertex domains allowed by the edges complete at
-        # level u, -1 for a pair in none of them
-        doms = [[-1] * len(self.pairs) for _ in range(n + 1)]
+        # code[ei]: the relation class of edge ei, written when the edge
+        # becomes index-complete; the tuple of codes is the leaf's key
+        code = [0] * len(self.edge_pairs)
+        # (a*S + b)*S + c for the indices a, b, c of an edge's vertices in
+        # order -> the edge's relation class, or -1 when its constituent is empty
+        codes: dict[int, int] = {}
+        # relation -> its class, numbered in order of first use
+        classes: dict[tuple, int] = {}
+        # parts[class]: per pair uv, uw, vw of an edge with that relation,
+        # (the tail of its pruning entry, its occupied vertices)
+        parts: list[tuple[tuple[tuple, int], ...]] = []
+        # leaf key -> (count, nodes) of its class-vertex search; in find, only
+        # failed searches are stored, with count 0
+        leaves: dict[tuple[int, ...], tuple[int, int]] = {}
+
+        def edge_code(key: int) -> int:
+            rest, k = divmod(key, S)
+            i, j = divmod(rest, S)
+            t, order = _edge_layout(i, j, k)
+            con = cons[t]
+            if not con.edges:
+                ec = -1
+            else:
+                x, y, z = slots = _SLOTS[order]
+                sizes = con.sizes
+                sy, sz = sizes[y], sizes[z]
+                relation = (sizes[x], sy, sz, tuple(sorted(
+                    [(e[x] * sy + e[y]) * sz + e[z] for e in con.edges])))
+                ec = classes.get(relation)
+                if ec is None:
+                    ec = classes[relation] = len(parts)
+                    con.ensure_search_tables()
+                    fwd, occupied = con.fwd, con.occupied
+                    parts.append(tuple(
+                        (fwd[slots[p]][slots[q]] + fwd[slots[p]][slots[r]], occupied[slots[p]])
+                        for p, q, r in _OTHERS))
+            codes[key] = ec
+            return ec
 
         def lam_rec(u: int) -> bool:
             nonlocal total
             if u > n:
-                if 0 in doms[n]:
+                key = tuple(code)
+                seen = leaves.get(key)
+                if seen is not None:
+                    budget.spend_many(seen[1])
+                    total += seen[0]
                     return False
-                if count_all:
-                    total += self._phi_count(props, doms[n][:], budget)
-                    return False
-                phi = self._phi_find(props, doms[n][:], budget)
-                if phi is not None:
-                    found_cert.append(self._reduced_map(lam, phi))
-                    return True
+                before = budget.nodes
+                props, doms = self._resolve(code, parts)
+                if 0 in doms:
+                    count = 0
+                elif count_all:
+                    count = self._phi_count(props, doms, budget)
+                else:
+                    phi = self._phi_find(props, doms, budget)
+                    if phi is not None:
+                        found_cert.append(self._reduced_map(lam, phi))
+                        return True
+                    count = 0
+                if len(leaves) < LEAF_TABLE_CAP:
+                    leaves[key] = (count, budget.nodes - before)
+                total += count
                 return False
             banned = 0
             for v in distinct_before[u]:
                 banned |= 1 << lam[v]
-            above, here = doms[u - 1], doms[u]
-            sched = lam_sched[u]
+            # each edge completed at u, with its key less the last index
+            heads = [((lam[x] * S + lam[y]) * S, ei) for x, y, ei in lam_sched[u]]
             for i in range(1, M + 1):
                 budget.spend()
                 if banned >> i & 1:
                     continue
                 lam[u] = i
-                here[:] = above
-                for x, y, z, layouts in sched:
-                    t, order = _edge_layout(lam[x], lam[y], lam[z])
-                    con = cons[t]
-                    if not con.edges:
+                for head, ei in heads:
+                    ec = codes.get(head + i)
+                    if ec is None:
+                        ec = edge_code(head + i)
+                    if ec < 0:
                         break
-                    if con.fwd is None:
-                        con.ensure_search_tables()
-                    fwd, occupied = con.fwd, con.occupied
-                    for p, q, r, sp, sq, sr, k in layouts[order]:
-                        props[p][k] = (q, r) + fwd[sp][sq] + fwd[sp][sr]
-                        here[p] &= occupied[sp]
+                    code[ei] = ec
                 else:  # no edge's constituent is empty
                     if lam_rec(u + 1):
                         return True
@@ -353,6 +410,17 @@ class _Engine:
             cert = EmbedCertificate(rmap, self.pattern, nodes=budget.nodes)
             return SearchResult("found", cert, None, budget.nodes)
         return SearchResult("not-found", None, None, budget.nodes)
+
+    def _resolve(self, code: list[int], parts: list) -> tuple[list, list[int]]:
+        """The pruning entries (see _propagate) and initial domains of the
+        class-vertex problem whose edges have the relation classes code."""
+        props: list[list[tuple]] = [[None] * len(es) for es in self.pair_edges]
+        doms = [-1] * len(self.pairs)
+        for pairs, ec in zip(self.edge_pairs, code):
+            for (p, qr, k), (tail, occupied) in zip(pairs, parts[ec]):
+                props[p][k] = qr + tail
+                doms[p] &= occupied
+        return props, doms
 
     def _reduced_map(self, lam: list[int], phi: list[int]) -> ReducedMap:
         return ReducedMap(

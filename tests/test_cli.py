@@ -3,14 +3,18 @@
 import hashlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redhyp import (Plain3Graph, cyclic_triple_3graph, pattern_catalog, pipeline,
-                    random_tournament, validate_reduced_map)
-from redhyp.cli import (dispatch, parse_certificate, parse_fraction,
-                        parse_glued)
-from redhyp.fileio import parse_host, write_host, write_plain3
+from redhyp import (Plain3Graph, cyclic_triple_3graph, find_reduced_image,
+                    pattern_catalog, pipeline, random_box_dense, random_tournament,
+                    validate_reduced_map)
+from redhyp.cli import (certificate_lines, dispatch, parse_certificate,
+                        parse_fraction, parse_glued)
+from redhyp.fileio import parse_host, write_host, write_pattern, write_plain3
 from redhyp.embed import Violation
 from redhyp.glue import validate_glued
 from redhyp.errors import DomainError, ParseError
@@ -423,3 +427,181 @@ def test_parse_glued_needs_the_six_role_pairs():
             parse_glued(text)
     assert parse_glued(_GLUED).alpha == {(1, 2): 0, (1, 3): 0, (1, 4): 0,
                                          (2, 3): 0, (2, 4): 0, (3, 4): 0}
+
+
+# -- the exit-code contract on generated command lines ----------------------
+#
+# Command lines come from the documented grammar (build_parser): every
+# command, its options present or dropped, values valid or not, and files
+# valid, mutated, missing or a directory.  Searches that a mutated pattern
+# could make exponential always carry a small --budget or --cap.
+
+FRACTION = (["1/2", "3/4", "9/10", "7/10", "1/4", "1"], ["0", "-1/2", "0.5", "x", "1/0", ""])
+EPS = (["1/2", "7/10", "9/10"], ["1", "0", "0.5", "x", ""])
+DELTA = (["1/4", "1/10"], ["1", "0", "1/0", "x", ""])
+SMALL_INT = (["1", "2", "3"], ["-1", "0", "x"])
+MIN_FINAL = (["3", "4"], ["2", "x"])
+M_VALUE = (["3", "5", "9"], ["-1", "0", "x"])
+ONE_IN_TEN = st.sampled_from([True] * 9 + [False])  # False one time in ten
+JUNK_LINES = ["", "# note", "E 1 2 3 0 0 0", "P 1 2 0", "M 1", "V -1", "T 1 1 2", "Q 7"]
+
+
+@st.composite
+def mutated(draw, text):
+    """text after one to three line or character edits."""
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.splitlines(keepends=True) or [""]
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "char", "cut", "junk"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "junk":
+            lines.insert(i, draw(st.sampled_from(JUNK_LINES)) + "\n")
+        text = "".join(lines)
+        if edit == "char" and text:
+            k = draw(st.integers(0, len(text) - 1))
+            text = text[:k] + draw(st.sampled_from(" \t\n0123456789-xEPMVT")) + text[k + 1:]
+        elif edit == "cut":
+            text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def grammar_files(tmp_path_factory):
+    """Valid inputs, and paths for the mutated copies and other targets."""
+    root = tmp_path_factory.mktemp("grammar")
+    texts = {
+        "host": write_host(random_box_dense(5, 2, Fraction(3, 4), seed=1)),
+        "complete": write_host(random_box_dense(9, 1, 1, seed=0)),
+        "pattern": write_pattern(pattern_catalog("Fstar")),
+        "graph": write_plain3(cyclic_triple_3graph(random_tournament(7, 0))),
+    }
+    paths = {"dir": str(root), "missing": str(root / "missing"),
+             "report": str(root / "report.txt"), "out": str(root / "out.txt")}
+    for kind, text in texts.items():
+        (root / f"{kind}.txt").write_text(text)
+        paths[kind] = str(root / f"{kind}.txt")
+        paths[f"mutated-{kind}"] = str(root / f"mutated-{kind}.txt")
+    return root, texts, paths
+
+
+def _file(kind):
+    valid = ["host", "complete"] if kind == "host" else [kind]
+    return valid, [f"mutated-{kind}", "missing", "dir"]
+
+
+# command -> [(option, (valid values, invalid values) or None for a flag,
+# required)]; file values are keys of grammar_files' paths.
+GRAMMAR = {
+    "density": [("--host", _file("host"), True), ("--d", FRACTION, True)],
+    "find": [("--host", _file("host"), True),
+             ("--pattern", (["Fstar", "K4", "single_edge", "pattern"],
+                            ["nope", "mutated-pattern", "missing"]), True),
+             ("--budget", (["1", "50", "5000"], ["0", "-1", "x"]), True),
+             ("--count-all", None, False)],
+    "oracle": [("--host", _file("host"), True),
+               ("--pattern", (["K4minus", "pattern"], ["mutated-pattern"]), True),
+               ("--cap", (["100", "100000"], ["-1", "0", "x"]), True)],
+    "pipeline": [("--host", _file("host"), True), ("--eps", EPS, True),
+                 ("--delta", DELTA, True), ("--rounds", (["2", "3", "4"], ["0", "x"]), False),
+                 ("--m-star", M_VALUE, False), ("--m", M_VALUE, False),
+                 ("--min-final", MIN_FINAL, False), ("--trace", (["out"], ["dir"]), False)],
+    "glue": [("--host", _file("host"), True), ("--eps", EPS, True),
+             ("--delta", DELTA, True),
+             ("--ladder", (["3,2", "2,1", "3,1"], ["2,3", "x", ""]), True),
+             ("--m-star", M_VALUE, False), ("--m", M_VALUE, False),
+             ("--min-final", MIN_FINAL, False), ("--trace", (["out"], ["dir"]), False)],
+    "glue-oracle": [("--host", _file("host"), True),
+                    ("--cap", (["100", "100000"], ["0", "x"]), True)],
+    "gen": [("--kind", (["random", "orientation", "blowup", "tournament3"], ["nope"]), True),
+            ("--m", (["3", "4", "5"], ["-1", "0", "x"]), False),
+            ("--class-size", SMALL_INT, False), ("--d", FRACTION, False),
+            ("--seed", SMALL_INT, False), ("--n", (["3", "6"], ["-1", "0", "x"]), False),
+            ("--host", _file("host"), False), ("--t", SMALL_INT, False),
+            ("--out", (["out", "-"], ["dir"]), False)],
+    "audit": [("--graph", _file("graph"), True), ("--d", FRACTION, True),
+              ("--eta", FRACTION, True), ("--exhaustive", None, False),
+              ("--samples", (["0", "1", "3"], ["-1", "x"]), False),
+              ("--seed", SMALL_INT, False),
+              ("--sizes", (["3,4", "3", "5,6"], ["0,2", "99", "x", ""]), False),
+              ("--cap", (["3", "8", "12"], ["-1", "0"]), True)],
+}
+COMMON = [("--report", (["report"], ["dir"]), False), ("--deterministic", None, False),
+          ("--threads", (["1", "2"], ["0", "-1", "x"]), False)]
+
+
+@st.composite
+def command_lines(draw, texts):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    for option, values, required in GRAMMAR[command] + COMMON:
+        # A required option is dropped now and then, to test the usage error,
+        # except for the limits that keep a search small.
+        keep = st.sampled_from([True] * 19 + [False]) if required else st.booleans()
+        if option not in ("--budget", "--cap") and not draw(keep):
+            continue
+        argv.append(option)
+        if values is not None:
+            valid, invalid = values
+            # One value in ten is invalid.
+            argv.append(draw(st.sampled_from(valid if draw(ONE_IN_TEN) else invalid)))
+    if not draw(ONE_IN_TEN):
+        argv.append("--bogus")
+    kind = "graph" if command == "audit" else \
+        "pattern" if command in ("find", "oracle") and draw(st.booleans()) else "host"
+    return argv, kind, draw(mutated(texts[kind]))
+
+
+def _written_to_file(argv):
+    """Whether a gen command line names an output file other than stdout."""
+    return "--out" in argv[:-1] and argv[argv.index("--out") + 1] != "-"
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_dispatch_keeps_the_exit_code_contract(grammar_files, data):
+    root, texts, paths = grammar_files
+    argv, kind, text = data.draw(command_lines(texts))
+    (root / f"mutated-{kind}.txt").write_text(text)
+    report = root / "report.txt"
+    report.unlink(missing_ok=True)
+    argv = [paths.get(a, a) for a in argv]
+    code, out = dispatch(argv)  # must not raise
+    assert code in (0, 1, 2, 3, 4), (argv, out)
+    if out == "" and report.exists():
+        out = report.read_text()
+    lines = out.splitlines()
+    # An error is one line; after a usage error, argparse's usage text follows it.
+    error = bool(lines) and lines[0].startswith("error ") and \
+        (len(lines) == 1 or lines[1].startswith("usage: "))
+    if code in (3, 4):
+        assert error, (argv, out)
+    elif code == 2:
+        # Out of resources: a refusal, or a search report whose budget ran out.
+        assert (error and lines[0].startswith("error cap-exceeded: ")) or \
+            ("outcome budget-exhausted" in lines and lines[-1] == "exit 2"), (argv, out)
+    elif argv[0] != "gen" or _written_to_file(argv):
+        # Everything but a generated file on stdout is a report.
+        assert lines[-1] == f"exit {code}", (argv, out)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_certificate_files_parse_and_validate_or_raise_input_errors(data):
+    host = random_box_dense(5, 1, 1, seed=0)
+    certificate = find_reduced_image(host, pattern_catalog("Fstar")).certificate
+    reduced = data.draw(st.booleans())
+    text = data.draw(mutated("\n".join(certificate_lines(certificate.rmap)) + "\n"
+                             if reduced else _GLUED))
+    try:
+        if reduced:
+            validate_reduced_map(host, pattern_catalog("Fstar"), parse_certificate(text))
+        else:
+            validate_glued(host, parse_glued(text))
+    except (ParseError, DomainError):
+        pass

@@ -1,6 +1,7 @@
 """Embedding tests: validator conditions, engine/oracle agreement,
 certificates, budgets, and monotonicity."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redhyp import (CapExceeded, DanglingReferenceError, DomainError, Pattern,
-                    ReducedHypergraph, ReducedMap, blow_up, exhaustive_oracle,
-                    find_reduced_image, pattern_catalog, random_box_dense,
-                    validate_reduced_map)
+                    ReducedHypergraph, ReducedMap, blow_up, embed,
+                    exhaustive_oracle, find_reduced_image, pattern_catalog,
+                    random_box_dense, validate_reduced_map)
 from redhyp.constructions import orientation_reduced
 from redhyp.core import sorted_pair
 from redhyp.embed import _SLOTS, _edge_layout
@@ -34,10 +35,10 @@ def mixed_host(m, sizes, d, seed):
     return ReducedHypergraph(m, sizes, cons)
 
 
-def seeded_mixed_host(m, d, seed):
-    """mixed_host with class sizes in 1..3 drawn from the same seed."""
+def seeded_mixed_host(m, d, seed, max_size=3):
+    """mixed_host with class sizes in 1..max_size drawn from the same seed."""
     rng = random.Random(seed)
-    sizes = {p: rng.randint(1, 3) for p in itertools.combinations(range(1, m + 1), 2)}
+    sizes = {p: rng.randint(1, max_size) for p in itertools.combinations(range(1, m + 1), 2)}
     return mixed_host(m, sizes, d, seed=rng.randrange(10 ** 6))
 
 
@@ -196,6 +197,11 @@ COUNT_ALL_PINS = {
                    "K4minus": ("found", 558, 2311),
                    "K4": ("found", 144, 2150),
                    "Fstar": ("found", 808, 5115)},
+    # Classes of 1 and 2, nearly full: most leaves repeat an earlier one.
+    "mixed5d9/10c2": {"single_edge": ("found", 138, 268),
+                      "K4minus": ("found", 528, 1000),
+                      "K4": ("found", 480, 1172),
+                      "Fstar": ("found", 1264, 2006)},
 }
 # (status, nodes, certificate) of the first-hit search on the same hosts;
 # a certificate is (lam of vertices 1..n, phi vertices of the sorted shadow).
@@ -222,6 +228,10 @@ FIND_PINS = {
                 "K4minus": ("not-found", 2382, None),
                 "K4": ("not-found", 2382, None),
                 "Fstar": ("not-found", 5982, None)},
+    "mixed5d9/10c2": {"single_edge": ("found", 9, ((1, 2, 3), (0, 0, 0))),
+                      "K4minus": ("found", 16, ((1, 2, 3, 4), (0,) * 6)),
+                      "K4": ("found", 16, ((1, 2, 3, 4), (0,) * 6)),
+                      "Fstar": ("found", 25, ((1, 2, 3, 4, 5), (0,) * 10))},
 }
 PIN_HOSTS = {
     "m5c3d9": lambda: random_box_dense(5, 3, Fraction(9, 10), seed=0),
@@ -229,7 +239,9 @@ PIN_HOSTS = {
     "orient6": lambda: orientation_reduced(6),
     "mixed6d1/2": lambda: seeded_mixed_host(6, 0.5, seed=3),
     "mixed7d1/4": lambda: seeded_mixed_host(7, 0.25, seed=4),
+    "mixed5d9/10c2": lambda: seeded_mixed_host(5, 0.9, seed=3, max_size=2),
 }
+CATALOG = ("single_edge", "K4minus", "K4", "Fstar")
 
 
 @pytest.mark.parametrize("label", sorted(COUNT_ALL_PINS))
@@ -272,6 +284,49 @@ def test_first_hit_nodes_certificates_and_budgets_are_pinned(label):
         assert (r.status, r.nodes, certificate_key(r)) == (status, nodes, cert), name
 
 
+@contextlib.contextmanager
+def no_reuse():
+    """Let the engine's table of searched leaves take no entries, so that
+    every leaf is searched instead of replayed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embed, "LEAF_TABLE_CAP", 0)
+        yield
+
+
+def outcome(result):
+    return (result.status, result.count, result.nodes, certificate_key(result))
+
+
+@pytest.mark.parametrize("label", sorted(PIN_HOSTS))
+def test_replayed_leaves_equal_searched_leaves(label):
+    host = PIN_HOSTS[label]()
+    for name in CATALOG:
+        pat = pattern_catalog(name)
+        for count_all in (False, True):
+            reused = find_reduced_image(host, pat, count_all=count_all)
+            with no_reuse():
+                searched = find_reduced_image(host, pat, count_all=count_all)
+            assert outcome(reused) == outcome(searched), (name, count_all)
+
+
+# orient5's K4 first-hit search fails at 120 leaves, of which 12 are distinct.
+@pytest.mark.parametrize("host, names, modes", [
+    (PIN_HOSTS["mixed5d9/10c2"], CATALOG, (False, True)),
+    (lambda: orientation_reduced(5), ("K4",), (False,))],
+    ids=["mixed5d9/10c2", "orient5"])
+def test_every_budget_below_the_node_count_is_exhausted_at_budget_plus_one(
+        host, names, modes):
+    host = host()
+    for name in names:
+        pat = pattern_catalog(name)
+        for count_all in modes:
+            nodes = find_reduced_image(host, pat, count_all=count_all).nodes
+            for budget in range(1, nodes):
+                r = find_reduced_image(host, pat, count_all=count_all, budget=budget)
+                assert outcome(r) == ("budget-exhausted", None, budget + 1, None), \
+                    (name, count_all, budget)
+
+
 @pytest.mark.parametrize("a, b, c", list(itertools.permutations((2, 5, 7))))
 def test_edge_layout_matches_slot_lookup(a, b, c):
     t, order = _edge_layout(a, b, c)
@@ -287,10 +342,11 @@ def small_instances(draw):
     n = draw(st.integers(1, 5))
     triples = list(itertools.combinations(range(1, n + 1), 3))
     edges = draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
-    pattern = Pattern(n, edges)
+    # Sometimes one more vertex, outside every edge.
+    pattern = Pattern(n + draw(st.integers(0, 1)), edges)
     m = draw(st.integers(3, 5))
     p = draw(st.integers(1, 3))
-    if m ** n * p ** len(pattern.shadow) > 200_000:
+    if m ** pattern.vertex_count * p ** len(pattern.shadow) > 200_000:
         p = 1
     d = Fraction(draw(st.integers(0, 10)), 10)
     host = random_box_dense(m, p, d, seed=draw(st.integers(0, 10 ** 6)))
@@ -310,6 +366,9 @@ def test_engine_matches_oracle_on_generated_patterns(instance):
     if first.certificate is not None:
         ok, violation = validate_reduced_map(host, pat, first.certificate.rmap)
         assert ok, violation
+    with no_reuse():
+        assert outcome(find_reduced_image(host, pat, count_all=True)) == outcome(count)
+        assert outcome(find_reduced_image(host, pat)) == outcome(first)
 
 
 @st.composite

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redhyp import (DomainError, GlueConfig, GluedConfiguration,
                     RowPreparationError, brute_force_glued, build_q_graphs,
@@ -13,7 +15,7 @@ from redhyp import (DomainError, GlueConfig, GluedConfiguration,
                     random_box_dense, validate_glued)
 from redhyp.constructions import orientation_reduced
 from redhyp.core import sorted_pair, sorted_triple
-from redhyp.glue import _config_edges
+from redhyp.glue import _config_edges, _enumerate_configs
 from redhyp.pipeline import PipelineConfig
 
 
@@ -260,6 +262,37 @@ def test_find_glued_soundness_under_relabeling():
                       (orig_t[1], orig_t[2]))
         orig_edge = tuple(by_class[sp] for sp in orig_slots)
         assert host.constituent(orig_t).has(*orig_edge)
+
+
+@st.composite
+def glue_instances(draw):
+    """A small uniform host, sometimes relabeled, and a glue configuration."""
+    m = draw(st.integers(5, 8))
+    host = random_box_dense(m, draw(st.integers(1, 2)),
+                            draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4),
+                                                  Fraction(9, 10), Fraction(1)])),
+                            seed=draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        host = host.induced(draw(st.permutations(range(1, m + 1))))
+    config = GlueConfig(eps=draw(st.sampled_from([Fraction(1, 2), Fraction(7, 10)])),
+                        delta=Fraction(1, 4),
+                        ladder=draw(st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 2)])),
+                        ramsey_target_1=m, ramsey_target_2=m - 1)
+    return host, config
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(glue_instances())
+def test_find_glued_successes_are_brute_force_configurations(instance):
+    host, config = instance
+    result = find_glued(host, config)
+    if not result.ok:
+        assert result.failure is not None and result.configuration is None
+        return
+    cfg = result.configuration
+    assert any(c == cfg for c in _enumerate_configs(host, cfg.indices))
+    found, count = brute_force_glued(host, count_all=False)
+    assert found and count == 1
 
 
 def test_glue_config_validation():
