@@ -5,10 +5,6 @@ from __future__ import annotations
 from typing import Iterator
 
 
-def full_mask(n: int) -> int:
-    return (1 << n) - 1
-
-
 def iter_bits(x: int) -> Iterator[int]:
     """Yield set bit positions of x in ascending order."""
     while x:

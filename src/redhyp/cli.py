@@ -27,7 +27,7 @@ from .constructions import (RNG_ALGORITHM, check_3graph_request,
                             random_box_dense, random_tournament, reduced_blow_up)
 from .core import (Pattern, ReducedHypergraph, ReducedMap, constituent_density,
                    is_box_dense, pattern_catalog)
-from .embed import exhaustive_oracle, find_reduced_image
+from .embed import DEFAULT_ORACLE_CAP, exhaustive_oracle, find_reduced_image
 from .errors import (CapExceeded, DomainError, ParseError, RedhypError,
                      SelfCheckError)
 from .glue import (ROLE_PAIRS, GlueConfig, GluedConfiguration, brute_force_glued,
@@ -195,7 +195,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustively count reduced images")
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--cap", type=int, default=10 ** 9)
+    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     common(p)
 
     p = sub.add_parser("pipeline", help="clean, prepare rows, and embed the five-vertex target")
@@ -223,7 +223,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("glue-oracle", help="brute-force glued configurations")
     p.add_argument("--host", required=True)
-    p.add_argument("--cap", type=int, default=10 ** 9)
+    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     common(p)
 
     p = sub.add_parser("gen", help="generate hosts, tournaments, and blow-ups")
@@ -314,18 +314,37 @@ def _cmd_oracle(args, started) -> tuple[int, str]:
     return _finish(args, lines, EXIT_OK if result.found else EXIT_NEGATIVE, started)
 
 
-def _pipeline_config(args, host) -> PipelineConfig:
+def _clean_fields(args, host) -> dict:
+    """The config fields pipeline and glue share; --m-star defaults to the
+    host's index count and --m to --m-star."""
     m_star = args.m_star if args.m_star is not None else host.index_count
-    m = args.m if args.m is not None else m_star
-    return PipelineConfig(eps=parse_fraction(args.eps),
-                          delta=parse_fraction(args.delta),
-                          ramsey_target_1=m_star, ramsey_target_2=m,
-                          rounds=args.rounds, min_final_indices=args.min_final)
+    return dict(eps=parse_fraction(args.eps), delta=parse_fraction(args.delta),
+                ramsey_target_1=m_star,
+                ramsey_target_2=args.m if args.m is not None else m_star,
+                min_final_indices=args.min_final)
+
+
+def _finish_clean_run(args, lines: list[str], result, started: float,
+                      found) -> tuple[int, str]:
+    """Write the run's trace file, then end a pipeline or glue report with
+    the failure block, or with the outcome, surviving and r-star lines and
+    the command's own lines, found(), for a success."""
+    if args.trace:
+        Path(args.trace).write_text("\n".join(result.trace) + "\n")
+    if not result.ok:
+        lines += ["outcome failure", f"stage {result.failure.stage}",
+                  f"reason {result.failure.reason}"]
+        return _finish(args, lines, EXIT_NEGATIVE, started)
+    system = result.clean.system
+    lines += ["outcome found",
+              "surviving " + ",".join(str(i) for i in system.to_original),
+              f"r-star {system.r_star}", *found()]
+    return _finish(args, lines, EXIT_OK, started)
 
 
 def _cmd_pipeline(args, started) -> tuple[int, str]:
     host = _read_host(args.host)
-    config = _pipeline_config(args, host)
+    config = PipelineConfig(rounds=args.rounds, **_clean_fields(args, host))
     lines = ["command pipeline",
              f"host sha256:{fileio.host_digest(host)}",
              f"eps {format_fraction(config.eps)}",
@@ -335,25 +354,13 @@ def _cmd_pipeline(args, started) -> tuple[int, str]:
              f"m {config.ramsey_target_2}",
              f"min-final {config.min_final_indices}"]
     result = find_fstar(host, config)
-    if args.trace:
-        Path(args.trace).write_text("\n".join(result.trace) + "\n")
-    if result.ok:
-        lines.append("outcome found")
-        system = result.clean.system
-        lines.append("surviving " + ",".join(str(i) for i in system.to_original))
-        lines.append(f"r-star {system.r_star}")
-        for row in result.rows:
-            lines.append(f"row {row.index} r={row.row_index} x={row.apex} "
-                         f"y={row.connector} next={row.r_next} "
-                         f"J={','.join(str(j) for j in row.surviving)}")
-        lines.append(f"pigeonhole v={result.pigeonhole['vertex']} "
-                     f"rows={','.join(str(r) for r in result.pigeonhole['rows'])}")
-        lines.extend(certificate_lines(result.certificate.rmap))
-        return _finish(args, lines, EXIT_OK, started)
-    lines.append("outcome failure")
-    lines.append(f"stage {result.failure.stage}")
-    lines.append(f"reason {result.failure.reason}")
-    return _finish(args, lines, EXIT_NEGATIVE, started)
+    return _finish_clean_run(args, lines, result, started, lambda: [
+        *(f"row {row.index} r={row.row_index} x={row.apex} y={row.connector} "
+          f"next={row.r_next} J={','.join(str(j) for j in row.surviving)}"
+          for row in result.rows),
+        f"pigeonhole v={result.pigeonhole['vertex']} "
+        f"rows={','.join(str(r) for r in result.pigeonhole['rows'])}",
+        *certificate_lines(result.certificate.rmap)])
 
 
 def _cmd_glue(args, started) -> tuple[int, str]:
@@ -362,12 +369,7 @@ def _cmd_glue(args, started) -> tuple[int, str]:
         ladder = tuple(int(x) for x in args.ladder.split(","))
     except ValueError:
         raise DomainError(f"bad ladder {args.ladder!r}") from None
-    m_star = args.m_star if args.m_star is not None else host.index_count
-    m = args.m if args.m is not None else m_star
-    config = GlueConfig(eps=parse_fraction(args.eps),
-                        delta=parse_fraction(args.delta), ladder=ladder,
-                        ramsey_target_1=m_star, ramsey_target_2=m,
-                        min_final_indices=args.min_final)
+    config = GlueConfig(ladder=ladder, **_clean_fields(args, host))
     lines = ["command glue",
              f"host sha256:{fileio.host_digest(host)}",
              f"eps {format_fraction(config.eps)}",
@@ -376,21 +378,10 @@ def _cmd_glue(args, started) -> tuple[int, str]:
              f"m-star {config.ramsey_target_1}",
              f"m {config.ramsey_target_2}"]
     result = find_glued(host, config)
-    if args.trace:
-        Path(args.trace).write_text("\n".join(result.trace) + "\n")
-    if result.ok:
-        lines.append("outcome found")
-        system = result.clean.system
-        lines.append("surviving " + ",".join(str(i) for i in system.to_original))
-        lines.append(f"r-star {system.r_star}")
-        lines.append(f"pigeonhole v={result.pigeonhole['vertex']} "
-                     f"rows={','.join(str(r) for r in result.pigeonhole['rows'])}")
-        lines.extend(glued_lines(result.configuration))
-        return _finish(args, lines, EXIT_OK, started)
-    lines.append("outcome failure")
-    lines.append(f"stage {result.failure.stage}")
-    lines.append(f"reason {result.failure.reason}")
-    return _finish(args, lines, EXIT_NEGATIVE, started)
+    return _finish_clean_run(args, lines, result, started, lambda: [
+        f"pigeonhole v={result.pigeonhole['vertex']} "
+        f"rows={','.join(str(r) for r in result.pigeonhole['rows'])}",
+        *glued_lines(result.configuration)])
 
 
 def _cmd_glue_oracle(args, started) -> tuple[int, str]:
@@ -498,8 +489,6 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
             return code, ""
     except CapExceeded as exc:
         return EXIT_EXHAUSTED, f"error cap-exceeded: {exc}\n"
-    except (ParseError, DomainError) as exc:
-        return EXIT_INPUT, f"error {exc}\n"
     except FileNotFoundError as exc:
         return EXIT_INPUT, f"error missing file: {exc.filename}\n"
     except OSError as exc:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from ._bits import iter_bits
 from .core import (Pair, Pattern, ReducedHypergraph, ReducedMap, Triple,
-                   sorted_pair, sorted_triple)
+                   refuse_above_cap, sorted_pair, sorted_triple)
 from .errors import (CapExceeded, DanglingReferenceError, DomainError,
                      SelfCheckError)
 
@@ -563,10 +563,14 @@ def find_reduced_image(host: ReducedHypergraph, pattern: Pattern,
 
     budget is a node limit (None = unbounded); exceeding it yields status
     'budget-exhausted', never a silent 'not-found'.  count_all counts all
-    valid maps instead of stopping at the first.
+    valid maps instead of stopping at the first.  A pattern whose three
+    per-vertex lists would hold more than TABLE_ENTRY_CAP entries is
+    refused (CapExceeded) before any of them is built.
     """
     if budget is not None and budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
+    refuse_above_cap(3 * (pattern.vertex_count + 1),
+                     f"a search for a pattern on {pattern.vertex_count} vertices")
     return _Engine(host, pattern).run(_BudgetTracker(budget), count_all)
 
 
@@ -580,7 +584,9 @@ def exhaustive_oracle(host: ReducedHypergraph, pattern: Pattern,
     n = pattern.vertex_count
     M = host.index_count
     pairs = sorted(pattern.shadow)
-    if M ** n > cap:
+    # M >= 2, so M^n >= 2^n > cap once n reaches cap's bit length: refuse
+    # before computing a power that could be astronomically large.
+    if n >= cap.bit_length() or M ** n > cap:
         raise CapExceeded(
             f"index assignment space {M}^{n} exceeds oracle cap {cap}")
     pos_pairs = [(u - 1, v - 1) for u, v in pairs]

@@ -239,23 +239,20 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(n, triples)
 
 
-def write_pattern(pattern: Pattern) -> str:
+def write_pattern(pattern: Pattern | Plain3Graph) -> str:
+    """The shared V/T text of a pattern or a plain 3-graph."""
     lines = [f"V {pattern.vertex_count}"]
     for u, v, w in sorted(pattern.edges):
         lines.append(f"T {u} {v} {w}")
     return "\n".join(lines) + "\n"
 
 
+write_plain3 = write_pattern
+
+
 def parse_plain3(text: str) -> Plain3Graph:
     n, triples = _parse_vertex_triples(text)
     return Plain3Graph(n, triples)
-
-
-def write_plain3(graph: Plain3Graph) -> str:
-    lines = [f"V {graph.vertex_count}"]
-    for u, v, w in sorted(graph.edges):
-        lines.append(f"T {u} {v} {w}")
-    return "\n".join(lines) + "\n"
 
 
 def host_digest(host: ReducedHypergraph) -> str:
@@ -266,9 +263,8 @@ def host_digest(host: ReducedHypergraph) -> str:
     return hashlib.sha256(write_host(host).encode()).hexdigest()
 
 
-def pattern_digest(pattern: Pattern) -> str:
+def pattern_digest(pattern: Pattern | Plain3Graph) -> str:
     return hashlib.sha256(write_pattern(pattern).encode()).hexdigest()
 
 
-def plain3_digest(graph: Plain3Graph) -> str:
-    return hashlib.sha256(write_plain3(graph).encode()).hexdigest()
+plain3_digest = pattern_digest

@@ -11,8 +11,8 @@ and requires the four constituent edges
 Row preparation here is stronger than the pipeline's: the spine z_k must
 admit, for EVERY pair j < k of surviving non-top columns, some y in P^{rj}
 making x z_k y a triangle.  Spines are chosen from the largest remaining
-column downward; when a pigeonhole leaves no survivors the mandated
-arbitrary choice (vertex 0) is taken and flagged degenerate.
+column downward; a spine linked to none of the columns that remain is
+flagged degenerate.
 
 The finder runs on the pipeline's row driver, `pipeline.run_rows`, with
 this module's row preparation and a pigeonhole over two projections.
@@ -27,15 +27,14 @@ from typing import Iterable, Sequence
 
 from ._bits import iter_bits, least_bit
 from .core import ReducedHypergraph, sorted_pair, sorted_triple
+from .embed import DEFAULT_ORACLE_CAP
 from .errors import (CapExceeded, DomainError, RowPreparationError,
                      SelfCheckError)
 from .pipeline import (ProjectionRecord, StageFailed, completion_vertex,
                        max_count_least_arg, run_rows, select_apex,
                        validate_clean_fields)
-from .qsystem import (DEFAULT_RAMSEY_EXACT_CAP, CleanResult, QGraphSystem,
-                      StageFailure)
+from .qsystem import CleanResult, QGraphSystem, StageFailure
 
-DEFAULT_GLUE_ORACLE_CAP = 10 ** 9
 ROLE_PAIRS = frozenset(itertools.combinations(range(1, 5), 2))
 
 
@@ -54,7 +53,6 @@ class GlueConfig:
     ramsey_target_1: int
     ramsey_target_2: int
     min_final_indices: int = 3
-    ramsey_exact_cap: int = DEFAULT_RAMSEY_EXACT_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -177,9 +175,10 @@ def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
 
     Columns are taken largest-first; each spine choice pigeonholes the
     remaining candidates.  Structured failures name the step that broke;
-    a final spine with an empty pigeonhole is chosen arbitrarily (vertex
-    0) and flagged degenerate.  On success the all-pairs triangle property
-    is re-verified pairwise by direct lookups.
+    a spine linked to none of the columns that remain, or taken as vertex
+    0 because the apex has no neighbour in its column, keeps no column and
+    is flagged degenerate.  On success the all-pairs triangle property is
+    re-verified pairwise by direct lookups.
     """
     if system.r_star is None or system.delta is None or system.s_sets is None:
         raise DomainError("prepare_row_glue needs a cleaned QGraphSystem")
@@ -215,22 +214,15 @@ def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
                 if link.right_adj[z] & a_sets[j]:
                     bits |= 1 << z
             d_bits.append(bits)
-        if a_k == 0 or not others:
-            z_k = least_bit(a_k) if a_k else 0
-            if a_k == 0:
-                degenerate.append(k)
-            kept: list[int] = []
-        else:
-            count, z_k = max_count_least_arg(list(iter_bits(a_k)), d_bits)
-            if count <= 0:
-                degenerate.append(k)
-                z_k = least_bit(a_k)
-                kept = []
-            else:
-                kept = [j for j, bits in zip(others, d_bits) if bits >> z_k & 1]
+        # z_k: the apex's neighbour in P^{rk} with triangle links into the
+        # most other columns, least among ties.  A step that links none while
+        # other columns remain, or finds a_k empty (z_k = 0), is degenerate.
+        count, z_k = max_count_least_arg(list(iter_bits(a_k)), d_bits) if a_k else (0, 0)
+        if count == 0 and (others or not a_k):
+            degenerate.append(k)
         chosen.append(k)
         spine[k] = z_k
-        candidates = kept
+        candidates = [j for j, bits in zip(others, d_bits) if bits >> z_k & 1]
 
     surviving = sorted(chosen + [top])
     witnesses: dict[tuple[int, int], int] = {}
@@ -333,7 +325,7 @@ def _role_assignments(subset: tuple[int, int, int, int]):
 
 
 def brute_force_glued(host: ReducedHypergraph,
-                      cap: int = DEFAULT_GLUE_ORACLE_CAP,
+                      cap: int = DEFAULT_ORACLE_CAP,
                       count_all: bool = True) -> tuple[bool, int]:
     """Enumerate glued configurations naively.
 

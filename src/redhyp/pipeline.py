@@ -27,11 +27,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._bits import iter_bits, least_bit
-from .core import Pattern, ReducedHypergraph, ReducedMap, Triple, pattern_catalog, sorted_pair
+from .core import ReducedHypergraph, ReducedMap, Triple, pattern_catalog, sorted_pair
 from .embed import EmbedCertificate, validate_reduced_map
 from .errors import DomainError, RowPreparationError, SelfCheckError
-from .qsystem import (DEFAULT_RAMSEY_EXACT_CAP, CleanResult, QGraphSystem,
-                      StageFailure, clean)
+from .qsystem import CleanResult, QGraphSystem, StageFailure, clean
 
 
 def validate_clean_fields(config, rounds: int | None = None) -> None:
@@ -73,7 +72,6 @@ class PipelineConfig:
     ramsey_target_2: int
     rounds: int | None = None
     min_final_indices: int = 3
-    ramsey_exact_cap: int = DEFAULT_RAMSEY_EXACT_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -388,12 +386,10 @@ def run_rows(host: ReducedHypergraph, config, result, rounds: int,
     return system, m_prime, v, covering
 
 
-def find_fstar(host: ReducedHypergraph, config: PipelineConfig,
-               pattern: Pattern | None = None) -> PipelineResult:
+def find_fstar(host: ReducedHypergraph, config: PipelineConfig) -> PipelineResult:
     """Clean, iterate rows, pigeonhole, and return a validated certificate
-    embedding the five-vertex target, or a structured stage failure."""
-    if pattern is None:
-        pattern = pattern_catalog("Fstar")
+    embedding the five-vertex target Fstar, or a structured stage failure."""
+    pattern = pattern_catalog("Fstar")
     result = PipelineResult(False, None, None, None)
     try:
         system, m_prime, v, covering = run_rows(

@@ -60,9 +60,6 @@ class BipartiteGraph:
     def has(self, left: int, right: int) -> bool:
         return bool(self.left_adj[left] >> right & 1)
 
-    def left_degree(self, left: int) -> int:
-        return self.left_adj[left].bit_count()
-
     def right_degree(self, right: int) -> int:
         return self.right_adj[right].bit_count()
 
@@ -85,7 +82,6 @@ class QGraphSystem:
     q_low: dict[Triple, BipartiteGraph]
     q_high: dict[Triple, BipartiteGraph]
     delta: Fraction | None = None
-    color1: dict[Triple, str] | None = None
     s_sets: dict[tuple[Triple, int], frozenset[int]] | None = None
     r_star: int | None = None
     to_original: tuple[int, ...] | None = None
@@ -186,15 +182,15 @@ def level_cap(delta: Fraction) -> int:
     return math.ceil(Fraction(1, 2) / delta)
 
 
-def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem, delta,
-                   max_level: int | None = None) -> dict[tuple[Triple, int], frozenset[int]]:
-    """S-sets for every triple and level 1..max_level+1.
+def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem,
+                   delta) -> dict[tuple[Triple, int], frozenset[int]]:
+    """S-sets for every triple and level 1..level_cap(delta)+1.
 
     S^i_{jk}(r) collects x in P^{ik} whose low-graph degree toward P^{ij}
     is at least (1/2 + r*delta) * |P^{ij}|.  Levels are nested decreasing.
     """
     delta = Fraction(delta)
-    cap = level_cap(delta) if max_level is None else max_level
+    cap = level_cap(delta)
     out: dict[tuple[Triple, int], frozenset[int]] = {}
     needs = [_ceil_per_size(host, Fraction(1, 2) + r * delta) for r in range(1, cap + 2)]
     for t in host.triples():
@@ -336,10 +332,11 @@ class CleanResult:
 def clean(host: ReducedHypergraph, config) -> CleanResult:
     """Run the full cleaning process under a pipeline or glue configuration.
 
-    config supplies eps, delta, ramsey_target_1, ramsey_target_2 and
-    ramsey_exact_cap.  On success the returned system's host is the
-    surviving relabeled hypergraph, all of whose triples are blue and share
-    the level r_star, with both survival clauses re-verified from scratch.
+    config supplies eps, delta, ramsey_target_1 and ramsey_target_2; both
+    extractions are exact up to DEFAULT_RAMSEY_EXACT_CAP indices.  On
+    success the returned system's host is the surviving relabeled
+    hypergraph, all of whose triples are blue and share the level r_star,
+    with both survival clauses re-verified from scratch.
     """
     log: list[str] = []
     eps, delta = config.eps, config.delta
@@ -354,8 +351,7 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
     blue = sum(1 for c in colors.values() if c == "blue")
     log.append(f"color1 blue={blue} red={len(colors) - blue}")
 
-    extraction = ramsey_extract(list(host.indices()), colors, target1,
-                                exact_cap=config.ramsey_exact_cap)
+    extraction = ramsey_extract(list(host.indices()), colors, target1)
     if extraction is None:
         return CleanResult(False, None, StageFailure(
             "ramsey-color", f"no monochromatic index subset of size {target1}"), log)
@@ -386,8 +382,7 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
         return CleanResult(False, None, StageFailure(
             "ramsey-level", f"surviving set has {host2.index_count} indices, "
             f"need at least {target2}"), log)
-    extraction2 = ramsey_extract(list(host2.indices()), levels, target2,
-                                 exact_cap=config.ramsey_exact_cap)
+    extraction2 = ramsey_extract(list(host2.indices()), levels, target2)
     if extraction2 is None:
         return CleanResult(False, None, StageFailure(
             "ramsey-level", f"no level-monochromatic index subset of size {target2}"), log)
@@ -410,7 +405,6 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
     log.append(f"surviving={list(to_original)}")
 
     system3.delta = Fraction(delta)
-    system3.color1 = color_triples(host3, system3)
     system3.s_sets = s_sets3
     system3.r_star = r_star
     system3.to_original = to_original

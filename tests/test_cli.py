@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,26 @@ def test_oversized_host_exits_2(tmp_path):
     path.write_text("M 3\nP 1 2 1000000\nP 1 3 1000000\nP 2 3 1\n")
     code, text = run(["density", "--host", str(path), "--d", "1/4"])
     assert code == 2 and text.startswith("error cap-exceeded: ")
+
+
+@pytest.mark.parametrize("command,message", [
+    (["find", "--budget", "10"],
+     "a search for a pattern on 10000000000 vertices needs 30000000003 entries, "
+     "above the cap 10000000"),
+    (["oracle"], "index assignment space 4^10000000000 exceeds oracle cap 1000000000"),
+])
+def test_absurd_pattern_size_is_refused_without_allocating(tmp_path, orientation_file,
+                                                          command, message):
+    path = tmp_path / "huge.pat"
+    path.write_text("V 10000000000\nT 1 2 3\n")
+    tracemalloc.start()
+    try:
+        got = run([*command, "--host", orientation_file, "--pattern", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (2, f"error cap-exceeded: {message}\n")
+    assert peak < 1 << 20
 
 
 def test_failed_self_check_exits_4(tmp_path, monkeypatch):

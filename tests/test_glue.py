@@ -1,6 +1,7 @@
 """Glue tests: all-pairs row preparation, configuration validation,
 the finder, and the brute-force enumerator."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from redhyp.constructions import orientation_reduced
 from redhyp.core import sorted_pair, sorted_triple
 from redhyp.glue import _config_edges, _enumerate_configs
 from redhyp.pipeline import PipelineConfig
+from redhyp.qsystem import BipartiteGraph
 
 
 def cleaned_complete(m, p=2):
@@ -79,6 +81,61 @@ def test_prepare_row_glue_dense_instance_verified_pairwise():
         assert system.q_low[(r, j, m)].has(y, row.apex)
         assert system.q_low[(r, k, m)].has(row.spine[k], row.apex)
         assert system.q_low[(r, j, k)].has(y, row.spine[k])
+
+
+def _doctored(system, graphs):
+    """A copy of the cleaned system whose low Q-graph at each triple of
+    graphs keeps only the listed (left, right) edges.  The S-sets are
+    kept, so the apex and the columns that keep it are chosen as before."""
+    q_low = dict(system.q_low)
+    for t, edges in graphs.items():
+        g = q_low[t]
+        left_adj, right_adj = [0] * g.left_size, [0] * g.right_size
+        for a, b in edges:
+            left_adj[a] |= 1 << b
+            right_adj[b] |= 1 << a
+        q_low[t] = BipartiteGraph(g.left_size, g.right_size, left_adj, right_adj)
+    return dataclasses.replace(system, q_low=q_low)
+
+
+# Spine steps no seeded host reaches, on the complete M=6 host (row index 1,
+# top 6, apex 0) with doctored low Q-graphs: (graphs, working, m2_target),
+# then (spine, degenerate, surviving, achieved) or the failing step.
+GLUE_SPINE_PINS = {
+    # the largest column has no neighbour of the apex: vertex 0, degenerate
+    "empty-a_k": ({(1, 5, 6): []}, [1, 2, 3, 4, 5, 6], 1,
+                  ({5: 0}, (5,), (5, 6), 1)),
+    "empty-a_k-alone": ({(1, 5, 6): []}, [1, 5, 6], 1,
+                        ({5: 0}, (5,), (5, 6), 1)),
+    # no other column remains: the least neighbour, not degenerate
+    "no-other-column": ({(1, 5, 6): [(1, 0)]}, [1, 5, 6], 1,
+                        ({5: 1}, (), (5, 6), 1)),
+    "last-of-four": ({(1, 2, 6): [(1, 0)]}, [1, 2, 3, 4, 5, 6], 4,
+                     ({5: 0, 4: 0, 3: 0, 2: 1}, (), (2, 3, 4, 5, 6), 4)),
+    # other columns remain but none has a triangle link: the least
+    # neighbour, degenerate, and nothing is kept
+    "no-triangle-link": ({(1, 5, 6): [(1, 0)], (1, 2, 5): [], (1, 3, 5): [],
+                          (1, 4, 5): []}, [1, 2, 3, 4, 5, 6], 1,
+                         ({5: 1}, (5,), (5, 6), 1)),
+    "no-triangle-link-then-step-2": (
+        {(1, 5, 6): [(1, 0)], (1, 2, 5): [], (1, 3, 5): [], (1, 4, 5): []},
+        [1, 2, 3, 4, 5, 6], 2,
+        ("spine-step-2", "no candidate columns remain (secured 1 of 2)")),
+}
+
+
+@pytest.mark.parametrize("name", GLUE_SPINE_PINS)
+def test_prepare_row_glue_degenerate_spine_steps_pinned(name):
+    graphs, working, m2_target, want = GLUE_SPINE_PINS[name]
+    system = _doctored(cleaned_complete(6), graphs)
+    if isinstance(want[0], str):
+        with pytest.raises(RowPreparationError) as err:
+            prepare_row_glue(system, working, 6, m2_target=m2_target)
+        assert (err.value.step, err.value.reason) == want
+        return
+    row = prepare_row_glue(system, working, 6, m2_target=m2_target)
+    assert (row.row_index, row.apex) == (1, 0)
+    assert (row.spine, row.degenerate, row.surviving, row.achieved) == want
 
 
 def test_find_glued_complete_host():
