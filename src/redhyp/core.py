@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._bits import iter_bits
 from .errors import CapExceeded, DomainError
 
 Pair = tuple[int, int]
@@ -35,7 +36,7 @@ def sorted_triple(i: int, j: int, k: int) -> Triple:
 
 
 class Constituent:
-    """Edge storage plus bitset adjacency for one 3-partite constituent.
+    """Bitset adjacency, and edges on demand, for one 3-partite constituent.
 
     Slots 0, 1, 2 are the classes of the sorted index pairs (i,j), (i,k),
     (j,k) of the triple i<j<k.  An edge (a, b, c) selects vertex a from
@@ -51,31 +52,59 @@ class Constituent:
         is the bitset of third-slot completions of slot-x vertex vx and
         slot-y vertex vy: comp is comp01, comp02 or comp12 with its
         operands in the order x, y.
-    comp01 and comp12, which cleaning, rows and projections read, are
-    attributes built eagerly.  The search-only tables, comp02 and the
-    proj_xy, are reached through fwd; fwd and occupied are None until
-    ensure_search_tables() builds them, on the embedding search's first
-    use of the constituent.
+    sizes, comp01 and comp12 are the stored form: cleaning, rows,
+    projections, has() and edge_count() read only them.  edges, the
+    frozenset of (a, b, c), is built from comp01 on its first read and then
+    kept; a constituent built from an edge collection keeps that set from
+    the start.  The search-only tables, comp02 and the proj_xy, are reached
+    through fwd; fwd and occupied are None until ensure_search_tables()
+    builds them, on the embedding search's first use of the constituent.
 
     A constituent does not know its triple: hosts relabeled by `induced`
     share it wherever a triple keeps its index order, and every table above
     depends only on the sizes and the edges.
     """
 
-    __slots__ = ("sizes", "edges", "comp01", "comp12", "occupied", "fwd")
+    __slots__ = ("sizes", "_edges", "comp01", "comp12", "occupied", "fwd")
 
     def __init__(self, sizes: tuple[int, int, int], edges: Iterable[Edge]):
+        self._edges = frozenset(edges)
+        self._fill(sizes, self._edges)
+
+    @classmethod
+    def from_columns(cls, sizes: tuple[int, int, int], a: Sequence[int],
+                     b: Sequence[int], c: Sequence[int]) -> "Constituent":
+        """The constituent whose edges are the rows (a[r], b[r], c[r]),
+        which the caller has proven distinct and within the class sizes."""
+        con = cls.__new__(cls)
+        con._edges = None
+        con._fill(sizes, zip(a, b, c))
+        return con
+
+    def _fill(self, sizes: tuple[int, int, int], rows: Iterable[Edge]) -> None:
         self.sizes = sizes
-        self.edges = frozenset(edges)
         s0, s1, s2 = sizes
         comp01 = [0] * (s0 * s1)
         comp12 = [0] * (s1 * s2)
-        for a, b, c in self.edges:
+        for a, b, c in rows:
             comp01[a * s1 + b] |= 1 << c
             comp12[b * s2 + c] |= 1 << a
         self.comp01 = comp01
         self.comp12 = comp12
         self.occupied = self.fwd = None
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        edges = self._edges
+        if edges is None:
+            s1 = self.sizes[1]
+            edges = self._edges = frozenset(
+                (key // s1, key % s1, c)
+                for key, bits in enumerate(self.comp01) if bits for c in iter_bits(bits))
+        return edges
+
+    def edge_count(self) -> int:
+        return sum(map(int.bit_count, self.comp01))
 
     def ensure_search_tables(self) -> None:
         """Build occupied and fwd, unless already built."""
@@ -114,7 +143,9 @@ class Constituent:
         self.fwd = fwd
 
     def has(self, a: int, b: int, c: int) -> bool:
-        return (a, b, c) in self.edges
+        s0, s1, s2 = self.sizes
+        return (0 <= a < s0 and 0 <= b < s1 and 0 <= c < s2
+                and self.comp01[a * s1 + b] >> c & 1 == 1)
 
 
 def _table_size(index_count: int, sizes: Mapping[Pair, int]) -> int:
@@ -187,10 +218,14 @@ class ReducedHypergraph:
     """Immutable reduced hypergraph on indices 1..M.
 
     class_sizes must cover every pair {i,j}; constituents maps sorted
-    triples to edge collections and may omit empty constituents.  Hosts
-    whose constituents and tables, the search-only ones included, would
-    exceed TABLE_ENTRY_CAP entries are refused with CapExceeded before any
-    table is allocated.
+    triples to edge collections and may omit empty constituents.  The
+    constructor checks every pair, size, triple and edge.  Hosts whose
+    constituents and tables, the search-only ones included, would exceed
+    TABLE_ENTRY_CAP entries are refused with CapExceeded before any table
+    is allocated.  Each Constituent stores its tables (see there); a host
+    parsed from canonical text (fileio) is put together by _assemble from
+    constituents built straight from their columns, whose edge sets are
+    built only when read.
 
     canonical_sha256 is the sha256 of this host's canonical text
     (fileio.write_host) when the parser already hashed it, else None.
@@ -277,17 +312,18 @@ class ReducedHypergraph:
         return self.constituent(t).edges
 
     def edge_count(self, t: Triple) -> int:
-        return len(self.constituent(t).edges)
+        return self.constituent(t).edge_count()
 
     def total_edge_count(self) -> int:
-        return sum(len(c.edges) for c in self._constituents.values())
+        return sum(c.edge_count() for c in self._constituents.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReducedHypergraph):
             return NotImplemented
+        # equal class sizes give equal table layouts, and comp01 holds every edge
         return (self._m == other._m and self._sizes == other._sizes
-                and {t: c.edges for t, c in self._constituents.items()}
-                == {t: c.edges for t, c in other._constituents.items()})
+                and {t: c.comp01 for t, c in self._constituents.items()}
+                == {t: c.comp01 for t, c in other._constituents.items()})
 
     def __repr__(self) -> str:
         return (f"ReducedHypergraph(M={self._m}, "
@@ -350,7 +386,7 @@ def constituent_density(host: ReducedHypergraph, triple: Triple) -> Fraction:
     """Edge count of the constituent over the product of its class sizes."""
     con = host.constituent(triple)
     s0, s1, s2 = con.sizes
-    return Fraction(len(con.edges), s0 * s1 * s2)
+    return Fraction(con.edge_count(), s0 * s1 * s2)
 
 
 def is_box_dense(host: ReducedHypergraph, d) -> tuple[bool, Triple | None]:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from ._bits import iter_bits
 from .core import (Pair, Pattern, ReducedHypergraph, ReducedMap, Triple,
@@ -259,6 +260,19 @@ class _CountPlan:
     memo: bool
 
 
+def _per_vertex(n: int, entries: Iterable[tuple[int, object]]) -> list[tuple]:
+    """Entries (v, item) as one tuple of items per vertex 0..n, in order of
+    arrival; every vertex without entries shares the empty tuple, so a
+    vertex outside every edge costs one list slot."""
+    grouped: dict[int, list] = {}
+    for v, item in entries:
+        grouped.setdefault(v, []).append(item)
+    table: list[tuple] = [()] * (n + 1)
+    for v, items in grouped.items():
+        table[v] = tuple(items)
+    return table
+
+
 class _Engine:
     def __init__(self, host: ReducedHypergraph, pattern: Pattern):
         self.host = host
@@ -279,21 +293,20 @@ class _Engine:
                     if q != p:
                         self.neighbours[p] |= 1 << q
         self._plans: dict[int, _CountPlan] = {}
-        # shadow neighbours among earlier vertices, for distinctness pruning
-        self.distinct_before: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in self.pairs:
-            self.distinct_before[v].append(u)
+        # distinct_before[v]: shadow neighbours u < v, for distinctness pruning
+        self.distinct_before: list[tuple[int, ...]] = _per_vertex(
+            self.n, ((v, u) for u, v in self.pairs))
         # lam_sched[w]: the edges (u, v, ei) with u < v < w, ei the edge's
         # place in sorted order, which become index-complete once w is assigned
-        self.lam_sched: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n + 1)]
+        self.lam_sched: list[tuple[tuple[int, int, int], ...]] = _per_vertex(
+            self.n, ((e[2], (e[0], e[1], ei)) for ei, e in enumerate(edges)))
         # edge_pairs[ei]: for the pairs uv, uw, vw of edge ei, (p, (q, r), k):
         # q and r the edge's other pairs and k the edge's place among p's edges
         self.edge_pairs: list[tuple[tuple[int, tuple[int, int], int], ...]] = []
-        for ei, (e, pidx) in enumerate(zip(edges, pidxs)):
+        for ei, pidx in enumerate(pidxs):
             self.edge_pairs.append(tuple(
                 (pidx[p], (pidx[q], pidx[r]), self.pair_edges[pidx[p]].index(ei))
                 for p, q, r in _OTHERS))
-            self.lam_sched[e[2]].append((e[0], e[1], ei))
 
     def run(self, budget: _BudgetTracker, count_all: bool) -> SearchResult:
         n = self.n

@@ -18,18 +18,21 @@ canonical form: P lines then E lines, each sorted lexicographically.
 
 A host text in exactly that canonical form, as write_host emits it, is
 parsed in bulk, a column at a time, and its digest is the sha256 of the
-input itself.  Any other text, malformed or not, goes through the line
-parser, the only code that words a ParseError.
+input itself.  The bulk recogniser proves every condition the host
+constructor would check (see _parse_canonical), then builds each
+constituent's tables straight from its columns; the constituents' edge
+sets are built only when something reads them.  Any other text, malformed
+or not, goes through the line parser and the checking constructor; the
+line parser is the only code that words a ParseError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from collections import Counter
-from operator import le, lt
+from operator import lt
 
-from .core import Pattern, ReducedHypergraph
+from .core import Constituent, Pattern, ReducedHypergraph, check_table_size
 from .errors import ParseError
 from .plain import Plain3Graph
 
@@ -81,11 +84,18 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
     when the lengths add up, and the counts of newlines, of spaces and of
     newlines before each tag then pin every separator to its canonical
     place.  Numbers are read through a table of the distinct tokens that
-    keeps only canonical decimals.  The P lines must name every pair in
-    order, and the E rows must rise strictly, which also rules out
-    duplicates.  That makes the text canonical; the constructor then
-    checks what makes it a host (index count, class sizes, triples and
-    vertex ranges), and any complaint defers.
+    keeps only canonical, non-negative decimals, a column at a time.  The
+    recogniser then proves what makes the text a canonical host:
+      - M >= 2, the P lines name every pair in order, and every class
+        size is >= 1;
+      - the host's tables fit under the cap (checked before any is
+        allocated);
+      - every E key is a sorted triple within 1..M, the keys never
+        decrease, and the triples' blocks cover every row;
+      - in each block the vertices lie below their class sizes and the
+        rows rise strictly, which also rules out duplicates.
+    Each constituent's tables are then built straight from its block's
+    columns, and the host is assembled without checking anything again.
     """
     if not (text.isascii() and text.startswith("M ") and text.endswith("\n")):
         return None
@@ -96,11 +106,13 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
         numbers = {}
         for tok in set(tokens).difference(("M", "P", "E")):
             v = int(tok)
-            if str(v) != tok:
+            if v < 0 or str(v) != tok:
                 return None
             numbers[tok] = v
         num = numbers.__getitem__
         m = num(tokens[1])
+        if m < 2:
+            return None
         n_pairs = m * (m - 1) // 2
         e0 = 2 + 4 * n_pairs
         n_edges, rest = divmod(len(tokens) - e0, 7)
@@ -113,21 +125,39 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
         pairs = list(itertools.combinations(range(1, m + 1), 2))
         if list(zip(map(num, tokens[3:e0:4]), map(num, tokens[4:e0:4]))) != pairs:
             return None
-        keys = list(zip(*(map(num, tokens[e0 + x::7]) for x in (1, 2, 3))))
-        if not all(map(le, keys, itertools.islice(keys, 1, None))):
+        sizes = dict(zip(pairs, map(num, tokens[5:e0:4])))
+        if 0 in sizes.values():
             return None
-        rows = list(zip(*(map(num, tokens[e0 + x::7]) for x in (4, 5, 6))))
-        cons = {}
-        start = 0
-        for t, count in Counter(keys).items():
-            block = rows[start:start + count]
-            if not all(map(lt, block, itertools.islice(block, 1, None))):
+        check_table_size(m, sizes)
+        ci, cj, ck, ca, cb, cc = (list(map(num, tokens[e0 + x::7])) for x in range(1, 7))
+        # Each run of equal keys must be a sorted triple within 1..m that
+        # comes after the previous run's: `in` advances the triples past it.
+        triples = itertools.combinations(range(1, m + 1), 3)
+        spans = {}
+        lo = 0
+        for t, run in itertools.groupby(zip(ci, cj, ck)):
+            if t not in triples:
                 return None
-            cons[t] = block
-            start += count
-        host = ReducedHypergraph(m, dict(zip(pairs, map(num, tokens[5:e0:4]))), cons)
+            hi = lo + len(list(run))
+            spans[t] = lo, hi
+            lo = hi
+        cons = {}
+        for t in itertools.combinations(range(1, m + 1), 3):
+            i, j, k = t
+            s0, s1, s2 = sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]
+            lo, hi = spans.get(t, (0, 0))
+            a, b, c = ca[lo:hi], cb[lo:hi], cc[lo:hi]
+            if a:
+                if not (max(a) < s0 and max(b) < s1 and max(c) < s2):
+                    return None
+                rows = zip(a, b, c)
+                next(rows)  # each row against the next one
+                if not all(map(lt, zip(a, b, c), rows)):
+                    return None
+            cons[t] = Constituent.from_columns((s0, s1, s2), a, b, c)
     except Exception:
         return None
+    host = ReducedHypergraph._assemble(m, sizes, cons)
     host.canonical_sha256 = hashlib.sha256(text.encode()).hexdigest()
     return host
 

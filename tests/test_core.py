@@ -46,6 +46,17 @@ def test_density_is_exact_rational():
             assert d * p ** 3 == h.edge_count(t)
 
 
+def test_hosts_differing_in_one_edge_are_unequal():
+    h = random_box_dense(4, 2, Fraction(1, 2), seed=1)
+    cons = {t: set(h.edges(t)) for t in h.triples()}
+    assert ReducedHypergraph.with_uniform_classes(4, 2, cons) == h
+    for t in h.triples():
+        for e in itertools.product(range(2), repeat=3):
+            other = ReducedHypergraph.with_uniform_classes(
+                4, 2, {**cons, t: cons[t] ^ {e}})
+            assert other != h and h != other
+
+
 def test_is_box_dense_cases():
     h = complete_host(4, 2)
     assert is_box_dense(h, 1) == (True, None)

@@ -4,6 +4,8 @@ certificates, budgets, and monotonicity."""
 import contextlib
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from redhyp import (CapExceeded, DanglingReferenceError, DomainError, Pattern,
                     random_box_dense, validate_reduced_map)
 from redhyp.constructions import orientation_reduced
 from redhyp.core import sorted_pair
-from redhyp.embed import _SLOTS, _edge_layout
+from redhyp.embed import _SLOTS, _Engine, _edge_layout
 
 
 def complete_host(m, p=1):
@@ -172,6 +174,40 @@ def test_budget_exhaustion_is_distinct():
     assert result.nodes == 51
     with pytest.raises(DomainError):
         find_reduced_image(host, pattern_catalog("Fstar"), budget=0)
+
+
+def test_vertices_outside_every_edge_cost_no_per_vertex_list():
+    # A million pattern vertices and one edge: every vertex without entries
+    # shares one empty tuple in the engine's per-vertex tables.
+    host = complete_host(4, 2)
+    pattern = Pattern(10 ** 6, [(1, 2, 3)])
+    tracemalloc.start()
+    try:
+        result = find_reduced_image(host, pattern, budget=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.status, result.nodes) == ("budget-exhausted", 11)
+    assert peak < 48 << 20
+
+
+def test_a_vertex_in_many_edges_builds_its_tables_in_linear_time():
+    # Vertex N lies in K edges (2i-1, 2i, N) and has 2K shadow neighbours:
+    # appending to a per-vertex tuple would copy about (2K)^2 / 2 entries
+    # (over 8 s here); grouped lists keep the setup near 1 s.
+    k = 30000
+    n = 2 * k + 1
+    pattern = Pattern(n, [(2 * i - 1, 2 * i, n) for i in range(1, k + 1)])
+    host = complete_host(4, 2)
+    started = time.monotonic()
+    result = find_reduced_image(host, pattern, budget=10)
+    elapsed = time.monotonic() - started
+    assert (result.status, result.nodes) == ("budget-exhausted", 11)
+    assert elapsed < 4.0, f"engine setup took {elapsed:.1f}s"
+    engine = _Engine(host, Pattern(7, [(1, 2, 7), (3, 4, 7), (5, 6, 7)]))
+    assert engine.distinct_before[7] == (1, 2, 3, 4, 5, 6)
+    assert engine.lam_sched[7] == ((1, 2, 0), (3, 4, 1), (5, 6, 2))
+    assert engine.distinct_before[1] == engine.lam_sched[6] == ()
 
 
 # (status, count, nodes) of the plain branching count-all search, with no

@@ -7,9 +7,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from redhyp import CapExceeded, ParseError, ReducedHypergraph, random_box_dense
+from redhyp import (CapExceeded, ParseError, ReducedHypergraph, constituent_density,
+                    is_box_dense, random_box_dense)
 from redhyp import core, fileio
 from redhyp.cli import dispatch
 from redhyp.constructions import cyclic_triple_3graph, random_tournament
@@ -209,6 +210,75 @@ def test_canonical_text_is_parsed_in_bulk_and_hashed(host):
     assert host_digest(host) == bulk.canonical_sha256  # serialised, not parsed
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(_hosts())
+@example(ReducedHypergraph(2, {(1, 2): 3}, {}))
+@example(ReducedHypergraph(4, {(1, 2): 1, (1, 3): 3, (1, 4): 2, (2, 3): 2, (2, 4): 1,
+                               (3, 4): 3}, {}))
+def test_bulk_constituents_equal_constructor_built_ones(host):
+    bulk = fileio._parse_canonical(write_host(host))
+    assert bulk.constituents.keys() == host.constituents.keys()
+    for t, want in host.constituents.items():
+        got = bulk.constituent(t)
+        assert got is not want and got._edges is None
+        assert (got.sizes, got.comp01, got.comp12) == (want.sizes, want.comp01, want.comp12)
+        assert got.edge_count() == want.edge_count() == len(want.edges)
+        assert got.edges == want.edges
+        got.ensure_search_tables()
+        want.ensure_search_tables()
+        assert (got.occupied, got.fwd) == (want.occupied, want.fwd)
+
+
+def test_has_is_false_outside_the_classes():
+    # Out-of-range coordinates must not alias a neighbouring table entry:
+    # (0, 3, 0) would read comp01[3], the entry of (1, 0), and (1, -1, 1)
+    # would read comp01[2], the entry of (0, 2).
+    edges = {(0, 0, 0), (0, 2, 1), (1, 0, 0), (1, 2, 1)}
+    host = ReducedHypergraph(3, {(1, 2): 2, (1, 3): 3, (2, 3): 2}, {(1, 2, 3): edges})
+    bulk = fileio._parse_canonical(write_host(host))
+    for con in (host.constituent((1, 2, 3)), bulk.constituent((1, 2, 3))):
+        for a, b, c in itertools.product(*(range(-2, s + 2) for s in con.sizes)):
+            assert con.has(a, b, c) is ((a, b, c) in edges)
+        for slot in range(3):
+            for far in (-10 ** 30, 10 ** 30):
+                edge = [1, 2, 1]
+                edge[slot] = far
+                assert con.has(*edge) is False
+    assert bulk.constituent((1, 2, 3))._edges is None
+
+
+def test_density_of_a_bulk_loaded_host_reads_only_the_tables(monkeypatch, tmp_path):
+    built = random_box_dense(12, 6, Fraction(9, 10), seed=0)
+    text = write_host(built)
+    bulk = fileio._parse_canonical(text)
+    for d in (0, Fraction(9, 10), Fraction(19, 20), 1):
+        assert is_box_dense(bulk, d) == is_box_dense(built, d)
+    for t in built.triples():
+        assert constituent_density(bulk, t) == constituent_density(built, t)
+        assert bulk.edge_count(t) == built.edge_count(t)
+    assert bulk.total_edge_count() == built.total_edge_count()
+    assert all(con._edges is None for con in bulk.constituents.values())
+    # The CLI answers as on a host from the line parser, without an edge set.
+    path = tmp_path / "dense.rh"
+    path.write_text(text)
+    commands = [["density", "--host", str(path), "--d", d, "--deterministic"]
+                for d in ("9/10", "19/20")]
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "_parse_canonical", lambda text: None)
+        want = [dispatch(argv) for argv in commands]
+    assert [code for code, _ in want] == [0, 1]
+
+    def refuse(*args):
+        raise AssertionError("the bulk path left the tables")
+
+    # neither the checking constructor nor _edge_set runs, and no edge set is built
+    monkeypatch.setattr(core.ReducedHypergraph, "__init__", refuse)
+    monkeypatch.setattr(core.Constituent, "__init__", refuse)
+    monkeypatch.setattr(core, "_edge_set", refuse)
+    monkeypatch.setattr(core.Constituent, "edges", property(refuse))
+    assert [dispatch(argv) for argv in commands] == want
+
+
 def test_generated_hosts_are_parsed_in_bulk():
     rng = random.Random(5)
     hosts = [random_box_dense(rng.randint(2, 8), rng.randint(1, 12),
@@ -315,6 +385,11 @@ def test_bulk_parser_defers_or_agrees_with_the_line_parser(text):
     "E 1 2 4 0 0 0\nE 1 2 3 0 0 0\n",                           # triples unsorted
     "M 3\nP 1 2 1 P\n1 3 1\nP 2 3 1\n",                        # separators moved
     "M 3\nP 1 2 2\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 0 E\n1 2 3 1 0 0\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 4 0 0 0\n",         # key outside 1..M
+    "M 4\nP 1 2 1\nP 1 3 1\nP 1 4 2\nP 2 3 1\nP 2 4 1\nP 3 4 1\n"
+    "E 1 2 3 0 0 0\nE 1 2 4 0 0 1\n",                           # slot 2 out of range
+    "M 4\nP 1 2 1\nP 1 3 1\nP 1 4 1\nP 2 3 1\nP 2 4 2\nP 3 4 1\n"
+    "E 1 2 4 0 0 0\nE 1 2 3 0 0 0\nE 1 2 4 0 0 1\n",             # row inside a later block
 ])
 def test_bulk_parser_defers_on_non_canonical_text(text):
     assert fileio._parse_canonical(text) is None
@@ -330,6 +405,23 @@ def test_absurd_index_count_is_refused_without_allocating():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_oversized_canonical_text_is_refused_before_any_table():
+    # comp01 of (1, 2, 3) alone would hold 9 * 10^6 entries.
+    text = "M 3\nP 1 2 3000\nP 1 3 3000\nP 2 3 3000\nE 1 2 3 0 0 0\n"
+    want = _line_parse(text)
+    assert isinstance(want, CapExceeded)
+    tracemalloc.start()
+    try:
+        assert fileio._parse_canonical(text) is None
+        with pytest.raises(CapExceeded) as err:
+            parse_host(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == str(want)
     assert peak < 1 << 20
 
 
