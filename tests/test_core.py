@@ -190,6 +190,40 @@ def test_host_validation():
         ReducedHypergraph.with_uniform_classes(3, 1, {(2, 1, 3): [(0, 0, 0)]})
 
 
+_SIZES3 = {(1, 2): 2, (1, 3): 2, (2, 3): 3}
+
+
+@pytest.mark.parametrize("m,sizes,cons,message", [
+    (1, {}, {}, "index_count must be >= 2, got 1"),
+    (-4, {}, {}, "index_count must be >= 2, got -4"),
+    (3, {(2, 1): 1, (1, 3): 1, (2, 3): 1}, {}, "class pair (2, 1) is not sorted within 1..3"),
+    (3, {(1, 2): 1, (1, 4): 1}, {}, "class pair (1, 4) is not sorted within 1..3"),
+    (3, {(0, 1): 1}, {}, "class pair (0, 1) is not sorted within 1..3"),
+    (3, {(1, 2): 1, (1, 3): 0, (2, 3): 1}, {}, "class P^{1,3} must have size >= 1, got 0"),
+    (3, {(1, 2): 1, (2, 3): 1}, {}, "missing class size for pair (1, 3)"),
+    (3, _SIZES3, {(2, 1, 3): [(0, 0, 0)]}, "constituent key (2, 1, 3) must be a sorted triple"),
+    (3, _SIZES3, {(1, 2): []}, "constituent key (1, 2) must be a sorted triple"),
+    (3, _SIZES3, {(1, 2, 3, 4): []}, "constituent key (1, 2, 3, 4) must be a sorted triple"),
+    (3, _SIZES3, {(1, 1, 3): []}, "constituent key (1, 1, 3) out of range 1..3"),
+    (3, _SIZES3, {(1, 2, 4): []}, "constituent key (1, 2, 4) out of range 1..3"),
+    (3, _SIZES3, {(0, 1, 2): [(0, 0, 0)]}, "constituent key (0, 1, 2) out of range 1..3"),
+    # faults are reported in input order: an earlier triple's bad edge
+    # comes before a later triple's bad key, and a bad key before a later bad edge
+    (3, _SIZES3, {(1, 2, 3): [(0, 0, 0), (0, 0, 3)], (1, 2, 4): []},
+     "edge (0, 0, 3) of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
+    (3, _SIZES3, {(1, 2, 3): [(0, 0, -1)], (2, 1, 3): []},
+     "edge (0, 0, -1) of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
+    (3, _SIZES3, {(1, 2, 3): [(1, 0, 0), (1, 0, 0)], (1, 2, 4): []},
+     "duplicate edge (1, 0, 0) in constituent (1, 2, 3)"),
+    (3, _SIZES3, {(1, 2, 4): [], (1, 2, 3): [(0, 0, -1)]},
+     "constituent key (1, 2, 4) out of range 1..3"),
+])
+def test_host_validation_error_messages(m, sizes, cons, message):
+    with pytest.raises(DomainError) as err:
+        ReducedHypergraph(m, sizes, cons)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("edges,message", [
     ([(0, 0, 3)], "edge (0, 0, 3) of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
     ([(2, 0, 0)], "edge (2, 0, 0) of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
