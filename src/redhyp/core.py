@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -52,13 +51,14 @@ class Constituent:
         is the bitset of third-slot completions of slot-x vertex vx and
         slot-y vertex vy: comp is comp01, comp02 or comp12 with its
         operands in the order x, y.
-    sizes, comp01 and comp12 are the stored form: cleaning, rows,
-    projections, has() and edge_count() read only them.  edges, the
-    frozenset of (a, b, c), is built from comp01 on its first read and then
-    kept; a constituent built from an edge collection keeps that set from
-    the start.  The search-only tables, comp02 and the proj_xy, are reached
-    through fwd; fwd and occupied are None until ensure_search_tables()
-    builds them, on the embedding search's first use of the constituent.
+    sizes, comp01 and comp12 are the stored form, and the constructor
+    builds only them: cleaning, rows, projections, has() and edge_count()
+    read nothing else.  edges, the frozenset of (a, b, c), is built from
+    comp01 on its first read and then kept; sorted_edges() reads them from
+    comp01 in order without building it.  The search-only tables, comp02
+    and the proj_xy, are reached through fwd; fwd and occupied are None
+    until ensure_search_tables() builds them, on the embedding search's
+    first use of the constituent.
 
     A constituent does not know its triple: hosts relabeled by `induced`
     share it wherever a triple keeps its index order, and every table above
@@ -67,41 +67,33 @@ class Constituent:
 
     __slots__ = ("sizes", "_edges", "comp01", "comp12", "occupied", "fwd")
 
-    def __init__(self, sizes: tuple[int, int, int], edges: Iterable[Edge]):
-        self._edges = frozenset(edges)
-        self._fill(sizes, self._edges)
-
-    @classmethod
-    def from_columns(cls, sizes: tuple[int, int, int], a: Sequence[int],
-                     b: Sequence[int], c: Sequence[int]) -> "Constituent":
-        """The constituent whose edges are the rows (a[r], b[r], c[r]),
-        which the caller has proven distinct and within the class sizes."""
-        con = cls.__new__(cls)
-        con._edges = None
-        con._fill(sizes, zip(a, b, c))
-        return con
-
-    def _fill(self, sizes: tuple[int, int, int], rows: Iterable[Edge]) -> None:
+    def __init__(self, sizes: tuple[int, int, int], a: Iterable[int],
+                 b: Iterable[int], c: Iterable[int]):
+        """The constituent whose edges are the rows (a[r], b[r], c[r]), each
+        within sizes (ReducedHypergraph._from_columns checks the rules)."""
         self.sizes = sizes
         s0, s1, s2 = sizes
         comp01 = [0] * (s0 * s1)
         comp12 = [0] * (s1 * s2)
-        for a, b, c in rows:
-            comp01[a * s1 + b] |= 1 << c
-            comp12[b * s2 + c] |= 1 << a
+        for x, y, z in zip(a, b, c):
+            comp01[x * s1 + y] |= 1 << z
+            comp12[y * s2 + z] |= 1 << x
         self.comp01 = comp01
         self.comp12 = comp12
-        self.occupied = self.fwd = None
+        self._edges = self.occupied = self.fwd = None
 
     @property
     def edges(self) -> frozenset[Edge]:
         edges = self._edges
         if edges is None:
-            s1 = self.sizes[1]
-            edges = self._edges = frozenset(
-                (key // s1, key % s1, c)
-                for key, bits in enumerate(self.comp01) if bits for c in iter_bits(bits))
+            edges = self._edges = frozenset(self.sorted_edges())
         return edges
+
+    def sorted_edges(self) -> list[Edge]:
+        """The edges in ascending order, read from comp01; no set is built."""
+        s1 = self.sizes[1]
+        return [(key // s1, key % s1, c)
+                for key, bits in enumerate(self.comp01) if bits for c in iter_bits(bits)]
 
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.comp01))
@@ -186,32 +178,26 @@ def refuse_above_cap(entries: int, what: str) -> None:
         raise CapExceeded(f"{what} needs {entries} entries, above the cap {TABLE_ENTRY_CAP}")
 
 
-def _edge_set(t: Triple, edges: Iterable[Edge],
-              s0: int, s1: int, s2: int) -> frozenset[Edge]:
-    """The constituent's edges, checked for range and duplicates.
+class _RowFault(DomainError):
+    """Args (t, sizes): constituent t's rows hold a vertex outside its
+    class sizes, or a repeated row."""
 
-    Raises DomainError naming the first offending edge in input order.
-    """
-    edges = list(edges)
-    try:
-        edge_set = frozenset(edges)
-        if (len(edge_set) == len(edges) and set(map(len, edge_set)) <= {3}
-                and all(0 <= min(col) and max(col) < s
-                        for col, s in zip(zip(*edge_set), (s0, s1, s2)))):
-            return edge_set
-    except TypeError:  # unhashable or incomparable edges: the loop below decides
-        pass
+
+def _first_bad_edge(fault: _RowFault, edges: Iterable[Edge]) -> DomainError:
+    """The DomainError naming the first of the faulty constituent's edges,
+    in input order, that lies outside its class ranges or repeats one."""
+    t, (s0, s1, s2) = fault.args
     seen: set[Edge] = set()
     for e in edges:
         a, b, c = e
         if not (0 <= a < s0 and 0 <= b < s1 and 0 <= c < s2):
-            raise DomainError(
+            return DomainError(
                 f"edge {e} of constituent {t} out of class ranges "
                 f"({s0}, {s1}, {s2})")
         if (a, b, c) in seen:
-            raise DomainError(f"duplicate edge {e} in constituent {t}")
+            return DomainError(f"duplicate edge {e} in constituent {t}")
         seen.add((a, b, c))
-    return frozenset(seen)
+    return fault
 
 
 class ReducedHypergraph:
@@ -219,12 +205,9 @@ class ReducedHypergraph:
 
     class_sizes must cover every pair {i,j}; constituents maps sorted
     triples to edge collections and may omit empty constituents.  The
-    constructor checks every pair, size, triple and edge.  Hosts whose
-    constituents and tables, the search-only ones included, would exceed
-    TABLE_ENTRY_CAP entries are refused with CapExceeded before any table
-    is allocated.  Each Constituent stores its tables (see there); a host
-    parsed from canonical text (fileio) is put together by _assemble from
-    constituents built straight from their columns, whose edge sets are
+    constructor lays the edges out as columns for _from_columns, the one
+    statement of the host rules, which the canonical-text parser (fileio)
+    calls too.  It builds each Constituent (see there), whose edge set is
     built only when read.
 
     canonical_sha256 is the sha256 of this host's canonical text
@@ -234,37 +217,71 @@ class ReducedHypergraph:
     def __init__(self, index_count: int,
                  class_sizes: Mapping[Pair, int],
                  constituents: Mapping[Triple, Iterable[Edge]]):
-        if index_count < 2:
-            raise DomainError(f"index_count must be >= 2, got {index_count}")
-        self._m = index_count
+        blocks = {t: list(edges) for t, edges in constituents.items()}
+        rows = list(itertools.chain.from_iterable(blocks.values()))
+        a, b, c = zip(*rows, strict=True) if rows else ((), (), ())
+        try:
+            host = self._from_columns(index_count, class_sizes,
+                                      [(t, len(edges)) for t, edges in blocks.items()],
+                                      a, b, c)
+        except _RowFault as fault:
+            raise _first_bad_edge(fault, blocks[fault.args[0]]) from None
+        vars(self).update(vars(host))
+
+    @classmethod
+    def _from_columns(cls, m: int, class_sizes: Mapping[Pair, int],
+                      keys: Iterable[tuple[Triple, int]],
+                      a: Sequence[int], b: Sequence[int],
+                      c: Sequence[int]) -> "ReducedHypergraph":
+        """The host on indices 1..m whose constituent edges are the rows
+        (a[r], b[r], c[r]); keys gives each constituent's triple, once, with
+        its number of rows, in row order.
+
+        This states every host rule, checked in this order: m >= 2;
+        class_sizes names exactly the sorted pairs within 1..m, each of
+        size >= 1; the tables fit under TABLE_ENTRY_CAP (CapExceeded, before
+        any is allocated); then, constituent by constituent in row order,
+        the key is a sorted triple within 1..m and the rows lie within their
+        classes without repeating.  Faults raise DomainError; a bad row
+        raises _RowFault, which the constructor words by the offending edge.
+        """
+        if m < 2:
+            raise DomainError(f"index_count must be >= 2, got {m}")
         sizes: dict[Pair, int] = {}
         for (i, j), s in class_sizes.items():
-            if not (1 <= i < j <= index_count):
-                raise DomainError(f"class pair ({i}, {j}) is not sorted within 1..{index_count}")
+            if not (1 <= i < j <= m):
+                raise DomainError(f"class pair ({i}, {j}) is not sorted within 1..{m}")
             if s < 1:
                 raise DomainError(f"class P^{{{i},{j}}} must have size >= 1, got {s}")
             sizes[(i, j)] = int(s)
-        for i, j in itertools.combinations(range(1, index_count + 1), 2):
+        for i, j in itertools.combinations(range(1, m + 1), 2):
             if (i, j) not in sizes:
                 raise DomainError(f"missing class size for pair ({i}, {j})")
-        self._sizes = sizes
-        check_table_size(index_count, sizes)
+        check_table_size(m, sizes)
 
-        edge_sets: dict[Triple, frozenset[Edge]] = {}
-        for t, edges in constituents.items():
-            if len(t) != 3 or tuple(sorted(t)) != tuple(t):
-                raise DomainError(f"constituent key {t} must be a sorted triple")
+        negative = bool(a) and min(min(a), min(b), min(c)) < 0
+        cons: dict[Triple, Constituent | None] = dict.fromkeys(
+            itertools.combinations(range(1, m + 1), 3))
+        hi = 0
+        for t, n in keys:
+            if t not in cons:
+                if len(t) != 3 or tuple(sorted(t)) != tuple(t):
+                    raise DomainError(f"constituent key {t} must be a sorted triple")
+                raise DomainError(f"constituent key {t} out of range 1..{m}")
             i, j, k = t
-            if not (1 <= i < j < k <= index_count):
-                raise DomainError(f"constituent key {t} out of range 1..{index_count}")
-            edge_sets[t] = _edge_set(t, edges, sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
-
-        empty: frozenset[Edge] = frozenset()
-        self._constituents: dict[Triple, Constituent] = {
-            (i, j, k): Constituent((sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]),
-                                   edge_sets.get((i, j, k), empty))
-            for i, j, k in itertools.combinations(range(1, index_count + 1), 3)}
-        self.canonical_sha256: str | None = None
+            s0, s1, s2 = slots = (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
+            lo, hi = hi, hi + n
+            ra, rb, rc = a[lo:hi], b[lo:hi], c[lo:hi]
+            if n and (max(ra) >= s0 or max(rb) >= s1 or max(rc) >= s2
+                      or negative and min(min(ra), min(rb), min(rc)) < 0):
+                raise _RowFault(t, slots)
+            con = cons[t] = Constituent(slots, ra, rb, rc)
+            if con.edge_count() != n:  # a repeated row sets no new bit
+                raise _RowFault(t, slots)
+        return cls._assemble(m, sizes, {
+            (i, j, k): con or Constituent(
+                (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]), (), (), ())
+            for (i, j, k), con in cons.items()})
 
     @classmethod
     def _assemble(cls, index_count: int, sizes: dict[Pair, int],
@@ -376,9 +393,10 @@ class ReducedHypergraph:
             old_slot_pairs = ((o[0], o[1]), (o[0], o[2]), (o[1], o[2]))
             sel = tuple(old_slot_pairs.index(p) for p in
                         (sorted_pair(ox, oy), sorted_pair(ox, oz), sorted_pair(oy, oz)))
+            columns = tuple(zip(*old.sorted_edges())) or ((), (), ())
             new_cons[(x, y, z)] = Constituent(
                 (new_sizes[(x, y)], new_sizes[(x, z)], new_sizes[(y, z)]),
-                map(operator.itemgetter(*sel), old.edges))
+                *map(columns.__getitem__, sel))
         return ReducedHypergraph._assemble(t_new, new_sizes, new_cons)
 
 

@@ -284,14 +284,17 @@ class _Engine:
         pidxs = [(pair_idx[(u, v)], pair_idx[(u, w)], pair_idx[(v, w)])
                  for u, v, w in edges]
         self.pair_edges: list[list[int]] = [[] for _ in self.pairs]
-        # neighbours[p]: bitmask of the pairs sharing an edge with pair p
-        self.neighbours: list[int] = [0] * len(self.pairs)
+        # places[ei][s]: edge ei's place among the edges of its s-th pair
+        places = []
         for ei, pidx in enumerate(pidxs):
+            places.append(tuple(len(self.pair_edges[p]) for p in pidx))
             for p in pidx:
                 self.pair_edges[p].append(ei)
-                for q in pidx:
-                    if q != p:
-                        self.neighbours[p] |= 1 << q
+        # neighbours[p]: the pairs sharing an edge with pair p; two edges
+        # share at most one pair, so none is listed twice
+        self.neighbours: list[tuple[int, ...]] = [
+            tuple(q for ei in es for q in pidxs[ei] if q != p)
+            for p, es in enumerate(self.pair_edges)]
         self._plans: dict[int, _CountPlan] = {}
         # distinct_before[v]: shadow neighbours u < v, for distinctness pruning
         self.distinct_before: list[tuple[int, ...]] = _per_vertex(
@@ -303,10 +306,9 @@ class _Engine:
         # edge_pairs[ei]: for the pairs uv, uw, vw of edge ei, (p, (q, r), k):
         # q and r the edge's other pairs and k the edge's place among p's edges
         self.edge_pairs: list[tuple[tuple[int, tuple[int, int], int], ...]] = []
-        for ei, pidx in enumerate(pidxs):
+        for pidx, place in zip(pidxs, places):
             self.edge_pairs.append(tuple(
-                (pidx[p], (pidx[q], pidx[r]), self.pair_edges[pidx[p]].index(ei))
-                for p, q, r in _OTHERS))
+                (pidx[p], (pidx[q], pidx[r]), place[p]) for p, q, r in _OTHERS))
 
     def run(self, budget: _BudgetTracker, count_all: bool) -> SearchResult:
         n = self.n
@@ -484,15 +486,16 @@ class _Engine:
     def _count_plan(self, mask: int) -> _CountPlan:
         """Compile the plan of the counting search for one assigned-pair mask."""
         nbrs = self.neighbours
-        np_ = len(self.pairs)
-        freed = tuple(p for p in range(np_)
-                      if not mask >> p & 1 and not nbrs[p] & ~mask)
+        pairs = range(len(self.pairs))
+        unset = {p for p in pairs if not mask >> p & 1}
+        freed = tuple(p for p in pairs if p in unset and unset.isdisjoint(nbrs[p]))
         after = mask
         for p in freed:
             after |= 1 << p
-        todo = tuple(p for p in range(np_) if not after >> p & 1)
-        frontier = tuple(p for p in range(np_)
-                         if after >> p & 1 and nbrs[p] & ~after)
+        unset.difference_update(freed)
+        todo = tuple(sorted(unset))
+        frontier = tuple(p for p in pairs
+                         if p not in unset and not unset.isdisjoint(nbrs[p]))
         memo = bool(todo) and len(frontier) < after.bit_count()
         plan = self._plans[mask] = _CountPlan(freed, after, todo, frontier, memo)
         return plan

@@ -18,12 +18,12 @@ canonical form: P lines then E lines, each sorted lexicographically.
 
 A host text in exactly that canonical form, as write_host emits it, is
 parsed in bulk, a column at a time, and its digest is the sha256 of the
-input itself.  The bulk recogniser proves every condition the host
-constructor would check (see _parse_canonical), then builds each
-constituent's tables straight from its columns; the constituents' edge
-sets are built only when something reads them.  Any other text, malformed
-or not, goes through the line parser and the checking constructor; the
-line parser is the only code that words a ParseError.
+input itself.  The bulk recogniser checks only the text's shape (see
+_parse_canonical); the host rules are core's, proven by
+ReducedHypergraph._from_columns, which also builds the tables.  The
+constituents' edge sets are built only when something reads them.  Any
+other text, malformed or not, goes through the line parser and the host
+constructor; the line parser is the only code that words a ParseError.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import hashlib
 import itertools
 from operator import lt
 
-from .core import Constituent, Pattern, ReducedHypergraph, check_table_size
+from .core import Pattern, ReducedHypergraph
 from .errors import ParseError
 from .plain import Plain3Graph
 
@@ -79,23 +79,18 @@ def _check_e_line(lineno: int, i: int, j: int, k: int, a: int, b: int, c: int,
 def _parse_canonical(text: str) -> ReducedHypergraph | None:
     """The host of a text equal to write_host of that host, or None.
 
-    None defers to the line parser, on any failure of any kind.  One
-    split gives the tokens.  Each is followed by exactly one separator
-    when the lengths add up, and the counts of newlines, of spaces and of
-    newlines before each tag then pin every separator to its canonical
-    place.  Numbers are read through a table of the distinct tokens that
-    keeps only canonical, non-negative decimals, a column at a time.  The
-    recogniser then proves what makes the text a canonical host:
-      - M >= 2, the P lines name every pair in order, and every class
-        size is >= 1;
-      - the host's tables fit under the cap (checked before any is
-        allocated);
-      - every E key is a sorted triple within 1..M, the keys never
-        decrease, and the triples' blocks cover every row;
-      - in each block the vertices lie below their class sizes and the
-        rows rise strictly, which also rules out duplicates.
-    Each constituent's tables are then built straight from its block's
-    columns, and the host is assembled without checking anything again.
+    None defers to the line parser, on any failure of any kind.  This
+    recognises the canonical shape only.  One split gives the tokens.  Each
+    is followed by exactly one separator when the lengths add up, and the
+    counts of newlines, of spaces and of newlines before each tag then pin
+    every separator to its canonical place.  Numbers are read through a
+    table of the distinct tokens that keeps only canonical, non-negative
+    decimals, a column at a time.  The P lines must name the pairs of
+    1..M in order, and the E rows (i, j, k, a, b, c) must rise strictly,
+    the order write_host emits and the digest relies on; that also leaves
+    each triple's rows in one run, none repeated.  Every host rule (M, the
+    class sizes, the cap, the keys and the vertex ranges) is then proven by
+    ReducedHypergraph._from_columns, which builds the host.
     """
     if not (text.isascii() and text.startswith("M ") and text.endswith("\n")):
         return None
@@ -111,8 +106,6 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
             numbers[tok] = v
         num = numbers.__getitem__
         m = num(tokens[1])
-        if m < 2:
-            return None
         n_pairs = m * (m - 1) // 2
         e0 = 2 + 4 * n_pairs
         n_edges, rest = divmod(len(tokens) - e0, 7)
@@ -126,38 +119,15 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
         if list(zip(map(num, tokens[3:e0:4]), map(num, tokens[4:e0:4]))) != pairs:
             return None
         sizes = dict(zip(pairs, map(num, tokens[5:e0:4])))
-        if 0 in sizes.values():
+        columns = [list(map(num, tokens[e0 + x::7])) for x in range(1, 7)]
+        later = zip(*columns)
+        next(later, None)  # each row against the next one
+        if not all(map(lt, zip(*columns), later)):
             return None
-        check_table_size(m, sizes)
-        ci, cj, ck, ca, cb, cc = (list(map(num, tokens[e0 + x::7])) for x in range(1, 7))
-        # Each run of equal keys must be a sorted triple within 1..m that
-        # comes after the previous run's: `in` advances the triples past it.
-        triples = itertools.combinations(range(1, m + 1), 3)
-        spans = {}
-        lo = 0
-        for t, run in itertools.groupby(zip(ci, cj, ck)):
-            if t not in triples:
-                return None
-            hi = lo + len(list(run))
-            spans[t] = lo, hi
-            lo = hi
-        cons = {}
-        for t in itertools.combinations(range(1, m + 1), 3):
-            i, j, k = t
-            s0, s1, s2 = sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]
-            lo, hi = spans.get(t, (0, 0))
-            a, b, c = ca[lo:hi], cb[lo:hi], cc[lo:hi]
-            if a:
-                if not (max(a) < s0 and max(b) < s1 and max(c) < s2):
-                    return None
-                rows = zip(a, b, c)
-                next(rows)  # each row against the next one
-                if not all(map(lt, zip(a, b, c), rows)):
-                    return None
-            cons[t] = Constituent.from_columns((s0, s1, s2), a, b, c)
+        keys = [(t, len(list(run))) for t, run in itertools.groupby(zip(*columns[:3]))]
+        host = ReducedHypergraph._from_columns(m, sizes, keys, *columns[3:])
     except Exception:
         return None
-    host = ReducedHypergraph._assemble(m, sizes, cons)
     host.canonical_sha256 = hashlib.sha256(text.encode()).hexdigest()
     return host
 
@@ -227,7 +197,7 @@ def write_host(host: ReducedHypergraph) -> str:
     for i, j in host.pairs():
         lines.append(f"P {i} {j} {host.class_size(i, j)}")
     for t in host.triples():
-        for a, b, c in sorted(host.edges(t)):
+        for a, b, c in host.constituent(t).sorted_edges():
             lines.append(f"E {t[0]} {t[1]} {t[2]} {a} {b} {c}")
     return "\n".join(lines) + "\n"
 

@@ -199,6 +199,8 @@ _SIZES3 = {(1, 2): 2, (1, 3): 2, (2, 3): 3}
     (3, {(2, 1): 1, (1, 3): 1, (2, 3): 1}, {}, "class pair (2, 1) is not sorted within 1..3"),
     (3, {(1, 2): 1, (1, 4): 1}, {}, "class pair (1, 4) is not sorted within 1..3"),
     (3, {(0, 1): 1}, {}, "class pair (0, 1) is not sorted within 1..3"),
+    (3, {(1, 1): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1}, {},
+     "class pair (1, 1) is not sorted within 1..3"),
     (3, {(1, 2): 1, (1, 3): 0, (2, 3): 1}, {}, "class P^{1,3} must have size >= 1, got 0"),
     (3, {(1, 2): 1, (2, 3): 1}, {}, "missing class size for pair (1, 3)"),
     (3, _SIZES3, {(2, 1, 3): [(0, 0, 0)]}, "constituent key (2, 1, 3) must be a sorted triple"),
@@ -207,6 +209,8 @@ _SIZES3 = {(1, 2): 2, (1, 3): 2, (2, 3): 3}
     (3, _SIZES3, {(1, 1, 3): []}, "constituent key (1, 1, 3) out of range 1..3"),
     (3, _SIZES3, {(1, 2, 4): []}, "constituent key (1, 2, 4) out of range 1..3"),
     (3, _SIZES3, {(0, 1, 2): [(0, 0, 0)]}, "constituent key (0, 1, 2) out of range 1..3"),
+    (3, _SIZES3, {(1, 2, 3): [(0, 2, 0)]},
+     "edge (0, 2, 0) of constituent (1, 2, 3) out of class ranges (2, 2, 3)"),
     # faults are reported in input order: an earlier triple's bad edge
     # comes before a later triple's bad key, and a bad key before a later bad edge
     (3, _SIZES3, {(1, 2, 3): [(0, 0, 0), (0, 0, 3)], (1, 2, 4): []},

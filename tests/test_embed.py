@@ -210,6 +210,33 @@ def test_a_vertex_in_many_edges_builds_its_tables_in_linear_time():
     assert engine.distinct_before[1] == engine.lam_sched[6] == ()
 
 
+def test_a_pair_in_many_edges_builds_its_tables_in_linear_time():
+    # Pair (1, 2) lies in K edges (1, 2, x): looking up each edge's place in
+    # the pair's edge list, or keeping a neighbour bitmask per pair as wide
+    # as the pair count, makes the setup quadratic (over 2 s and 120 MiB).
+    k = 20000
+    pattern = Pattern(k + 2, [(1, 2, x) for x in range(3, k + 3)])
+    host = complete_host(4, 2)
+    started = time.monotonic()
+    result = find_reduced_image(host, pattern, budget=10)
+    elapsed = time.monotonic() - started
+    assert (result.status, result.nodes) == ("budget-exhausted", 11)
+    assert elapsed < 1.5, f"engine setup took {elapsed:.1f}s"
+    tracemalloc.start()
+    try:
+        _Engine(host, pattern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
+    # pairs (1,2) (1,3) (1,4) (1,5) (2,3) (2,4) (2,5) are 0..6
+    engine = _Engine(host, Pattern(5, [(1, 2, 3), (1, 2, 4), (1, 2, 5)]))
+    assert engine.pair_edges[0] == [0, 1, 2]
+    assert engine.edge_pairs[1] == ((0, (2, 5), 1), (2, (0, 5), 0), (5, (0, 2), 0))
+    assert engine.neighbours[0] == (1, 4, 2, 5, 3, 6)
+    assert engine.neighbours[5] == (0, 2)
+
+
 # (status, count, nodes) of the plain branching count-all search, with no
 # caching of subtree results, on fixed hosts.
 COUNT_ALL_PINS = {

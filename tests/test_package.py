@@ -21,3 +21,16 @@ def test_imports_only_the_standard_library():
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert outside == []
+
+
+def test_only_core_builds_and_validates_hosts():
+    # The host rules live in core (ReducedHypergraph._from_columns); the
+    # parser recognises canonical text and hands its columns over.
+    owned = {"Constituent", "check_table_size", "_assemble"}
+    tree = ast.parse((SRC / "fileio.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert named & owned == set()
+    assert "_from_columns" in named
