@@ -152,13 +152,23 @@ def parse_glued(text: str) -> GluedConfiguration:
                               alpha24_prime=primes[(2, 4)])
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 are an input
+    error, not a decoding traceback."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}") from None
+
+
 def _read_host(path: str) -> ReducedHypergraph:
-    return fileio.parse_host(Path(path).read_text())
+    return fileio.parse_host(_read_text(path))
 
 
 def _read_pattern(value: str) -> Pattern:
     if Path(value).is_file():
-        return fileio.parse_pattern(Path(value).read_text())
+        return fileio.parse_pattern(_read_text(value))
     return pattern_catalog(value)
 
 
@@ -425,7 +435,7 @@ def _cmd_gen(args, started) -> tuple[int, str]:
 
 
 def _cmd_audit(args, started) -> tuple[int, str]:
-    graph = fileio.parse_plain3(Path(args.graph).read_text())
+    graph = fileio.parse_plain3(_read_text(args.graph))
     d = parse_fraction(args.d)
     eta = parse_fraction(args.eta)
     mode = "exhaustive" if args.exhaustive or args.samples == 0 else "sampled"
@@ -483,6 +493,8 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     try:
         if args.threads < 1:
             raise DomainError(f"threads must be >= 1, got {args.threads}")
+        if getattr(args, "cap", 0) < 0:
+            raise DomainError(f"cap must be >= 0, got {args.cap}")
         code, text = _HANDLERS[args.command](args, started)
         if getattr(args, "report", None):
             Path(args.report).write_text(text)

@@ -27,15 +27,26 @@ are unchanged.  The table of searched leaves stops taking entries at
 LEAF_TABLE_CAP, so its memory does not grow with the length of a run;
 the other tables hold at most one entry per ordered index triple.
 
-Counting (count_all) caches subtree results within one index map.  The
-state of a subtree is the set of assigned pairs plus the values of the
-frontier: the assigned pairs that share a pattern edge with an unassigned
-pair.  Pruning narrows a pair's domain only through the values of the
-pairs it shares an edge with, so the domains of the unassigned pairs, and
-with them the subtree's count and node total, depend on nothing else.  A
-state reached again returns its cached count and spends its cached nodes
-in one step, so node counts, and where a budget runs out, are exactly
-those of the plain branching search.
+Counting (count_all) caches subtree results within one index map, keyed
+by what the subtree reads rather than by the path that reached it.  Below
+a node, the search reads only the domains of the pairs still to branch on
+(todo) and the values of the frontier: the assigned pairs that lie in a
+pattern edge whose other two pairs are both todo.  Every other assigned
+value has already been applied to those domains, since an edge with one
+todo pair completion-pruned it when the edge's second other pair was
+assigned, and pairs multiplied out (freed) share no edge with a todo
+pair.  So the key is the mask of settled (assigned or freed) pairs, the
+frontier values and the todo domains; equal keys have equal counts and
+node totals.  A key seen again returns its cached count and spends its
+cached nodes in one step.  Only nodes where some settled pair lies off
+the frontier are cached: elsewhere the key holds every assigned value, so
+no other path can reach it.  The last branching level, whose pair frees
+every other todo pair, is counted in closed form: each freed pair shares
+exactly one edge with the branching pair, and that edge's third pair is
+assigned, so each value of the branching pair contributes the product of
+the freed domains narrowed by one completion table each, and the level's
+nodes are spent at once.  Node counts, and where a budget runs out, are
+exactly those of the plain branching search.
 
 The oracle enumerates candidate maps naively in fixed lexicographic
 order with direct edge-set membership checks and no propagation; it is
@@ -240,6 +251,41 @@ def _propagate(entries, val: int, doms: list[int],
     return True
 
 
+def _count_last_level(dom: int, entries, doms: list[int],
+                      assigned: list[int | None]) -> int:
+    """The class-vertex maps below a pair p, of domain dom and pruning
+    entries entries (see _propagate), whose assignment frees every other
+    unassigned pair: the sum over p's values of the product of the domain
+    sizes that value leaves to the freed pairs.
+
+    Each freed pair was left to branch on, so it had an unassigned
+    neighbour, and only p can have been that neighbour: it shares exactly
+    one edge with p, whose third pair is assigned.  So p's value narrows
+    it through one completion table, and the freed pairs narrow nothing
+    further.
+    """
+    narrowed = []
+    for q, r, comp_q, mp_q, m_q, _, comp_r, mp_r, m_r, _ in entries:
+        aq = assigned[q]
+        ar = assigned[r]
+        if aq is None:  # then r is assigned
+            narrowed.append((doms[q], comp_r, mp_r, ar * m_r))
+        elif ar is None:
+            narrowed.append((doms[r], comp_q, mp_q, aq * m_q))
+    total = 0
+    while dom:
+        low = dom & -dom
+        dom ^= low
+        val = low.bit_length() - 1
+        ways = 1
+        for d, comp, mp, offset in narrowed:
+            ways *= (d & comp[val * mp + offset]).bit_count()
+            if not ways:
+                break
+        total += ways
+    return total
+
+
 @dataclass(frozen=True, slots=True)
 class _CountPlan:
     """What the counting search does once a given set of pairs is assigned.
@@ -247,10 +293,12 @@ class _CountPlan:
     freed: unassigned pairs with no unassigned neighbour, multiplied out;
     after: the assigned-pair mask with the freed pairs added;
     todo: the pairs still to branch on, ascending;
-    frontier: assigned pairs sharing an edge with a pair in todo;
-    memo: whether some assigned pair is interior (not on the frontier).
-    Without an interior pair the subtree state determines its path from
-    the root, so no other path can reach it and caching cannot pay.
+    frontier: assigned pairs in an edge whose other two pairs are both in
+    todo, the only assigned values the subtree still reads;
+    memo: whether some pair of after lies outside the frontier.  Without
+    one, the subtree's key holds every assigned value, so it determines
+    the path from the root, no other path can reach it and caching cannot
+    pay.
     """
 
     freed: tuple[int, ...]
@@ -494,17 +542,23 @@ class _Engine:
             after |= 1 << p
         unset.difference_update(freed)
         todo = tuple(sorted(unset))
-        frontier = tuple(p for p in pairs
-                         if p not in unset and not unset.isdisjoint(nbrs[p]))
+        # the assigned pair of each edge whose other two pairs are in todo
+        front = set()
+        for (a, (b, c), _), _, _ in self.edge_pairs:
+            if (a in unset) + (b in unset) + (c in unset) == 2:
+                front.update((a, b, c))
+        frontier = tuple(sorted(front - unset))
         memo = bool(todo) and len(frontier) < after.bit_count()
         plan = self._plans[mask] = _CountPlan(freed, after, todo, frontier, memo)
         return plan
 
     def _phi_count(self, props, doms: list[int], budget: _BudgetTracker) -> int:
-        """The number of class-vertex maps."""
+        """The number of class-vertex maps, with subtree results cached and
+        the last branching level counted in closed form (see the module
+        docstring)."""
         assigned: list[int | None] = [None] * len(doms)
         plans = self._plans
-        # subtree state -> (count, nodes); valid for this index map only
+        # subtree key -> (count, nodes); valid for this index map only
         cache: dict[tuple, tuple[int, int]] = {}
         # Nodes are spent inline: past `room` the budget is exhausted.
         room = math.inf if budget.limit is None else budget.limit - budget.nodes
@@ -526,7 +580,8 @@ class _Engine:
             if not todo:
                 return mult
             if plan.memo:
-                key = (plan.after, tuple([assigned[p] for p in plan.frontier]))
+                key = (plan.after, *[assigned[p] for p in plan.frontier],
+                       *[doms[p] for p in todo])
                 hit = cache.get(key)
                 if hit is not None:
                     spent += hit[1]
@@ -541,25 +596,34 @@ class _Engine:
                 if size < best_size:
                     p, best_size = q, size
             saved = rest = doms[p]
-            entries = props[p]
             child = plan.after | 1 << p
-            subtotal = 0
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                spent += 1
+            last = plans.get(child) or self._count_plan(child)
+            if not last.todo:
+                # p's values are the level's nodes: spend them at once, as
+                # the branching would one by one
+                spent += best_size
                 if spent > room:
                     raise _BudgetExhausted
-                val = low.bit_length() - 1
-                trail: list[tuple[int, int]] = []
-                assigned[p] = val
-                doms[p] = low
-                if _propagate(entries, val, doms, assigned, trail):
-                    subtotal += rec(child)
-                assigned[p] = None
-                doms[p] = saved
-                for q, old in reversed(trail):
-                    doms[q] = old
+                subtotal = _count_last_level(saved, props[p], doms, assigned)
+            else:
+                entries = props[p]
+                subtotal = 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    spent += 1
+                    if spent > room:
+                        raise _BudgetExhausted
+                    val = low.bit_length() - 1
+                    trail: list[tuple[int, int]] = []
+                    assigned[p] = val
+                    doms[p] = low
+                    if _propagate(entries, val, doms, assigned, trail):
+                        subtotal += rec(child)
+                    assigned[p] = None
+                    doms[p] = saved
+                    for q, old in reversed(trail):
+                        doms[q] = old
             if plan.memo:
                 cache[key] = (subtotal, spent - spent_before)
             return mult * subtotal

@@ -411,6 +411,50 @@ def test_threads_below_one_is_an_input_error(complete_file, command):
         assert (code, text) == (3, f"error threads must be >= 1, got {threads}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--host", "{bad}", "--d", "1/4"],
+    ["find", "--host", "{bad}", "--pattern", "K4"],
+    ["find", "--host", "{good}", "--pattern", "{bad}"],
+    ["oracle", "--host", "{bad}", "--pattern", "K4"],
+    ["oracle", "--host", "{good}", "--pattern", "{bad}"],
+    ["pipeline", "--host", "{bad}", "--eps", "1/2", "--delta", "1/4"],
+    ["glue", "--host", "{bad}", "--eps", "1/2", "--delta", "1/4", "--ladder", "4,3"],
+    ["glue-oracle", "--host", "{bad}"],
+    ["gen", "--kind", "blowup", "--host", "{bad}"],
+    ["audit", "--graph", "{bad}", "--d", "1/4", "--eta", "1/20"],
+], ids=["density", "find-host", "find-pattern", "oracle-host", "oracle-pattern",
+        "pipeline", "glue", "glue-oracle", "gen-blowup", "audit"])
+def test_input_file_that_is_not_utf8_is_an_input_error(tmp_path, orientation_file, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"M 3\n\xff\n")
+    got = run([a.format(bad=bad, good=orientation_file) for a in argv])
+    assert got == (3, f"error {bad} is not UTF-8 text: invalid start byte at byte 4\n")
+
+
+@pytest.mark.parametrize("command, at_zero", [
+    (["oracle", "--host", "{host}", "--pattern", "K4"],
+     "index assignment space 4^4 exceeds oracle cap 0"),
+    (["glue-oracle", "--host", "{host}"], "glued enumeration space exceeds cap 0"),
+    (["audit", "--graph", "{graph}", "--d", "1/2", "--eta", "0"],
+     "exhaustive audit capped at 0 vertices (graph has 6); use sampled mode"),
+], ids=["oracle", "glue-oracle", "audit"])
+def test_negative_cap_is_an_input_error_before_any_work(tmp_path, orientation_file,
+                                                        command, at_zero):
+    graph = tmp_path / "empty6.p3"
+    graph.write_text("V 6\n")
+    argv = [a.format(host=orientation_file, graph=graph) for a in command]
+    for cap in ("-5", "-1"):
+        assert run(argv + ["--cap", cap]) == (3, f"error cap must be >= 0, got {cap}\n")
+        # refused before the input file is read
+        missing = [a.format(host=tmp_path / "none.rh", graph=tmp_path / "none.p3")
+                   for a in command]
+        assert run(missing + ["--cap", cap]) == (3, f"error cap must be >= 0, got {cap}\n")
+    if command[0] == "audit":  # sampled audits do not read the cap, and refuse it too
+        assert run(argv + ["--samples", "3", "--cap", "-5"]) == \
+            (3, "error cap must be >= 0, got -5\n")
+    assert run(argv + ["--cap", "0"]) == (2, f"error cap-exceeded: {at_zero}\n")
+
+
 _GLUED = ("G-indices 1 2 5 4\nG 1 2 0\nG 1 3 0\nG 1 4 0\nG 2 3 0\nG 2 4 0\n"
           "G 3 4 0\nG-prime 2 3 0\nG-prime 2 4 0\n")
 

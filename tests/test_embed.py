@@ -322,6 +322,38 @@ def test_count_all_nodes_and_budgets_are_pinned(label):
         assert (r.status, r.count, r.nodes) == (status, count, nodes), name
 
 
+# (status, count, nodes) of count-all searches on hosts whose classes reach
+# 4 to 10 vertices; the nodes are those of the plain branching search.
+LARGE_CLASS_PINS = {
+    "m4c8d9/K4": (lambda: random_box_dense(4, 8, Fraction(9, 10), seed=1), "K4",
+                  ("found", 4127712, 681004)),
+    "m4c10d9/K4minus": (lambda: random_box_dense(4, 10, Fraction(9, 10), seed=1),
+                        "K4minus", ("found", 17486382, 26804)),
+    "m5c8d9/K4minus": (lambda: random_box_dense(5, 8, Fraction(9, 10), seed=1),
+                       "K4minus", ("found", 22968924, 70510)),
+    "m5c4d9/Fstar": (lambda: random_box_dense(5, 4, Fraction(9, 10), seed=1), "Fstar",
+                     ("found", 76892484, 595750)),
+    "mixed6c4/Fstar": (lambda: seeded_mixed_host(6, 0.9, seed=5, max_size=4), "Fstar",
+                       ("found", 544674, 46159)),
+    "mixed6c4/K4": (lambda: seeded_mixed_host(6, 0.9, seed=5, max_size=4), "K4",
+                    ("found", 20472, 10032)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LARGE_CLASS_PINS))
+def test_count_all_on_larger_classes_is_pinned(label):
+    make_host, name, (status, count, nodes) = LARGE_CLASS_PINS[label]
+    host = make_host()
+    pat = pattern_catalog(name)
+    r = find_reduced_image(host, pat, count_all=True)
+    assert (r.status, r.count, r.nodes) == (status, count, nodes)
+    for budget in (1, nodes // 3, nodes - 1):
+        r = find_reduced_image(host, pat, count_all=True, budget=budget)
+        assert (r.status, r.count, r.nodes) == ("budget-exhausted", None, budget + 1), budget
+    r = find_reduced_image(host, pat, count_all=True, budget=nodes)
+    assert (r.status, r.count, r.nodes) == (status, count, nodes)
+
+
 def certificate_key(result):
     if result.certificate is None:
         return None
@@ -526,3 +558,147 @@ def test_blow_up_containment_consistency():
     if find_reduced_image(host, pat).status == "found":
         sub = Pattern(pat.vertex_count, sorted(pat.edges)[:-1])
         assert find_reduced_image(host, blow_up(sub, 1)).status == "found"
+
+
+def reference_count(host, pattern, budget=None):
+    """(status, count, nodes) of the plain branching count-all search, written
+    out with sets: the index stage, then for each complete index map a
+    class-vertex count that branches on the most constrained pair (lowest
+    first on ties), forward-checks the pair's edges and multiplies out the
+    pairs left with no unassigned neighbour.  Every leaf is searched, no
+    subtree result is cached and no level is counted in closed form."""
+    n, m = pattern.vertex_count, host.index_count
+    pairs = sorted(pattern.shadow)
+    pos = {p: i for i, p in enumerate(pairs)}
+    edges = sorted(pattern.edges)
+    edge_pairs = [(pos[(u, v)], pos[(u, w)], pos[(v, w)]) for u, v, w in edges]
+    pair_edges = [[ei for ei, ps in enumerate(edge_pairs) if p in ps]
+                  for p in range(len(pairs))]
+    nbrs = [{q for ei in pair_edges[p] for q in edge_pairs[ei]} - {p}
+            for p in range(len(pairs))]
+    lam = [0] * (n + 1)
+    nodes = total = 0
+
+    def spend():
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise OverflowError
+
+    def rel(ei):
+        """The edges of edge ei's constituent with values put in the order of
+        the edge's pairs uv, uw, vw."""
+        u, v, w = edges[ei]
+        t = tuple(sorted((lam[u], lam[v], lam[w])))
+        slots = [[(t[0], t[1]), (t[0], t[2]), (t[1], t[2])].index(
+            sorted_pair(lam[a], lam[b])) for a, b in ((u, v), (u, w), (v, w))]
+        return {(e[slots[0]], e[slots[1]], e[slots[2]])
+                for e in host.constituent(t).edges}
+
+    def count_leaf():
+        rels = [rel(ei) for ei in range(len(edges))]
+        doms = []
+        for p, (u, v) in enumerate(pairs):
+            dom = set(range(host.class_size(*sorted_pair(lam[u], lam[v]))))
+            for ei in pair_edges[p]:
+                place = edge_pairs[ei].index(p)
+                dom &= {e[place] for e in rels[ei]}
+            doms.append(dom)
+        if not all(doms):
+            return 0
+
+        def fits(ei, values):
+            return tuple(values[q] for q in edge_pairs[ei]) in rels[ei]
+
+        def rec(settled, values, doms):
+            open_ = [p for p in range(len(pairs)) if p not in settled]
+            freed = [p for p in open_ if nbrs[p] <= settled]
+            mult = 1
+            for p in freed:
+                mult *= len(doms[p])
+            if mult == 0:
+                return 0
+            todo = [p for p in open_ if p not in freed]
+            if not todo:
+                return mult
+            p = min(todo, key=lambda q: (len(doms[q]), q))
+            subtotal = 0
+            for val in sorted(doms[p]):
+                spend()
+                now = {**values, p: val}
+                narrowed = list(doms)
+                narrowed[p] = {val}
+                for ei in pair_edges[p]:
+                    q, r = [x for x in edge_pairs[ei] if x != p]
+                    if q in now and r in now:
+                        continue
+                    for x, y in ((q, r), (r, q)):
+                        if x in now:
+                            continue
+                        if y in now:
+                            narrowed[x] = {a for a in narrowed[x]
+                                           if fits(ei, {**now, x: a})}
+                        else:
+                            size = host.class_size(*sorted_pair(
+                                *(lam[z] for z in pairs[y])))
+                            narrowed[x] = {a for a in narrowed[x] if any(
+                                fits(ei, {**now, x: a, y: b}) for b in range(size))}
+                if all(narrowed):
+                    subtotal += rec(settled | {p, *freed}, now, narrowed)
+            return mult * subtotal
+
+        return rec(frozenset(), {}, doms)
+
+    def lam_rec(u):
+        nonlocal total
+        if u > n:
+            total += count_leaf()
+            return
+        for i in range(1, m + 1):
+            spend()
+            if any(lam[a] == i for a, b in pairs if b == u):
+                continue
+            lam[u] = i
+            if all(host.constituent(tuple(sorted((lam[a], lam[b], i)))).edges
+                   for a, b, c in edges if c == u):
+                lam_rec(u + 1)
+
+    try:
+        lam_rec(1)
+    except OverflowError:
+        return ("budget-exhausted", None, budget + 1)
+    return ("found" if total else "not-found", total, nodes)
+
+
+@st.composite
+def counting_instances(draw):
+    """A host with classes of 1 to 4 (1 to 3 under patterns of more than six
+    shadow pairs, which keeps the reference quick) and a catalog or
+    generated pattern, the generated one sometimes with a vertex outside
+    every edge."""
+    if draw(st.booleans()):
+        pattern = pattern_catalog(draw(st.sampled_from(CATALOG)))
+    else:
+        n = draw(st.integers(3, 5))
+        triples = list(itertools.combinations(range(1, n + 1), 3))
+        edges = draw(st.lists(st.sampled_from(triples), min_size=1, unique=True))
+        pattern = Pattern(n + draw(st.integers(0, 1)), edges)
+    m = draw(st.integers(max(3, pattern.vertex_count - 1), 5))
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    top = 4 if len(pattern.shadow) <= 6 else 3
+    sizes = dict(zip(pairs, draw(st.lists(st.integers(1, top), min_size=len(pairs),
+                                          max_size=len(pairs)))))
+    d = draw(st.integers(3, 10)) / 10
+    return mixed_host(m, sizes, d, draw(st.integers(0, 10 ** 6))), pattern
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(counting_instances(), st.data())
+def test_count_all_matches_the_plain_branching_search(instance, data):
+    host, pat = instance
+    want = reference_count(host, pat)
+    assert outcome(find_reduced_image(host, pat, count_all=True))[:3] == want
+    nodes = want[2]
+    for budget in data.draw(st.lists(st.integers(1, nodes + 1), min_size=1, max_size=3)):
+        got = find_reduced_image(host, pat, count_all=True, budget=budget)
+        assert outcome(got)[:3] == reference_count(host, pat, budget), budget

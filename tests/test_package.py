@@ -34,3 +34,9 @@ def test_only_core_builds_and_validates_hosts():
               for alias in node.names}
     assert named & owned == set()
     assert "_from_columns" in named
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: no later syntax.
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
