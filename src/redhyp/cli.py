@@ -26,7 +26,7 @@ from .constructions import (RNG_ALGORITHM, check_3graph_request,
                             cyclic_triple_3graph, orientation_reduced,
                             random_box_dense, random_tournament, reduced_blow_up)
 from .core import (Pattern, ReducedHypergraph, ReducedMap, constituent_density,
-                   is_box_dense, pattern_catalog)
+                   is_box_dense, pattern_catalog, refuse_negative_cap)
 from .embed import DEFAULT_ORACLE_CAP, exhaustive_oracle, find_reduced_image
 from .errors import (CapExceeded, DomainError, ParseError, RedhypError,
                      SelfCheckError)
@@ -493,8 +493,7 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     try:
         if args.threads < 1:
             raise DomainError(f"threads must be >= 1, got {args.threads}")
-        if getattr(args, "cap", 0) < 0:
-            raise DomainError(f"cap must be >= 0, got {args.cap}")
+        refuse_negative_cap(getattr(args, "cap", 0))
         code, text = _HANDLERS[args.command](args, started)
         if getattr(args, "report", None):
             Path(args.report).write_text(text)

@@ -57,8 +57,9 @@ class Constituent:
     comp01 on its first read and then kept; sorted_edges() reads them from
     comp01 in order without building it.  The search-only tables, comp02
     and the proj_xy, are reached through fwd; fwd and occupied are None
-    until ensure_search_tables() builds them, on the embedding search's
-    first use of the constituent.
+    until ensure_search_tables() builds them from comp01 and comp12, on the
+    embedding search's first use of the constituent.  The search itself
+    never reads edges.
 
     A constituent does not know its triple: hosts relabeled by `induced`
     share it wherever a triple keeps its index order, and every table above
@@ -98,26 +99,45 @@ class Constituent:
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.comp01))
 
+    def build_comp02(self) -> list[int]:
+        """comp02 (see above), built from the comp01 bits."""
+        s0, s1, s2 = self.sizes
+        comp02 = [0] * (s0 * s2)
+        for key, cs in enumerate(self.comp01):
+            if cs:
+                a, b = divmod(key, s1)
+                row = a * s2
+                bit = 1 << b
+                while cs:
+                    low = cs & -cs
+                    comp02[row + low.bit_length() - 1] |= bit
+                    cs ^= low
+        return comp02
+
     def ensure_search_tables(self) -> None:
-        """Build occupied and fwd, unless already built."""
+        """Build occupied and fwd from comp01 and comp12, unless already
+        built; the edge set is not read."""
         if self.fwd is not None:
             return
         s0, s1, s2 = self.sizes
-        comp02 = [0] * (s0 * s2)
         proj01 = [0] * s0
         proj02 = [0] * s0
         proj10 = [0] * s1
         proj12 = [0] * s1
         proj20 = [0] * s2
         proj21 = [0] * s2
-        for a, b, c in self.edges:
-            comp02[a * s2 + c] |= 1 << b
-            proj01[a] |= 1 << b
-            proj02[a] |= 1 << c
-            proj10[b] |= 1 << a
-            proj12[b] |= 1 << c
-            proj20[c] |= 1 << a
-            proj21[c] |= 1 << b
+        for key, cs in enumerate(self.comp01):
+            if cs:
+                a, b = divmod(key, s1)
+                proj01[a] |= 1 << b
+                proj02[a] |= cs
+                proj10[b] |= 1 << a
+                proj12[b] |= cs
+        for key, as_ in enumerate(self.comp12):
+            if as_:
+                b, c = divmod(key, s2)
+                proj20[c] |= as_
+                proj21[c] |= 1 << b
         # A slot-0 vertex is used by an edge exactly when it has a partner in slot 1.
         self.occupied = (
             sum(1 << a for a, bits in enumerate(proj01) if bits),
@@ -127,7 +147,7 @@ class Constituent:
         # comp_xy (x < y) is keyed by the slot-x vertex times slot y's size.
         for x, y, comp, stride, proj_xy, proj_yx in (
                 (0, 1, self.comp01, s1, proj01, proj10),
-                (0, 2, comp02, s2, proj02, proj20),
+                (0, 2, self.build_comp02(), s2, proj02, proj20),
                 (1, 2, self.comp12, s2, proj12, proj21)):
             fwd[x][y] = (comp, stride, 1, proj_xy)
             fwd[y][x] = (comp, 1, stride, proj_yx)
@@ -169,6 +189,13 @@ def check_table_size(index_count: int, sizes: Mapping[Pair, int]) -> None:
         raise CapExceeded(
             f"host needs {entries} constituent table entries, "
             f"above the cap {TABLE_ENTRY_CAP}")
+
+
+def refuse_negative_cap(cap: int) -> None:
+    """Refuse, with DomainError, a negative enumeration cap: a cap of 0
+    refuses every enumeration, and below that a cap means nothing."""
+    if cap < 0:
+        raise DomainError(f"cap must be >= 0, got {cap}")
 
 
 def refuse_above_cap(entries: int, what: str) -> None:

@@ -14,9 +14,12 @@ relation: its constituent's edges with the slots put in the order of the
 edge's pairs uv, uw, vw.  Which slot a pair takes depends only on the
 order of the edge's three index values (one of six layouts), so the
 relation is the constituent's value (sizes and edges) read through a
-layout.  A run numbers the relations in order of first use; the index
-stage finds an edge's number with one lookup of its ordered index triple,
-and a complete index map's leaf key is the tuple of its edges' numbers.
+layout.  It is keyed by the sizes and the completion table in the
+layout's slot order, read from the constituent's stored tables without
+building its edge set.  A run numbers the relations in order of first
+use; the index stage finds an edge's number with one lookup of its
+ordered index triple, and a complete index map's leaf key is the tuple
+of its edges' numbers.
 The first leaf with a key resolves the pruning entries and initial
 domains, searches, and stores its count and node total.  A later leaf
 with that key adds the count and spends the nodes in one step, stopping
@@ -37,16 +40,22 @@ todo pair completion-pruned it when the edge's second other pair was
 assigned, and pairs multiplied out (freed) share no edge with a todo
 pair.  So the key is the mask of settled (assigned or freed) pairs, the
 frontier values and the todo domains; equal keys have equal counts and
-node totals.  A key seen again returns its cached count and spends its
-cached nodes in one step.  Only nodes where some settled pair lies off
-the frontier are cached: elsewhere the key holds every assigned value, so
-no other path can reach it.  The last branching level, whose pair frees
-every other todo pair, is counted in closed form: each freed pair shares
-exactly one edge with the branching pair, and that edge's third pair is
-assigned, so each value of the branching pair contributes the product of
-the freed domains narrowed by one completion table each, and the level's
-nodes are spent at once.  Node counts, and where a budget runs out, are
-exactly those of the plain branching search.
+node totals.  Only nodes where some settled pair lies off the frontier
+are cached: elsewhere the key holds every assigned value, so no other
+path can reach it.  The parent does the bookkeeping of each child: after
+a value's forward check it multiplies out the child's freed pairs,
+gathers the child's key through the plan's two itemgetters, and looks it
+up.  A hit adds the cached count times the freed product and spends the
+cached nodes in one step, with no call; only a miss descends.  Each
+branching node, in both searches, takes one snapshot of the domains and
+restores it after every value, so the forward check keeps no trail.  The
+last branching level, whose pair frees every other todo pair, is counted
+in closed form: each freed pair shares exactly one edge with the
+branching pair, and that edge's third pair is assigned, so each value of
+the branching pair contributes the product of the freed domains narrowed
+by one completion table each, and the level's nodes are spent at once.
+Node counts, and where a budget runs out, are exactly those of the plain
+branching search.
 
 The oracle enumerates candidate maps naively in fixed lexicographic
 order with direct edge-set membership checks and no propagation; it is
@@ -58,11 +67,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from ._bits import iter_bits
-from .core import (Pair, Pattern, ReducedHypergraph, ReducedMap, Triple,
-                   refuse_above_cap, sorted_pair, sorted_triple)
+from .core import (Constituent, Pair, Pattern, ReducedHypergraph, ReducedMap,
+                   Triple, refuse_above_cap, refuse_negative_cap, sorted_pair,
+                   sorted_triple)
 from .errors import (CapExceeded, DanglingReferenceError, DomainError,
                      SelfCheckError)
 
@@ -205,8 +216,24 @@ _SLOTS = ((0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1), (1, 2, 0), (2, 1, 0))
 _OTHERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
+def _completions(con: Constituent, x: int, y: int) -> tuple[int, ...]:
+    """The constituent's completion table read in slot order x, y: entry
+    vx*s_y + vy is the bitset of third-slot vertices completing an edge
+    with slot-x vertex vx and slot-y vertex vy.  With the sizes in slot
+    order, it determines the edges read through that order, and so keys a
+    relation.  It is comp01, comp02 or comp12 for x < y, and a transpose
+    for y < x."""
+    pair = (min(x, y), max(x, y))
+    table = (con.comp01 if pair == (0, 1) else con.comp12 if pair == (1, 2)
+             else con.build_comp02())
+    if x < y:
+        return tuple(table)
+    sx = con.sizes[x]  # entry vy*s_x + vx of the table in order y, x
+    return tuple(itertools.chain.from_iterable(table[vx::sx] for vx in range(sx)))
+
+
 def _propagate(entries, val: int, doms: list[int],
-               assigned: list[int | None], trail: list[tuple[int, int]]) -> bool:
+               assigned: list[int | None]) -> bool:
     """Forward-check the edges of a pair that has just taken value val.
 
     entries holds one tuple per edge of the pair, ascending by edge:
@@ -214,7 +241,9 @@ def _propagate(entries, val: int, doms: list[int],
     the edge's other two pairs.  comp_q[val*mp_q + vq*m_q] is the bitset of
     r's values completing the edge with q's value vq, and proj_q[val] the
     bitset of q's values sharing an edge with val; likewise with q and r
-    swapped.  Narrowed domains are saved on the trail.  False on a wipeout.
+    swapped.  doms is narrowed in place and nothing is saved: the caller
+    restores it from one snapshot taken before its first value.  False on
+    a wipeout.
     """
     for q, r, comp_q, mp_q, m_q, proj_q, comp_r, mp_r, m_r, proj_r in entries:
         aq = assigned[q]
@@ -222,32 +251,16 @@ def _propagate(entries, val: int, doms: list[int],
         if aq is not None:
             if ar is not None:
                 continue  # was already completion-pruned when the second one landed
-            new = doms[r] & comp_q[val * mp_q + aq * m_q]
-            if new != doms[r]:
-                trail.append((r, doms[r]))
-                doms[r] = new
-                if not new:
-                    return False
+            new = doms[r] = doms[r] & comp_q[val * mp_q + aq * m_q]
         elif ar is not None:
-            new = doms[q] & comp_r[val * mp_r + ar * m_r]
-            if new != doms[q]:
-                trail.append((q, doms[q]))
-                doms[q] = new
-                if not new:
-                    return False
+            new = doms[q] = doms[q] & comp_r[val * mp_r + ar * m_r]
         else:
-            new = doms[q] & proj_q[val]
-            if new != doms[q]:
-                trail.append((q, doms[q]))
-                doms[q] = new
-                if not new:
-                    return False
-            new = doms[r] & proj_r[val]
-            if new != doms[r]:
-                trail.append((r, doms[r]))
-                doms[r] = new
-                if not new:
-                    return False
+            new = doms[q] = doms[q] & proj_q[val]
+            if not new:
+                return False
+            new = doms[r] = doms[r] & proj_r[val]
+        if not new:
+            return False
     return True
 
 
@@ -298,7 +311,14 @@ class _CountPlan:
     memo: whether some pair of after lies outside the frontier.  Without
     one, the subtree's key holds every assigned value, so it determines
     the path from the root, no other path can reach it and caching cannot
-    pay.
+    pay;
+    fget, tget: itemgetters of the frontier values from the assigned list
+    and of the todo domains from the domain list, so the parent gathers a
+    node's cache key (after, fget(assigned), tget(doms)) in C.  todo holds
+    at least two pairs, since a todo pair's unassigned neighbour is todo
+    too, so tget gives a tuple; fget gives the value bare for a frontier
+    of one pair and None for an empty one.  after fixes the plan, so the
+    key stays exact.  Both are None unless memo.
     """
 
     freed: tuple[int, ...]
@@ -306,6 +326,13 @@ class _CountPlan:
     todo: tuple[int, ...]
     frontier: tuple[int, ...]
     memo: bool
+    fget: Callable | None
+    tget: Callable | None
+
+
+def _nothing(_) -> None:
+    """The frontier getter of a plan with an empty frontier."""
+    return None
 
 
 def _per_vertex(n: int, entries: Iterable[tuple[int, object]]) -> list[tuple]:
@@ -390,14 +417,12 @@ class _Engine:
             i, j = divmod(rest, S)
             t, order = _edge_layout(i, j, k)
             con = cons[t]
-            if not con.edges:
+            if not any(con.comp01):
                 ec = -1
             else:
                 x, y, z = slots = _SLOTS[order]
                 sizes = con.sizes
-                sy, sz = sizes[y], sizes[z]
-                relation = (sizes[x], sy, sz, tuple(sorted(
-                    [(e[x] * sy + e[y]) * sz + e[z] for e in con.edges])))
+                relation = (sizes[x], sizes[y], sizes[z], _completions(con, x, y))
                 ec = classes.get(relation)
                 if ec is None:
                     ec = classes[relation] = len(parts)
@@ -512,18 +537,16 @@ class _Engine:
             if best == -1:
                 return True
             p = best
-            saved = doms[p]
-            for val in iter_bits(saved):
+            entries = props[p]
+            snapshot = doms[:]
+            for val in iter_bits(doms[p]):
                 budget.spend()
-                trail: list[tuple[int, int]] = []
                 assigned[p] = val
                 doms[p] = 1 << val
-                if _propagate(props[p], val, doms, assigned, trail) and rec():
+                if _propagate(entries, val, doms, assigned) and rec():
                     return True
-                assigned[p] = None
-                doms[p] = saved
-                for q, old in reversed(trail):
-                    doms[q] = old
+                doms[:] = snapshot
+            assigned[p] = None
             return False
 
         try:
@@ -549,7 +572,12 @@ class _Engine:
                 front.update((a, b, c))
         frontier = tuple(sorted(front - unset))
         memo = bool(todo) and len(frontier) < after.bit_count()
-        plan = self._plans[mask] = _CountPlan(freed, after, todo, frontier, memo)
+        fget = tget = None
+        if memo:
+            fget = itemgetter(*frontier) if frontier else _nothing
+            tget = itemgetter(*todo)
+        plan = self._plans[mask] = _CountPlan(freed, after, todo, frontier, memo,
+                                              fget, tget)
         return plan
 
     def _phi_count(self, props, doms: list[int], budget: _BudgetTracker) -> int:
@@ -564,76 +592,78 @@ class _Engine:
         room = math.inf if budget.limit is None else budget.limit - budget.nodes
         spent = 0  # nodes spent by this call, for the cached subtree sizes
 
-        def rec(mask: int) -> int:
+        def branch(plan: _CountPlan) -> int:
+            """The maps below a node of plan, which has pairs to branch on;
+            its freed pairs are multiplied out, and its cache entry looked
+            up, by the caller."""
             nonlocal spent
-            plan = plans.get(mask) or self._count_plan(mask)
-            # Freed pairs have every incident edge's other two pairs
-            # concretely assigned, so they are fully pruned already: multiply
-            # their domain sizes out instead of branching.  Two freed pairs
-            # never share an edge, so the factors are independent.
-            mult = 1
-            for p in plan.freed:
-                mult *= doms[p].bit_count()
-            if mult == 0:
-                return 0
             todo = plan.todo
-            if not todo:
-                return mult
-            if plan.memo:
-                key = (plan.after, *[assigned[p] for p in plan.frontier],
-                       *[doms[p] for p in todo])
-                hit = cache.get(key)
-                if hit is not None:
-                    spent += hit[1]
-                    if spent > room:
-                        raise _BudgetExhausted
-                    return mult * hit[0]
-                spent_before = spent
             p = todo[0]
             best_size = doms[p].bit_count()
             for q in todo:
                 size = doms[q].bit_count()
                 if size < best_size:
                     p, best_size = q, size
-            saved = rest = doms[p]
-            child = plan.after | 1 << p
-            last = plans.get(child) or self._count_plan(child)
-            if not last.todo:
+            rest = doms[p]
+            child_mask = plan.after | 1 << p
+            child = plans.get(child_mask) or self._count_plan(child_mask)
+            if not child.todo:
                 # p's values are the level's nodes: spend them at once, as
                 # the branching would one by one
                 spent += best_size
                 if spent > room:
                     raise _BudgetExhausted
-                subtotal = _count_last_level(saved, props[p], doms, assigned)
-            else:
-                entries = props[p]
-                subtotal = 0
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    spent += 1
-                    if spent > room:
-                        raise _BudgetExhausted
-                    val = low.bit_length() - 1
-                    trail: list[tuple[int, int]] = []
-                    assigned[p] = val
-                    doms[p] = low
-                    if _propagate(entries, val, doms, assigned, trail):
-                        subtotal += rec(child)
-                    assigned[p] = None
-                    doms[p] = saved
-                    for q, old in reversed(trail):
-                        doms[q] = old
-            if plan.memo:
-                cache[key] = (subtotal, spent - spent_before)
-            return mult * subtotal
+                return _count_last_level(rest, props[p], doms, assigned)
+            entries = props[p]
+            # Freed pairs have every incident edge's other two pairs
+            # concretely assigned, so they are fully pruned already: multiply
+            # their domain sizes out instead of branching.  Two freed pairs
+            # never share an edge, so the factors are independent.
+            freed = child.freed
+            memo, after, fget, tget = child.memo, child.after, child.fget, child.tget
+            snapshot = doms[:]
+            subtotal = 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                spent += 1
+                if spent > room:
+                    raise _BudgetExhausted
+                val = low.bit_length() - 1
+                assigned[p] = val
+                doms[p] = low
+                if _propagate(entries, val, doms, assigned):
+                    mult = 1
+                    for q in freed:
+                        mult *= doms[q].bit_count()
+                    if mult and memo:
+                        key = (after, fget(assigned), tget(doms))
+                        hit = cache.get(key)
+                        if hit is None:
+                            spent_before = spent
+                            sub = branch(child)
+                            cache[key] = (sub, spent - spent_before)
+                        else:
+                            spent += hit[1]
+                            if spent > room:
+                                raise _BudgetExhausted
+                            sub = hit[0]
+                        subtotal += mult * sub
+                    elif mult:
+                        subtotal += mult * branch(child)
+                doms[:] = snapshot
+            assigned[p] = None
+            return subtotal
 
         try:
-            return rec(0)
+            # At the root no pair is freed, since each lies in an edge with
+            # two others, and the cache is empty.
+            plan = plans.get(0) or self._count_plan(0)
+            return branch(plan) if plan.todo else 1
         finally:
             # Out of budget, the count stops where spending node by node would have.
             budget.nodes += min(spent, room + 1)
-            del rec  # it refers to itself; unbound, the closure and cache die at once
+            del branch  # it refers to itself; unbound, the closure and cache die at once
 
 
 def find_reduced_image(host: ReducedHypergraph, pattern: Pattern,
@@ -659,8 +689,10 @@ def exhaustive_oracle(host: ReducedHypergraph, pattern: Pattern,
     """Count all valid maps by naive enumeration in lexicographic order.
 
     Refuses (CapExceeded) when the candidate space -- index assignments
-    times the product of class sizes over shadow pairs -- exceeds cap.
+    times the product of class sizes over shadow pairs -- exceeds cap, and
+    a negative cap (DomainError).
     """
+    refuse_negative_cap(cap)
     n = pattern.vertex_count
     M = host.index_count
     pairs = sorted(pattern.shadow)

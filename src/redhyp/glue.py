@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._bits import iter_bits, least_bit
-from .core import ReducedHypergraph, sorted_pair, sorted_triple
+from .core import (ReducedHypergraph, refuse_negative_cap, sorted_pair,
+                   sorted_triple)
 from .embed import DEFAULT_ORACLE_CAP
 from .errors import (CapExceeded, DomainError, RowPreparationError,
                      SelfCheckError)
@@ -332,8 +333,10 @@ def brute_force_glued(host: ReducedHypergraph,
     Counts distinct certificates, a certificate being the set of four
     (triple, edge) memberships; the 3<->4 role symmetry therefore counts
     once, and on a complete host with singleton classes each index
-    4-subset contributes exactly one certificate.  Refuses above cap.
+    4-subset contributes exactly one certificate.  Refuses above cap
+    (CapExceeded), and a negative cap (DomainError).
     """
+    refuse_negative_cap(cap)
     total_space = 0
     subsets = list(itertools.combinations(host.indices(), 4))
     for subset in subsets:

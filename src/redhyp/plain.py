@@ -22,7 +22,7 @@ from math import comb
 from operator import add
 from typing import Iterable, Sequence
 
-from .core import TABLE_ENTRY_CAP, Pattern
+from .core import TABLE_ENTRY_CAP, Pattern, refuse_negative_cap
 from .errors import CapExceeded, DomainError
 
 EXHAUSTIVE_VERTEX_CAP = 20
@@ -157,8 +157,10 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
     mode 'exhaustive' checks every subset (requires n <= vertex_cap and a
     table of 2^n counts within core.TABLE_ENTRY_CAP); mode 'sampled' draws
     `samples` subsets uniformly for each size in `sizes` (default 3..n) and
-    can only return 'sampled-pass' or 'fail'.
+    can only return 'sampled-pass' or 'fail'.  A negative vertex_cap is
+    refused (DomainError) in every mode.
     """
+    refuse_negative_cap(vertex_cap)
     d = Fraction(d)
     eta = Fraction(eta)
     if not (0 <= d <= 1):

@@ -18,7 +18,7 @@ from redhyp import (CapExceeded, DanglingReferenceError, DomainError, Pattern,
                     random_box_dense, validate_reduced_map)
 from redhyp.constructions import orientation_reduced
 from redhyp.core import sorted_pair
-from redhyp.embed import _SLOTS, _Engine, _edge_layout
+from redhyp.embed import _SLOTS, _BudgetTracker, _completions, _Engine, _edge_layout
 
 
 def complete_host(m, p=1):
@@ -165,6 +165,16 @@ def test_oracle_cap_refusal():
     host = complete_host(6, 4)
     with pytest.raises(CapExceeded):
         exhaustive_oracle(host, pattern_catalog("Fstar"), cap=10 ** 4)
+
+
+def test_negative_oracle_cap_is_a_domain_error():
+    host = orientation_reduced(4)
+    for cap in (-5, -1):
+        with pytest.raises(DomainError) as exc:
+            exhaustive_oracle(host, pattern_catalog("K4"), cap=cap)
+        assert str(exc.value) == f"cap must be >= 0, got {cap}"
+    with pytest.raises(CapExceeded):
+        exhaustive_oracle(host, pattern_catalog("K4"), cap=0)
 
 
 def test_budget_exhaustion_is_distinct():
@@ -431,6 +441,25 @@ def test_edge_layout_matches_slot_lookup(a, b, c):
                                   for x, y in ((a, b), (a, c), (b, c)))
 
 
+@pytest.mark.parametrize("slots", _SLOTS)
+def test_completion_table_reads_the_edges_in_slot_order(slots):
+    x, y, z = slots
+    for con in seeded_mixed_host(5, 0.5, seed=1, max_size=4).constituents.values():
+        sy = con.sizes[y]
+        table = [0] * (con.sizes[x] * sy)
+        for e in con.edges:
+            table[e[x] * sy + e[y]] |= 1 << e[z]
+        assert _completions(con, x, y) == tuple(table)
+
+
+def test_a_search_builds_no_constituent_edge_set():
+    host = PIN_HOSTS["mixed6d1/2"]()
+    for name in CATALOG:
+        for count_all in (False, True):
+            find_reduced_image(host, pattern_catalog(name), count_all=count_all)
+    assert all(con._edges is None for con in host.constituents.values())
+
+
 @st.composite
 def small_instances(draw):
     """A random host and a random pattern small enough for the oracle."""
@@ -671,11 +700,11 @@ def reference_count(host, pattern, budget=None):
 
 
 @st.composite
-def counting_instances(draw):
+def counting_instances(draw, densities=st.integers(3, 10)):
     """A host with classes of 1 to 4 (1 to 3 under patterns of more than six
-    shadow pairs, which keeps the reference quick) and a catalog or
-    generated pattern, the generated one sometimes with a vertex outside
-    every edge."""
+    shadow pairs, which keeps the reference quick) and density drawn from
+    densities in tenths, and a catalog or generated pattern, the generated
+    one sometimes with a vertex outside every edge."""
     if draw(st.booleans()):
         pattern = pattern_catalog(draw(st.sampled_from(CATALOG)))
     else:
@@ -688,7 +717,7 @@ def counting_instances(draw):
     top = 4 if len(pattern.shadow) <= 6 else 3
     sizes = dict(zip(pairs, draw(st.lists(st.integers(1, top), min_size=len(pairs),
                                           max_size=len(pairs)))))
-    d = draw(st.integers(3, 10)) / 10
+    d = draw(densities) / 10
     return mixed_host(m, sizes, d, draw(st.integers(0, 10 ** 6))), pattern
 
 
@@ -702,3 +731,157 @@ def test_count_all_matches_the_plain_branching_search(instance, data):
     for budget in data.draw(st.lists(st.integers(1, nodes + 1), min_size=1, max_size=3)):
         got = find_reduced_image(host, pat, count_all=True, budget=budget)
         assert outcome(got)[:3] == reference_count(host, pat, budget), budget
+
+
+def reference_find(host, pattern, budget=None):
+    """(status, certificate, nodes) of the plain first-hit search, written
+    out with sets: the index stage of reference_count, then for each complete
+    index map a class-vertex search that branches on the most constrained
+    unassigned pair (lowest first on ties), tries its values ascending,
+    forward-checks the pair's edges and stops at the first complete map.
+    Every leaf is searched; the certificate is as in certificate_key."""
+    n, m = pattern.vertex_count, host.index_count
+    pairs = sorted(pattern.shadow)
+    pos = {p: i for i, p in enumerate(pairs)}
+    edges = sorted(pattern.edges)
+    edge_pairs = [(pos[(u, v)], pos[(u, w)], pos[(v, w)]) for u, v, w in edges]
+    lam = [0] * (n + 1)
+    nodes = 0
+
+    def spend():
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise OverflowError
+
+    def find_leaf():
+        rels = []
+        for u, v, w in edges:
+            t = tuple(sorted((lam[u], lam[v], lam[w])))
+            slot_pairs = [(t[0], t[1]), (t[0], t[2]), (t[1], t[2])]
+            slots = [slot_pairs.index(sorted_pair(lam[a], lam[b]))
+                     for a, b in ((u, v), (u, w), (v, w))]
+            rels.append({tuple(e[s] for s in slots) for e in host.constituent(t).edges})
+        sizes = [host.class_size(*sorted_pair(lam[u], lam[v])) for u, v in pairs]
+        doms = [set(range(size)) for size in sizes]
+        for ps, rel in zip(edge_pairs, rels):
+            for place, p in enumerate(ps):
+                doms[p] &= {e[place] for e in rel}
+        if not all(doms):
+            return None
+
+        def rec(values, doms):
+            open_ = [p for p in range(len(pairs)) if p not in values]
+            if not open_:
+                return values
+            p = min(open_, key=lambda q: (len(doms[q]), q))
+            for val in sorted(doms[p]):
+                spend()
+                now = {**values, p: val}
+                narrowed = list(doms)
+                narrowed[p] = {val}
+                for ps, rel in zip(edge_pairs, rels):
+                    if p not in ps:
+                        continue
+                    for x in ps:
+                        if x in now:
+                            continue
+                        (y,) = set(ps) - {p, x}
+
+                        def fits(a, b):
+                            got = {**now, x: a, y: b}
+                            return tuple(got[z] for z in ps) in rel
+
+                        if y in now:
+                            narrowed[x] = {a for a in narrowed[x] if fits(a, now[y])}
+                        else:
+                            narrowed[x] = {a for a in narrowed[x]
+                                           if any(fits(a, b) for b in range(sizes[y]))}
+                if all(narrowed):
+                    hit = rec(now, narrowed)
+                    if hit is not None:
+                        return hit
+            return None
+
+        return rec({}, doms)
+
+    def lam_rec(u):
+        if u > n:
+            return find_leaf()
+        for i in range(1, m + 1):
+            spend()
+            if any(lam[a] == i for a, b in pairs if b == u):
+                continue
+            lam[u] = i
+            if all(host.constituent(tuple(sorted((lam[a], lam[b], i)))).edges
+                   for a, b, c in edges if c == u):
+                hit = lam_rec(u + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    try:
+        phi = lam_rec(1)
+    except OverflowError:
+        return ("budget-exhausted", None, budget + 1)
+    if phi is None:
+        return ("not-found", None, nodes)
+    return ("found", (tuple(lam[1:]), tuple(phi[p] for p in range(len(pairs)))), nodes)
+
+
+def find_outcome(result):
+    return (result.status, certificate_key(result), result.nodes)
+
+
+def test_reference_find_reproduces_the_first_hit_pins():
+    for label, pins in FIND_PINS.items():
+        host = PIN_HOSTS[label]()
+        for name, (status, nodes, cert) in pins.items():
+            assert reference_find(host, pattern_catalog(name)) == (status, cert, nodes), \
+                (label, name)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+# Sparser hosts, so that the first-hit search backtracks and often refutes.
+@given(counting_instances(densities=st.integers(1, 6)), st.data())
+def test_first_hit_matches_the_plain_first_hit_search(instance, data):
+    host, pat = instance
+    want = reference_find(host, pat)
+    assert find_outcome(find_reduced_image(host, pat)) == want
+    nodes = want[2]
+    for budget in data.draw(st.lists(st.integers(1, nodes + 1), min_size=1, max_size=3)):
+        got = find_reduced_image(host, pat, budget=budget)
+        assert find_outcome(got) == reference_find(host, pat, budget), budget
+
+
+# Patterns whose cached plans take the cache key's rarer shapes: a frontier
+# of one pair (its getter returns the bare value), no frontier pair (a
+# constant), and freed pairs multiplied out around a cache hit.
+KEY_SHAPE_PATTERNS = {
+    "two_edges": Pattern(4, [(1, 2, 3), (1, 2, 4)]),
+    "K4minus": pattern_catalog("K4minus"),
+    "K4": pattern_catalog("K4"),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_all_matches_the_plain_search_on_every_key_shape(seed):
+    host = seeded_mixed_host(5, 0.8, seed=seed, max_size=3)
+    shapes = set()
+    for name, pat in KEY_SHAPE_PATTERNS.items():
+        engine = _Engine(host, pat)
+        got = engine.run(_BudgetTracker(None), True)
+        want = reference_count(host, pat)
+        assert (got.status, got.count, got.nodes) == want, name
+        for budget in (want[2] // 2, want[2] - 1):
+            r = find_reduced_image(host, pat, count_all=True, budget=budget)
+            assert outcome(r)[:3] == reference_count(host, pat, budget), (name, budget)
+        # every pair lies in an edge with two others, so none is freed at the root
+        assert engine._plans[0].freed == ()
+        for plan in engine._plans.values():
+            # a todo pair has an unassigned neighbour, which is todo too
+            assert len(plan.todo) != 1
+            if plan.memo:
+                shapes.add(("frontier", min(len(plan.frontier), 2)))
+                shapes.add(("freed", bool(plan.freed)))
+    assert shapes >= {("frontier", 0), ("frontier", 1), ("freed", True)}

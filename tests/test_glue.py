@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redhyp import (DomainError, GlueConfig, GluedConfiguration,
+from redhyp import (CapExceeded, DomainError, GlueConfig, GluedConfiguration,
                     RowPreparationError, brute_force_glued, build_q_graphs,
                     clean, compute_s_sets, find_glued, prepare_row_glue,
                     random_box_dense, validate_glued)
@@ -176,6 +176,17 @@ def test_brute_force_glued_complete_counts_one_per_subset():
     host5 = random_box_dense(5, 1, 1, seed=0)
     found, count = brute_force_glued(host5)
     assert found and count == 5  # one certificate per index 4-subset
+
+
+def test_brute_force_glued_refuses_a_negative_cap_in_every_mode():
+    host = orientation_reduced(4)
+    for count_all in (True, False):
+        for cap in (-5, -1):
+            with pytest.raises(DomainError) as exc:
+                brute_force_glued(host, cap=cap, count_all=count_all)
+            assert str(exc.value) == f"cap must be >= 0, got {cap}", count_all
+        with pytest.raises(CapExceeded):
+            brute_force_glued(host, cap=0, count_all=count_all)
 
 
 def test_brute_force_glued_empty():

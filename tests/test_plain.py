@@ -74,6 +74,19 @@ def test_audit_exhaustive_cap_refusal():
         uniform_density_audit(g, 1, 0)
 
 
+def test_negative_vertex_cap_is_a_domain_error_in_every_mode():
+    g = Plain3Graph(6, [])
+    for mode, samples in (("exhaustive", 0), ("sampled", 3)):
+        for cap in (-5, -1):
+            with pytest.raises(DomainError) as exc:
+                uniform_density_audit(g, 0, 0, mode=mode, samples=samples, vertex_cap=cap)
+            assert str(exc.value) == f"cap must be >= 0, got {cap}", mode
+    with pytest.raises(CapExceeded):
+        uniform_density_audit(g, 0, 0, vertex_cap=0)
+    assert uniform_density_audit(g, 0, 0, mode="sampled", samples=3,
+                                 vertex_cap=0).status == "sampled-pass"
+
+
 def test_audit_exhaustive_refuses_a_table_above_the_entry_cap():
     # 2^24 counts exceed core.TABLE_ENTRY_CAP whatever vertex_cap allows;
     # the refusal comes before the table is allocated.
