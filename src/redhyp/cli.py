@@ -440,7 +440,9 @@ def _cmd_audit(args, started) -> tuple[int, str]:
     eta = parse_fraction(args.eta)
     mode = "exhaustive" if args.exhaustive or args.samples == 0 else "sampled"
     sizes = None
-    if args.sizes:
+    if args.sizes is not None:
+        if mode == "exhaustive":
+            raise DomainError("--sizes applies only to sampled audits")
         try:
             sizes = [int(x) for x in args.sizes.split(",")]
         except ValueError:

@@ -6,7 +6,10 @@ The audit checks, for vertex subsets U, the exact-rational inequality
     #(edges inside U)  >=  d * C(|U|, 3) - eta * n^3
 
 either over every subset (exhaustive) or over random samples.  A sampled
-run can never report a full "pass", only "sampled-pass".  The inequality
+run can never report a full "pass", only "sampled-pass".  An exhaustive run
+counts the edges inside all 2^n subsets at once: a table of one- or two-byte
+fields packed into one Python int, summed over subsets with one big-integer
+addition per vertex, then read back as a flat array.  The inequality
 stays exact: both sides are multiplied by den(d) * den(eta), so each subset
 is judged by comparing integers, with one threshold per subset size, and
 only a reported deficiency becomes a Fraction again.
@@ -16,17 +19,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add
 from typing import Iterable, Sequence
 
 from .core import TABLE_ENTRY_CAP, Pattern, refuse_negative_cap
 from .errors import CapExceeded, DomainError
 
 EXHAUSTIVE_VERTEX_CAP = 20
-_SLICE = 4096  # entries per slice addition in _edge_counts_by_subset
 
 
 @dataclass(frozen=True)
@@ -70,37 +72,36 @@ class AuditResult:
     subsets_checked: int = 0
 
 
-def _edge_counts_by_subset(graph: Plain3Graph) -> list[int]:
-    """counts[mask] = number of edges contained in the subset encoded by mask.
+def _edge_counts_by_subset(graph: Plain3Graph) -> Sequence[int]:
+    """table[mask] = number of edges contained in the subset encoded by mask.
 
-    A sum over subsets: for each bit, every mask with the bit set adds the
-    count of the mask without it.  The additions run as list-slice maps of at
-    most _SLICE entries, strided across the table for low bits and in
-    contiguous blocks for high bits, so the temporaries stay small.
+    The table is 2^n fixed-width fields of one Python int, field `mask` at
+    bit mask * 8 * width.  No count exceeds |E|, so a field is one byte when
+    |E| < 256 and two bytes otherwise (|E| <= C(23, 3) = 1771 under the
+    table cap).  Each edge sets its own mask's field to 1; then, for each
+    bit from the top down, one big-integer addition adds every field without
+    the bit into the field with it, and no field carries into the next.  The
+    selector of the fields with the bit comes from the previous bit's (all
+    fields, before the top bit) by one shift and xor.  The result is a flat
+    memoryview of unsigned bytes or shorts.
     """
     n = graph.vertex_count
     size = 1 << n
-    counts = [0] * size
+    width = 1 if len(graph.edges) < 256 else 2
+    fields = bytearray(size * width)
     for u, v, w in graph.edges:
-        counts[(1 << (u - 1)) | (1 << (v - 1)) | (1 << (w - 1))] += 1
-    for bit in range(n):
-        step = 1 << bit
-        stride = 2 * step
-        if step * stride <= size:
-            # Few residues, long strides: one strided slice per residue.
-            span = stride * _SLICE
-            for lo in range(step):
-                for start in range(lo, size, span):
-                    hi = slice(start + step, start + span, stride)
-                    counts[hi] = map(add, counts[hi], counts[start:start + span:stride])
-        else:
-            # Few blocks, long runs: the upper half of each block.
-            width = min(step, _SLICE)
-            for base in range(0, size, stride):
-                for lo in range(base, base + step, width):
-                    hi = slice(lo + step, lo + step + width)
-                    counts[hi] = map(add, counts[hi], counts[lo:lo + width])
-    return counts
+        fields[((1 << (u - 1)) | (1 << (v - 1)) | (1 << (w - 1))) * width] = 1
+    table = int.from_bytes(fields, "little")
+    high = (1 << (8 * width * size)) - 1
+    for bit in reversed(range(n)):
+        shift = 8 * width << bit  # bits in a run of 2^bit fields
+        high ^= high >> shift  # the fields of the masks with this bit
+        table += (table << shift) & high
+    data = table.to_bytes(size * width, "little")
+    if width == 2 and sys.byteorder == "big":  # "H" reads native-order shorts
+        data = bytearray(data)
+        data[::2], data[1::2] = data[1::2], data[::2]
+    return memoryview(data).cast("B" if width == 1 else "H")
 
 
 def _thresholds(n: int, d: Fraction, eta: Fraction) -> tuple[int, list[int]]:
@@ -119,7 +120,7 @@ def _least_count(scale: int, threshold: int) -> int:
     return -(-threshold // scale)
 
 
-def _scan_masks(counts: list[int], n: int, d: Fraction, eta: Fraction):
+def _scan_masks(counts: Sequence[int], n: int, d: Fraction, eta: Fraction):
     """Worst violation among all subset masks as (deficiency, subset); None
     when all hold."""
     scale, thresholds = _thresholds(n, d, eta)

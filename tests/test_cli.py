@@ -1,6 +1,7 @@
 """CLI tests: exit codes, report shape, round trips, determinism."""
 
 import hashlib
+import itertools
 import subprocess
 import sys
 import tracemalloc
@@ -296,6 +297,28 @@ def test_audit_cli_fail_reports_are_pinned(tmp_path, d, eta, tail):
     assert (code, text) == (1, _CYCLIC17_HEAD + tail)
 
 
+_DENSE14_HEAD = ("command audit\n"
+                 "graph sha256:9d7670512565ee2ce94be6803c8ffa4123142916ded7a0bd248283986a0e71da\n")
+
+
+@pytest.mark.parametrize("d,eta,code,tail", [
+    ("1", "0", 1, "d 1\neta 0\nmode exhaustive\noutcome fail\nsubsets-checked 16383\n"
+     "witness 1,2,3,4,5,6,7,8,9,10,11,12,13,14\ndeficiency 91\nexit 1\n"),
+    ("1/2", "0", 1, "d 1/2\neta 0\nmode exhaustive\noutcome fail\nsubsets-checked 16383\n"
+     "witness 1,2,5,6,9,13\ndeficiency 2\nexit 1\n"),
+    ("1/2", "1/1000", 0, "d 1/2\neta 1/1000\nmode exhaustive\noutcome pass\n"
+     "subsets-checked 16383\nexit 0\n"),
+], ids=["fail-full-set", "fail-six-set", "pass"])
+def test_audit_cli_reports_with_two_byte_counts_are_pinned(tmp_path, d, eta, code, tail):
+    # 273 edges: the subset counts no longer fit in one byte.
+    g = tmp_path / "dense14.p3"
+    g.write_text(write_plain3(Plain3Graph(
+        14, [t for t in itertools.combinations(range(1, 15), 3) if sum(t) % 4])))
+    got = run(["audit", "--graph", str(g), "--d", d, "--eta", eta,
+               "--exhaustive", "--deterministic"])
+    assert got == (code, _DENSE14_HEAD + tail)
+
+
 def test_audit_cli_refuses_a_table_above_the_entry_cap(tmp_path):
     g = tmp_path / "empty24.p3"
     g.write_text(write_plain3(Plain3Graph(24, [])))
@@ -313,6 +336,25 @@ def test_audit_cli_malformed_sizes_is_an_input_error(tmp_path):
                       "--samples", "3", "--sizes", "3,x"])
     assert (code, text) == (3, "error --sizes must be comma-separated integers, "
                                "got '3,x'\n")
+
+
+def test_audit_cli_empty_sizes_is_an_input_error(tmp_path):
+    g = tmp_path / "empty6.p3"
+    g.write_text("V 6\n")
+    code, text = run(["audit", "--graph", str(g), "--d", "1/2", "--eta", "0",
+                      "--samples", "3", "--sizes", ""])
+    assert (code, text) == (3, "error --sizes must be comma-separated integers, "
+                               "got ''\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--exhaustive"], ["--exhaustive", "--samples", "3"]])
+def test_audit_cli_refuses_sizes_on_an_exhaustive_audit(tmp_path, extra):
+    g = tmp_path / "empty6.p3"
+    g.write_text("V 6\n")
+    for sizes in ("4", ""):
+        code, text = run(["audit", "--graph", str(g), "--d", "1/2", "--eta", "0",
+                          "--sizes", sizes, *extra])
+        assert (code, text) == (3, "error --sizes applies only to sampled audits\n")
 
 
 def test_report_file_redirect(tmp_path, orientation_file):

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from redhyp import (CapExceeded, DomainError, Plain3Graph, automorphism_count,
                     count_copies, cyclic_triple_3graph, pattern_catalog,
                     random_tournament, uniform_density_audit)
+from redhyp import plain
 from redhyp.plain import _edge_counts_by_subset
 
 
@@ -196,13 +199,18 @@ def test_audit_sampled_matches_a_replayed_naive_scan(n, d, eta, sizes):
 
 
 def test_edge_counts_match_the_bit_by_bit_sum_over_subsets():
-    # Up to n = 14 the slices cover both the strided and the block-wise
-    # additions, each split into more than one slice at n = 14.
+    # Random graphs up to n = 14 fit one-byte fields; 255 edges is the most
+    # that does, 256 and the complete graph (364 edges) need two bytes.
     rng = random.Random(7)
+    graphs = []
     for n in range(1, 15):
         edges = [t for t in itertools.combinations(range(1, n + 1), 3)
                  if rng.random() < 0.5]
-        g = Plain3Graph(n, edges)
+        graphs.append(Plain3Graph(n, edges))
+    triples = list(itertools.combinations(range(1, 15), 3))
+    graphs += [Plain3Graph(14, triples[:m]) for m in (255, 256, 364)]
+    for g in graphs:
+        n = g.vertex_count
         expected = [0] * (1 << n)
         for u, v, w in g.edges:
             expected[(1 << (u - 1)) | (1 << (v - 1)) | (1 << (w - 1))] += 1
@@ -210,7 +218,16 @@ def test_edge_counts_match_the_bit_by_bit_sum_over_subsets():
             for mask in range(1 << n):
                 if mask >> bit & 1:
                     expected[mask] += expected[mask ^ (1 << bit)]
-        assert _edge_counts_by_subset(g) == expected
+        assert list(_edge_counts_by_subset(g)) == expected
+
+
+def test_two_byte_counts_follow_the_byte_order_the_host_reads(monkeypatch):
+    # Told the other byte order, the table swaps the bytes of every count.
+    g = Plain3Graph(14, list(itertools.combinations(range(1, 15), 3))[:256])
+    native = list(_edge_counts_by_subset(g))
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(plain, "sys", SimpleNamespace(byteorder=other))
+    assert list(_edge_counts_by_subset(g)) == [c >> 8 | (c & 0xff) << 8 for c in native]
 
 
 def test_count_copies_cyclic_is_k4minus_free():
