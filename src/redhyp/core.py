@@ -191,6 +191,14 @@ def check_table_size(index_count: int, sizes: Mapping[Pair, int]) -> None:
             f"above the cap {TABLE_ENTRY_CAP}")
 
 
+def exact_rational(value, what: str) -> Fraction:
+    """value as a Fraction; a float is refused (DomainError), since the
+    binary fraction it holds is rarely the number that was meant."""
+    if isinstance(value, float):
+        raise DomainError(f"{what} must be an exact rational, got float {value!r}")
+    return Fraction(value)
+
+
 def refuse_negative_cap(cap: int) -> None:
     """Refuse, with DomainError, a negative enumeration cap: a cap of 0
     refuses every enumeration, and below that a cap means nothing."""
@@ -438,9 +446,9 @@ def is_box_dense(host: ReducedHypergraph, d) -> tuple[bool, Triple | None]:
     """Whether every constituent has density >= d.
 
     Returns (True, None), or (False, t) with t the lexicographically least
-    violating triple.
+    violating triple.  A float d is refused (DomainError).
     """
-    d = Fraction(d)
+    d = exact_rational(d, "density threshold")
     if not (0 <= d <= 1):
         raise DomainError(f"density threshold must lie in [0, 1], got {d}")
     for t in host.triples():

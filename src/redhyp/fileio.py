@@ -24,6 +24,13 @@ ReducedHypergraph._from_columns, which also builds the tables.  The
 constituents' edge sets are built only when something reads them.  Any
 other text, malformed or not, goes through the line parser and the host
 constructor; the line parser is the only code that words a ParseError.
+
+Plain-graph text is loaded the same way: a text equal to write_plain3 of
+its graph is recognised in bulk, a chunk of lines at a time (see
+_parse_canonical_plain3), the graph is built by Plain3Graph._from_rows,
+which states the rules, and its digest is the sha256 of the input.  Any
+other plain-graph text, and every pattern text, goes through the line
+parser, which alone words a ParseError.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import itertools
 from operator import lt
 
 from .core import Pattern, ReducedHypergraph
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .plain import Plain3Graph
 
 
@@ -250,9 +257,63 @@ def write_pattern(pattern: Pattern | Plain3Graph) -> str:
 write_plain3 = write_pattern
 
 
+# Characters per chunk of the bulk plain-graph loader: the chunk's token
+# list is its transient cost, a few times the chunk's size.
+_CHUNK = 1 << 14
+
+
+def _parse_canonical_plain3(text: str) -> Plain3Graph | None:
+    """The graph of a text equal to write_plain3 of that graph, or None.
+
+    None defers to the line parser, on any failure of any kind.  This
+    recognises the canonical shape only: the line "V n" with n in canonical
+    decimal, then lines "T u v w", split a chunk of whole lines at a time.
+    In a chunk of k lines, the tokens' lengths, the 3k spaces and the k - 1
+    newlines before a T pin every separator to its canonical place.  The
+    numbers are read through a table of the tokens "1".."n", so a token
+    outside it, in another spelling or out of range, defers.  The rows must
+    rise strictly, the order write_plain3 emits, which also rules out a
+    repeated triple.  The rules are Plain3Graph._from_rows's, which builds
+    the graph.
+    """
+    if not (text.startswith("V ") and text.endswith("\n")):
+        return None
+    try:
+        head = text.index("\n")
+        n = int(text[2:head])
+        if str(n) != text[2:head] or n > len(text):  # keep the table below the text's size
+            return None
+        num = {str(v): v for v in range(1, n + 1)}.__getitem__
+        rows: list[tuple[int, int, int]] = []
+        start = head + 1
+        while start < len(text):
+            stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+            chunk = text[start:stop]
+            tokens = chunk.split()
+            k = len(tokens) // 4  # tokens[::4] has one more when some are left over
+            if (len(chunk) != sum(map(len, tokens)) + len(tokens)
+                    or chunk.count(" ") != 3 * k or chunk.count("\nT") != k - 1
+                    or tokens[::4] != ["T"] * k):
+                return None
+            rows += zip(map(num, tokens[1::4]), map(num, tokens[2::4]),
+                        map(num, tokens[3::4]))
+            start = stop
+        later = iter(rows)
+        next(later, None)  # each row against the next one
+        if not all(map(lt, rows, later)):
+            return None
+        return Plain3Graph._from_rows(
+            n, rows, hashlib.sha256(text.encode()).hexdigest())
+    except (ValueError, KeyError, DomainError):
+        return None
+
+
 def parse_plain3(text: str) -> Plain3Graph:
-    n, triples = _parse_vertex_triples(text)
-    return Plain3Graph(n, triples)
+    graph = _parse_canonical_plain3(text)
+    if graph is None:
+        n, triples = _parse_vertex_triples(text)
+        graph = Plain3Graph(n, triples)
+    return graph
 
 
 def host_digest(host: ReducedHypergraph) -> str:
@@ -267,4 +328,9 @@ def pattern_digest(pattern: Pattern | Plain3Graph) -> str:
     return hashlib.sha256(write_pattern(pattern).encode()).hexdigest()
 
 
-plain3_digest = pattern_digest
+def plain3_digest(graph: Plain3Graph) -> str:
+    """sha256 of write_plain3(graph); a graph loaded from canonical text
+    already carries it."""
+    if graph.canonical_sha256 is not None:
+        return graph.canonical_sha256
+    return pattern_digest(graph)

@@ -329,6 +329,54 @@ def test_audit_cli_refuses_a_table_above_the_entry_cap(tmp_path):
                                "use sampled mode\n")
 
 
+@pytest.mark.parametrize("text,error", [
+    ("T 1 2 3\nV 3\n", "line 1: T line before V line"),
+    ("V 3\nV 3\n", "line 2: duplicate V line"),
+    ("V 0\n", "line 1: vertex count must be >= 1, got 0"),
+    ("V three\n", "line 1: V line has non-integer field 'three'"),
+    ("V 3\nT 1 2 x\n", "line 2: T line has non-integer field 'x'"),
+    ("V 3 4\n", "line 1: V line needs 1 fields, got 2"),
+    ("V 3\nT 1 2\n", "line 2: T line needs 3 fields, got 2"),
+    ("V 3\nT 1 2 2\n", "line 2: triple (1, 2, 2) has repeated vertices"),
+    ("V 3\nT 1 2 4\n", "line 2: triple (1, 2, 4) out of range 1..3"),
+    ("V 3\nT 1 2 3\nT 1 2 3\n", "line 3: duplicate triple (1, 2, 3)"),
+    ("V 3\nT 1 2 3\nT 3 2 1\n", "line 3: duplicate triple (1, 2, 3)"),
+    ("V 3\nX 1 2 3\n", "line 2: unknown line tag 'X'"),
+    ("# no graph\n\n", "line 1: missing V line"),
+    ("", "line 1: missing V line"),
+])
+def test_audit_cli_plain_graph_input_errors(tmp_path, text, error):
+    g = tmp_path / "bad.p3"
+    g.write_bytes(text.encode())
+    code, got = run(["audit", "--graph", str(g), "--d", "1/2", "--eta", "0"])
+    assert (code, got) == (3, f"error {error}\n")
+
+
+_PATH4_DIGEST = hashlib.sha256(b"V 4\nT 1 2 3\nT 2 3 4\n").hexdigest()
+
+
+@pytest.mark.parametrize("text", [
+    "V 4\nT 1 2 3\nT 2 3 4\n",
+    "# two triples\nV 4\n\nT 1 2 3\n# and one more\nT 2 3 4\n",
+    "V 4\nT 01 2 3\nT 2 3 4\n",
+    "V 4\nT 2 3 4\nT 1 2 3\n",
+    "V 4\nT 3 2 1\nT 4 2 3\n",
+    "V 4\r\nT 1 2 3\r\nT 2 3 4\r\n",
+], ids=["canonical", "comments", "leading-zero", "rows-out-of-order",
+        "vertices-out-of-order", "crlf"])
+def test_audit_cli_reports_the_digest_of_the_canonical_text(tmp_path, text):
+    # Whatever the layout, the report names the graph by the sha256 of
+    # write_plain3(graph), not of the bytes read.
+    g = tmp_path / "path4.p3"
+    g.write_bytes(text.encode())
+    code, got = run(["audit", "--graph", str(g), "--d", "1/2", "--eta", "0",
+                     "--deterministic"])
+    assert (code, got) == (1, f"command audit\ngraph sha256:{_PATH4_DIGEST}\n"
+                              "d 1/2\neta 0\nmode exhaustive\noutcome fail\n"
+                              "subsets-checked 15\nwitness 1,2,4\ndeficiency 1/2\n"
+                              "exit 1\n")
+
+
 def test_audit_cli_malformed_sizes_is_an_input_error(tmp_path):
     g = tmp_path / "empty6.p3"
     g.write_text("V 6\n")

@@ -71,6 +71,14 @@ def test_is_box_dense_cases():
     assert not ok and witness == (2, 3, 4)
 
 
+def test_is_box_dense_refuses_a_float_threshold():
+    # 0.25 is exactly 1/4, and still refused: no float reaches a decision.
+    for d in (0.25, 0.1):
+        with pytest.raises(DomainError, match="^density threshold must be an exact "
+                                              "rational, got float "):
+            is_box_dense(complete_host(4, 2), d)
+
+
 def test_is_box_dense_monotone():
     rng = random.Random(3)
     for _ in range(20):

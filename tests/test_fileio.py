@@ -1,15 +1,17 @@
 """Text format tests: round trips, canonical order, line-numbered errors."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from redhyp import (CapExceeded, ParseError, ReducedHypergraph, constituent_density,
+from redhyp import (CapExceeded, ParseError, Plain3Graph, ReducedHypergraph, constituent_density,
                     is_box_dense, random_box_dense)
 from redhyp import core, fileio
 from redhyp.cli import dispatch
@@ -468,3 +470,142 @@ def test_plain3_round_trip():
     g = cyclic_triple_3graph(random_tournament(8, seed=4))
     text = write_plain3(g)
     assert parse_plain3(text) == g
+
+
+def _plain3_line_parse(text):
+    try:
+        return Plain3Graph(*fileio._parse_vertex_triples(text))
+    except ParseError as exc:
+        return exc
+
+
+@st.composite
+def _plain3_texts(draw):
+    """write_plain3 of a generated graph, then a few edits of the kinds
+    canonical text must refuse."""
+    n = draw(st.integers(1, 14))
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    edges = draw(st.sets(st.sampled_from(triples), max_size=40)) if triples else set()
+    lines = write_plain3(Plain3Graph(n, edges)).splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split()
+        if len(tokens) < 2 or tokens[0] == "#":
+            continue
+        slot = draw(st.integers(1, len(tokens) - 1))
+        kind = draw(st.sampled_from(["space", "zero", "plus", "digit", "swap", "repeat",
+                                     "reverse", "same", "range", "blank", "crlf",
+                                     "comment", "tab"]))
+        if kind == "space":
+            tokens[slot] = " " + tokens[slot]
+        elif kind == "tab":  # another separator in place of a space
+            lines[at] = (" ".join(tokens[:slot]) + draw(st.sampled_from("\t\x0b\x1c\u00a0"))
+                         + " ".join(tokens[slot:]) + "\n")
+            continue
+        elif kind == "same":
+            tokens[slot] = tokens[draw(st.integers(1, len(tokens) - 1))]
+        elif kind in ("zero", "plus"):
+            tokens[slot] = ("0" if kind == "zero" else "+") + tokens[slot]
+        elif kind == "digit":  # Arabic-Indic digits, which int() reads
+            tokens[slot] = tokens[slot].translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+        elif kind == "range":
+            tokens[slot] = draw(st.sampled_from(["0", str(n + 1), "-1"]))
+        elif kind == "reverse":
+            tokens[1:] = reversed(tokens[1:])
+        elif kind == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+            continue
+        elif kind == "repeat":
+            lines.insert(at, lines[at])
+            continue
+        elif kind == "blank":
+            lines.append("\n")
+            continue
+        elif kind == "crlf":
+            lines[at] = lines[at].replace("\n", "\r\n")
+            continue
+        else:
+            lines.insert(at, "# a comment\n")
+            continue
+        lines[at] = " ".join(tokens) + "\n"
+    text = "".join(lines)
+    if draw(st.booleans()):  # trade a newline for a space elsewhere
+        newlines = [x for x, ch in enumerate(text[:-1]) if ch == "\n"]
+        spaces = [x for x, ch in enumerate(text) if ch == " "]
+        if newlines and spaces:
+            x, y = draw(st.sampled_from(newlines)), draw(st.sampled_from(spaces))
+            chars = list(text)
+            chars[x], chars[y] = " ", "\n"
+            text = "".join(chars)
+    return text
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_plain3_texts(), st.sampled_from([1, 9, 40, fileio._CHUNK]))
+@example("V 5\n", fileio._CHUNK)
+@example("V 5\n\n", fileio._CHUNK)
+@example("V 3\nT 1 2 3\n\n", fileio._CHUNK)
+@example("V 3\nT 1 2 3", fileio._CHUNK)
+def test_plain3_bulk_loader_defers_or_agrees_with_the_line_parser(text, chunk):
+    with mock.patch.object(fileio, "_CHUNK", chunk):
+        bulk = fileio._parse_canonical_plain3(text)
+        try:
+            got = parse_plain3(text)
+        except ParseError as exc:
+            got = exc
+    want = _plain3_line_parse(text)
+    if bulk is not None:
+        assert text == write_plain3(bulk)
+        assert bulk == want
+        assert bulk.canonical_sha256 == hashlib.sha256(text.encode()).hexdigest()
+    # parse_plain3 answers exactly as the line parser does, error text included
+    if isinstance(want, ParseError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+        assert fileio.plain3_digest(got) == hashlib.sha256(
+            write_plain3(want).encode()).hexdigest()
+
+
+def test_a_bulk_loaded_graph_is_an_ordinary_value():
+    # The digest it carries takes no part in equality, hashing or repr, and
+    # a derived graph does not inherit it.
+    text = "V 4\nT 1 2 3\nT 2 3 4\n"
+    loaded = parse_plain3(text)
+    built = Plain3Graph(4, [(3, 2, 1), (4, 3, 2)])
+    assert loaded.canonical_sha256 == hashlib.sha256(text.encode()).hexdigest()
+    assert built.canonical_sha256 is None
+    assert (loaded, hash(loaded), repr(loaded)) == (built, hash(built), repr(built))
+    wider = dataclasses.replace(loaded, vertex_count=5)
+    assert wider == Plain3Graph(5, built.edges) and wider.canonical_sha256 is None
+    assert fileio.plain3_digest(wider) == hashlib.sha256(write_plain3(wider).encode()).hexdigest()
+
+
+def test_generated_plain_graphs_load_in_bulk_in_little_memory():
+    # The sampled audit's n = 60 graph: 8541 rows in several chunks.  The
+    # peak stays below the 1.99 MiB of the line parser this path replaced.
+    graph = cyclic_triple_3graph(random_tournament(60, 0))
+    text = write_plain3(graph)
+    assert len(text) > 4 * fileio._CHUNK
+    tracemalloc.start()
+    try:
+        loaded = parse_plain3(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == graph
+    assert loaded.canonical_sha256 == hashlib.sha256(text.encode()).hexdigest()
+    assert peak < 1.99 * 2 ** 20
+    # a vertex count far beyond the text builds no table of tokens
+    tracemalloc.start()
+    try:
+        assert parse_plain3("V 1000000\n") == Plain3Graph(1000000, [])
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    # one more space, in the last chunk, sends it to the line parser
+    at = text.rindex("T ") + 1
+    late = text[:at] + " " + text[at:]
+    assert fileio._parse_canonical_plain3(late) is None
+    assert parse_plain3(late).canonical_sha256 is None

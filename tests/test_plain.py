@@ -40,6 +40,26 @@ def naive_worst_violation(g, d, eta):
     return -worst[0], worst[2]
 
 
+def reference_scan_masks(counts, n, d, eta):
+    """The per-mask scan the block-pruned one replaced: every mask's count
+    against its size's least passing count, the worst kept by margin, then
+    size, then subset."""
+    scale, thresholds = plain._thresholds(n, d, eta)
+    least = [plain._least_count(scale, t) for t in thresholds]
+    worst = None
+    for mask, count in enumerate(counts):
+        size = mask.bit_count()
+        if count >= least[size]:
+            continue
+        margin = thresholds[size] - count * scale
+        if worst is not None and (margin < worst[0] or margin == worst[0] and size > worst[1]):
+            continue
+        subset = tuple(v + 1 for v in range(n) if mask >> v & 1)
+        if worst is None or (-margin, size, subset) < (-worst[0], worst[1], worst[2]):
+            worst = (margin, size, subset)
+    return None if worst is None else (Fraction(worst[0], scale), worst[2])
+
+
 def audit_outcome(result):
     if result.status == "pass":
         return None
@@ -173,7 +193,8 @@ def naive_sampled_audit(g, d, eta, samples, seed, sizes):
     for s in sizes:
         for _ in range(samples):
             subset = tuple(sorted(rng.sample(range(1, n + 1), s)))
-            inside = sum(1 for e in g.edges if set(e) <= set(subset))
+            members = set(subset)
+            inside = sum(1 for e in g.edges if members.issuperset(e))
             checked += 1
             margin = d * comb(s, 3) - eta * n ** 3 - inside
             if margin > 0:
@@ -186,6 +207,9 @@ def naive_sampled_audit(g, d, eta, samples, seed, sizes):
     (30, Fraction(1, 3), Fraction(1, 10000), (8, 15)),
     (30, Fraction(1, 5), 0, (10,)),
     (12, Fraction(1, 4), Fraction(1, 20), None),
+    # rows of 61 * 61 bits: a bound that holds, and one every seed fails at size 40
+    (60, Fraction(1, 5), Fraction(1, 1000), (10, 20, 30, 40)),
+    (60, Fraction(27, 100), Fraction(1, 1000), (10, 20, 30, 40)),
 ])
 def test_audit_sampled_matches_a_replayed_naive_scan(n, d, eta, sizes):
     for seed in range(4):
@@ -221,13 +245,91 @@ def test_edge_counts_match_the_bit_by_bit_sum_over_subsets():
         assert list(_edge_counts_by_subset(g)) == expected
 
 
+_DENSE14 = Plain3Graph(14, [t for t in itertools.combinations(range(1, 15), 3)
+                            if sum(t) % 4])  # 273 edges: two-byte counts
+
+
+@pytest.mark.parametrize("n", [17, 18, 20])
+def test_block_scan_matches_the_per_mask_scan_on_cyclic_graphs(n):
+    # The audit workload's graphs and sizes, at its vacuous bound, two that
+    # bind, and one that fails almost everywhere.
+    counts = _edge_counts_by_subset(cyclic_triple_3graph(random_tournament(n, 0)))
+    for d, eta in ((Fraction(1, 4), Fraction(1, 20)), (Fraction(1, 4), Fraction(1, 100)),
+                   (Fraction(1, 4), Fraction(1, 2000)), (Fraction(1, 2), Fraction(0))):
+        assert plain._scan_masks(counts, n, d, eta) == reference_scan_masks(counts, n, d, eta)
+
+
+def test_block_scan_matches_the_per_mask_scan_on_two_byte_counts():
+    counts = _edge_counts_by_subset(_DENSE14)
+    assert counts.itemsize == 2
+    for d, eta in ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0)),
+                   (Fraction(1, 2), Fraction(1, 1000)), (Fraction(3, 5), Fraction(1, 500)),
+                   (Fraction(0), Fraction(0))):
+        assert plain._scan_masks(counts, 14, d, eta) == reference_scan_masks(counts, 14, d, eta)
+
+
+def test_block_scan_finds_a_lone_violation_in_any_block():
+    # The complete 16-vertex graph minus one edge at d = 1: exactly the
+    # masks holding that edge's three vertices violate, each by 1, and the
+    # triple itself is the worst; blocks without it hold no candidate.
+    for missing in ((1, 2, 3), (1, 15, 16), (14, 15, 16), (2, 9, 15)):
+        g = Plain3Graph(16, set(itertools.combinations(range(1, 17), 3)) - {missing})
+        result = uniform_density_audit(g, 1, 0)
+        assert (result.witness, result.deficiency) == (missing, 1)
+
+
+def test_block_scan_keeps_a_tie_found_in_a_later_block():
+    # K16 minus two triples at d = 9/10: each missing triple alone misses
+    # by 9/10, and every larger set by less.  (3, 4, 5) is found in the
+    # first block; the tie (1, 2, 16), lexicographically smaller, sits in
+    # the third block, which the lowered bars must still show.
+    g = Plain3Graph(16, set(itertools.combinations(range(1, 17), 3))
+                    - {(3, 4, 5), (1, 2, 16)})
+    d, eta = Fraction(9, 10), Fraction(0)
+    expected = (Fraction(9, 10), (1, 2, 16))
+    assert reference_scan_masks(_edge_counts_by_subset(g), 16, d, eta) == expected
+    assert plain._scan_masks(_edge_counts_by_subset(g), 16, d, eta) == expected
+
+
 def test_two_byte_counts_follow_the_byte_order_the_host_reads(monkeypatch):
-    # Told the other byte order, the table swaps the bytes of every count.
+    # Told the other byte order, the table swaps the bytes of every count,
+    # and the scan reads them back in that order.
     g = Plain3Graph(14, list(itertools.combinations(range(1, 15), 3))[:256])
     native = list(_edge_counts_by_subset(g))
+    bounds = [(Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0)),
+              (Fraction(1, 4), Fraction(1, 1000))]
+    expected = [reference_scan_masks(native, 14, d, eta) for d, eta in bounds]
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(plain, "sys", SimpleNamespace(byteorder=other))
     assert list(_edge_counts_by_subset(g)) == [c >> 8 | (c & 0xff) << 8 for c in native]
+    swapped = _edge_counts_by_subset(g)
+    assert [plain._scan_masks(swapped, 14, d, eta) for d, eta in bounds] == expected
+
+
+@pytest.mark.parametrize("d,eta", [(0.25, 0), (Fraction(1, 4), 0.05), (0.5, 0.0)])
+def test_audit_refuses_float_bounds(d, eta):
+    g = complete_k(6)
+    bad = "d" if isinstance(d, float) else "eta"
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(DomainError, match=f"^{bad} must be an exact rational, got float "):
+            uniform_density_audit(g, d, eta, mode=mode, samples=3)
+
+
+def test_constructor_words_the_first_bad_edge():
+    for n, edges, message in (
+            (5, [(1, 2, 3), (4, 4, 1)], "edge (4, 4, 1) must have three distinct vertices"),
+            (5, [(1, 2, 3), (5, 2, 2)], "edge (5, 2, 2) must have three distinct vertices"),
+            (5, [(1, 2, 3, 4)], "edge (1, 2, 3, 4) must have three distinct vertices"),
+            (5, [(2, 1)], "edge (2, 1) must have three distinct vertices"),
+            (5, [(1, 2, 3), (6, 2, 1)], "edge (6, 2, 1) out of range 1..5"),
+            (5, iter([(0, 1, 2)]), "edge (0, 1, 2) out of range 1..5"),
+            # the first bad edge in input order is named, whatever its fault
+            (5, [(1, 2, 3), (6, 2, 1), (4, 4, 1)], "edge (6, 2, 1) out of range 1..5"),
+            (5, [(1, 2, 9), (4, 4, 1)], "edge (1, 2, 9) out of range 1..5"),
+            (0, [(1, 1, 1)], "vertex_count must be >= 1, got 0")):
+        with pytest.raises(DomainError) as exc:
+            Plain3Graph(n, edges)
+        assert str(exc.value) == message
 
 
 def test_count_copies_cyclic_is_k4minus_free():
