@@ -27,10 +27,11 @@ constructor; the line parser is the only code that words a ParseError.
 
 Plain-graph text is loaded the same way: a text equal to write_plain3 of
 its graph is recognised in bulk, a chunk of lines at a time (see
-_parse_canonical_plain3), the graph is built by Plain3Graph._from_rows,
-which states the rules, and its digest is the sha256 of the input.  Any
+_parse_canonical_plain3), Plain3Graph._from_rows checks the graph rules
+on its rows and builds it, and its digest is the sha256 of the input.  Any
 other plain-graph text, and every pattern text, goes through the line
-parser, which alone words a ParseError.
+parser and the Plain3Graph constructor; the line parser alone words a
+ParseError.
 """
 
 from __future__ import annotations
@@ -273,8 +274,8 @@ def _parse_canonical_plain3(text: str) -> Plain3Graph | None:
     numbers are read through a table of the tokens "1".."n", so a token
     outside it, in another spelling or out of range, defers.  The rows must
     rise strictly, the order write_plain3 emits, which also rules out a
-    repeated triple.  The rules are Plain3Graph._from_rows's, which builds
-    the graph.
+    repeated triple.  Plain3Graph._from_rows checks the graph rules on the
+    rows (u < v < w within each) and builds the graph.
     """
     if not (text.startswith("V ") and text.endswith("\n")):
         return None

@@ -1,11 +1,11 @@
 """Plain 3-graph support: uniform density auditing and pattern-copy counts.
 
 A plain 3-graph is an ordinary 3-uniform hypergraph on vertices 1..n.
-Plain3Graph._from_rows states its rules (n >= 1, each edge a triple
-1 <= u < v < w <= n); the constructor sorts and de-duplicates arbitrary
-edges and hands them to it, and so does fileio's bulk loader, with rows
-already sorted.  The audit checks, for vertex subsets U, the exact-rational
-inequality
+The constructor sorts, de-duplicates and checks arbitrary edges (n >= 1,
+each edge a triple 1 <= u < v < w <= n once sorted) and words the first bad
+one; Plain3Graph._from_rows builds a graph from rows that fileio's bulk
+loader has already sorted.  The audit checks, for vertex subsets U, the
+exact-rational inequality
 
     #(edges inside U)  >=  d * C(|U|, 3) - eta * n^3
 
@@ -19,11 +19,10 @@ deficiency becomes a Fraction again.
 An exhaustive run counts the edges inside all 2^n subsets at once: a table
 of one- or two-byte fields packed into one Python int, summed over subsets
 with one big-integer addition per vertex, then read back as a flat array.
-The scan then judges 2^14 masks at a time with one big-integer subtraction
-(see _scan_masks), and looks at single masks only in blocks where some
-mask may be the worst violation.  A sampled run packs the graph into one
-bit row per vertex, so the edges inside a sample are counted with one AND
-and one popcount per sampled vertex.
+The scan then reads each mask's count against its size's threshold.  A
+sampled run packs the graph into one bit row per vertex, so the edges
+inside a sample are counted with one AND and one popcount per sampled
+vertex.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ from .errors import CapExceeded, DomainError
 EXHAUSTIVE_VERTEX_CAP = 20
 
 
-class _RowFault(DomainError):
-    """Some row is not a triple 1 <= u < v < w <= n."""
-
-
 @dataclass(frozen=True)
 class Plain3Graph:
     """canonical_sha256 is the sha256 of the text this graph was loaded
@@ -57,23 +52,29 @@ class Plain3Graph:
     canonical_sha256: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, int]]):
-        edges = list(edges)
-        try:
-            graph = self._from_rows(vertex_count, map(tuple, map(sorted, edges)))
-        except _RowFault:
-            raise _first_bad_edge(vertex_count, edges) from None
-        vars(self).update(vars(graph))
+        if vertex_count < 1:
+            raise DomainError(f"vertex_count must be >= 1, got {vertex_count}")
+        canon = set()
+        for e in edges:
+            if len(set(e)) != 3:
+                raise DomainError(f"edge {e} must have three distinct vertices")
+            u, v, w = sorted(e)
+            if not (1 <= u and w <= vertex_count):
+                raise DomainError(f"edge {e} out of range 1..{vertex_count}")
+            canon.add((u, v, w))
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", frozenset(canon))
 
     @classmethod
     def _from_rows(cls, vertex_count: int, rows: Iterable[tuple[int, int, int]],
                    canonical_sha256: str | None = None) -> "Plain3Graph":
-        """The graph on 1..vertex_count with the given rows as its edges.
+        """The graph on 1..vertex_count with the given rows, already sorted
+        within each row, as its edges; a repeated row counts once.
 
-        This states the rules: vertex_count >= 1 (DomainError), and every
-        row a triple 1 <= u < v < w <= vertex_count (_RowFault, which the
-        constructor words by the offending edge).  The rows are checked a
-        column at a time, through views that copy nothing, and kept as they
-        are, without sorting again; a repeated row counts once.
+        This is the bulk loader's builder.  It checks the constructor's
+        rules a column at a time, through views that copy nothing, and
+        raises a DomainError that names no edge: a caller with text to
+        word an error from goes back to the constructor.
         """
         if vertex_count < 1:
             raise DomainError(f"vertex_count must be >= 1, got {vertex_count}")
@@ -83,7 +84,7 @@ class Plain3Graph:
                           and 1 <= min(map(u, edges)) and max(map(w, edges)) <= vertex_count
                           and all(map(lt, map(u, edges), map(v, edges)))
                           and all(map(lt, map(v, edges), map(w, edges)))):
-            raise _RowFault()
+            raise DomainError(f"rows must be triples 1 <= u < v < w <= {vertex_count}")
         graph = cls.__new__(cls)
         vars(graph).update(vertex_count=vertex_count, edges=edges,
                            canonical_sha256=canonical_sha256)
@@ -94,18 +95,6 @@ class Plain3Graph:
         if n < 3:
             return Fraction(0)
         return Fraction(len(self.edges), comb(n, 3))
-
-
-def _first_bad_edge(vertex_count: int, edges: Iterable) -> DomainError:
-    """The DomainError naming the first edge, in input order, that does not
-    sort into a triple within 1..vertex_count."""
-    for e in edges:
-        if len(set(e)) != 3:
-            return DomainError(f"edge {e} must have three distinct vertices")
-        u, v, w = sorted(e)
-        if not (1 <= u and w <= vertex_count):
-            return DomainError(f"edge {e} out of range 1..{vertex_count}")
-    raise AssertionError("no edge breaks the rules")
 
 
 @dataclass(frozen=True)
@@ -134,7 +123,7 @@ def _edge_counts_by_subset(graph: Plain3Graph) -> Sequence[int]:
     the bit into the field with it, and no field carries into the next.  The
     selector of the fields with the bit comes from the previous bit's (all
     fields, before the top bit) by one shift and xor.  The result is a flat
-    memoryview of unsigned bytes or shorts, in the host's byte order.
+    memoryview of unsigned bytes or shorts.
     """
     n = graph.vertex_count
     size = 1 << n
@@ -171,85 +160,22 @@ def _least_count(scale: int, threshold: int) -> int:
     return -(-threshold // scale)
 
 
-_BLOCK_BITS = 14
-# _SIZES[o] = popcount(o) for every offset o within a block.
-_SIZES = b"\x00"
-for _ in range(_BLOCK_BITS):
-    _SIZES += _SIZES.translate(bytes(range(1, 256)) + b"\x00")
-# A bar is kept within 0..2^11, above every count (|E| <= C(23, 3) = 1771);
-# each 16-bit field holds 2^15 - 1 + bar, so subtracting a count borrows
-# nothing from the next field and leaves bit 15 set iff count < bar.
-_BAR_CAP = 1 << 11
-_GUARD = 1 << 15
-
-
 def _scan_masks(counts: Sequence[int], n: int, d: Fraction, eta: Fraction):
     """Worst violation among all subset masks as (deficiency, subset); None
-    when all hold.
-
-    bars[s] is the smallest count of a size-s mask that is not a candidate:
-    at first the least count that does not violate, and once a worst
-    violation is known, the least count that could neither beat nor tie it.
-    The masks are judged in blocks of 2^14 (2^n when smaller).  A block's
-    bars, one 16-bit field per mask, come from bytes.translate of the
-    offsets' popcounts, shifted by the popcount of the block's start, and
-    are kept until the bars change.  A block with no positive bar is
-    skipped; otherwise one subtraction of its counts from its bars shows
-    its candidates, and only they are read one by one.  The table's bytes
-    are read in the byte order of its memoryview, the host's.
-    """
+    when all hold."""
     scale, thresholds = _thresholds(n, d, eta)
-    bars = [_least_count(scale, t) for t in thresholds]
-    width = counts.itemsize
-    raw = counts.cast("B")
-    bits = min(n, _BLOCK_BITS)
-    block = 1 << bits
-    sizes = _SIZES[:block]
-    # one-byte counts are widened into 16-bit little-endian fields
-    order = "little" if width == 1 else sys.byteorder
-    low, high = (0, 1) if order == "little" else (1, 0)
-    guards = int.from_bytes(_GUARD.to_bytes(2, order) * block, order)
-    wide = bytearray(2 * block)
-    block_bars: dict[int, int] = {}
+    least = [_least_count(scale, t) for t in thresholds]
     worst = None
-    for start in range(0, 1 << n, block):
-        base = start.bit_count()
-        bar = block_bars.get(base)
-        if bar is None:
-            near = [min(max(b, 0), _BAR_CAP) for b in bars[base:base + bits + 1]]
-            bar = 0
-            if max(near):
-                fields = [_GUARD - 1 + b for b in near]
-                fields += [0] * (256 - len(fields))
-                buf = bytearray(2 * block)
-                buf[low::2] = sizes.translate(bytes(f & 0xff for f in fields))
-                buf[high::2] = sizes.translate(bytes(f >> 8 for f in fields))
-                bar = int.from_bytes(buf, order)
-            block_bars[base] = bar
-        if not bar:
+    for mask, count in enumerate(counts):
+        size = mask.bit_count()
+        if count >= least[size]:
             continue
-        if width == 1:
-            wide[::2] = raw[start:start + block]
-            have = int.from_bytes(wide, order)
-        else:
-            have = int.from_bytes(raw[2 * start:2 * (start + block)], order)
-        below = (bar - have) & guards
-        if not below:
+        margin = thresholds[size] - count * scale
+        if worst is not None and (margin < worst[0] or margin == worst[0] and size > worst[1]):
             continue
-        flags = below.to_bytes(2 * block, order)[high::2]
-        for mask in itertools.compress(range(start, start + block), flags):
-            size = mask.bit_count()
-            count = raw[mask] if width == 1 else int.from_bytes(raw[2 * mask:2 * mask + 2], order)
-            margin = thresholds[size] - count * scale
-            if worst is not None and (margin < worst[0] or margin == worst[0] and size > worst[1]):
-                continue
-            subset = tuple(v + 1 for v in range(n) if mask >> v & 1)
-            if worst is None or (-margin, size, subset) < (-worst[0], worst[1], worst[2]):
-                worst = (margin, size, subset)
-                # a tie needs no larger size: its subset then decides
-                bars = [_least_count(scale, t - margin + (s <= size))
-                        for s, t in enumerate(thresholds)]
-                block_bars = {}
+        subset = tuple(v + 1 for v in range(n) if mask >> v & 1)
+        if worst is None or (-margin, size, subset) < (-worst[0], worst[1], worst[2]):
+            worst = (margin, size, subset)
     return None if worst is None else (Fraction(worst[0], scale), worst[2])
 
 

@@ -40,26 +40,6 @@ def naive_worst_violation(g, d, eta):
     return -worst[0], worst[2]
 
 
-def reference_scan_masks(counts, n, d, eta):
-    """The per-mask scan the block-pruned one replaced: every mask's count
-    against its size's least passing count, the worst kept by margin, then
-    size, then subset."""
-    scale, thresholds = plain._thresholds(n, d, eta)
-    least = [plain._least_count(scale, t) for t in thresholds]
-    worst = None
-    for mask, count in enumerate(counts):
-        size = mask.bit_count()
-        if count >= least[size]:
-            continue
-        margin = thresholds[size] - count * scale
-        if worst is not None and (margin < worst[0] or margin == worst[0] and size > worst[1]):
-            continue
-        subset = tuple(v + 1 for v in range(n) if mask >> v & 1)
-        if worst is None or (-margin, size, subset) < (-worst[0], worst[1], worst[2]):
-            worst = (margin, size, subset)
-    return None if worst is None else (Fraction(worst[0], scale), worst[2])
-
-
 def audit_outcome(result):
     if result.status == "pass":
         return None
@@ -245,65 +225,55 @@ def test_edge_counts_match_the_bit_by_bit_sum_over_subsets():
         assert list(_edge_counts_by_subset(g)) == expected
 
 
-_DENSE14 = Plain3Graph(14, [t for t in itertools.combinations(range(1, 15), 3)
-                            if sum(t) % 4])  # 273 edges: two-byte counts
+# Worst violations on the audit workload's cyclic-triple graphs, from a
+# count table built and scanned mask by mask in plain Python, apart from
+# plain.py: two bounds that hold (the workload's vacuous one and one that
+# binds), one that fails on a mid-sized subset, and one that fails everywhere.
+_CYCLIC_WORST = {
+    17: (None, None, (Fraction(31087, 2000), (1, 2, 3, 4, 5, 6, 8, 11, 15, 17)),
+         (Fraction(164), tuple(range(1, 18)))),
+    18: (None, None, (Fraction(3021, 250), (3, 4, 5, 6, 8, 9, 14, 16, 17)),
+         (Fraction(186), tuple(range(1, 19)))),
+    20: (None, None, (Fraction(26), (1, 2, 4, 5, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20)),
+         (Fraction(282), tuple(range(1, 21)))),
+}
 
 
 @pytest.mark.parametrize("n", [17, 18, 20])
-def test_block_scan_matches_the_per_mask_scan_on_cyclic_graphs(n):
-    # The audit workload's graphs and sizes, at its vacuous bound, two that
-    # bind, and one that fails almost everywhere.
+def test_scan_finds_the_worst_violation_on_cyclic_graphs(n):
     counts = _edge_counts_by_subset(cyclic_triple_3graph(random_tournament(n, 0)))
-    for d, eta in ((Fraction(1, 4), Fraction(1, 20)), (Fraction(1, 4), Fraction(1, 100)),
-                   (Fraction(1, 4), Fraction(1, 2000)), (Fraction(1, 2), Fraction(0))):
-        assert plain._scan_masks(counts, n, d, eta) == reference_scan_masks(counts, n, d, eta)
+    bounds = ((Fraction(1, 4), Fraction(1, 20)), (Fraction(1, 4), Fraction(1, 100)),
+              (Fraction(1, 4), Fraction(1, 2000)), (Fraction(1, 2), Fraction(0)))
+    assert tuple(plain._scan_masks(counts, n, d, eta) for d, eta in bounds) == _CYCLIC_WORST[n]
 
 
-def test_block_scan_matches_the_per_mask_scan_on_two_byte_counts():
-    counts = _edge_counts_by_subset(_DENSE14)
-    assert counts.itemsize == 2
-    for d, eta in ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0)),
-                   (Fraction(1, 2), Fraction(1, 1000)), (Fraction(3, 5), Fraction(1, 500)),
-                   (Fraction(0), Fraction(0))):
-        assert plain._scan_masks(counts, 14, d, eta) == reference_scan_masks(counts, 14, d, eta)
-
-
-def test_block_scan_finds_a_lone_violation_in_any_block():
+def test_exhaustive_audit_finds_a_lone_violation_anywhere():
     # The complete 16-vertex graph minus one edge at d = 1: exactly the
     # masks holding that edge's three vertices violate, each by 1, and the
-    # triple itself is the worst; blocks without it hold no candidate.
+    # triple itself is the worst.
     for missing in ((1, 2, 3), (1, 15, 16), (14, 15, 16), (2, 9, 15)):
         g = Plain3Graph(16, set(itertools.combinations(range(1, 17), 3)) - {missing})
         result = uniform_density_audit(g, 1, 0)
         assert (result.witness, result.deficiency) == (missing, 1)
 
 
-def test_block_scan_keeps_a_tie_found_in_a_later_block():
+def test_exhaustive_audit_breaks_a_tie_by_the_least_subset():
     # K16 minus two triples at d = 9/10: each missing triple alone misses
-    # by 9/10, and every larger set by less.  (3, 4, 5) is found in the
-    # first block; the tie (1, 2, 16), lexicographically smaller, sits in
-    # the third block, which the lowered bars must still show.
+    # by 9/10, and every larger set by less.  The scan meets (3, 4, 5)
+    # first; the tie (1, 2, 16), lexicographically smaller, must win.
     g = Plain3Graph(16, set(itertools.combinations(range(1, 17), 3))
                     - {(3, 4, 5), (1, 2, 16)})
-    d, eta = Fraction(9, 10), Fraction(0)
-    expected = (Fraction(9, 10), (1, 2, 16))
-    assert reference_scan_masks(_edge_counts_by_subset(g), 16, d, eta) == expected
-    assert plain._scan_masks(_edge_counts_by_subset(g), 16, d, eta) == expected
+    result = uniform_density_audit(g, Fraction(9, 10), 0)
+    assert (result.witness, result.deficiency) == ((1, 2, 16), Fraction(9, 10))
 
 
 def test_two_byte_counts_follow_the_byte_order_the_host_reads(monkeypatch):
-    # Told the other byte order, the table swaps the bytes of every count,
-    # and the scan reads them back in that order.
+    # Told the other byte order, the table swaps the bytes of every count.
     g = Plain3Graph(14, list(itertools.combinations(range(1, 15), 3))[:256])
     native = list(_edge_counts_by_subset(g))
-    bounds = [(Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0)),
-              (Fraction(1, 4), Fraction(1, 1000))]
-    expected = [reference_scan_masks(native, 14, d, eta) for d, eta in bounds]
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(plain, "sys", SimpleNamespace(byteorder=other))
     assert list(_edge_counts_by_subset(g)) == [c >> 8 | (c & 0xff) << 8 for c in native]
-    swapped = _edge_counts_by_subset(g)
-    assert [plain._scan_masks(swapped, 14, d, eta) for d, eta in bounds] == expected
 
 
 @pytest.mark.parametrize("d,eta", [(0.25, 0), (Fraction(1, 4), 0.05), (0.5, 0.0)])
@@ -330,6 +300,18 @@ def test_constructor_words_the_first_bad_edge():
         with pytest.raises(DomainError) as exc:
             Plain3Graph(n, edges)
         assert str(exc.value) == message
+
+
+def test_the_row_builder_checks_every_rule():
+    # fileio's bulk loader proves some rules itself; the builder still
+    # checks them all, so a looser loader cannot build a bad graph.
+    rows = [(1, 2, 3), (2, 4, 5)]
+    assert Plain3Graph._from_rows(5, rows) == Plain3Graph(5, rows)
+    assert Plain3Graph._from_rows(5, rows, "digest").canonical_sha256 == "digest"
+    for n, bad in ((0, []), (5, [(1, 2)]), (5, [(1, 2, 3, 4)]), (5, [(0, 1, 2)]),
+                   (5, [(3, 4, 6)]), (5, [(2, 1, 3)]), (5, [(1, 3, 2)]), (5, [(1, 1, 2)])):
+        with pytest.raises(DomainError):
+            Plain3Graph._from_rows(n, rows[:1] + bad if n else bad)
 
 
 def test_count_copies_cyclic_is_k4minus_free():
