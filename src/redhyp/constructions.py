@@ -3,6 +3,11 @@
 Randomness comes from Python's Mersenne Twister seeded explicitly, with
 sampling done by an explicit partial Fisher-Yates shuffle so fixtures are
 reproducible across builds (identifier: mt19937-partial-fisher-yates).
+Each draw below a bound m takes getrandbits(m.bit_length()) and draws
+again while the result is >= m (see _sample_indices), so the stream is
+defined by getrandbits alone.  That is the rule of CPython's
+random.randrange, which drew these hosts before, so their bytes are
+unchanged.
 
 The orientation constructions encode a tournament: each pair class holds
 the two possible orientations of that pair, and a constituent keeps
@@ -51,10 +56,20 @@ def check_3graph_request(vertex_count: int) -> None:
 
 
 def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
-    """k distinct integers from range(n) by partial Fisher-Yates."""
+    """k distinct integers from range(n) by partial Fisher-Yates.
+
+    Step i swaps pool[i] with pool[i + r], r uniform below m = n - i: r is
+    getrandbits(m.bit_length()), drawn again while r >= m.
+    """
+    getrandbits = rng.getrandbits
     pool = list(range(n))
     for i in range(k):
-        j = rng.randrange(i, n)
+        m = n - i
+        width = m.bit_length()
+        r = getrandbits(width)
+        while r >= m:
+            r = getrandbits(width)
+        j = i + r
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
 
@@ -128,11 +143,15 @@ def random_box_dense(index_count: int, class_size: int, d, seed: int) -> Reduced
     if index_count >= 3:
         refuse_above_cap(space, "the sampling pool")
     rng = random.Random(seed)
-    cons: dict[Triple, list[tuple[int, int, int]]] = {}
-    for t in itertools.combinations(range(1, index_count + 1), 3):
-        picks = _sample_indices(rng, space, k)
-        cons[t] = [(x // (p * p), x // p % p, x % p) for x in picks]
-    return ReducedHypergraph.with_uniform_classes(index_count, p, cons)
+    triples = list(itertools.combinations(range(1, index_count + 1), 3))
+    picks: list[int] = []
+    for _ in triples:
+        picks += _sample_indices(rng, space, k)
+    # each triple's k picks, in turn; pick x is the edge (x // p^2, x // p % p, x % p)
+    sizes = dict.fromkeys(itertools.combinations(range(1, index_count + 1), 2), p)
+    return ReducedHypergraph._from_columns(
+        index_count, sizes, [(t, k) for t in triples], [x // (p * p) for x in picks],
+        [x // p % p for x in picks], [x % p for x in picks])
 
 
 def orientation_reduced(index_count: int) -> ReducedHypergraph:

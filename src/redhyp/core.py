@@ -55,10 +55,12 @@ class Constituent:
     builds only them: cleaning, rows, projections, has() and edge_count()
     read nothing else.  edges, the frozenset of (a, b, c), is built from
     comp01 on its first read and then kept; sorted_edges() reads them from
-    comp01 in order without building it.  The search-only tables, comp02
-    and the proj_xy, are reached through fwd; fwd and occupied are None
-    until ensure_search_tables() builds them from comp01 and comp12, on the
-    embedding search's first use of the constituent.  The search itself
+    comp01 in order without building it.  comp02 is likewise built from
+    comp01 on its first read and kept; the embedding search reads it to key
+    a relation and through fwd.  The other search-only tables, the proj_xy,
+    are reached through fwd; fwd and occupied are None until
+    ensure_search_tables() builds them from comp01, comp02 and comp12, on
+    the embedding search's first use of the constituent.  The search itself
     never reads edges.
 
     A constituent does not know its triple: hosts relabeled by `induced`
@@ -66,7 +68,7 @@ class Constituent:
     depends only on the sizes and the edges.
     """
 
-    __slots__ = ("sizes", "_edges", "comp01", "comp12", "occupied", "fwd")
+    __slots__ = ("sizes", "_edges", "comp01", "_comp02", "comp12", "occupied", "fwd")
 
     def __init__(self, sizes: tuple[int, int, int], a: Iterable[int],
                  b: Iterable[int], c: Iterable[int]):
@@ -81,7 +83,7 @@ class Constituent:
             comp12[y * s2 + z] |= 1 << x
         self.comp01 = comp01
         self.comp12 = comp12
-        self._edges = self.occupied = self.fwd = None
+        self._edges = self._comp02 = self.occupied = self.fwd = None
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -99,8 +101,11 @@ class Constituent:
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.comp01))
 
-    def build_comp02(self) -> list[int]:
-        """comp02 (see above), built from the comp01 bits."""
+    @property
+    def comp02(self) -> list[int]:
+        """comp02 (see above), built from the comp01 bits on first read."""
+        if self._comp02 is not None:
+            return self._comp02
         s0, s1, s2 = self.sizes
         comp02 = [0] * (s0 * s2)
         for key, cs in enumerate(self.comp01):
@@ -112,11 +117,12 @@ class Constituent:
                     low = cs & -cs
                     comp02[row + low.bit_length() - 1] |= bit
                     cs ^= low
+        self._comp02 = comp02
         return comp02
 
     def ensure_search_tables(self) -> None:
-        """Build occupied and fwd from comp01 and comp12, unless already
-        built; the edge set is not read."""
+        """Build occupied and fwd from comp01, comp02 and comp12, unless
+        already built; the edge set is not read."""
         if self.fwd is not None:
             return
         s0, s1, s2 = self.sizes
@@ -147,7 +153,7 @@ class Constituent:
         # comp_xy (x < y) is keyed by the slot-x vertex times slot y's size.
         for x, y, comp, stride, proj_xy, proj_yx in (
                 (0, 1, self.comp01, s1, proj01, proj10),
-                (0, 2, self.build_comp02(), s2, proj02, proj20),
+                (0, 2, self.comp02, s2, proj02, proj20),
                 (1, 2, self.comp12, s2, proj12, proj21)):
             fwd[x][y] = (comp, stride, 1, proj_xy)
             fwd[y][x] = (comp, 1, stride, proj_yx)

@@ -225,7 +225,7 @@ def _completions(con: Constituent, x: int, y: int) -> tuple[int, ...]:
     for y < x."""
     pair = (min(x, y), max(x, y))
     table = (con.comp01 if pair == (0, 1) else con.comp12 if pair == (1, 2)
-             else con.build_comp02())
+             else con.comp02)
     if x < y:
         return tuple(table)
     sx = con.sizes[x]  # entry vy*s_x + vx of the table in order y, x

@@ -40,6 +40,7 @@ import hashlib
 import itertools
 from operator import lt
 
+from ._bits import iter_bits
 from .core import Pattern, ReducedHypergraph
 from .errors import DomainError, ParseError
 from .plain import Plain3Graph
@@ -201,12 +202,29 @@ def _parse_lines(text: str) -> ReducedHypergraph:
 
 
 def write_host(host: ReducedHypergraph) -> str:
+    """The canonical text of host: the M line, one P line per pair, pairs
+    ascending, then one E line per edge, ascending by (i, j, k, a, b, c)
+    as integers.
+
+    That is the order of the triples, then of each constituent's comp01
+    keys a * s1 + b, then of the bits c of the key's entry.  Each non-zero
+    entry gives one head "E i j k a b ", and the text of its completion
+    vertices comes from a dict keyed by the entry's bitset.
+    """
     lines = [f"M {host.index_count}"]
-    for i, j in host.pairs():
-        lines.append(f"P {i} {j} {host.class_size(i, j)}")
+    lines += [f"P {i} {j} {host.class_size(i, j)}" for i, j in host.pairs()]
+    cons = host.constituents
+    tails: dict[int, list[str]] = {}
     for t in host.triples():
-        for a, b, c in host.constituent(t).sorted_edges():
-            lines.append(f"E {t[0]} {t[1]} {t[2]} {a} {b} {c}")
+        con = cons[t]
+        s1 = con.sizes[1]
+        prefix = "E %d %d %d " % t
+        for key, bits in enumerate(con.comp01):
+            if bits:
+                tail = tails.get(bits)
+                if tail is None:
+                    tail = tails[bits] = list(map(str, iter_bits(bits)))
+                lines += map(f"{prefix}{key // s1} {key % s1} ".__add__, tail)
     return "\n".join(lines) + "\n"
 
 

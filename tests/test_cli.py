@@ -210,6 +210,23 @@ def test_gen_refuses_oversized_requests_before_allocating(argv, message):
     assert run(["gen", *argv]) == (2, f"error cap-exceeded: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--kind", "random", "--d", "1/2"], "gen --kind random needs --m and --d"),
+    (["gen", "--kind", "random", "--m", "4"], "gen --kind random needs --m and --d"),
+    (["gen", "--kind", "orientation"], "gen --kind orientation needs --m"),
+    (["gen", "--kind", "blowup", "--t", "2"], "gen --kind blowup needs --host"),
+    (["gen", "--kind", "tournament3", "--seed", "1"], "gen --kind tournament3 needs --n"),
+])
+def test_gen_refuses_a_missing_argument(argv, message):
+    assert run(argv) == (3, f"error {message}\n")
+
+
+@pytest.mark.parametrize("ladder", ["5,x", "", "5,,3", "4.5"])
+def test_glue_refuses_a_bad_ladder(orientation_file, ladder):
+    assert run(["glue", "--host", orientation_file, "--eps", "1/10", "--delta", "1/10",
+                "--ladder", ladder]) == (3, f"error bad ladder {ladder!r}\n")
+
+
 def test_gen_blowup_refuses_an_oversized_edge_list(orientation_file):
     # 4 triples of 2 edges, each lifted to 200^3 copies
     assert run(["gen", "--kind", "blowup", "--host", orientation_file, "--t", "200"]) == \

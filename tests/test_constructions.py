@@ -1,6 +1,7 @@
 """Construction tests: seeded hosts, tournaments, cyclic triples,
 orientation hosts, and blow-ups."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from redhyp import (DomainError, Tournament, constituent_density,
                     cyclic_triple_3graph, exhaustive_oracle, is_box_dense,
                     orientation_reduced, pattern_catalog, random_box_dense,
                     random_tournament, reduced_blow_up, transitive_tournament)
-from redhyp.constructions import is_cyclic_triple
+from redhyp.constructions import _sample_indices, is_cyclic_triple
+from redhyp.fileio import write_host
 
 
 def test_random_box_dense_extremes():
@@ -36,6 +38,66 @@ def test_random_box_dense_reproducible():
     c = random_box_dense(5, 3, Fraction(1, 2), seed=8)
     assert a == b
     assert a != c
+
+
+def _randrange_sample(rng, n, k):
+    """The partial Fisher-Yates draw through random.randrange, the way the
+    generator drew it before its draws were written out."""
+    pool = list(range(n))
+    for i in range(k):
+        j = rng.randrange(i, n)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3])
+def test_sample_indices_draws_the_randrange_stream(seed):
+    mine, ref = random.Random(seed), random.Random(seed)
+    for n in range(1, 301):
+        for k in sorted({0, 1, n // 2, n}):
+            assert _sample_indices(mine, n, k) == _randrange_sample(ref, n, k), (n, k)
+            assert mine.getstate() == ref.getstate(), (n, k)
+
+
+# sha256 of write_host(random_box_dense(m, p, d, seed)): the generator's
+# byte stream, recorded before its draws and its writer were rewritten.
+HOST_DIGESTS = [
+    ((4, 3, 0, 1), "b8e6c7b3aed5144900f66491ac13bfb702018ebd746d5f66a8e91528ef65c202"),
+    ((4, 3, 1, 1), "ab99eba8c5f5e95e6acb1bd9eb91d2cad35269a4f41cae67545f23f1a77ee62c"),
+    ((5, 1, Fraction(1, 2), 2), "bd717d0a251cce30a08102f5ae02be06d84ab0fa3e39a6fe6cb362af35f892e5"),
+    ((2, 3, Fraction(1, 2), 3), "fae3eae897c8c6600576ccd30fa8e0dbd23838229c07e498b39e5796fdf39b4b"),
+    ((4, 17, Fraction(1, 10), 4),
+     "494edd681b4dba813685481f3c86b6346dac5c17393edbb6bf923736abb01321"),
+    ((6, 4, Fraction(7, 20), 42),
+     "0693e8967943676f4db2cb5f7aa943003a69d88867ed63d312e001607c8194ad"),
+    ((12, 6, Fraction(9, 10), 0),  # the benchmark's first dense M=12 host
+     "25dedfb4bf019b5355d3235cd371d249687f163aebcf3617a9e18e8b50e291e5"),
+    ((30, 2, 1, 0), "096812648852927011a14cd4341eadbc4869aee5d302ce753feb461f029fecb8"),
+]
+
+
+@pytest.mark.parametrize("shape, digest", HOST_DIGESTS)
+def test_generated_host_bytes_are_pinned(shape, digest):
+    m, p, d, seed = shape
+    text = write_host(random_box_dense(m, p, d, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_tournament_beats_agrees_with_the_orientation_bits():
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    for bits in itertools.product((0, 1), repeat=6):
+        t = Tournament(4, dict(zip(pairs, bits)))
+        for (i, j), bit in t.orient.items():
+            assert t.beats(i, j) is (bit == 1)
+            assert t.beats(j, i) is (bit == 0)
+        for a, b, c in itertools.combinations(range(1, 5), 3):
+            cycle = (t.beats(a, b) and t.beats(b, c) and t.beats(c, a)
+                     or t.beats(b, a) and t.beats(c, b) and t.beats(a, c))
+            assert is_cyclic_triple(t, a, b, c) is cycle
+            assert is_cyclic_triple(t, c, a, b) is cycle
+        for a in range(1, 5):
+            with pytest.raises(DomainError, match="a vertex does not play itself"):
+                t.beats(a, a)
 
 
 def test_cyclic_triple_transitive_and_smallest():

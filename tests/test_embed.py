@@ -452,6 +452,17 @@ def test_completion_table_reads_the_edges_in_slot_order(slots):
         assert _completions(con, x, y) == tuple(table)
 
 
+def test_comp02_is_built_once_per_constituent():
+    host = PIN_HOSTS["mixed6d1/2"]()
+    for name in CATALOG:
+        find_reduced_image(host, pattern_catalog(name), count_all=True)
+    for con in host.constituents.values():
+        comp02 = con.comp02
+        assert comp02 is con.comp02
+        if con.fwd is not None:
+            assert con.fwd[0][2][0] is con.fwd[2][0][0] is comp02
+
+
 def test_a_search_builds_no_constituent_edge_set():
     host = PIN_HOSTS["mixed6d1/2"]()
     for name in CATALOG:

@@ -15,7 +15,8 @@ from redhyp import (CapExceeded, ParseError, Plain3Graph, ReducedHypergraph, con
                     is_box_dense, random_box_dense)
 from redhyp import core, fileio
 from redhyp.cli import dispatch
-from redhyp.constructions import cyclic_triple_3graph, random_tournament
+from redhyp.constructions import (cyclic_triple_3graph, orientation_reduced, random_tournament,
+                                  reduced_blow_up)
 from redhyp.core import pattern_catalog
 from redhyp.fileio import (host_digest, parse_host, parse_pattern, parse_plain3,
                            write_host, write_pattern, write_plain3)
@@ -290,6 +291,45 @@ def test_generated_hosts_are_parsed_in_bulk():
         assert fileio._parse_canonical(write_host(host)) == host
 
 
+def _per_edge_writer(host):
+    """The canonical host text written one f-string per edge, from the
+    sorted edge list: the writer that the table-driven one replaced."""
+    lines = [f"M {host.index_count}"]
+    for i, j in host.pairs():
+        lines.append(f"P {i} {j} {host.class_size(i, j)}")
+    for t in host.triples():
+        for a, b, c in host.constituent(t).sorted_edges():
+            lines.append(f"E {t[0]} {t[1]} {t[2]} {a} {b} {c}")
+    return "\n".join(lines) + "\n"
+
+
+def _writer_hosts():
+    rng = random.Random(11)
+    for _ in range(12):
+        yield random_box_dense(rng.randint(2, 7), rng.randint(1, 11),
+                               Fraction(rng.randint(0, 10), 10), seed=rng.randint(0, 99))
+    yield random_box_dense(12, 6, Fraction(9, 10), seed=0)
+    yield random_box_dense(30, 2, 1, seed=0)
+    # empty constituents beside full ones, and a host with no edge at all
+    yield ReducedHypergraph(5, dict.fromkeys(itertools.combinations(range(1, 6), 2), 2),
+                            {(1, 2, 5): {(0, 1, 1), (1, 0, 0)}, (2, 4, 5): {(1, 1, 1)}})
+    yield ReducedHypergraph(3, {(1, 2): 2, (1, 3): 1, (2, 3): 3}, {})
+    mixed = random_box_dense(6, 3, Fraction(1, 2), seed=4)
+    yield mixed.induced([6, 5, 4, 3, 2, 1])
+    yield mixed.induced([4, 1, 6, 2])
+    yield reduced_blow_up(random_box_dense(4, 3, Fraction(1, 3), seed=2), 4)  # classes of 12
+    yield reduced_blow_up(orientation_reduced(5), 6)
+    yield orientation_reduced(7)
+
+
+def test_write_host_equals_the_per_edge_writer():
+    for host in _writer_hosts():
+        text = write_host(host)
+        assert text == _per_edge_writer(host)
+        assert fileio._parse_canonical(text) == host
+        assert host_digest(host) == hashlib.sha256(text.encode()).hexdigest()
+
+
 # Characters that canonical text may or may not contain, each a way to break it.
 _NOISE = "0123456789 \n\t\r\x0b\x1cMPE#-+_x\u0663\u00a0"
 
@@ -445,6 +485,16 @@ def test_induced_relabelings_compose(case):
     assert host.induced(a).induced(b) == host.induced([a[x - 1] for x in b])
     reverse = list(range(len(a), 0, -1))
     assert host.induced(a).induced(reverse) == host.induced(a[::-1])
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_host_and_maps())
+def test_write_host_equals_the_per_edge_writer_on_relabeled_hosts(case):
+    host, a, b = case
+    for h in (host, host.induced(a), host.induced(a).induced(b)):
+        text = write_host(h)
+        assert text == _per_edge_writer(h)
+        assert fileio._parse_canonical(text) == h
 
 
 def test_pattern_round_trip():
