@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._bits import iter_bits
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, SelfCheckError
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -51,39 +51,37 @@ class Constituent:
         is the bitset of third-slot completions of slot-x vertex vx and
         slot-y vertex vy: comp is comp01, comp02 or comp12 with its
         operands in the order x, y.
-    sizes, comp01 and comp12 are the stored form, and the constructor
-    builds only them: cleaning, rows, projections, has() and edge_count()
+    sizes and comp01 are the stored form, and the constructor builds only
+    them: cleaning's blue test, rows, projections, has() and edge_count()
     read nothing else.  edges, the frozenset of (a, b, c), is built from
     comp01 on its first read and then kept; sorted_edges() reads them from
-    comp01 in order without building it.  comp02 is likewise built from
-    comp01 on its first read and kept; the embedding search reads it to key
-    a relation and through fwd.  The other search-only tables, the proj_xy,
-    are reached through fwd; fwd and occupied are None until
-    ensure_search_tables() builds them from comp01, comp02 and comp12, on
-    the embedding search's first use of the constituent.  The search itself
-    never reads edges.
+    comp01 in order without building it.  comp02 and comp12 are likewise
+    built from the comp01 bits on their first read and kept: the embedding
+    search reads them to key a relation and through fwd, and cleaning reads
+    comp12 only for the high Q-graph of a triple that fails the blue bound.
+    The other search-only tables, the proj_xy, are reached through fwd; fwd
+    and occupied are None until ensure_search_tables() builds them from
+    comp01, comp02 and comp12, on the embedding search's first use of the
+    constituent.  The search itself never reads edges.
 
     A constituent does not know its triple: hosts relabeled by `induced`
     share it wherever a triple keeps its index order, and every table above
     depends only on the sizes and the edges.
     """
 
-    __slots__ = ("sizes", "_edges", "comp01", "_comp02", "comp12", "occupied", "fwd")
+    __slots__ = ("sizes", "_edges", "comp01", "_comp02", "_comp12", "occupied", "fwd")
 
     def __init__(self, sizes: tuple[int, int, int], a: Iterable[int],
                  b: Iterable[int], c: Iterable[int]):
         """The constituent whose edges are the rows (a[r], b[r], c[r]), each
         within sizes (ReducedHypergraph._from_columns checks the rules)."""
         self.sizes = sizes
-        s0, s1, s2 = sizes
+        s0, s1, _ = sizes
         comp01 = [0] * (s0 * s1)
-        comp12 = [0] * (s1 * s2)
         for x, y, z in zip(a, b, c):
             comp01[x * s1 + y] |= 1 << z
-            comp12[y * s2 + z] |= 1 << x
         self.comp01 = comp01
-        self.comp12 = comp12
-        self._edges = self._comp02 = self.occupied = self.fwd = None
+        self._edges = self._comp02 = self._comp12 = self.occupied = self.fwd = None
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -104,21 +102,32 @@ class Constituent:
     @property
     def comp02(self) -> list[int]:
         """comp02 (see above), built from the comp01 bits on first read."""
-        if self._comp02 is not None:
-            return self._comp02
-        s0, s1, s2 = self.sizes
-        comp02 = [0] * (s0 * s2)
+        if self._comp02 is None:
+            self._comp02 = self._pivot(0)
+        return self._comp02
+
+    @property
+    def comp12(self) -> list[int]:
+        """comp12 (see above), built from the comp01 bits on first read."""
+        if self._comp12 is None:
+            self._comp12 = self._pivot(1)
+        return self._comp12
+
+    def _pivot(self, slot: int) -> list[int]:
+        """The table keyed by slot-`slot` vertex times s2 plus slot-2 vertex,
+        each entry the bitset of the other of slots 0 and 1: comp02 for
+        slot 0, comp12 for slot 1."""
+        _, s1, s2 = self.sizes
+        table = [0] * (self.sizes[slot] * s2)
         for key, cs in enumerate(self.comp01):
             if cs:
                 a, b = divmod(key, s1)
-                row = a * s2
-                bit = 1 << b
+                row, bit = (a * s2, 1 << b) if slot == 0 else (b * s2, 1 << a)
                 while cs:
                     low = cs & -cs
-                    comp02[row + low.bit_length() - 1] |= bit
+                    table[row + low.bit_length() - 1] |= bit
                     cs ^= low
-        self._comp02 = comp02
-        return comp02
+        return table
 
     def ensure_search_tables(self) -> None:
         """Build occupied and fwd from comp01, comp02 and comp12, unless
@@ -170,8 +179,10 @@ def _table_size(index_count: int, sizes: Mapping[Pair, int]) -> int:
     """Constituents plus every table entry they can build, over all triples.
 
     With s0, s1, s2 the class sizes of (i,j), (i,k), (j,k), triple i<j<k
-    builds comp01 (s0*s1 entries), comp12 (s1*s2) and, for the search,
-    comp02 (s0*s2), the six proj_xy (2*(s0+s1+s2)) and occupied (3).
+    builds comp01 (s0*s1 entries) and, on demand, comp12 (s1*s2, for the
+    search or a red triple's high Q-graph) and, for the search, comp02
+    (s0*s2), the six proj_xy (2*(s0+s1+s2)) and occupied (3).  Every table
+    that can be built counts, whether or not it ever is.
     Summing each product over the pairs that share its fixed index (i for
     comp01, k for comp12, the middle j for comp02), and each class over its
     M-2 triples, turns the triple sum into O(M^2) work.
@@ -224,9 +235,13 @@ class _RowFault(DomainError):
     class sizes, or a repeated row."""
 
 
-def _first_bad_edge(fault: _RowFault, edges: Iterable[Edge]) -> DomainError:
+def _first_bad_edge(fault: _RowFault, edges: Iterable[Edge]) -> Exception:
     """The DomainError naming the first of the faulty constituent's edges,
-    in input order, that lies outside its class ranges or repeats one."""
+    in input order, that lies outside its class ranges or repeats one.
+
+    When no edge does, _from_columns and this scan disagree about the host
+    rules: that is a defect of the program, so a SelfCheckError is returned.
+    """
     t, (s0, s1, s2) = fault.args
     seen: set[Edge] = set()
     for e in edges:
@@ -238,7 +253,9 @@ def _first_bad_edge(fault: _RowFault, edges: Iterable[Edge]) -> DomainError:
         if (a, b, c) in seen:
             return DomainError(f"duplicate edge {e} in constituent {t}")
         seen.add((a, b, c))
-    return fault
+    return SelfCheckError(
+        f"constituent {t} was refused by the host rules, but none of its edges "
+        f"lies outside the class ranges ({s0}, {s1}, {s2}) or repeats")
 
 
 class ReducedHypergraph:

@@ -19,11 +19,13 @@ canonical form: P lines then E lines, each sorted lexicographically.
 A host text in exactly that canonical form, as write_host emits it, is
 parsed in bulk, a column at a time, and its digest is the sha256 of the
 input itself.  The bulk recogniser checks only the text's shape (see
-_parse_canonical); the host rules are core's, proven by
-ReducedHypergraph._from_columns, which also builds the tables.  The
-constituents' edge sets are built only when something reads them.  Any
-other text, malformed or not, goes through the line parser and the host
-constructor; the line parser is the only code that words a ParseError.
+_parse_canonical) and reads numbers through a table of their canonical
+spellings, never longer than the text's token list; the host rules are
+core's, proven by ReducedHypergraph._from_columns, which builds comp01,
+the one table a host is loaded with.  The constituents' other tables and
+edge sets are built only when something reads them.  Any other text,
+malformed or not, goes through the line parser and the host constructor;
+the line parser is the only code that words a ParseError.
 
 Plain-graph text is loaded the same way: a text equal to write_plain3 of
 its graph is recognised in bulk, a chunk of lines at a time (see
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from operator import lt
+from operator import ge, lt
 
 from ._bits import iter_bits
 from .core import Pattern, ReducedHypergraph
@@ -92,14 +94,20 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
     recognises the canonical shape only.  One split gives the tokens.  Each
     is followed by exactly one separator when the lengths add up, and the
     counts of newlines, of spaces and of newlines before each tag then pin
-    every separator to its canonical place.  Numbers are read through a
-    table of the distinct tokens that keeps only canonical, non-negative
-    decimals, a column at a time.  The P lines must name the pairs of
-    1..M in order, and the E rows (i, j, k, a, b, c) must rise strictly,
-    the order write_host emits and the digest relies on; that also leaves
-    each triple's rows in one run, none repeated.  Every host rule (M, the
-    class sizes, the cap, the keys and the vertex ranges) is then proven by
-    ReducedHypergraph._from_columns, which builds the host.
+    every separator to its canonical place.  M and the class sizes must be
+    canonical decimals.  Every other number is read through a table of the
+    tokens str(v) for v in 0..max(M, class sizes), or 0..M when there is no
+    E row to read a vertex, so a token in another spelling or beyond every
+    bound defers; a maximum above the token count defers too, so the table
+    is never longer than the token list.  The P lines must name the pairs
+    of 1..M in order.  E rows are grouped into runs by the text of their
+    triple, and only the a, b, c columns are read as numbers, a column at a
+    time.  The runs' triples must rise strictly, and so must (a, b, c)
+    within each run: that is the order write_host emits and the digest
+    relies on, and it leaves each triple's rows in one run, none repeated.
+    Every host rule (M, the class sizes, the cap, the keys and the vertex
+    ranges) is then proven by ReducedHypergraph._from_columns, which builds
+    the host.
     """
     if not (text.isascii() and text.startswith("M ") and text.endswith("\n")):
         return None
@@ -107,14 +115,7 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
         tokens = text.split()
         if len(text) != len("".join(tokens)) + len(tokens):
             return None
-        numbers = {}
-        for tok in set(tokens).difference(("M", "P", "E")):
-            v = int(tok)
-            if v < 0 or str(v) != tok:
-                return None
-            numbers[tok] = v
-        num = numbers.__getitem__
-        m = num(tokens[1])
+        m = int(tokens[1])
         n_pairs = m * (m - 1) // 2
         e0 = 2 + 4 * n_pairs
         n_edges, rest = divmod(len(tokens) - e0, 7)
@@ -124,17 +125,31 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
                 or text.count("\nP") != n_pairs or text.count("\nE") != n_edges
                 or tokens[2:e0:4] != ["P"] * n_pairs or tokens[e0::7] != ["E"] * n_edges):
             return None
+        size_tokens = tokens[5:e0:4]
+        class_sizes = list(map(int, size_tokens))
+        if [tokens[1], *size_tokens] != list(map(str, [m, *class_sizes])):
+            return None
+        top = max(m, *class_sizes) if n_edges else m  # without rows, no vertex is read
+        if top > len(tokens):
+            return None
+        num = {str(v): v for v in range(top + 1)}.__getitem__
         pairs = list(itertools.combinations(range(1, m + 1), 2))
         if list(zip(map(num, tokens[3:e0:4]), map(num, tokens[4:e0:4]))) != pairs:
             return None
-        sizes = dict(zip(pairs, map(num, tokens[5:e0:4])))
-        columns = [list(map(num, tokens[e0 + x::7])) for x in range(1, 7)]
-        later = zip(*columns)
-        next(later, None)  # each row against the next one
-        if not all(map(lt, zip(*columns), later)):
+        sizes = dict(zip(pairs, class_sizes))
+        keys = [(tuple(map(num, t)), len(list(run)))
+                for t, run in itertools.groupby(zip(*(tokens[e0 + x::7] for x in (1, 2, 3))))]
+        triples = [t for t, _ in keys]
+        if not all(map(lt, triples, triples[1:])):
             return None
-        keys = [(t, len(list(run))) for t, run in itertools.groupby(zip(*columns[:3]))]
-        host = ReducedHypergraph._from_columns(m, sizes, keys, *columns[3:])
+        a, b, c = (list(map(num, tokens[e0 + x::7])) for x in (4, 5, 6))
+        # A row not above the one before it must start a run.
+        starts = set(itertools.accumulate(n for _, n in keys))
+        falls = itertools.compress(itertools.count(1), map(
+            ge, zip(a, b, c), zip(*(itertools.islice(col, 1, None) for col in (a, b, c)))))
+        if not starts.issuperset(falls):
+            return None
+        host = ReducedHypergraph._from_columns(m, sizes, keys, a, b, c)
     except Exception:
         return None
     host.canonical_sha256 = hashlib.sha256(text.encode()).hexdigest()

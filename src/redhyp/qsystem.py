@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from .core import ReducedHypergraph, Triple, sorted_triple
 from .errors import DomainError, SelfCheckError
@@ -67,20 +68,63 @@ class BipartiteGraph:
         return sum(a.bit_count() for a in self.left_adj)
 
 
+class HighGraphs(Mapping):
+    """The high Q-graphs of one host, each built on its first read.
+
+    Only a triple that fails the blue bound reads its high graph, so on a
+    host whose triples are all blue none is built, and nor is any comp12
+    table.  A triple whose constituent the shared system's host also holds
+    reads that system's graph (the very object, built there if need be).
+    Reading every value (values(), items(), ==) builds every entry; a
+    membership test builds none.  Read-only.
+    """
+
+    def __init__(self, host: ReducedHypergraph, need: Mapping[int, int],
+                 shared_with: HighGraphs | None, old: Mapping[Triple, Triple]):
+        self._constituents = host.constituents
+        self._need = need
+        self._shared_with = shared_with
+        self._old = old  # triple here -> triple of the same constituent there
+        self._built: dict[Triple, BipartiteGraph] = {}
+
+    def __getitem__(self, t: Triple) -> BipartiteGraph:
+        graph = self._built.get(t)
+        if graph is None:
+            old = self._old.get(t)
+            if old is not None:
+                graph = self._shared_with[old]
+            else:
+                con = self._constituents[t]
+                s0, s1, s2 = con.sizes
+                graph = BipartiteGraph.from_counts(con.comp12, s1, s2, self._need[s0])
+            self._built[t] = graph
+        return graph
+
+    def __contains__(self, t: object) -> bool:
+        return t in self._constituents
+
+    def __iter__(self) -> Iterator[Triple]:
+        return iter(self._constituents)
+
+    def __len__(self) -> int:
+        return len(self._constituents)
+
+
 @dataclass
 class QGraphSystem:
     """Q-graphs for one host, plus the cleaning results once `clean` ran.
 
     q_low[(i,j,k)] joins P^{ij} (left) to P^{ik} (right); q_high[(i,j,k)]
-    joins P^{ik} (left) to P^{jk} (right).  After cleaning, the host here
-    is the relabeled survivor and to_original maps its indices back to the
-    input host's labels.
+    joins P^{ik} (left) to P^{jk} (right).  q_low is built whole; q_high
+    builds a triple's graph when it is first read (see HighGraphs).  After
+    cleaning, the host here is the relabeled survivor and to_original maps
+    its indices back to the input host's labels.
     """
 
     host: ReducedHypergraph
     eps: Fraction
     q_low: dict[Triple, BipartiteGraph]
-    q_high: dict[Triple, BipartiteGraph]
+    q_high: Mapping[Triple, BipartiteGraph]
     delta: Fraction | None = None
     s_sets: dict[tuple[Triple, int], frozenset[int]] | None = None
     r_star: int | None = None
@@ -103,7 +147,8 @@ def _ceil_per_size(host: ReducedHypergraph, q: Fraction) -> dict[int, int]:
 
 def build_q_graphs(host: ReducedHypergraph, eps,
                    shared_with: QGraphSystem | None = None) -> QGraphSystem:
-    """Build both Q-graph families for every index triple of the host.
+    """Both Q-graph families for every index triple of the host: the low
+    graphs now, each high graph on its first read (see HighGraphs).
 
     A triple whose Constituent object is also one of shared_with's host
     keeps that system's graphs, which depend only on the constituent and
@@ -119,16 +164,17 @@ def build_q_graphs(host: ReducedHypergraph, eps,
         known = {con: t for t, con in shared_with.host.constituents.items()}
     need = _ceil_per_size(host, eps * eps)
     q_low: dict[Triple, BipartiteGraph] = {}
-    q_high: dict[Triple, BipartiteGraph] = {}
+    shared: dict[Triple, Triple] = {}
     for t, con in host.constituents.items():
         old = known.get(con)
         if old is not None:
             q_low[t] = shared_with.q_low[old]
-            q_high[t] = shared_with.q_high[old]
+            shared[t] = old
             continue
         s0, s1, s2 = con.sizes
         q_low[t] = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
-        q_high[t] = BipartiteGraph.from_counts(con.comp12, s1, s2, need[s0])
+    q_high = HighGraphs(host, need, None if shared_with is None else shared_with.q_high,
+                        shared)
     return QGraphSystem(host=host, eps=eps, q_low=q_low, q_high=q_high)
 
 

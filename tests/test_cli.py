@@ -2,16 +2,19 @@
 
 import hashlib
 import itertools
+import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redhyp import (Plain3Graph, cyclic_triple_3graph, find_reduced_image,
+import redhyp
+from redhyp import (Plain3Graph, core, cyclic_triple_3graph, find_reduced_image,
                     pattern_catalog, pipeline, random_box_dense, random_tournament,
                     validate_reduced_map)
 from redhyp.cli import (certificate_lines, dispatch, parse_certificate,
@@ -19,7 +22,7 @@ from redhyp.cli import (certificate_lines, dispatch, parse_certificate,
 from redhyp.fileio import parse_host, write_host, write_pattern, write_plain3
 from redhyp.embed import Violation
 from redhyp.glue import validate_glued
-from redhyp.errors import DomainError, ParseError
+from redhyp.errors import DomainError, ParseError, SelfCheckError
 
 
 def run(args):
@@ -165,6 +168,52 @@ def test_failed_self_check_exits_4(tmp_path, monkeypatch):
                       "--delta", "1/4", "--rounds", "4", "--deterministic"])
     assert (code, text) == (4, "error internal: assembled map fails validation "
                                "on working host: Violation(kind='edge', detail='forced')\n")
+
+
+def test_host_rule_disagreement_is_an_internal_error(tmp_path, monkeypatch):
+    # With edge_count miscounting, _from_columns refuses valid rows that
+    # _first_bad_edge finds nothing wrong with: the program is at fault.
+    sizes = {(1, 2): 2, (1, 3): 2, (2, 3): 2}
+    edges = {(1, 2, 3): [(0, 1, 1), (1, 0, 1)]}
+    monkeypatch.setattr(core.Constituent, "edge_count", lambda con: -1)
+    message = ("constituent (1, 2, 3) was refused by the host rules, but none of its "
+               "edges lies outside the class ranges (2, 2, 2) or repeats")
+    with pytest.raises(SelfCheckError) as err:
+        core.ReducedHypergraph(3, sizes, edges)
+    assert str(err.value) == message
+    path = tmp_path / "commented.rh"  # not canonical, so the line parser reads it
+    path.write_text("# two edges\nM 3\nP 1 2 2\nP 1 3 2\nP 2 3 2\n"
+                    "E 1 2 3 0 1 1\nE 1 2 3 1 0 1\n")
+    assert run(["density", "--host", str(path), "--d", "1/4"]) == \
+        (4, f"error internal: {message}\n")
+
+
+def _run_cli(argv, **kwargs):
+    """python -m redhyp.cli in a fresh interpreter, importing this redhyp."""
+    src = str(Path(redhyp.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "redhyp.cli", *argv], env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
+def test_cli_main_exit_codes_in_a_subprocess(tmp_path, complete_file):
+    found = ["find", "--host", complete_file, "--pattern", "K4", "--deterministic"]
+    wide = tmp_path / "wide.rh"
+    wide.write_text("M 3\nP 1 2 100000\nP 1 3 1\nP 2 3 100000\n")
+    missing = tmp_path / "absent.rh"
+    cases = [
+        (found, 0, run(found)[1]),
+        (["find", "--host", str(wide), "--pattern", "Fstar"], 2,
+         "error cap-exceeded: host needs 10000600006 constituent table entries, "
+         "above the cap 10000000\n"),
+        (["density", "--host", str(missing), "--d", "1/2"], 3,
+         f"error missing file: {missing}\n"),
+    ]
+    assert "outcome found" in cases[0][2]
+    for argv, code, stdout in cases:
+        done = _run_cli(argv, cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (code, stdout, "")
 
 
 def test_gen_round_trip(tmp_path):

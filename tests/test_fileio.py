@@ -11,8 +11,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from redhyp import (CapExceeded, ParseError, Plain3Graph, ReducedHypergraph, constituent_density,
-                    is_box_dense, random_box_dense)
+from redhyp import (CapExceeded, DomainError, ParseError, Plain3Graph, ReducedHypergraph,
+                    constituent_density, is_box_dense, random_box_dense)
 from redhyp import core, fileio
 from redhyp.cli import dispatch
 from redhyp.constructions import (cyclic_triple_3graph, orientation_reduced, random_tournament,
@@ -659,3 +659,64 @@ def test_generated_plain_graphs_load_in_bulk_in_little_memory():
     late = text[:at] + " " + text[at:]
     assert fileio._parse_canonical_plain3(late) is None
     assert parse_plain3(late).canonical_sha256 is None
+
+
+def _near_canonical_variants(text):
+    """Texts one step from the canonical text of a host with at least two
+    triples of two or more edges each, each named by that step."""
+    lines = text.splitlines(keepends=True)
+    e0 = next(r for r, line in enumerate(lines) if line.startswith("E"))
+    blocks = [list(run) for _, run in itertools.groupby(
+        range(e0, len(lines)), key=lambda r: lines[r].split()[1:4])]
+    first, second = blocks[0], blocks[1]
+    n_tokens = len(text.split())
+
+    def edited(r, field, value):
+        parts = lines[r].split()
+        parts[field] = value
+        return "".join(lines[:r] + [" ".join(parts) + "\n"] + lines[r + 1:])
+
+    def swapped(order):
+        out = list(lines)
+        out[e0:e0 + len(order)] = [lines[r] for r in order]
+        return "".join(out)
+
+    last = first[-1]
+    _, j, k = map(int, lines[last].split()[1:4])
+    size_of = {tuple(map(int, line.split()[1:3])): int(line.split()[3])
+               for line in lines[1:e0]}
+    return {
+        "leading zero": edited(first[0], 6, "0" + lines[first[0]].split()[6]),
+        "plus sign": edited(first[0], 4, "+" + lines[first[0]].split()[4]),
+        "class size above the token count": edited(1, 3, str(n_tokens + 1)),
+        "class size past the cap": edited(1, 3, "10000000"),
+        "rows swapped in a block": swapped([first[1], first[0], *first[2:]]),
+        "blocks swapped": swapped([*second, *first]),
+        "repeated E line": "".join(lines[:last + 1] + [lines[last]] + lines[last + 1:]),
+        "vertex equal to its class size": edited(last, 6, str(size_of[(j, k)])),
+    }
+
+
+def _outcome(parse, text):
+    try:
+        host = parse(text)
+    except (ParseError, DomainError, CapExceeded) as exc:
+        return type(exc), str(exc)
+    return host, host_digest(host)
+
+
+@pytest.mark.parametrize("m,p,d,seed", [(4, 3, "1/2", 0), (5, 2, "3/4", 1), (6, 4, "9/10", 2)])
+def test_bulk_loader_defers_near_canonical_hosts_to_the_line_parser(m, p, d, seed):
+    text = write_host(random_box_dense(m, p, Fraction(d), seed=seed))
+    assert fileio._parse_canonical(text) is not None
+    variants = _near_canonical_variants(text)
+    assert len(set(variants.values()) | {text}) == len(variants) + 1
+    for name, variant in variants.items():
+        assert fileio._parse_canonical(variant) is None, name
+        got, want = _outcome(parse_host, variant), _outcome(fileio._parse_lines, variant)
+        assert got == want, name
+    errors = {name: _outcome(parse_host, v)[0] for name, v in variants.items()}
+    assert errors["repeated E line"] is ParseError
+    assert errors["vertex equal to its class size"] is ParseError
+    assert errors["class size past the cap"] is CapExceeded
+    assert isinstance(errors["rows swapped in a block"], ReducedHypergraph)

@@ -11,9 +11,12 @@ from redhyp import (DomainError, PipelineConfig, ReducedHypergraph,
                     build_q_graphs, check_sum_of_squares, clean, color_triples,
                     compute_s_sets, level_coloring, ramsey_extract,
                     random_box_dense)
+from redhyp.cli import dispatch
 from redhyp.constructions import orientation_reduced
+from redhyp.core import Constituent
+from redhyp.fileio import write_host
 from redhyp import qsystem
-from redhyp.qsystem import level_cap, verify_star
+from redhyp.qsystem import BipartiteGraph, level_cap, verify_star
 
 
 def complete_host(m, p):
@@ -418,3 +421,93 @@ def test_clean_q_graphs_equal_fresh_ones(monkeypatch, m, p, d, seed, eps, delta,
         assert (system.q_low, system.q_high) == (fresh.q_low, fresh.q_high)
     if result.ok:
         assert result.system is built[-1]
+
+
+def _record_lazy_builds(monkeypatch):
+    """Lists that collect the slot of every comp02/comp12 build (1 is
+    comp12) and every Q-graph system built from here on."""
+    pivots, systems = [], []
+    pivot, build = Constituent._pivot, qsystem.build_q_graphs
+
+    def counting_pivot(con, slot):
+        pivots.append(slot)
+        return pivot(con, slot)
+
+    def record(host, eps, shared_with=None):
+        system = build(host, eps, shared_with=shared_with)
+        systems.append(system)
+        return system
+
+    monkeypatch.setattr(Constituent, "_pivot", counting_pivot)
+    monkeypatch.setattr(qsystem, "build_q_graphs", record)
+    return pivots, systems
+
+
+@pytest.mark.parametrize("m,p,seed,targets,ladder", [
+    (12, 6, 0, ["--m-star", "10", "--m", "8"], "5,4,3"),   # the bench's dense host
+    (12, 2, 1, [], "8,5,3"),
+])
+def test_all_blue_pipeline_and_glue_build_no_high_tables(monkeypatch, tmp_path,
+                                                         m, p, seed, targets, ladder):
+    host = random_box_dense(m, p, Fraction(9, 10) if p == 6 else 1, seed=seed)
+    path = tmp_path / "host.rh"
+    path.write_text(write_host(host))
+    common = ["--host", str(path), "--eps", "7/10", "--delta", "1/4", *targets,
+              "--deterministic"]
+    pivots, systems = _record_lazy_builds(monkeypatch)
+    for argv in (["pipeline", *common, "--rounds", "5"],
+                 ["glue", *common, "--ladder", ladder]):
+        code, text = dispatch(argv)
+        assert code == 0 and "outcome found" in text
+    assert len(systems) == 6 and 1 not in pivots
+    for system in systems:
+        assert system.q_high._built == {}
+        assert set(color_triples(system.host, system).values()) == {"blue"}
+        assert system.q_high._built == {}
+    assert 1 not in pivots
+
+
+@pytest.mark.parametrize("m,p,d,seed,eps,delta,t1,t2", [
+    (5, 2, "1/2", 0, "9/10", "1/2", 5, 5),         # every triple red
+    (8, 3, "2/3", 5, "3/5", "1/3", 6, 4),          # 17 of 56 red
+    (7, 3, "1/2", 1, "3/5", "1/3", 5, 4),          # 34 of 35 red
+])
+def test_high_graphs_are_built_for_red_triples_only(monkeypatch, m, p, d, seed, eps,
+                                                   delta, t1, t2):
+    pivots, systems = _record_lazy_builds(monkeypatch)
+    host = random_box_dense(m, p, Fraction(d), seed=seed)
+    clean(host, PipelineConfig(eps=Fraction(eps), delta=Fraction(delta),
+                               ramsey_target_1=t1, ramsey_target_2=t2))
+    monkeypatch.undo()
+    first = systems[0]
+    red = {t for t, c in color_triples(host, build_q_graphs(host, first.eps)).items()
+           if c == "red"}
+    assert red and set(first.q_high._built) == red
+    for system in systems:
+        fresh = build_q_graphs(system.host, system.eps)
+        red_here = {t for t, c in color_triples(system.host, fresh).items() if c == "red"}
+        assert set(system.q_high._built) <= red_here
+        need = qsystem._ceil_per_size(system.host, system.eps ** 2)
+        for t, graph in system.q_high._built.items():
+            con = system.host.constituent(t)
+            s0, s1, s2 = con.sizes
+            comp12 = [0] * (s1 * s2)  # from the edge set, apart from Constituent
+            for a, b, c in con.edges:
+                comp12[b * s2 + c] |= 1 << a
+            assert graph == BipartiteGraph.from_counts(comp12, s1, s2, need[s0])
+    # one comp12 per constituent whose high graph was built, and no other
+    assert pivots.count(1) == len({id(system.host.constituent(t)) for system in systems
+                                   for t in system.q_high._built})
+
+
+def test_high_graphs_are_read_only_and_membership_builds_nothing():
+    host = random_box_dense(5, 2, Fraction(1, 2), seed=0)
+    system = build_q_graphs(host, Fraction(9, 10))
+    assert (1, 2, 3) in system.q_high and (3, 2, 1) not in system.q_high
+    assert len(system.q_high) == 10 and system.q_high._built == {}
+    with pytest.raises(KeyError):
+        system.q_high[(3, 2, 1)]
+    with pytest.raises(TypeError):
+        system.q_high[(1, 2, 3)] = system.q_low[(1, 2, 3)]
+    assert list(system.q_high) == list(host.triples())
+    assert dict(system.q_high) == build_q_graphs(host, Fraction(9, 10)).q_high
