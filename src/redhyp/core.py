@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._bits import iter_bits
@@ -367,8 +368,14 @@ class ReducedHypergraph:
 
     @property
     def constituents(self) -> Mapping[Triple, Constituent]:
-        """Every constituent, keyed by its sorted index triple."""
+        """Every constituent, keyed by its sorted index triple, in the
+        order of triples()."""
         return self._constituents
+
+    @property
+    def class_sizes(self) -> Mapping[Pair, int]:
+        """Every class size, keyed by its sorted index pair; read-only."""
+        return MappingProxyType(self._sizes)
 
     def class_size(self, i: int, j: int) -> int:
         key = sorted_pair(i, j)

@@ -15,6 +15,15 @@ branch-and-bound search; red subsets are turned blue by an order-reversing
 relabeling recorded in the system), re-color by the deepest S-set level
 that stays delta-large, extract again, and re-verify the surviving
 triples from scratch.  Every stage failure is a structured result.
+
+Every per-triple stage does its work once per distinct value and a dict
+step per triple.  Within one build_q_graphs call, constituents with equal
+sizes and comp01 get one low-graph object.  color_triples and verify_star
+sum a low graph's squared degrees once per graph object, and
+compute_s_sets builds the frozensets once per (|P^{ij}|, degree profile),
+handing equal triples the same objects.  Each memo lives for one call
+only, so blue verification and verify_star recompute from their own
+inputs.
 """
 
 from __future__ import annotations
@@ -115,8 +124,9 @@ class QGraphSystem:
     """Q-graphs for one host, plus the cleaning results once `clean` ran.
 
     q_low[(i,j,k)] joins P^{ij} (left) to P^{ik} (right); q_high[(i,j,k)]
-    joins P^{ik} (left) to P^{jk} (right).  q_low is built whole; q_high
-    builds a triple's graph when it is first read (see HighGraphs).  After
+    joins P^{ik} (left) to P^{jk} (right).  q_low is built whole, and
+    equal constituents share a graph (see build_q_graphs); q_high builds a
+    triple's graph when it is first read (see HighGraphs).  After
     cleaning, the host here is the relabeled survivor and to_original maps
     its indices back to the input host's labels.
     """
@@ -142,7 +152,7 @@ class QGraphSystem:
 def _ceil_per_size(host: ReducedHypergraph, q: Fraction) -> dict[int, int]:
     """ceil(q * s) for every class size s of the host: the least integer
     count that reaches q * s."""
-    return {s: math.ceil(q * s) for s in {host.class_size(*p) for p in host.pairs()}}
+    return {s: math.ceil(q * s) for s in set(host.class_sizes.values())}
 
 
 def build_q_graphs(host: ReducedHypergraph, eps,
@@ -152,7 +162,9 @@ def build_q_graphs(host: ReducedHypergraph, eps,
 
     A triple whose Constituent object is also one of shared_with's host
     keeps that system's graphs, which depend only on the constituent and
-    eps; shared_with must have the same eps.  Graphs are never mutated.
+    eps; shared_with must have the same eps.  Every other triple gets the
+    low graph built in this call for its (sizes, comp01) value, so equal
+    constituents share one object.  Graphs are never mutated.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -165,14 +177,19 @@ def build_q_graphs(host: ReducedHypergraph, eps,
     need = _ceil_per_size(host, eps * eps)
     q_low: dict[Triple, BipartiteGraph] = {}
     shared: dict[Triple, Triple] = {}
+    by_value: dict[tuple, BipartiteGraph] = {}  # (sizes, comp01) -> its low graph
     for t, con in host.constituents.items():
         old = known.get(con)
         if old is not None:
             q_low[t] = shared_with.q_low[old]
             shared[t] = old
             continue
-        s0, s1, s2 = con.sizes
-        q_low[t] = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
+        key = (con.sizes, tuple(con.comp01))
+        graph = by_value.get(key)
+        if graph is None:
+            s0, s1, s2 = con.sizes
+            graph = by_value[key] = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
+        q_low[t] = graph
     q_high = HighGraphs(host, need, None if shared_with is None else shared_with.q_high,
                         shared)
     return QGraphSystem(host=host, eps=eps, q_low=q_low, q_high=q_high)
@@ -206,9 +223,15 @@ def color_triples(host: ReducedHypergraph,
     colors: dict[Triple, str] = {}
     quarter = Fraction(1, 4) + system.eps / 2
     num, den = quarter.numerator, quarter.denominator
-    for t in host.triples():
-        s_ij, s_ik, s_jk = host.constituent(t).sizes
-        blue_lhs = sum(x.bit_count() ** 2 for x in system.q_low[t].right_adj)
+    # id(low graph) -> its squared right degrees summed; q_low holds every
+    # graph while this runs, so no id is reused
+    sums: dict[int, int] = {}
+    for t, con in host.constituents.items():
+        s_ij, s_ik, s_jk = con.sizes
+        low = system.q_low[t]
+        blue_lhs = sums.get(id(low))
+        if blue_lhs is None:
+            blue_lhs = sums[id(low)] = sum(x.bit_count() ** 2 for x in low.right_adj)
         if blue_lhs * den >= num * s_ij ** 2 * s_ik:
             colors[t] = "blue"
             continue
@@ -234,19 +257,32 @@ def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem,
 
     S^i_{jk}(r) collects x in P^{ik} whose low-graph degree toward P^{ij}
     is at least (1/2 + r*delta) * |P^{ij}|.  Levels are nested decreasing.
+    The sets depend only on the low graph, through |P^{ij}| (its left side)
+    and its degree profile, so each distinct pair of them is computed once
+    and its frozensets shared.
     """
     delta = Fraction(delta)
-    cap = level_cap(delta)
-    out: dict[tuple[Triple, int], frozenset[int]] = {}
-    needs = [_ceil_per_size(host, Fraction(1, 2) + r * delta) for r in range(1, cap + 2)]
-    for t in host.triples():
-        i, j, k = t
-        size_ij = host.class_size(i, j)
-        degrees = [x.bit_count() for x in system.q_low[t].right_adj]
-        for r, need in enumerate(needs, start=1):
-            least = need[size_ij]
-            out[(t, r)] = frozenset(x for x, deg in enumerate(degrees) if deg >= least)
-    return out
+    levels = range(1, level_cap(delta) + 2)
+    needs = [_ceil_per_size(host, Fraction(1, 2) + r * delta) for r in levels]
+    by_profile: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], ...]] = {}
+    by_graph: dict[int, tuple[frozenset[int], ...]] = {}  # id(low graph); as in color_triples
+    rows = []
+    for t in host.constituents:
+        low = system.q_low[t]
+        sets = by_graph.get(id(low))
+        if sets is None:
+            size_ij, degrees = low.left_size, tuple(map(int.bit_count, low.right_adj))
+            key = (size_ij, degrees)
+            sets = by_profile.get(key)
+            if sets is None:
+                sets = by_profile[key] = tuple(
+                    frozenset(x for x, deg in enumerate(degrees) if deg >= need[size_ij])
+                    for need in needs)
+            by_graph[id(low)] = sets
+        rows.append(sets)
+    # keys (t, r) in triple order, levels ascending within a triple
+    return dict(zip(itertools.product(host.constituents, levels),
+                    itertools.chain.from_iterable(rows)))
 
 
 def level_coloring(host: ReducedHypergraph, system: QGraphSystem, delta,
@@ -260,11 +296,11 @@ def level_coloring(host: ReducedHypergraph, system: QGraphSystem, delta,
     cap = level_cap(delta)
     colors: dict[Triple, int] = {}
     need = _ceil_per_size(host, delta)
-    for t in host.triples():
-        i, j, k = t
-        least = need[host.class_size(i, k)]
+    deepest_first = range(cap, 0, -1)
+    for t, con in host.constituents.items():
+        least = need[con.sizes[1]]
         level = 0
-        for r in range(cap, 0, -1):
+        for r in deepest_first:
             if len(s_sets[(t, r)]) >= least:
                 level = r
                 break
@@ -320,8 +356,11 @@ def ramsey_extract(items: Sequence[int], coloring: Mapping[Triple, Hashable],
 
 def _compatible(chosen: Sequence[int], x: int,
                 coloring: Mapping[Triple, Hashable], color: Hashable) -> bool:
+    """Whether x keeps `chosen` monochromatic; both searches take items in
+    ascending order, so chosen is ascending and below x, and (a, b, x) is
+    already a sorted triple."""
     for a, b in itertools.combinations(chosen, 2):
-        if coloring[sorted_triple(a, b, x)] != color:
+        if coloring[(a, b, x)] != color:
             return False
     return True
 
@@ -383,6 +422,20 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
     success the returned system's host is the surviving relabeled
     hypergraph, all of whose triples are blue and share the level r_star,
     with both survival clauses re-verified from scratch.
+
+    Two checks guard the program, not the host, and raise SelfCheckError:
+    - After the first extraction host2 has exactly target1 indices, since
+      ramsey_extract returns subsets of exactly its target.  (A config
+      with target1 < target2, which validate_clean_fields refuses, is
+      refused by the second ramsey_extract as a DomainError.)
+    - verify_star must pass.  map2 rises, so host3's triples keep their
+      order and host3 holds host2's constituents, hence host2's low graphs
+      and S-sets.  Every triple of host2 is blue, and every triple of the
+      second subset has level r_star >= 1, so |S(r_star)| reaches
+      ceil(delta * |P^{ik}|) >= 1.  Below the cap, level r_star means
+      S(r_star + 1) falls short.  At the cap, S(cap + 1) is empty: its
+      bound (1/2 + (cap + 1) delta) |P^{ij}| exceeds |P^{ij}|, because
+      cap * delta >= 1/2.
     """
     log: list[str] = []
     eps, delta = config.eps, config.delta
@@ -424,10 +477,9 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
     s_sets2 = compute_s_sets(host2, system2, delta)
     levels = level_coloring(host2, system2, delta, s_sets2)
     log.append(f"levels min={min(levels.values())} max={max(levels.values())}")
-    if host2.index_count < target2:
-        return CleanResult(False, None, StageFailure(
-            "ramsey-level", f"surviving set has {host2.index_count} indices, "
-            f"need at least {target2}"), log)
+    if host2.index_count != target1:
+        raise SelfCheckError(f"the first extraction kept {host2.index_count} indices, "
+                             f"not ramsey_target_1={target1}")
     extraction2 = ramsey_extract(list(host2.indices()), levels, target2)
     if extraction2 is None:
         return CleanResult(False, None, StageFailure(
@@ -447,7 +499,7 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
 
     verify = verify_star(host3, system3, delta, s_sets3, r_star)
     if verify is not None:
-        return CleanResult(False, None, StageFailure("star-verification", verify), log)
+        raise SelfCheckError(f"star verification failed after cleaning: {verify}")
     log.append(f"surviving={list(to_original)}")
 
     system3.delta = Fraction(delta)
@@ -469,10 +521,14 @@ def verify_star(host: ReducedHypergraph, system: QGraphSystem, delta,
     quarter = Fraction(1, 4) + system.eps / 2
     num, den = quarter.numerator, quarter.denominator
     need = _ceil_per_size(host, delta)
-    for t in host.triples():
+    sums: dict[int, int] = {}  # as in color_triples
+    for t, con in host.constituents.items():
         i, j, k = t
-        s_ij, s_ik, _ = host.constituent(t).sizes
-        blue_lhs = sum(x.bit_count() ** 2 for x in system.q_low[t].right_adj)
+        s_ij, s_ik, _ = con.sizes
+        low = system.q_low[t]
+        blue_lhs = sums.get(id(low))
+        if blue_lhs is None:
+            blue_lhs = sums[id(low)] = sum(x.bit_count() ** 2 for x in low.right_adj)
         if blue_lhs * den < num * s_ij ** 2 * s_ik:
             return f"triple {t} fails the blue degree-square bound"
         least = need[s_ik]

@@ -2,17 +2,20 @@
 monochromatic extraction, S-sets, and full-clean soundness."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from redhyp import (DomainError, PipelineConfig, ReducedHypergraph,
                     build_q_graphs, check_sum_of_squares, clean, color_triples,
                     compute_s_sets, level_coloring, ramsey_extract,
                     random_box_dense)
 from redhyp.cli import dispatch
-from redhyp.constructions import orientation_reduced
+from redhyp.constructions import orientation_reduced, reduced_blow_up
 from redhyp.core import Constituent
 from redhyp.fileio import write_host
 from redhyp import qsystem
@@ -511,3 +514,248 @@ def test_high_graphs_are_read_only_and_membership_builds_nothing():
         system.q_high[(1, 2, 3)] = system.q_low[(1, 2, 3)]
     assert list(system.q_high) == list(host.triples())
     assert dict(system.q_high) == build_q_graphs(host, Fraction(9, 10)).q_high
+
+
+# -- per-triple references for the value-sharing stages --------------------
+#
+# Each reference recomputes every triple on its own, in host.triples()
+# order, with nothing shared between triples.
+
+def _per_triple_q_low(host, eps):
+    need_sq = Fraction(eps) ** 2
+    out = {}
+    for t in host.triples():
+        i, j, k = t
+        out[t] = BipartiteGraph.from_counts(
+            host.constituent(t).comp01, host.class_size(i, j), host.class_size(i, k),
+            math.ceil(need_sq * host.class_size(j, k)))
+    return out
+
+
+def _per_triple_colors(host, system):
+    colors = {}
+    quarter = Fraction(1, 4) + system.eps / 2
+    num, den = quarter.numerator, quarter.denominator
+    for t in host.triples():
+        s_ij, s_ik, s_jk = host.constituent(t).sizes
+        blue_lhs = sum(x.bit_count() ** 2 for x in system.q_low[t].right_adj)
+        if blue_lhs * den >= num * s_ij ** 2 * s_ik:
+            colors[t] = "blue"
+            continue
+        colors[t] = "red"
+        if check_sum_of_squares(host, system, t)[1]:
+            red_lhs = sum(x.bit_count() ** 2 for x in system.q_high[t].left_adj)
+            assert red_lhs * den >= num * s_jk ** 2 * s_ik
+    return colors
+
+
+def _per_triple_s_sets(host, system, delta):
+    out = {}
+    for t in host.triples():
+        i, j, k = t
+        size_ij = host.class_size(i, j)
+        degrees = [x.bit_count() for x in system.q_low[t].right_adj]
+        for r in range(1, level_cap(delta) + 2):
+            least = math.ceil((Fraction(1, 2) + r * delta) * size_ij)
+            out[(t, r)] = frozenset(x for x, deg in enumerate(degrees) if deg >= least)
+    return out
+
+
+def _per_triple_levels(host, delta, s_sets):
+    colors = {}
+    for t in host.triples():
+        i, j, k = t
+        least = math.ceil(delta * host.class_size(i, k))
+        colors[t] = next((r for r in range(level_cap(delta), 0, -1)
+                          if len(s_sets[(t, r)]) >= least), 0)
+    return colors
+
+
+def _per_triple_verify(host, system, delta, s_sets, r_star):
+    quarter = Fraction(1, 4) + system.eps / 2
+    for t in host.triples():
+        i, j, k = t
+        s_ij, s_ik = host.class_size(i, j), host.class_size(i, k)
+        blue_lhs = sum(x.bit_count() ** 2 for x in system.q_low[t].right_adj)
+        if blue_lhs * quarter.denominator < quarter.numerator * s_ij ** 2 * s_ik:
+            return f"triple {t} fails the blue degree-square bound"
+        least = math.ceil(delta * s_ik)
+        if len(s_sets[(t, r_star)]) < least:
+            return f"triple {t} has |S(r_star)| below delta * |P^{{{i},{k}}}|"
+        if not len(s_sets[(t, r_star + 1)]) < least:
+            return f"triple {t} has |S(r_star + 1)| not below delta * |P^{{{i},{k}}}|"
+    return None
+
+
+def _equal_degrees_host(m, seed):
+    """Triples (1,2,3) and (1,3,4) both give every P^{ik} vertex low degree
+    3, out of |P^{12}| = 6 and |P^{13}| = 3: equal degree profiles that
+    only |P^{ij}| tells apart at every S-set level."""
+    sizes = {p: 3 for p in itertools.combinations(range(1, 5), 2)}
+    sizes[(1, 2)] = 6
+    box = list(itertools.product(range(3), repeat=3))
+    return ReducedHypergraph(4, sizes, {(1, 2, 3): box, (1, 3, 4): box})
+
+
+def _reversed_host(m, seed):
+    host = random_box_dense(m, 2, Fraction(1, 2), seed=seed)
+    return host.induced(list(range(m, 0, -1)))
+
+
+# Hosts with many equal constituents, then hosts with all-distinct ones.
+_SHARING_HOSTS = {
+    "complete": lambda m, seed: random_box_dense(m, 2, 1, seed=seed),
+    "blow-up": lambda m, seed: reduced_blow_up(random_box_dense(m, 1, 1, seed=seed), 2),
+    "orientation": lambda m, seed: orientation_reduced(m),
+    "reversed": _reversed_host,
+    "reversed-orientation": lambda m, seed: orientation_reduced(m).induced(
+        list(range(m, 0, -1))),
+    "equal-degrees": _equal_degrees_host,
+    "dense-3": lambda m, seed: random_box_dense(m, 3, Fraction(2, 3), seed=seed),
+    "dense-4": lambda m, seed: random_box_dense(m, 4, Fraction(3, 4), seed=seed),
+    "dense-5": lambda m, seed: random_box_dense(m, 5, Fraction(9, 10), seed=seed),
+    "dense-6": lambda m, seed: random_box_dense(m, 6, Fraction(1, 2), seed=seed),
+    "mixed": lambda m, seed: _random_host(random.Random(seed), (1, 2, 3, 4, 6)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@example(kind="equal-degrees", m=4, seed=0, eps=Fraction(1, 2), delta=Fraction(1, 4))
+@given(kind=st.sampled_from(sorted(_SHARING_HOSTS)), m=st.integers(3, 6),
+       seed=st.integers(0, 10 ** 6),
+       eps=st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(7, 10), Fraction(9, 10)]),
+       delta=st.sampled_from([Fraction(1, 20), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)]))
+def test_value_sharing_stages_match_per_triple_references(kind, m, seed, eps, delta):
+    host = _SHARING_HOSTS[kind](m, seed)
+    systems = [build_q_graphs(host, eps)]
+    # relabeled hosts sharing the first system's graphs, as clean builds them:
+    # one swaps two indices, one reverses the order
+    n = host.index_count
+    for index_map in ([2, 1, *range(3, n + 1)], list(range(n, 0, -1))):
+        systems.append(build_q_graphs(host.induced(index_map), eps, shared_with=systems[0]))
+    for system in systems:
+        h = system.host
+        reference = _per_triple_q_low(h, eps)
+        assert list(system.q_low.items()) == list(reference.items())
+        colors = color_triples(h, system)
+        assert list(colors.items()) == list(_per_triple_colors(h, system).items())
+        s_sets = compute_s_sets(h, system, delta)
+        assert list(s_sets.items()) == list(_per_triple_s_sets(h, system, delta).items())
+        levels = level_coloring(h, system, delta, s_sets)
+        assert list(levels.items()) == list(_per_triple_levels(h, delta, s_sets).items())
+        for r_star in range(1, level_cap(delta) + 1):
+            assert verify_star(h, system, delta, s_sets, r_star) == \
+                _per_triple_verify(h, system, delta, s_sets, r_star)
+    # one low-graph object per distinct constituent value in a fresh system
+    first = systems[0]
+    by_value = {}
+    for t, con in host.constituents.items():
+        graph = by_value.setdefault((con.sizes, tuple(con.comp01)), first.q_low[t])
+        assert first.q_low[t] is graph
+
+
+# -- argument refusals ----------------------------------------------------
+
+def test_s_set_refusals_are_pinned():
+    host = random_box_dense(4, 2, Fraction(1, 2), seed=0)
+    system = build_q_graphs(host, Fraction(1, 3))
+    with pytest.raises(DomainError) as err:
+        system.s_set((1, 2, 3), 1)
+    assert str(err.value) == "S-sets are only available after clean()"
+    system.s_sets = {}
+    with pytest.raises(DomainError) as err:
+        system.s_set((3, 2, 1), 1)
+    assert str(err.value) == "no stored S-set for triple (3, 2, 1) at level 1"
+    cleaned = clean(complete_host(5, 2), PipelineConfig(
+        eps=Fraction(1, 2), delta=Fraction(1, 4), ramsey_target_1=5, ramsey_target_2=5))
+    with pytest.raises(DomainError) as err:
+        cleaned.system.s_set((1, 2, 3), 7)
+    assert str(err.value) == "no stored S-set for triple (1, 2, 3) at level 7"
+
+
+@pytest.mark.parametrize("eps,text", [
+    (0, "eps must lie in (0, 1), got 0"),
+    (1, "eps must lie in (0, 1), got 1"),
+    (Fraction(3, 2), "eps must lie in (0, 1), got 3/2"),
+])
+def test_build_q_graphs_refuses_eps_outside_the_unit_interval(eps, text):
+    with pytest.raises(DomainError) as err:
+        build_q_graphs(complete_host(4, 2), eps)
+    assert str(err.value) == text
+
+
+def test_build_q_graphs_refuses_graphs_shared_across_eps():
+    host = random_box_dense(4, 2, Fraction(1, 2), seed=0)
+    system = build_q_graphs(host, Fraction(1, 3))
+    with pytest.raises(DomainError) as err:
+        build_q_graphs(host.induced([1, 2, 3]), Fraction(1, 4), shared_with=system)
+    assert str(err.value) == "shared Q-graphs were built for eps=1/3, not 1/4"
+
+
+# -- clean's stage sites: one reached, the rest retired as self-checks -----
+
+def _write(tmp_path, host):
+    path = tmp_path / "host.rh"
+    path.write_text(write_host(host))
+    return str(path)
+
+
+def test_no_delta_large_level_fails_at_ramsey_level(tmp_path):
+    # Every P^{ik} vertex has low degree 3 of 4: blue, since 4 * 3^2 = 36
+    # >= (1/4 + 1/4) * 4^2 * 4 = 32, but level 1 needs ceil(10/3) = 4, so
+    # every triple has level 0 and the second extraction returns r_star = 0.
+    edges = [(w, v, 0) for w in range(3) for v in range(4)]
+    host = ReducedHypergraph.with_uniform_classes(
+        4, 4, {t: edges for t in itertools.combinations(range(1, 5), 3)})
+    path = _write(tmp_path, host)
+    head = ("host sha256:a00590ac30dcbb4077b0b6a924285a7abea1d7eb8beb4ab293cb3d0c5c35b969\n"
+            "eps 1/2\ndelta 1/3\n")
+    tail = ("outcome failure\nstage ramsey-level\n"
+            "reason surviving triples have no delta-large S-set level\nexit 1\n")
+    common = ["--host", path, "--eps", "1/2", "--delta", "1/3", "--deterministic"]
+    assert dispatch(["pipeline", *common]) == (1, (
+        "command pipeline\n" + head + "rounds 9\nm-star 4\nm 4\nmin-final 3\n" + tail))
+    assert dispatch(["glue", *common, "--ladder", "3"]) == (1, (
+        "command glue\n" + head + "ladder 3\nm-star 4\nm 4\n" + tail))
+
+
+def _short_first_extraction(monkeypatch):
+    extract = qsystem.ramsey_extract
+    calls = []
+
+    def short(items, coloring, target, *args):
+        result = extract(items, coloring, target, *args)
+        calls.append(result)
+        if len(calls) == 1:
+            return qsystem.RamseyResult(result.subset[:-1], result.color, result.exhaustive)
+        return result
+
+    monkeypatch.setattr(qsystem, "ramsey_extract", short)
+
+
+def _failing_star_verification(monkeypatch):
+    monkeypatch.setattr(qsystem, "verify_star", lambda *args: "forced failure")
+
+
+def _product_bound_always_holds(monkeypatch):
+    monkeypatch.setattr(qsystem, "check_sum_of_squares",
+                        lambda host, system, triple: (Fraction(0), True))
+
+
+@pytest.mark.parametrize("command", [["pipeline"], ["glue", "--ladder", "3"]])
+@pytest.mark.parametrize("force,host,eps,delta,message", [
+    (_short_first_extraction, complete_host(5, 2), "1/2", "1/4",
+     "error internal: the first extraction kept 4 indices, not ramsey_target_1=5\n"),
+    (_failing_star_verification, complete_host(5, 2), "1/2", "1/4",
+     "error internal: star verification failed after cleaning: forced failure\n"),
+    # every triple of this host is red, and its high graphs miss the square bound
+    (_product_bound_always_holds, random_box_dense(5, 2, Fraction(1, 2), seed=0),
+     "9/10", "1/2", "error internal: degree-square dichotomy violated at triple (1, 2, 3): "
+     "product bound holds (0) but neither square bound does\n"),
+])
+def test_retired_clean_sites_exit_4(monkeypatch, tmp_path, command, force, host, eps,
+                                   delta, message):
+    path = _write(tmp_path, host)
+    force(monkeypatch)
+    assert dispatch([*command, "--host", path, "--eps", eps, "--delta", delta,
+                     "--deterministic"]) == (4, message)
