@@ -15,7 +15,8 @@ column downward; a spine linked to none of the columns that remain is
 flagged degenerate.
 
 The finder runs on the pipeline's row driver, `pipeline.run_rows`, with
-this module's row preparation and a pigeonhole over two projections.
+this module's row preparation and a pigeonhole over two projections;
+every stage failure is the driver's.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from ._bits import iter_bits, least_bit
 from .core import (ReducedHypergraph, refuse_negative_cap, sorted_pair,
                    sorted_triple)
 from .embed import DEFAULT_ORACLE_CAP
-from .errors import (CapExceeded, DomainError, RowPreparationError,
-                     SelfCheckError)
-from .pipeline import (ProjectionRecord, StageFailed, completion_vertex,
-                       max_count_least_arg, run_rows, select_apex,
-                       validate_clean_fields)
+from .errors import CapExceeded, DomainError, RowPreparationError, SelfCheckError
+from .pipeline import (ProjectionRecord, completion_vertex, max_count_least_arg,
+                       row_working_set, run_rows, select_apex, validate_clean_fields)
 from .qsystem import CleanResult, QGraphSystem, StageFailure
 
 ROLE_PAIRS = frozenset(itertools.combinations(range(1, 5), 2))
@@ -179,17 +178,12 @@ def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
     a spine linked to none of the columns that remain, or taken as vertex
     0 because the apex has no neighbour in its column, keeps no column and
     is flagged degenerate.  On success the all-pairs triangle property is
-    re-verified pairwise by direct lookups.
+    re-verified pairwise by direct lookups.  Each pair j < k of kept
+    columns has a witness: k's step keeps only columns j with one.
     """
-    if system.r_star is None or system.delta is None or system.s_sets is None:
-        raise DomainError("prepare_row_glue needs a cleaned QGraphSystem")
+    working = row_working_set(system, working, top, "prepare_row_glue")
     if m2_target < 1:
         raise DomainError(f"m2_target must be >= 1, got {m2_target}")
-    working = sorted(set(working))
-    if len(working) < 3:
-        raise DomainError(f"index set must have >= 3 elements, got {working}")
-    if top not in working or top != max(working):
-        raise DomainError(f"top index {top} must be the maximum of {working}")
     r = working[0]
     apex, a_sets = select_apex(system, working, top)
     i_prime = list(a_sets)
@@ -229,14 +223,8 @@ def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
     witnesses: dict[tuple[int, int], int] = {}
     non_top = [j for j in surviving if j != top]
     for j, k in itertools.combinations(non_top, 2):
-        z_k = spine[k]
         link_jk = system.q_low[(r, j, k)]       # left P^{rj}, right P^{rk}
-        options = link_jk.right_adj[z_k] & a_sets[j]
-        if options == 0:
-            raise RowPreparationError(
-                "all-pairs-verify",
-                f"pair ({j}, {k}) has no triangle witness despite the pigeonholes")
-        witnesses[(j, k)] = least_bit(options)
+        witnesses[(j, k)] = least_bit(link_jk.right_adj[spine[k]] & a_sets[j])
     record = GlueRowRecord(
         index=round_index, row_index=r, source=tuple(working),
         surviving=tuple(surviving), r_next=min(surviving), apex=apex,
@@ -263,21 +251,18 @@ def find_glued(host: ReducedHypergraph, config: GlueConfig) -> GlueResult:
     and return a validated glued configuration or a structured failure."""
     result = GlueResult(False, None, None, None)
     ladder = config.ladder
-    try:
-        system, m_prime, v, covering = run_rows(
-            host, config, result, len(ladder),
-            lambda system, working, top, t: prepare_row_glue(
-                system, working, top, ladder[t - 1], round_index=t),
-            lambda row: (f"row {row.index} r={row.row_index} x={row.apex} "
-                         f"J={list(row.surviving)} degenerate={list(row.degenerate)}"),
-            2)
-        cfg_work = _assemble_glued(system, result.rows[covering[0]],
-                                   result.rows[covering[1]], m_prime, v)
-    except StageFailed as exc:
-        result.failure = exc.failure
-        result.trace.append(f"fail {exc.failure.stage}")
+    ran = run_rows(
+        host, config, result, len(ladder),
+        lambda system, working, top, t: prepare_row_glue(
+            system, working, top, ladder[t - 1], round_index=t),
+        lambda row: (f"row {row.index} r={row.row_index} x={row.apex} "
+                     f"J={list(row.surviving)} degenerate={list(row.degenerate)}"),
+        2)
+    if ran is None:
         return result
-
+    system, m_prime, v, covering = ran
+    cfg_work = _assemble_glued(system, result.rows[covering[0]],
+                               result.rows[covering[1]], m_prime, v)
     ok, why = validate_glued(system.host, cfg_work)
     if not ok:
         raise SelfCheckError(f"assembled configuration invalid on working host: {why}")
@@ -298,15 +283,15 @@ def find_glued(host: ReducedHypergraph, config: GlueConfig) -> GlueResult:
 
 def _assemble_glued(system: QGraphSystem, row_i: GlueRowRecord,
                     row_j: GlueRowRecord, m_prime: int, v: int) -> GluedConfiguration:
-    """The working-host configuration on rows i < j and the shared vertex v."""
+    """The working-host configuration on rows i < j and the shared vertex v.
+    Row i kept r_j and m' below top, and m' > r_j = min of row j's source,
+    so row i witnesses (r_j, m')."""
     top = system.host.index_count
     r_i, r_j = row_i.row_index, row_j.row_index
     x_i, z_im = row_i.apex, row_i.spine[m_prime]
     pair = (r_j, m_prime)
     if pair not in row_i.witnesses:
-        raise StageFailed(StageFailure(
-            "completion-recovery",
-            f"row {row_i.index} has no triangle witness for pair {pair}"))
+        raise SelfCheckError(f"row {row_i.index} has no triangle witness for pair {pair}")
     y = row_i.witnesses[pair]
     u1 = completion_vertex(system, (r_i, r_j, top), y, x_i, "apex-witness")
     u2 = completion_vertex(system, (r_i, r_j, m_prime), y, z_im, "spine-witness")

@@ -12,11 +12,12 @@ those sets stitches the rows into the final map.
 
 `run_rows` is the row driver this finder and glue's share: clean, one row
 per round through a caller's preparation, the final index set, m', the
-projections into P^{m'm} and the pigeonhole.  `select_apex` is the apex
-step both row preparations start with.
+projections into P^{m'm} and the pigeonhole.  Both row preparations
+start with `row_working_set`, the input guard, and `select_apex`.
 
 Every tie is broken lexicographic-least among maximizers, so runs are
-deterministic.  Stage failures are structured results, never crashes.
+deterministic.  Stage failures are structured results from `clean` and
+`run_rows` only; a failure past the row stages is a SelfCheckError.
 """
 
 from __future__ import annotations
@@ -200,6 +201,20 @@ def select_apex(system: QGraphSystem, working: Sequence[int],
                   for j, bits in zip(middle, member_bits) if bits >> apex & 1}
 
 
+def row_working_set(system: QGraphSystem, working: Sequence[int], top: int,
+                    caller: str) -> list[int]:
+    """Sorted distinct working indices; DomainError unless the system is
+    cleaned (caller names the preparation), >= 3 indices, top the maximum."""
+    if system.r_star is None or system.delta is None or system.s_sets is None:
+        raise DomainError(f"{caller} needs a cleaned QGraphSystem")
+    working = sorted(set(working))
+    if len(working) < 3:
+        raise DomainError(f"index set must have >= 3 elements, got {working}")
+    if top != working[-1]:
+        raise DomainError(f"top index {top} must be the maximum of {working}")
+    return working
+
+
 def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
                 require_size_hypothesis: bool = True,
                 round_index: int = 1) -> RowRecord:
@@ -208,15 +223,11 @@ def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
     With require_size_hypothesis (the default for direct calls) the input
     set must satisfy |I| > 2 / delta^2; the iterated pipeline runs with
     the check relaxed and reports achieved sizes instead.  Failures of
-    the two pigeonhole steps raise RowPreparationError naming the step.
+    the two pigeonhole steps raise RowPreparationError naming the step;
+    a cleaned system never fails the connector step, as the apex lies in
+    S^r_{r_next,top}.  Each column the connector keeps has a spine vertex.
     """
-    if system.r_star is None or system.delta is None or system.s_sets is None:
-        raise DomainError("prepare_row needs a cleaned QGraphSystem")
-    working = sorted(set(working))
-    if len(working) < 3:
-        raise DomainError(f"index set must have >= 3 elements, got {working}")
-    if top not in working or top != max(working):
-        raise DomainError(f"top index {top} must be the maximum of {working}")
+    working = row_working_set(system, working, top, "prepare_row")
     delta = system.delta
     if require_size_hypothesis and Fraction(len(working)) <= 2 / (delta * delta):
         raise DomainError(
@@ -246,12 +257,7 @@ def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
     surviving = sorted(i_dprime + [r_next, top])
     spine = {}
     for j in i_dprime:
-        link = system.q_low[(r, r_next, j)]
-        choices = link.left_adj[connector] & a_sets[j]
-        if choices == 0:
-            raise RowPreparationError(
-                "spine-selection", f"no triangle completion for column {j}")
-        spine[j] = least_bit(choices)
+        spine[j] = least_bit(system.q_low[(r, r_next, j)].left_adj[connector] & a_sets[j])
 
     record = RowRecord(
         index=round_index, row_index=r, source=tuple(working),
@@ -311,53 +317,56 @@ def covered_vertex(universe_size: int, member_lists: Sequence[Sequence[int]],
     return v, rows
 
 
-class StageFailed(Exception):
-    """Ends a row-driver run; carries the StageFailure the result reports."""
-
-    def __init__(self, failure: StageFailure):
-        super().__init__(f"{failure.stage}: {failure.reason}")
-        self.failure = failure
-
-
 _IN_WORDS = {2: "two", 3: "three"}
 
 
 def run_rows(host: ReducedHypergraph, config, result, rounds: int,
              prepare: Callable, describe: Callable,
-             multiplicity: int) -> tuple[QGraphSystem, int, int, list[int]]:
+             multiplicity: int) -> tuple[QGraphSystem, int, int, list[int]] | None:
     """The row driver shared by find_fstar and find_glued.
 
     Cleans the host, prepares rows 1..rounds with prepare(system, working,
     top, t), each on the row before's surviving indices and traced by
-    describe(row), checks the final index set, takes m' as its largest index below top, projects each row's
-    (apex, spine at m') edge into P^{m' top}, and pigeonholes a vertex v
-    covered by `multiplicity` projections.  result (a PipelineResult or
-    GlueResult) takes the clean result, rows, projections (all or none),
-    pigeonhole and trace lines as they are made; a stage failure raises
-    StageFailed.  Returns (system, m', v, 0-based covering row positions).
+    describe(row), checks the final index set, takes m' as its largest
+    index below top, projects each row's (apex, spine at m') edge into
+    P^{m' top}, and pigeonholes a vertex v covered by `multiplicity`
+    projections.  result (a PipelineResult or GlueResult) takes the clean
+    result, rows, projections (all or none), pigeonhole and trace lines as
+    they are made.  Returns (system, m', v, 0-based covering row
+    positions), or None once `clean`, `row-t`, `final-index-set` or
+    `pigeonhole` failed, with result.failure and a `fail <stage>` line.
+
+    A row's spine covers its surviving set, and so the final set, except
+    top and its r_next: the next row's index or the final set's least of
+    3 or more.  So a row without a spine vertex at m' is a SelfCheckError.
     """
     trace = result.trace
+
+    def failed(failure: StageFailure) -> None:
+        result.failure = failure
+        trace.append(f"fail {failure.stage}")
+
     cleaned = result.clean = clean(host, config)
     trace.extend(f"clean {line}" for line in cleaned.log)
     if not cleaned.ok:
-        raise StageFailed(cleaned.failure)
+        return failed(cleaned.failure)
     system = cleaned.system
     top = system.host.index_count
 
     current = list(range(1, top + 1))
     for t in range(1, rounds + 1):
         if len(current) < 3:
-            raise StageFailed(StageFailure(f"row-{t}", f"index set exhausted: {current}"))
+            return failed(StageFailure(f"row-{t}", f"index set exhausted: {current}"))
         try:
             row = prepare(system, current, top, t)
         except RowPreparationError as exc:
-            raise StageFailed(StageFailure(f"row-{t}", f"{exc.step}: {exc.reason}")) from None
+            return failed(StageFailure(f"row-{t}", f"{exc.step}: {exc.reason}"))
         result.rows.append(row)
         trace.append(describe(row))
         current = list(row.surviving)
 
     if len(current) < config.min_final_indices:
-        raise StageFailed(StageFailure(
+        return failed(StageFailure(
             "final-index-set",
             f"final set {current} smaller than {config.min_final_indices}"))
     m_prime = max(j for j in current if j != top)
@@ -366,8 +375,7 @@ def run_rows(host: ReducedHypergraph, config, result, rounds: int,
     projections = []
     for row in result.rows:
         if m_prime not in row.spine:
-            raise StageFailed(StageFailure(
-                "projection", f"row {row.index} lacks a spine vertex at {m_prime}"))
+            raise SelfCheckError(f"row {row.index} lacks a spine vertex at m'={m_prime}")
         proj = projection_set(system, row, m_prime, top)
         projections.append(proj)
         trace.append(f"projection {row.index} size={len(proj.members)}")
@@ -376,7 +384,7 @@ def run_rows(host: ReducedHypergraph, config, result, rounds: int,
     hit = covered_vertex(system.host.class_size(m_prime, top),
                          [p.members for p in projections], multiplicity)
     if hit is None:
-        raise StageFailed(StageFailure(
+        return failed(StageFailure(
             "pigeonhole",
             f"no completion vertex shared by {_IN_WORDS[multiplicity]} projections"))
     v, covering = hit
@@ -391,22 +399,18 @@ def find_fstar(host: ReducedHypergraph, config: PipelineConfig) -> PipelineResul
     embedding the five-vertex target Fstar, or a structured stage failure."""
     pattern = pattern_catalog("Fstar")
     result = PipelineResult(False, None, None, None)
-    try:
-        system, m_prime, v, covering = run_rows(
-            host, config, result, config.effective_rounds,
-            lambda system, working, top, t: prepare_row(
-                system, working, top, require_size_hypothesis=False, round_index=t),
-            lambda row: (f"row {row.index} r={row.row_index} x={row.apex} "
-                         f"y={row.connector} next={row.r_next} "
-                         f"J={list(row.surviving)}"),
-            3)
-        rmap_work = _assemble_map(system, result.rows, covering[0], covering[2],
-                                  m_prime, v)
-    except StageFailed as exc:
-        result.failure = exc.failure
-        result.trace.append(f"fail {exc.failure.stage}")
+    ran = run_rows(
+        host, config, result, config.effective_rounds,
+        lambda system, working, top, t: prepare_row(
+            system, working, top, require_size_hypothesis=False, round_index=t),
+        lambda row: (f"row {row.index} r={row.row_index} x={row.apex} "
+                     f"y={row.connector} next={row.r_next} "
+                     f"J={list(row.surviving)}"),
+        3)
+    if ran is None:
         return result
-
+    system, m_prime, v, covering = ran
+    rmap_work = _assemble_map(system, result.rows, covering[0], covering[2], m_prime, v)
     ok, violation = validate_reduced_map(system.host, pattern, rmap_work)
     if not ok:
         raise SelfCheckError(f"assembled map fails validation on working host: {violation}")
@@ -420,26 +424,23 @@ def find_fstar(host: ReducedHypergraph, config: PipelineConfig) -> PipelineResul
     return result
 
 
-def _recovery_failed(reason: str) -> StageFailed:
-    # The reason repeats the stage name, as every report has shown it.
-    return StageFailed(StageFailure("completion-recovery",
-                                    f"completion-recovery: {reason}"))
-
-
 def completion_vertex(system: QGraphSystem, t: Triple, va: int, vb: int,
                       what: str) -> int:
     """Least slot-2 completion of the slot-0/slot-1 pair (va, vb) in the
-    constituent of t; none ends the run at stage completion-recovery."""
+    constituent of t.  The assemblies ask only for verified low Q-graph
+    edges, with ceil(eps^2 |P^{jk}|) >= 1 completions: none is a defect."""
     con = system.host.constituent(t)
     bits = con.comp01[va * con.sizes[1] + vb]
     if bits == 0:
-        raise _recovery_failed(f"no completion for {what}")
+        raise SelfCheckError(f"the {what} edge ({va}, {vb}) has no completion in A^{t}")
     return least_bit(bits)
 
 
 def _assemble_map(system: QGraphSystem, rows: Sequence[RowRecord],
                   ri: int, rk: int, m_prime: int, v: int) -> ReducedMap:
-    """Build the ten-vertex map from rows ri and rk (0-based positions)."""
+    """Build the ten-vertex map from rows ri and rk (0-based positions).
+    As rk >= ri + 2, row ri kept r_k, and r_k is neither top nor row ri's
+    r_next (row ri + 1's index): row ri's spine has a vertex at r_k."""
     top = system.host.index_count
     row_i, row_k = rows[ri], rows[rk]
     r_i, r_ip1 = row_i.row_index, row_i.r_next
@@ -447,7 +448,7 @@ def _assemble_map(system: QGraphSystem, rows: Sequence[RowRecord],
     x_i, y_i = row_i.apex, row_i.connector
     z_im = row_i.spine[m_prime]
     if r_k not in row_i.spine:
-        raise _recovery_failed(f"row {row_i.index} lacks a spine vertex at {r_k}")
+        raise SelfCheckError(f"row {row_i.index} lacks a spine vertex at r_k={r_k}")
     z_irk = row_i.spine[r_k]
     x_k = row_k.apex
     z_km = row_k.spine[m_prime]

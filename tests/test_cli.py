@@ -650,6 +650,11 @@ def test_parse_glued_needs_the_six_role_pairs():
                                          (2, 3): 0, (2, 4): 0, (3, 4): 0}
 
 
+def test_parse_glued_skips_blank_lines():
+    spaced = "\n" + _GLUED.replace("\n", "\n\n   \n")
+    assert parse_glued(spaced) == parse_glued(_GLUED)
+
+
 # -- the exit-code contract on generated command lines ----------------------
 #
 # Command lines come from the documented grammar (build_parser): every

@@ -294,6 +294,20 @@ def test_validate_glued_needs_four_indices(indices):
         validate_glued(host, cfg)
 
 
+@pytest.mark.parametrize("primes,text", [
+    ((2, 0), "primed vertex 2 outside class P^(2, 3)"),
+    ((0, -1), "primed vertex -1 outside class P^(2, 4)"),
+], ids=["alpha23", "alpha24"])
+def test_validate_glued_refuses_a_primed_vertex_outside_its_class(primes, text):
+    host = random_box_dense(5, 2, 1, seed=0)
+    alpha = {pair: 0 for pair in itertools.combinations(range(1, 5), 2)}
+    cfg = GluedConfiguration(indices=(1, 2, 3, 4), alpha=alpha,
+                             alpha23_prime=primes[0], alpha24_prime=primes[1])
+    with pytest.raises(DomainError) as err:
+        validate_glued(host, cfg)
+    assert str(err.value) == text
+
+
 def test_find_glued_matches_oracle_on_dense_hosts():
     for seed in range(5):
         host = random_box_dense(6, 3, Fraction(9, 10), seed=seed)
@@ -379,8 +393,8 @@ def test_glue_config_validation():
 #
 # As in test_pipeline: (M, class size, d, seed, eps, delta, ramsey_target_1,
 # ramsey_target_2, ladder), then ok, (stage, reason), trace, len(rows),
-# len(projections) and the pigeonhole.  No seeded host reaches
-# star-verification, projection or completion-recovery.
+# len(projections) and the pigeonhole.  A failure past the row stages is a
+# SelfCheckError instead (test_pipeline.test_retired_row_sites_exit_4).
 
 GLUE_PINS = [
     ((5, 2, "1/2", 0, "1/10", "1/20", 5, 5, (3, 2)),

@@ -1,15 +1,21 @@
 """Pipeline tests: triangle enumeration, row preparation, pigeonholes,
 and end-to-end soundness of the five-vertex target search."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from redhyp import (DomainError, PipelineConfig, RowPreparationError, clean,
-                    find_fstar, find_many_triangles, pattern_catalog,
-                    prepare_row, random_box_dense, validate_reduced_map)
+from redhyp import (DomainError, GlueConfig, PipelineConfig, ReducedHypergraph,
+                    RowPreparationError, build_q_graphs, clean, find_fstar,
+                    find_many_triangles, glue, pattern_catalog, pipeline,
+                    prepare_row, prepare_row_glue, qsystem, random_box_dense,
+                    validate_reduced_map)
+from redhyp.cli import dispatch
 from redhyp.constructions import orientation_reduced
+from redhyp.fileio import write_host
 from redhyp.pipeline import covered_vertex, projection_set
+from redhyp.qsystem import BipartiteGraph
 
 
 def cleaned_complete(m, p, eps=Fraction(1, 2), delta=Fraction(1, 4)):
@@ -234,8 +240,8 @@ def test_find_many_triangles_contrapositive_on_broken_link():
 # Each case is a random_box_dense host and config, (M, class size, d, seed,
 # eps, delta, ramsey_target_1, ramsey_target_2, rounds), then ok, the
 # failure's (stage, reason), the trace, len(rows), len(projections) and the
-# pigeonhole.  No seeded host reaches star-verification, projection or
-# completion-recovery.
+# pigeonhole.  A failure past the row stages is a SelfCheckError instead
+# (test_retired_row_sites_exit_4).
 
 FSTAR_PINS = [
     ((5, 2, "1/2", 0, "1/10", "1/20", 5, 5, 2),
@@ -341,3 +347,149 @@ def test_find_fstar_stages_pinned(case, ok, failure, trace, rows, projections,
             len(result.projections), result.pigeonhole) == \
         (ok, failure, trace, rows, projections, pigeonhole)
     assert (result.certificate is not None) == ok
+
+
+# -- the row layer's argument checks and retired sites ----------------------
+
+def test_connector_pigeonhole_pinned_on_a_doctored_system():
+    # The apex lies in S^1_{2,6}, so a cleaned system gives it neighbours in
+    # the low graph of (1, 2, 6); this copy empties that graph and keeps the
+    # S-sets.
+    system, _ = cleaned_complete(6, 2)
+    g = system.q_low[(1, 2, 6)]
+    empty = BipartiteGraph(g.left_size, g.right_size, [0] * g.left_size, [0] * g.right_size)
+    doctored = dataclasses.replace(system, q_low={**system.q_low, (1, 2, 6): empty})
+    with pytest.raises(RowPreparationError) as err:
+        prepare_row(doctored, range(1, 7), 6, require_size_hypothesis=False)
+    assert (err.value.step, err.value.reason) == \
+        ("connector-pigeonhole", "apex has no neighbours in the connector class")
+
+
+_ALL = [1, 2, 3, 4, 5, 6]
+
+# (call on the cleaned complete M=6 system and on the same host's uncleaned
+# Q-graphs, the DomainError's text), one fault per call.
+ARGUMENT_REFUSALS = {
+    "prepare_row-uncleaned": (
+        lambda system, raw: prepare_row(raw, _ALL, 6, require_size_hypothesis=False),
+        "prepare_row needs a cleaned QGraphSystem"),
+    "prepare_row-two-indices": (
+        lambda system, raw: prepare_row(system, [1, 6], 6, require_size_hypothesis=False),
+        "index set must have >= 3 elements, got [1, 6]"),
+    "prepare_row-top-below-max": (
+        lambda system, raw: prepare_row(system, _ALL, 5, require_size_hypothesis=False),
+        "top index 5 must be the maximum of [1, 2, 3, 4, 5, 6]"),
+    "prepare_row-top-missing": (
+        lambda system, raw: prepare_row(system, [1, 2, 3, 5], 4,
+                                        require_size_hypothesis=False),
+        "top index 4 must be the maximum of [1, 2, 3, 5]"),
+    "prepare_row-size-hypothesis": (
+        lambda system, raw: prepare_row(system, _ALL, 6),
+        "|I| = 6 does not exceed 2/delta^2 = 32"),
+    "prepare_row_glue-uncleaned": (
+        lambda system, raw: prepare_row_glue(raw, _ALL, 6, m2_target=2),
+        "prepare_row_glue needs a cleaned QGraphSystem"),
+    "prepare_row_glue-m2_target": (
+        lambda system, raw: prepare_row_glue(system, _ALL, 6, m2_target=0),
+        "m2_target must be >= 1, got 0"),
+    "prepare_row_glue-two-indices": (
+        lambda system, raw: prepare_row_glue(system, [1, 1, 6], 6, m2_target=1),
+        "index set must have >= 3 elements, got [1, 6]"),
+    "prepare_row_glue-top-below-max": (
+        lambda system, raw: prepare_row_glue(system, _ALL, 5, m2_target=2),
+        "top index 5 must be the maximum of [1, 2, 3, 4, 5, 6]"),
+    "prepare_row_glue-top-missing": (
+        lambda system, raw: prepare_row_glue(system, [1, 2, 3, 5], 4, m2_target=2),
+        "top index 4 must be the maximum of [1, 2, 3, 5]"),
+    "triangles-descending": (
+        lambda system, raw: find_many_triangles(system, 2, 1, 3, 4, 0),
+        "need i < j1 < j2 < k, got (2, 1, 3, 4)"),
+    "triangles-equal": (
+        lambda system, raw: find_many_triangles(system, 1, 2, 2, 4, 0),
+        "need i < j1 < j2 < k, got (1, 2, 2, 4)"),
+    "triangles-out-of-range": (
+        lambda system, raw: find_many_triangles(system, 1, 2, 3, 9, 0),
+        "index 9 outside host range"),
+    "triangles-uncleaned": (
+        lambda system, raw: find_many_triangles(raw, 1, 2, 3, 4, 0),
+        "system has not been cleaned"),
+    "triangles-apex-outside-s-sets": (
+        lambda system, raw: find_many_triangles(system, 1, 2, 3, 4, 5),
+        "x=5 must lie in S^1_{2,4} and S^1_{3,4} at level 2"),
+}
+
+
+@pytest.mark.parametrize("name", ARGUMENT_REFUSALS)
+def test_row_layer_argument_refusals_pinned(name):
+    call, text = ARGUMENT_REFUSALS[name]
+    system, _ = cleaned_complete(6, 2)
+    raw = build_q_graphs(random_box_dense(6, 2, 1, seed=0), Fraction(1, 2))
+    with pytest.raises(DomainError) as err:
+        call(system, raw)
+    assert (type(err.value), str(err.value)) == (DomainError, text)
+
+
+@pytest.mark.parametrize("make", [PipelineConfig,
+                                  lambda **fields: GlueConfig(ladder=(3,), **fields)],
+                         ids=["pipeline", "glue"])
+def test_second_ramsey_target_must_reach_the_final_set_size(make):
+    with pytest.raises(DomainError) as err:
+        make(eps=Fraction(1, 2), delta=Fraction(1, 4), ramsey_target_1=5,
+             ramsey_target_2=4, min_final_indices=5)
+    assert str(err.value) == "ramsey_target_2 must be >= min_final_indices (5), got 4"
+
+
+def _rows_without(module, name, field):
+    """A force: module.name's rows come back with field emptied."""
+    def force(monkeypatch):
+        prepare = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: dataclasses.replace(
+            prepare(*args, **kwargs), **{field: {}}))
+    return force
+
+
+def _covering_with_adjacent_rows(monkeypatch):
+    # rows 1, 2 and 2: the third covering row follows the first directly
+    monkeypatch.setattr(pipeline, "covered_vertex", lambda *args: (0, [0, 1, 1]))
+
+
+def _hollow(t):
+    """A force: the cleaned system's host loses constituent t's edges after
+    its Q-graphs were built from them."""
+    def force(monkeypatch):
+        def hollowed(host, config):
+            cleaned = qsystem.clean(host, config)
+            work = cleaned.system.host
+            edges = {u: work.edges(u) for u in work.triples() if u != t}
+            cleaned.system = dataclasses.replace(
+                cleaned.system, host=ReducedHypergraph.with_uniform_classes(
+                    work.index_count, 2, edges))
+            return cleaned
+        monkeypatch.setattr(pipeline, "clean", hollowed)
+    return force
+
+
+# Each site past the row stages, forced on the complete M=7 host, where both
+# commands otherwise find their target (rows r = 1, 2, 3, 4 for pipeline;
+# r = 1, 3 and m' = 6 for glue).
+@pytest.mark.parametrize("command,force,message", [
+    (["pipeline", "--rounds", "4"], _rows_without(pipeline, "prepare_row", "spine"),
+     "row 1 lacks a spine vertex at m'=6"),
+    (["glue", "--ladder", "4,2"], _rows_without(glue, "prepare_row_glue", "spine"),
+     "row 1 lacks a spine vertex at m'=6"),
+    (["pipeline", "--rounds", "4"], _covering_with_adjacent_rows,
+     "row 1 lacks a spine vertex at r_k=2"),
+    (["pipeline", "--rounds", "4"], _hollow((1, 2, 7)),
+     "the apex-connector edge (0, 0) has no completion in A^(1, 2, 7)"),
+    (["glue", "--ladder", "4,2"], _hollow((1, 3, 7)),
+     "the apex-witness edge (0, 0) has no completion in A^(1, 3, 7)"),
+    (["glue", "--ladder", "4,2"], _rows_without(glue, "prepare_row_glue", "witnesses"),
+     "row 1 has no triangle witness for pair (3, 6)"),
+], ids=["projection-pipeline", "projection-glue", "r_k-spine", "completion-pipeline",
+        "completion-glue", "glue-witness"])
+def test_retired_row_sites_exit_4(monkeypatch, tmp_path, command, force, message):
+    path = tmp_path / "complete7.rh"
+    path.write_text(write_host(random_box_dense(7, 2, 1, seed=0)))
+    force(monkeypatch)
+    assert dispatch([*command, "--host", str(path), "--eps", "1/2", "--delta", "1/4",
+                     "--deterministic"]) == (4, f"error internal: {message}\n")
