@@ -143,15 +143,15 @@ def random_box_dense(index_count: int, class_size: int, d, seed: int) -> Reduced
     if index_count >= 3:
         refuse_above_cap(space, "the sampling pool")
     rng = random.Random(seed)
-    triples = list(itertools.combinations(range(1, index_count + 1), 3))
-    picks: list[int] = []
-    for _ in triples:
-        picks += _sample_indices(rng, space, k)
-    # each triple's k picks, in turn; pick x is the edge (x // p^2, x // p % p, x % p)
     sizes = dict.fromkeys(itertools.combinations(range(1, index_count + 1), 2), p)
-    return ReducedHypergraph._from_columns(
-        index_count, sizes, [(t, k) for t in triples], [x // (p * p) for x in picks],
-        [x // p % p for x in picks], [x % p for x in picks])
+
+    def cells(_slot_sizes):
+        # each triple's k picks, in turn; pick x is the cell of the edge
+        # (x // p^2, x // p % p, x % p) in classes of p
+        for t in itertools.combinations(range(1, index_count + 1), 3):
+            yield t, sorted(_sample_indices(rng, space, k))
+
+    return ReducedHypergraph._from_cells(index_count, sizes, cells)
 
 
 def orientation_reduced(index_count: int) -> ReducedHypergraph:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._bits import iter_bits
 from .errors import CapExceeded, DomainError, SelfCheckError
@@ -35,12 +35,33 @@ def sorted_triple(i: int, j: int, k: int) -> Triple:
     return tuple(sorted((i, j, k)))  # type: ignore[return-value]
 
 
+# A constituent of at most this many cells, at least half of them edges,
+# builds comp01 by summing the bits of its cells into one int and slicing
+# that, one step per entry.  Any other sets each cell's bit in its entry, one
+# step per edge: it is the faster on sparse constituents, and it builds no
+# int wider than an entry, whatever the class sizes.  Every process holds
+# _BITS, whether or not it loads a host, so the limit is kept small.
+_FLAT_CELLS = 1 << 10
+_BITS = [1 << x for x in range(_FLAT_CELLS)]
+
+
+def edge_cell(sizes: tuple[int, int, int], a: int, b: int, c: int) -> int:
+    """The cell (a*s1 + b)*s2 + c of edge (a, b, c) in a constituent of slot
+    sizes (s0, s1, s2): bit c of comp01[a*s1 + b].  An edge outside the
+    classes raises ValueError."""
+    s0, s1, s2 = sizes
+    if not (0 <= a < s0 and 0 <= b < s1 and 0 <= c < s2):
+        raise ValueError(f"edge {(a, b, c)} outside class sizes {sizes}")
+    return (a * s1 + b) * s2 + c
+
+
 class Constituent:
     """Bitset adjacency, and edges on demand, for one 3-partite constituent.
 
     Slots 0, 1, 2 are the classes of the sorted index pairs (i,j), (i,k),
     (j,k) of the triple i<j<k.  An edge (a, b, c) selects vertex a from
-    slot 0, b from slot 1, c from slot 2.
+    slot 0, b from slot 1, c from slot 2; its cell is (a*s1 + b)*s2 + c
+    (see edge_cell).
 
     Tables:
       comp01[a*s1+b] -> bitset over slot-2 completions, and likewise
@@ -52,36 +73,48 @@ class Constituent:
         is the bitset of third-slot completions of slot-x vertex vx and
         slot-y vertex vy: comp is comp01, comp02 or comp12 with its
         operands in the order x, y.
-    sizes and comp01 are the stored form, and the constructor builds only
-    them: cleaning's blue test, rows, projections, has() and edge_count()
-    read nothing else.  edges, the frozenset of (a, b, c), is built from
-    comp01 on its first read and then kept; sorted_edges() reads them from
-    comp01 in order without building it.  comp02 and comp12 are likewise
-    built from the comp01 bits on their first read and kept: the embedding
-    search reads them to key a relation and through fwd, and cleaning reads
-    comp12 only for the high Q-graph of a triple that fails the blue bound.
-    The other search-only tables, the proj_xy, are reached through fwd; fwd
-    and occupied are None until ensure_search_tables() builds them from
-    comp01, comp02 and comp12, on the embedding search's first use of the
+    sizes, comp01 and the edge count are the stored form, and the
+    constructor builds only them, from the cells of the edges: cleaning's
+    blue test, rows, projections, has() and edge_count() read nothing else.
+    edges, the frozenset of (a, b, c), is built from comp01 on its first
+    read and then kept; sorted_edges() reads them from comp01 in order
+    without building it.  comp02 and comp12 are likewise built from the
+    comp01 bits on their first read and kept: the embedding search reads
+    them to key a relation and through fwd, and cleaning reads comp12 only
+    for the high Q-graph of a triple that fails the blue bound.  The other
+    search-only tables, the proj_xy, are reached through fwd; fwd and
+    occupied are None until ensure_search_tables() builds them from comp01,
+    comp02 and comp12, on the embedding search's first use of the
     constituent.  The search itself never reads edges.
 
-    A constituent does not know its triple: hosts relabeled by `induced`
-    share it wherever a triple keeps its index order, and every table above
-    depends only on the sizes and the edges.
+    A constituent does not know its triple, and every table above depends
+    only on the sizes and the edges.  So one object may stand for several
+    triples: a host gives the triples of equal sizes and cells one
+    constituent (see ReducedHypergraph._from_cells), and a host relabeled
+    by `induced` shares the old one wherever a triple keeps its index order.
     """
 
-    __slots__ = ("sizes", "_edges", "comp01", "_comp02", "_comp12", "occupied", "fwd")
+    __slots__ = ("sizes", "_count", "_edges", "comp01", "_comp02", "_comp12", "occupied", "fwd")
 
-    def __init__(self, sizes: tuple[int, int, int], a: Iterable[int],
-                 b: Iterable[int], c: Iterable[int]):
-        """The constituent whose edges are the rows (a[r], b[r], c[r]), each
-        within sizes (ReducedHypergraph._from_columns checks the rules)."""
+    def __init__(self, sizes: tuple[int, int, int], cells: Sequence[int]):
+        """The constituent of the given slot sizes with an edge at each of
+        the cells, which must lie below s0*s1*s2 (edge_cell checks that).
+        A repeated cell adds no edge, so edge_count() falls short of the
+        number of cells: ReducedHypergraph._from_cells checks it."""
         self.sizes = sizes
-        s0, s1, _ = sizes
-        comp01 = [0] * (s0 * s1)
-        for x, y, z in zip(a, b, c):
-            comp01[x * s1 + y] |= 1 << z
-        self.comp01 = comp01
+        s0, s1, s2 = sizes
+        keys = s0 * s1
+        if keys * s2 <= min(_FLAT_CELLS, 2 * len(cells)):
+            mask = sum(map(_BITS.__getitem__, cells))
+            full = (1 << s2) - 1
+            self.comp01 = list(map(full.__and__, map(mask.__rshift__, range(0, keys * s2, s2))))
+            self._count = mask.bit_count()
+        else:
+            comp01 = self.comp01 = [0] * keys
+            for x in cells:
+                key, c = divmod(x, s2)
+                comp01[key] |= 1 << c
+            self._count = sum(map(int.bit_count, comp01))
         self._edges = self._comp02 = self._comp12 = self.occupied = self.fwd = None
 
     @property
@@ -98,7 +131,7 @@ class Constituent:
                 for key, bits in enumerate(self.comp01) if bits for c in iter_bits(bits)]
 
     def edge_count(self) -> int:
-        return sum(map(int.bit_count, self.comp01))
+        return self._count
 
     @property
     def comp02(self) -> list[int]:
@@ -240,7 +273,7 @@ def _first_bad_edge(fault: _RowFault, edges: Iterable[Edge]) -> Exception:
     """The DomainError naming the first of the faulty constituent's edges,
     in input order, that lies outside its class ranges or repeats one.
 
-    When no edge does, _from_columns and this scan disagree about the host
+    When no edge does, _from_cells and this scan disagree about the host
     rules: that is a defect of the program, so a SelfCheckError is returned.
     """
     t, (s0, s1, s2) = fault.args
@@ -259,15 +292,31 @@ def _first_bad_edge(fault: _RowFault, edges: Iterable[Edge]) -> Exception:
         f"lies outside the class ranges ({s0}, {s1}, {s2}) or repeats")
 
 
+SlotSizes = Callable[[Triple], tuple[int, int, int]]
+
+
+def _pooled(pool: dict[tuple, Constituent], slots: tuple[int, int, int],
+            cells: Sequence[int]) -> Constituent:
+    """The constituent of the given slot sizes and ascending cells: the one
+    pool already holds for them, else a new one, added.  A host builds all
+    its constituents through one pool, so equal ones are one object."""
+    key = (slots, tuple(cells))
+    con = pool.get(key)
+    if con is None:
+        con = pool[key] = Constituent(slots, cells)
+    return con
+
+
 class ReducedHypergraph:
     """Immutable reduced hypergraph on indices 1..M.
 
     class_sizes must cover every pair {i,j}; constituents maps sorted
     triples to edge collections and may omit empty constituents.  The
-    constructor lays the edges out as columns for _from_columns, the one
-    statement of the host rules, which the canonical-text parser (fileio)
-    calls too.  It builds each Constituent (see there), whose edge set is
-    built only when read.
+    constructor turns each constituent's edges into sorted cells
+    (edge_cell) for _from_cells, the one statement of the host rules.  The
+    canonical-text parser (fileio) and random_box_dense hand their cells to
+    it too.  It builds one Constituent (see there) per distinct (sizes,
+    cells), whose edge set is built only when read.
 
     canonical_sha256 is the sha256 of this host's canonical text
     (fileio.write_host) when the parser already hashed it, else None.
@@ -277,32 +326,41 @@ class ReducedHypergraph:
                  class_sizes: Mapping[Pair, int],
                  constituents: Mapping[Triple, Iterable[Edge]]):
         blocks = {t: list(edges) for t, edges in constituents.items()}
-        rows = list(itertools.chain.from_iterable(blocks.values()))
-        a, b, c = zip(*rows, strict=True) if rows else ((), (), ())
+
+        def cells(slot_sizes: SlotSizes) -> Iterator[tuple[Triple, list[int]]]:
+            for t, edges in blocks.items():
+                slots = slot_sizes(t)
+                try:
+                    yield t, sorted([edge_cell(slots, *e) for e in edges])
+                except ValueError:
+                    raise _RowFault(t, slots) from None
+
         try:
-            host = self._from_columns(index_count, class_sizes,
-                                      [(t, len(edges)) for t, edges in blocks.items()],
-                                      a, b, c)
+            host = self._from_cells(index_count, class_sizes, cells)
         except _RowFault as fault:
             raise _first_bad_edge(fault, blocks[fault.args[0]]) from None
         vars(self).update(vars(host))
 
     @classmethod
-    def _from_columns(cls, m: int, class_sizes: Mapping[Pair, int],
-                      keys: Iterable[tuple[Triple, int]],
-                      a: Sequence[int], b: Sequence[int],
-                      c: Sequence[int]) -> "ReducedHypergraph":
-        """The host on indices 1..m whose constituent edges are the rows
-        (a[r], b[r], c[r]); keys gives each constituent's triple, once, with
-        its number of rows, in row order.
+    def _from_cells(cls, m: int, class_sizes: Mapping[Pair, int],
+                    blocks: Callable[[SlotSizes], Iterable[tuple[Triple, list[int]]]]
+                    ) -> "ReducedHypergraph":
+        """The host on indices 1..m whose non-empty constituents come from
+        blocks(slot_sizes): each as (triple, cells), once, with the cells
+        of its edges in ascending order.  edge_cell, the cell rule, refuses
+        an edge outside its classes before its cell is handed over.
+        slot_sizes(t) gives the class sizes of key t's three slots,
+        refusing a bad key as below; blocks is called only once the cap is
+        checked.
 
-        This states every host rule, checked in this order: m >= 2;
+        This states every other host rule, checked in this order: m >= 2;
         class_sizes names exactly the sorted pairs within 1..m, each of
         size >= 1; the tables fit under TABLE_ENTRY_CAP (CapExceeded, before
-        any is allocated); then, constituent by constituent in row order,
-        the key is a sorted triple within 1..m and the rows lie within their
-        classes without repeating.  Faults raise DomainError; a bad row
-        raises _RowFault, which the constructor words by the offending edge.
+        any is allocated); then, block by block, the key is a sorted triple
+        within 1..m and the cells are distinct, so no row repeats.  Faults
+        raise DomainError; a repeated cell raises _RowFault, which the
+        constructor words by the offending edge.  Triples with equal
+        (sizes, cells) get one Constituent object.
         """
         if m < 2:
             raise DomainError(f"index_count must be >= 2, got {m}")
@@ -318,29 +376,27 @@ class ReducedHypergraph:
                 raise DomainError(f"missing class size for pair ({i}, {j})")
         check_table_size(m, sizes)
 
-        negative = bool(a) and min(min(a), min(b), min(c)) < 0
         cons: dict[Triple, Constituent | None] = dict.fromkeys(
             itertools.combinations(range(1, m + 1), 3))
-        hi = 0
-        for t, n in keys:
+
+        def slot_sizes(t: Triple) -> tuple[int, int, int]:
             if t not in cons:
                 if len(t) != 3 or tuple(sorted(t)) != tuple(t):
                     raise DomainError(f"constituent key {t} must be a sorted triple")
                 raise DomainError(f"constituent key {t} out of range 1..{m}")
             i, j, k = t
-            s0, s1, s2 = slots = (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
-            lo, hi = hi, hi + n
-            ra, rb, rc = a[lo:hi], b[lo:hi], c[lo:hi]
-            if n and (max(ra) >= s0 or max(rb) >= s1 or max(rc) >= s2
-                      or negative and min(min(ra), min(rb), min(rc)) < 0):
+            return sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]
+
+        pool: dict[tuple, Constituent] = {}
+        for t, cells in blocks(slot_sizes):
+            slots = slot_sizes(t)
+            con = cons[t] = _pooled(pool, slots, cells)
+            if con.edge_count() != len(cells):  # a repeated cell sets no new bit
                 raise _RowFault(t, slots)
-            con = cons[t] = Constituent(slots, ra, rb, rc)
-            if con.edge_count() != n:  # a repeated row sets no new bit
-                raise _RowFault(t, slots)
-        return cls._assemble(m, sizes, {
-            (i, j, k): con or Constituent(
-                (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]), (), (), ())
-            for (i, j, k), con in cons.items()})
+        for t, con in cons.items():
+            if con is None:
+                cons[t] = _pooled(pool, slot_sizes(t), ())
+        return cls._assemble(m, sizes, cons)
 
     @classmethod
     def _assemble(cls, index_count: int, sizes: dict[Pair, int],
@@ -434,8 +490,12 @@ class ReducedHypergraph:
         index_map must be injective; it need not be monotone, so this also
         implements order-reversing relabelings.  Class vertices keep their
         numbering.  A triple whose image keeps its index order shares the
-        old Constituent object; every other triple gets a new one, its
-        edges permuted into the new slot order.
+        old Constituent object.  Every other triple gets its edges permuted
+        into the new slot order, as cells of the new slot sizes, and these
+        new constituents share objects by (sizes, cells) as _from_cells
+        does.  A new one is not matched against the kept ones, so when the
+        map keeps the order of some triples and not others, a kept and a
+        new object may be equal.
         """
         if len(set(index_map)) != len(index_map):
             raise DomainError("index_map must be injective")
@@ -448,6 +508,8 @@ class ReducedHypergraph:
             for y in range(x + 1, t_new + 1):
                 new_sizes[(x, y)] = self._sizes[sorted_pair(index_map[x - 1], index_map[y - 1])]
         new_cons: dict[Triple, Constituent] = {}
+        permuted: dict[tuple[Constituent, tuple[int, ...]], Constituent] = {}
+        pool: dict[tuple, Constituent] = {}
         for x, y, z in itertools.combinations(range(1, t_new + 1), 3):
             ox, oy, oz = index_map[x - 1], index_map[y - 1], index_map[z - 1]
             if ox < oy < oz:
@@ -458,10 +520,13 @@ class ReducedHypergraph:
             old_slot_pairs = ((o[0], o[1]), (o[0], o[2]), (o[1], o[2]))
             sel = tuple(old_slot_pairs.index(p) for p in
                         (sorted_pair(ox, oy), sorted_pair(ox, oz), sorted_pair(oy, oz)))
-            columns = tuple(zip(*old.sorted_edges())) or ((), (), ())
-            new_cons[(x, y, z)] = Constituent(
-                (new_sizes[(x, y)], new_sizes[(x, z)], new_sizes[(y, z)]),
-                *map(columns.__getitem__, sel))
+            con = permuted.get((old, sel))
+            if con is None:
+                p0, p1, p2 = sel
+                slots = (old.sizes[p0], old.sizes[p1], old.sizes[p2])
+                con = permuted[(old, sel)] = _pooled(pool, slots, sorted(
+                    [edge_cell(slots, e[p0], e[p1], e[p2]) for e in old.sorted_edges()]))
+            new_cons[(x, y, z)] = con
         return ReducedHypergraph._assemble(t_new, new_sizes, new_cons)
 
 

@@ -17,15 +17,19 @@ out-of-range lines raise ParseError with the line number.  Writers emit a
 canonical form: P lines then E lines, each sorted lexicographically.
 
 A host text in exactly that canonical form, as write_host emits it, is
-parsed in bulk, a column at a time, and its digest is the sha256 of the
-input itself.  The bulk recogniser checks only the text's shape (see
-_parse_canonical) and reads numbers through a table of their canonical
-spellings, never longer than the text's token list; the host rules are
-core's, proven by ReducedHypergraph._from_columns, which builds comp01,
-the one table a host is loaded with.  The constituents' other tables and
-edge sets are built only when something reads them.  Any other text,
-malformed or not, goes through the line parser and the host constructor;
-the line parser is the only code that words a ParseError.
+parsed in bulk, one constituent block at a time, and its digest is the
+sha256 of the input itself.  The bulk recogniser (see _parse_canonical)
+checks only the text's shape: the header against its regenerated text,
+each block's head against the next triple in order, and each "a b c" tail
+through a table of the tails already seen, which never holds more entries
+than the text has E lines, whatever the class sizes.  The host rules are
+core's: edge_cell gives each tail's cell and refuses a vertex outside its
+class, and ReducedHypergraph._from_cells proves the rest on each
+constituent's cells and builds the host, with one Constituent object for
+the triples of equal sizes and cells.  A constituent's tables other than
+comp01, and its edge set, are built only when something reads them.  Any other text, malformed or not,
+goes through the line parser and the host constructor; the line parser is
+the only code that words a ParseError.
 
 Plain-graph text is loaded the same way: a text equal to write_plain3 of
 its graph is recognised in bulk, a chunk of lines at a time (see
@@ -40,10 +44,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from operator import ge, lt
+from operator import lt
 
 from ._bits import iter_bits
-from .core import Pattern, ReducedHypergraph
+from .core import Pattern, ReducedHypergraph, edge_cell
 from .errors import DomainError, ParseError
 from .plain import Plain3Graph
 
@@ -87,69 +91,99 @@ def _check_e_line(lineno: int, i: int, j: int, k: int, a: int, b: int, c: int,
                 f"of size {sizes[(x, y)]}")
 
 
+class _TailCells(dict):
+    """The cells (core.edge_cell) of E-line tails "a b c" in one slot-size
+    triple, keyed by the tail's text and filled only from tails looked up:
+    never more entries than the text has E lines, whatever the class sizes.
+    A tail not in canonical decimals, or outside the classes, raises
+    ValueError."""
+
+    def __init__(self, slots: tuple[int, int, int]):
+        super().__init__()
+        self.slots = slots
+
+    def __missing__(self, tail: str) -> int:
+        a, b, c = map(int, tail.split(" "))
+        if "%d %d %d" % (a, b, c) != tail:
+            raise ValueError(f"tail {tail!r} is not in canonical decimals")
+        cell = self[tail] = edge_cell(self.slots, a, b, c)
+        return cell
+
+
 def _parse_canonical(text: str) -> ReducedHypergraph | None:
     """The host of a text equal to write_host of that host, or None.
 
     None defers to the line parser, on any failure of any kind.  This
-    recognises the canonical shape only.  One split gives the tokens.  Each
-    is followed by exactly one separator when the lengths add up, and the
-    counts of newlines, of spaces and of newlines before each tag then pin
-    every separator to its canonical place.  M and the class sizes must be
-    canonical decimals.  Every other number is read through a table of the
-    tokens str(v) for v in 0..max(M, class sizes), or 0..M when there is no
-    E row to read a vertex, so a token in another spelling or beyond every
-    bound defers; a maximum above the token count defers too, so the table
-    is never longer than the token list.  The P lines must name the pairs
-    of 1..M in order.  E rows are grouped into runs by the text of their
-    triple, and only the a, b, c columns are read as numbers, a column at a
-    time.  The runs' triples must rise strictly, and so must (a, b, c)
-    within each run: that is the order write_host emits and the digest
-    relies on, and it leaves each triple's rows in one run, none repeated.
-    Every host rule (M, the class sizes, the cap, the keys and the vertex
-    ranges) is then proven by ReducedHypergraph._from_columns, which builds
-    the host.
+    recognises the canonical shape only, and never splits the E section
+    into tokens.  The M line and the P lines must equal their regenerated
+    text "M %d" and "P %d %d %d", for the pairs of 1..M in order; an M with
+    more pairs than the text has newlines is refused before any pair list
+    is built.
+
+    The E section is read one constituent block at a time, walking the
+    triples of 1..M in order: a block starts with the head "E i j k " of
+    the next triple that has one, so its head is spelled canonically, its
+    triple lies in 1..M and rises above the previous block's, and a line
+    that starts no such block is left over and defers.  One rfind of
+    newline + head, within a window of s0*s1*s2 lines of the widest
+    canonical line of the triple, finds the block's last line.  A longer
+    block would repeat a row, and the window leaves its rest as a second
+    block with the same head, which nothing matches.  One split of the
+    block on newline + head gives its "a b c" tails, and a _TailCells
+    table per slot-size triple gives their cells.  The cells must be
+    sorted, and _from_cells refuses a repeated one, so they rise strictly:
+    that is the order write_host emits and the digest relies on.  Every
+    host rule (M, the class sizes, the cap, the keys and distinct rows) is
+    then proven by ReducedHypergraph._from_cells, which builds the host
+    with one Constituent per distinct (sizes, cells).
     """
     if not (text.isascii() and text.startswith("M ") and text.endswith("\n")):
         return None
     try:
-        tokens = text.split()
-        if len(text) != len("".join(tokens)) + len(tokens):
-            return None
-        m = int(tokens[1])
+        end = text.index("\n")
+        m = int(text[2:end])
         n_pairs = m * (m - 1) // 2
-        e0 = 2 + 4 * n_pairs
-        n_edges, rest = divmod(len(tokens) - e0, 7)
-        if (n_edges < 0 or rest
-                or text.count("\n") != 1 + n_pairs + n_edges
-                or text.count(" ") != len(tokens) - 1 - n_pairs - n_edges
-                or text.count("\nP") != n_pairs or text.count("\nE") != n_edges
-                or tokens[2:e0:4] != ["P"] * n_pairs or tokens[e0::7] != ["E"] * n_edges):
+        if "M %d" % m != text[:end] or n_pairs > text.count("\n"):
             return None
-        size_tokens = tokens[5:e0:4]
-        class_sizes = list(map(int, size_tokens))
-        if [tokens[1], *size_tokens] != list(map(str, [m, *class_sizes])):
-            return None
-        top = max(m, *class_sizes) if n_edges else m  # without rows, no vertex is read
-        if top > len(tokens):
-            return None
-        num = {str(v): v for v in range(top + 1)}.__getitem__
+        e0 = text.find("\nE", end) + 1 or len(text)
+        p_lines = text[end + 1:e0]
         pairs = list(itertools.combinations(range(1, m + 1), 2))
-        if list(zip(map(num, tokens[3:e0:4]), map(num, tokens[4:e0:4]))) != pairs:
+        class_sizes = list(map(int, p_lines.split()[3::4]))
+        if len(class_sizes) != n_pairs or p_lines != "".join(
+                map("P %d %d %d\n".__mod__, [(i, j, s) for (i, j), s in zip(pairs, class_sizes)])):
             return None
+
         sizes = dict(zip(pairs, class_sizes))
-        keys = [(tuple(map(num, t)), len(list(run)))
-                for t, run in itertools.groupby(zip(*(tokens[e0 + x::7] for x in (1, 2, 3))))]
-        triples = [t for t, _ in keys]
-        if not all(map(lt, triples, triples[1:])):
-            return None
-        a, b, c = (list(map(num, tokens[e0 + x::7])) for x in (4, 5, 6))
-        # A row not above the one before it must start a run.
-        starts = set(itertools.accumulate(n for _, n in keys))
-        falls = itertools.compress(itertools.count(1), map(
-            ge, zip(a, b, c), zip(*(itertools.islice(col, 1, None) for col in (a, b, c)))))
-        if not starts.issuperset(falls):
-            return None
-        host = ReducedHypergraph._from_columns(m, sizes, keys, a, b, c)
+
+        def blocks(_slot_sizes):  # the keys are the triples of 1..m, walked in order
+            tables: dict[tuple[int, int, int], tuple[_TailCells, int, int]] = {}
+            pos = e0
+            for t in itertools.combinations(range(1, m + 1), 3):
+                if pos == len(text):
+                    break
+                sep = "\nE %d %d %d " % t  # text[pos - 1] is a newline
+                if not text.startswith(sep, pos - 1):
+                    continue  # no block: an empty constituent
+                i, j, k = t
+                slots = (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
+                info = tables.get(slots)
+                if info is None:
+                    s0, s1, s2 = slots
+                    info = tables[slots] = (_TailCells(slots), s0 * s1 * s2,
+                                            len("%d %d %d" % (s0 - 1, s1 - 1, s2 - 1)))
+                table, volume, tail_width = info
+                # the widest line, newline included, is len(sep) + tail_width
+                last = text.rfind(sep, pos - 1, pos + volume * (len(sep) + tail_width))
+                stop = text.index("\n", last + 1)
+                cells = list(map(table.__getitem__, text[pos + len(sep) - 1:stop].split(sep)))
+                if cells != sorted(cells):
+                    raise ValueError(f"rows of {t} are not in canonical order")
+                yield t, cells
+                pos = stop + 1
+            if pos != len(text):
+                raise ValueError(f"line at {pos} does not start the next canonical block")
+
+        host = ReducedHypergraph._from_cells(m, sizes, blocks)
     except Exception:
         return None
     host.canonical_sha256 = hashlib.sha256(text.encode()).hexdigest()

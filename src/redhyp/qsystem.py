@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterator, Sequence
 
-from .core import ReducedHypergraph, Triple, sorted_triple
+from .core import Constituent, ReducedHypergraph, Triple, sorted_triple
 from .errors import DomainError, SelfCheckError
 
 DEFAULT_RAMSEY_EXACT_CAP = 32
@@ -82,30 +82,35 @@ class HighGraphs(Mapping):
 
     Only a triple that fails the blue bound reads its high graph, so on a
     host whose triples are all blue none is built, and nor is any comp12
-    table.  A triple whose constituent the shared system's host also holds
-    reads that system's graph (the very object, built there if need be).
-    Reading every value (values(), items(), ==) builds every entry; a
-    membership test builds none.  Read-only.
+    table.  Triples that hold one Constituent object share one graph, and a
+    constituent that the shared system's host also holds has that system's
+    graph (the very object, built there if need be).  Reading every value
+    (values(), items(), ==) builds every entry; a membership test builds
+    none.  Read-only.
     """
 
     def __init__(self, host: ReducedHypergraph, need: Mapping[int, int],
-                 shared_with: HighGraphs | None, old: Mapping[Triple, Triple]):
+                 shared_with: HighGraphs | None, known: Mapping[Constituent, Triple]):
         self._constituents = host.constituents
         self._need = need
         self._shared_with = shared_with
-        self._old = old  # triple here -> triple of the same constituent there
-        self._built: dict[Triple, BipartiteGraph] = {}
+        self._known = known  # constituent -> a triple of shared_with that holds it
+        self._built: dict[Triple, BipartiteGraph] = {}  # the triples read so far
+        self._by_con: dict[Constituent, BipartiteGraph] = {}
 
     def __getitem__(self, t: Triple) -> BipartiteGraph:
         graph = self._built.get(t)
         if graph is None:
-            old = self._old.get(t)
-            if old is not None:
-                graph = self._shared_with[old]
-            else:
-                con = self._constituents[t]
-                s0, s1, s2 = con.sizes
-                graph = BipartiteGraph.from_counts(con.comp12, s1, s2, self._need[s0])
+            con = self._constituents[t]
+            graph = self._by_con.get(con)
+            if graph is None:
+                old = self._known.get(con)
+                if old is not None:
+                    graph = self._shared_with[old]
+                else:
+                    s0, s1, s2 = con.sizes
+                    graph = BipartiteGraph.from_counts(con.comp12, s1, s2, self._need[s0])
+                self._by_con[con] = graph
             self._built[t] = graph
         return graph
 
@@ -160,11 +165,11 @@ def build_q_graphs(host: ReducedHypergraph, eps,
     """Both Q-graph families for every index triple of the host: the low
     graphs now, each high graph on its first read (see HighGraphs).
 
-    A triple whose Constituent object is also one of shared_with's host
-    keeps that system's graphs, which depend only on the constituent and
-    eps; shared_with must have the same eps.  Every other triple gets the
-    low graph built in this call for its (sizes, comp01) value, so equal
-    constituents share one object.  Graphs are never mutated.
+    The graphs of a triple depend only on its Constituent object and eps,
+    so triples holding one object share its graph objects; a host holds
+    one object per distinct constituent (see ReducedHypergraph._from_cells).
+    A constituent that shared_with's host also holds keeps that system's
+    graphs; shared_with must have the same eps.  Graphs are never mutated.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -176,22 +181,20 @@ def build_q_graphs(host: ReducedHypergraph, eps,
         known = {con: t for t, con in shared_with.host.constituents.items()}
     need = _ceil_per_size(host, eps * eps)
     q_low: dict[Triple, BipartiteGraph] = {}
-    shared: dict[Triple, Triple] = {}
-    by_value: dict[tuple, BipartiteGraph] = {}  # (sizes, comp01) -> its low graph
+    built: dict[Constituent, BipartiteGraph] = {}
     for t, con in host.constituents.items():
-        old = known.get(con)
-        if old is not None:
-            q_low[t] = shared_with.q_low[old]
-            shared[t] = old
-            continue
-        key = (con.sizes, tuple(con.comp01))
-        graph = by_value.get(key)
+        graph = built.get(con)
         if graph is None:
-            s0, s1, s2 = con.sizes
-            graph = by_value[key] = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
+            old = known.get(con)
+            if old is not None:
+                graph = shared_with.q_low[old]
+            else:
+                s0, s1, s2 = con.sizes
+                graph = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
+            built[con] = graph
         q_low[t] = graph
     q_high = HighGraphs(host, need, None if shared_with is None else shared_with.q_high,
-                        shared)
+                        known)
     return QGraphSystem(host=host, eps=eps, q_low=q_low, q_high=q_high)
 
 

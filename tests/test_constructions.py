@@ -175,3 +175,26 @@ def test_reduced_blow_up_preserves_find_status():
         doubled = reduced_blow_up(host, 2)
         assert (exhaustive_oracle(host, pat).found
                 == exhaustive_oracle(doubled, pat).found)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: random_box_dense(4, 2, Fraction(3, 2), 0), "density must lie in [0, 1], got 3/2"),
+    (lambda: random_box_dense(4, 2, -1, 0), "density must lie in [0, 1], got -1"),
+    (lambda: random_box_dense(1, 2, Fraction(1, 2), 0), "index_count must be >= 2, got 1"),
+    (lambda: random_box_dense(4, 0, Fraction(1, 2), 0), "class_size must be >= 1, got 0"),
+    (lambda: orientation_reduced(2), "need >= 3 indices, got 2"),
+    (lambda: orientation_reduced(-1), "need >= 3 indices, got -1"),
+    (lambda: reduced_blow_up(orientation_reduced(3), 0), "blow-up factor must be >= 1, got 0"),
+    (lambda: cyclic_triple_3graph(random_tournament(2, 0)), "need >= 3 vertices, got 2"),
+    (lambda: Tournament(1, {}), "tournament needs >= 2 vertices, got 1"),
+    (lambda: Tournament(3, {(1, 2): 0, (1, 3): 1}),
+     "tournament must orient exactly the sorted pairs"),
+    (lambda: Tournament(3, {(1, 2): 0, (1, 3): 1, (3, 2): 1}),
+     "tournament must orient exactly the sorted pairs"),
+    (lambda: Tournament(3, {(1, 2): 0, (1, 3): 2, (2, 3): 1}),
+     "orientation bits must be 0 or 1"),
+])
+def test_construction_argument_refusals_are_pinned(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message

@@ -277,6 +277,51 @@ def test_constituent_tables_match_edges():
     assert con.occupied == tuple(sum({1 << e[s] for e in edges}) for s in range(3))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda h: h.induced([1, 2, 1]), "index_map must be injective"),
+    (lambda h: h.induced([1, 5, 2]), "index 5 out of range 1..4"),
+    (lambda h: h.induced([0, 1, 2]), "index 0 out of range 1..4"),
+    (lambda h: h.class_size(1, 5), "unknown class pair (1, 5)"),
+    (lambda h: h.class_size(2, 2), "unknown class pair (2, 2)"),
+])
+def test_host_argument_refusals_are_pinned(call, message):
+    with pytest.raises(DomainError) as err:
+        call(complete_host(4, 2))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("sizes,count", [
+    ((8, 8, 16), 900), ((1, 1, 1024), 600), ((1, 1, 1025), 600), ((8, 8, 17), 1000),
+    ((6, 6, 6), 120), ((6, 6, 6), 90), ((1, 1, 2000), 300), ((40, 40, 3), 300),
+    ((13, 17, 19), 300), ((64, 2, 65), 300), ((3, 4, 5), 300), ((2, 2, 2), 8)])
+def test_constituent_tables_on_both_sides_of_the_flat_path(sizes, count):
+    # Up to 1024 cells, at least half of them edges, comp01 is sliced from
+    # one int of the cells' bits; otherwise each cell's bit is set in its
+    # entry.  Both must give the tables the edges give, and see a repeat.
+    rng = random.Random(sum(sizes) + count)
+    s0, s1, s2 = sizes
+    cells = rng.sample(range(s0 * s1 * s2 - 1), min(count, s0 * s1 * s2) - 1)
+    edges = {(x // (s1 * s2), x // s2 % s1, x % s2) for x in cells}
+    edges.add((s0 - 1, s1 - 1, s2 - 1))
+    classes = {(1, 2): s0, (1, 3): s1, (2, 3): s2}
+    con = ReducedHypergraph(3, classes, {(1, 2, 3): edges}).constituent((1, 2, 3))
+    assert con.comp01 == [sum(1 << c for a, b, c in edges if a * s1 + b == key)
+                          for key in range(s0 * s1)]
+    assert (con.edge_count(), con.edges) == (len(edges), edges)
+    top = max(edges)
+    with pytest.raises(DomainError) as err:
+        ReducedHypergraph(3, classes, {(1, 2, 3): [*sorted(edges), top]})
+    assert str(err.value) == f"duplicate edge {top} in constituent (1, 2, 3)"
+
+
+def test_hosts_and_patterns_compare_only_with_their_own_kind():
+    host, pattern = complete_host(4, 2), pattern_catalog("K4")
+    assert host.__eq__(pattern) is NotImplemented and host != pattern
+    assert pattern.__eq__(host) is NotImplemented and pattern != host
+    assert (repr(pattern), repr(Pattern(3, [(1, 2, 3)]))) == \
+        ("Pattern 'K4'(v=4, e=4)", "Pattern(v=3, e=1)")
+
+
 def test_induced_reversal_matches_by_hand():
     h = complete_host(4, 2)
     cons = {t: set(h.edges(t)) for t in h.triples()}

@@ -117,6 +117,12 @@ def test_validate_dangling_references_are_errors_not_violations():
         validate_reduced_map(host, pat, ReducedMap(
             lam={1: 1, 2: 2, 3: 3},
             phi={(1, 2): ((1, 2), 5), (1, 3): ((1, 3), 0), (2, 3): ((2, 3), 0)}))
+    for cls in ((2, 1), (1, 4), (0, 1)):
+        with pytest.raises(DanglingReferenceError) as err:
+            validate_reduced_map(host, pat, ReducedMap(
+                lam={1: 1, 2: 2, 3: 3},
+                phi={(1, 2): (cls, 0), (1, 3): ((1, 3), 0), (2, 3): ((2, 3), 0)}))
+        assert str(err.value) == f"phi(1, 2) names invalid class pair {cls}"
 
 
 def test_find_on_complete_host():

@@ -221,9 +221,16 @@ def test_canonical_text_is_parsed_in_bulk_and_hashed(host):
 def test_bulk_constituents_equal_constructor_built_ones(host):
     bulk = fileio._parse_canonical(write_host(host))
     assert bulk.constituents.keys() == host.constituents.keys()
+    # no edge set is built by loading, whichever triples share an object
+    assert all(con._edges is None for con in bulk.constituents.values())
+    # triples with equal sizes and edges hold one object, and only they do
+    by_value = {}
+    for t, con in bulk.constituents.items():
+        assert by_value.setdefault((con.sizes, tuple(con.sorted_edges())), con) is con
+    assert len(set(map(id, bulk.constituents.values()))) == len(by_value)
     for t, want in host.constituents.items():
         got = bulk.constituent(t)
-        assert got is not want and got._edges is None
+        assert got is not want
         assert (got.sizes, got.comp01, got.comp12) == (want.sizes, want.comp01, want.comp12)
         assert got.edge_count() == want.edge_count() == len(want.edges)
         assert got.edges == want.edges
@@ -434,6 +441,71 @@ def test_bulk_parser_defers_or_agrees_with_the_line_parser(text):
 ])
 def test_bulk_parser_defers_on_non_canonical_text(text):
     assert fileio._parse_canonical(text) is None
+
+
+_HEAD4 = "M 4\nP 1 2 2\nP 1 3 2\nP 1 4 2\nP 2 3 2\nP 2 4 2\nP 3 4 2\n"
+
+
+@pytest.mark.parametrize("text", [
+    # classes of 2, 1 and 1: the window of (1, 2, 3) is two rows, and a
+    # third row repeats one; one row beyond the window is the same fault
+    "M 3\nP 1 2 2\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 0\nE 1 2 3 1 0 0\nE 1 2 3 1 0 0\n",
+    "M 3\nP 1 2 1\nP 1 3 1\nP 2 3 1\nE 1 2 3 0 0 0\nE 1 2 3 0 0 0\n",
+    # a line of a lower triple inside the block of (1, 2, 4)
+    _HEAD4 + "E 1 2 4 0 0 0\nE 1 2 3 1 1 1\nE 1 2 4 1 1 1\n",
+    # the rows of (1, 2, 3) split around the block of (1, 2, 4), within the
+    # window of (1, 2, 3) and beyond it
+    _HEAD4 + "E 1 2 3 0 0 0\nE 1 2 4 0 0 0\nE 1 2 3 1 1 1\n",
+    _HEAD4 + "E 1 2 3 0 0 0\n" + "".join(
+        f"E 1 2 4 {a} {b} {c}\n" for a, b, c in itertools.product(range(2), repeat=3))
+    + "E 1 2 3 1 1 1\n",
+    # a last line with no newline, or ending in a carriage return
+    _HEAD4 + "E 1 2 3 0 0 0\nE 1 2 3 1 1 1",
+    _HEAD4 + "E 1 2 3 0 0 0\nE 1 2 3 1 1 1\r\n",
+    _HEAD4 + "E 1 2 3 0 0 0\r\nE 1 2 3 1 1 1\n",
+    _HEAD4 + "E 1 2 3 0 0 0\nE 1 2 3 1 1 1\r",
+    # a head spelled with a leading zero, in a first block and a later one
+    _HEAD4 + "E 1 02 3 0 0 0\n",
+    _HEAD4 + "E 1 2 3 0 0 0\nE 1 02 4 0 0 0\n",
+    # a tail with four numbers, or with two
+    _HEAD4 + "E 1 2 3 0 0 0 0\n",
+    _HEAD4 + "E 1 2 3 0 0 0\nE 1 2 3 1 1\n",
+    # an E line before the last P line
+    "M 4\nP 1 2 2\nP 1 3 2\nP 1 4 2\nP 2 3 2\nP 2 4 2\nE 1 2 3 0 0 0\nP 3 4 2\n",
+])
+def test_block_recogniser_defers_to_the_line_parser(text):
+    assert fileio._parse_canonical(text) is None
+    want = _line_parse(text)
+    try:
+        got = parse_host(text)
+    except (ParseError, CapExceeded) as exc:
+        got = exc
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want and got.canonical_sha256 is None
+
+
+@pytest.mark.parametrize("parse", [fileio._parse_canonical, fileio._parse_lines])
+def test_host_loading_allocates_nothing_by_class_size(parse):
+    # Classes of 200: each slot-size triple has 8 * 10^6 cells and each
+    # block a window of 8 * 10^6 lines, but the tail table holds the three
+    # tails read and the window is only an offset.  What does grow with the
+    # classes is comp01, 40000 entries, which TABLE_ENTRY_CAP counts; no
+    # int of one bit per cell is built, though the last edge is the last
+    # cell of the 8 * 10^6.
+    text = ("M 3\nP 1 2 200\nP 1 3 200\nP 2 3 200\n"
+            "E 1 2 3 0 0 0\nE 1 2 3 0 0 199\nE 1 2 3 199 199 199\n")
+    tracemalloc.start()
+    try:
+        host = parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    con = host.constituent((1, 2, 3))
+    assert con.sorted_edges() == [(0, 0, 0), (0, 0, 199), (199, 199, 199)]
+    assert len(con.comp01) == 40000 and con.edge_count() == 3
+    assert peak < 1 << 20
 
 
 def test_absurd_index_count_is_refused_without_allocating():
@@ -711,6 +783,12 @@ def test_bulk_loader_defers_near_canonical_hosts_to_the_line_parser(m, p, d, see
     assert fileio._parse_canonical(text) is not None
     variants = _near_canonical_variants(text)
     assert len(set(variants.values()) | {text}) == len(variants) + 1
+    # the canonical text of a valid host, with a class far above the text's
+    # size: it loads in bulk, as the line parser reads it
+    wide = variants.pop("class size above the token count")
+    bulk = fileio._parse_canonical(wide)
+    assert bulk is not None and write_host(bulk) == wide
+    assert _outcome(lambda text: bulk, wide) == _outcome(fileio._parse_lines, wide)
     for name, variant in variants.items():
         assert fileio._parse_canonical(variant) is None, name
         got, want = _outcome(parse_host, variant), _outcome(fileio._parse_lines, variant)

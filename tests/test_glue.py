@@ -308,6 +308,33 @@ def test_validate_glued_refuses_a_primed_vertex_outside_its_class(primes, text):
     assert str(err.value) == text
 
 
+@pytest.mark.parametrize("indices,change,text", [
+    ((1, 2, 3, 6), {}, "index 6 outside host range"),
+    ((0, 2, 3, 4), {}, "index 0 outside host range"),
+    ((1, 2, 3, 4), {(1, 3): 2}, "alpha(1,3) = 2 outside class P^(1, 3)"),
+    ((1, 2, 3, 4), {(3, 4): -1}, "alpha(3,4) = -1 outside class P^(3, 4)"),
+])
+def test_validate_glued_refusals_are_pinned(indices, change, text):
+    host = random_box_dense(5, 2, 1, seed=0)
+    alpha = {pair: 0 for pair in itertools.combinations(range(1, 5), 2)}
+    cfg = GluedConfiguration(indices=indices, alpha={**alpha, **change},
+                             alpha23_prime=0, alpha24_prime=0)
+    with pytest.raises(DomainError) as err:
+        validate_glued(host, cfg)
+    assert str(err.value) == text
+    # repeated indices are not a refusal but a configuration that fails
+    repeated = dataclasses.replace(cfg, indices=(1, 2, 2, 4), alpha=alpha)
+    assert validate_glued(host, repeated) == (False, "indices (1, 2, 2, 4) are not distinct")
+
+
+@pytest.mark.parametrize("ladder", [(3, 0), (0,), (2, -1)])
+def test_glue_config_refuses_a_ladder_entry_below_one(ladder):
+    with pytest.raises(DomainError) as err:
+        GlueConfig(eps=Fraction(7, 10), delta=Fraction(1, 4), ladder=ladder,
+                   ramsey_target_1=6, ramsey_target_2=5)
+    assert str(err.value) == f"ladder entries must be >= 1, got {ladder}"
+
+
 def test_find_glued_matches_oracle_on_dense_hosts():
     for seed in range(5):
         host = random_box_dense(6, 3, Fraction(9, 10), seed=seed)

@@ -24,8 +24,9 @@ def test_imports_only_the_standard_library():
 
 
 def test_only_core_builds_and_validates_hosts():
-    # The host rules live in core (ReducedHypergraph._from_columns); the
-    # parser recognises canonical text and hands its columns over.
+    # The host rules live in core (ReducedHypergraph._from_cells, and
+    # edge_cell for each row); the parser recognises canonical text and
+    # hands each constituent's cells over.
     owned = {"Constituent", "check_table_size", "_assemble"}
     tree = ast.parse((SRC / "fileio.py").read_text())
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -33,7 +34,7 @@ def test_only_core_builds_and_validates_hosts():
     named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert named & owned == set()
-    assert "_from_columns" in named
+    assert {"_from_cells", "edge_cell"} <= named
 
 
 def test_sources_parse_as_python_3_10():

@@ -207,6 +207,10 @@ def test_config_validation():
         PipelineConfig(eps=Fraction(1, 2), delta=Fraction(1, 4),
                        ramsey_target_1=5, ramsey_target_2=4,
                        min_final_indices=2)
+    with pytest.raises(DomainError) as err:
+        PipelineConfig(eps=Fraction(1, 2), delta=Fraction(1, 4),
+                       ramsey_target_1=5, ramsey_target_2=4, rounds=0)
+    assert str(err.value) == "rounds must be >= 1, got 0"
     cfg = PipelineConfig(eps=Fraction(7, 10), delta=Fraction(1, 4),
                          ramsey_target_1=5, ramsey_target_2=4)
     assert cfg.effective_rounds == 6  # ceil(2 / 0.49) + 1

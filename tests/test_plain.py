@@ -90,6 +90,26 @@ def test_negative_vertex_cap_is_a_domain_error_in_every_mode():
                                  vertex_cap=0).status == "sampled-pass"
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"mode": "bogus"}, "unknown audit mode 'bogus'"),
+    ({"mode": "Exhaustive"}, "unknown audit mode 'Exhaustive'"),
+    ({"mode": "sampled"}, "sampled mode needs samples >= 1, got 0"),
+    ({"mode": "sampled", "samples": -3}, "sampled mode needs samples >= 1, got -3"),
+    ({"mode": "sampled", "samples": 2, "sizes": [3, 9]}, "sample size 9 out of range 1..8"),
+    ({"mode": "sampled", "samples": 2, "sizes": [0]}, "sample size 0 out of range 1..8"),
+    ({"d": Fraction(3, 2)}, "d must lie in [0, 1], got 3/2"),
+    ({"d": -1}, "d must lie in [0, 1], got -1"),
+    ({"eta": Fraction(-1, 20)}, "eta must be >= 0, got -1/20"),
+])
+def test_audit_argument_refusals_are_pinned(kwargs, message):
+    graph = cyclic_triple_3graph(random_tournament(8, 0))
+    bounds = {"d": Fraction(1, 4), "eta": Fraction(1, 20)}
+    bounds.update((key, kwargs.pop(key)) for key in ("d", "eta") if key in kwargs)
+    with pytest.raises(DomainError) as err:
+        uniform_density_audit(graph, bounds["d"], bounds["eta"], **kwargs)
+    assert str(err.value) == message
+
+
 def test_audit_exhaustive_refuses_a_table_above_the_entry_cap():
     # 2^24 counts exceed core.TABLE_ENTRY_CAP whatever vertex_cap allows;
     # the refusal comes before the table is allocated.

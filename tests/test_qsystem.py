@@ -17,7 +17,7 @@ from redhyp import (DomainError, PipelineConfig, ReducedHypergraph,
 from redhyp.cli import dispatch
 from redhyp.constructions import orientation_reduced, reduced_blow_up
 from redhyp.core import Constituent
-from redhyp.fileio import write_host
+from redhyp.fileio import parse_host, write_host
 from redhyp import qsystem
 from redhyp.qsystem import BipartiteGraph, level_cap, verify_star
 
@@ -190,6 +190,10 @@ def test_ramsey_validation():
         ramsey_extract(items, coloring, 2)
     with pytest.raises(DomainError):
         ramsey_extract(items, coloring, 5)
+    del coloring[(2, 3, 4)]
+    with pytest.raises(DomainError) as err:
+        ramsey_extract(items, coloring, 3)
+    assert str(err.value) == "coloring is missing triple (2, 3, 4)"
 
 
 def test_ramsey_greedy_fallback_flagged():
@@ -396,6 +400,35 @@ def test_shared_q_graphs_equal_fresh_ones(index_map):
         assert (shared.q_high[t] is system.q_high[old]) == kept
     with pytest.raises(DomainError):
         build_q_graphs(sub, Fraction(1, 4), shared_with=system)
+
+
+@pytest.mark.parametrize("index_map", [[1, 2, 3, 4, 5, 6], [1, 3, 4, 6],
+                                       [6, 5, 4, 3, 2, 1], [2, 6, 1, 4, 3]])
+def test_shared_q_graphs_hold_when_triples_share_a_constituent(index_map):
+    # Every constituent of these hosts has one value, so each host holds one
+    # object under all its triples, and a relabeled host holds the old object
+    # where the order is kept and one new object elsewhere.
+    eps = Fraction(1, 3)
+    for host in (orientation_reduced(6), parse_host(write_host(complete_host(6, 2)))):
+        assert len({id(con) for con in host.constituents.values()}) == 1
+        system = build_q_graphs(host, eps)
+        sub = host.induced(index_map)
+        shared = build_q_graphs(sub, eps, shared_with=system)
+        fresh = build_q_graphs(sub, eps)
+        assert (shared.q_low, shared.q_high) == (fresh.q_low, fresh.q_high)
+        for t in sub.triples():
+            images = [index_map[x - 1] for x in t]
+            kept = images == sorted(images)
+            old = tuple(sorted(images))
+            assert (sub.constituent(t) is host.constituent(old)) == kept
+            assert (shared.q_low[t] is system.q_low[old]) == kept
+            assert (shared.q_high[t] is system.q_high[old]) == kept
+        # one graph object per constituent object, in every system
+        for built in (system, shared, fresh):
+            for graphs in (built.q_low, built.q_high):
+                by_con = {}
+                for t, con in built.host.constituents.items():
+                    assert by_con.setdefault(id(con), graphs[t]) is graphs[t]
 
 
 @pytest.mark.parametrize("m,p,d,seed,eps,delta,t1,t2", [
