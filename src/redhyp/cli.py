@@ -96,10 +96,7 @@ def parse_certificate(text: str) -> ReducedMap:
     one pair, raises ParseError with its line number."""
     lam: dict[int, int] = {}
     phi: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
+    for lineno, parts in fileio.tokens(text):
         if parts[0] == "L":
             u, i = fileio.int_fields(lineno, parts[1:], 2, "L")
             _refuse_repeat(lineno, "L", u, lam)
@@ -128,10 +125,7 @@ def parse_glued(text: str) -> GluedConfiguration:
     indices = None
     alpha: dict[tuple[int, int], int] = {}
     primes: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
+    for lineno, parts in fileio.tokens(text):
         if parts[0] == "G-indices":
             found = tuple(fileio.int_fields(lineno, parts[1:], 4, "G-indices"))
             if indices is not None:

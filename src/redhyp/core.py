@@ -265,31 +265,7 @@ def refuse_above_cap(entries: int, what: str) -> None:
 
 
 class _RowFault(DomainError):
-    """Args (t, sizes): constituent t's rows hold a vertex outside its
-    class sizes, or a repeated row."""
-
-
-def _first_bad_edge(fault: _RowFault, edges: Iterable[Edge]) -> Exception:
-    """The DomainError naming the first of the faulty constituent's edges,
-    in input order, that lies outside its class ranges or repeats one.
-
-    When no edge does, _from_cells and this scan disagree about the host
-    rules: that is a defect of the program, so a SelfCheckError is returned.
-    """
-    t, (s0, s1, s2) = fault.args
-    seen: set[Edge] = set()
-    for e in edges:
-        a, b, c = e
-        if not (0 <= a < s0 and 0 <= b < s1 and 0 <= c < s2):
-            return DomainError(
-                f"edge {e} of constituent {t} out of class ranges "
-                f"({s0}, {s1}, {s2})")
-        if (a, b, c) in seen:
-            return DomainError(f"duplicate edge {e} in constituent {t}")
-        seen.add((a, b, c))
-    return SelfCheckError(
-        f"constituent {t} was refused by the host rules, but none of its edges "
-        f"lies outside the class ranges ({s0}, {s1}, {s2}) or repeats")
+    """Args (t, sizes): _from_cells found a repeated cell in constituent t."""
 
 
 SlotSizes = Callable[[Triple], tuple[int, int, int]]
@@ -312,8 +288,10 @@ class ReducedHypergraph:
 
     class_sizes must cover every pair {i,j}; constituents maps sorted
     triples to edge collections and may omit empty constituents.  The
-    constructor turns each constituent's edges into sorted cells
-    (edge_cell) for _from_cells, the one statement of the host rules.  The
+    constructor reads each constituent's edges once, in input order, turns
+    each into its cell (edge_cell) and words the first edge outside the
+    class ranges or repeated as a DomainError; it hands the sorted cells to
+    _from_cells, the one statement of the other host rules.  The
     canonical-text parser (fileio) and random_box_dense hand their cells to
     it too.  It builds one Constituent (see there) per distinct (sizes,
     cells), whose edge set is built only when read.
@@ -325,20 +303,28 @@ class ReducedHypergraph:
     def __init__(self, index_count: int,
                  class_sizes: Mapping[Pair, int],
                  constituents: Mapping[Triple, Iterable[Edge]]):
-        blocks = {t: list(edges) for t, edges in constituents.items()}
-
         def cells(slot_sizes: SlotSizes) -> Iterator[tuple[Triple, list[int]]]:
-            for t, edges in blocks.items():
+            for t, edges in constituents.items():
                 slots = slot_sizes(t)
-                try:
-                    yield t, sorted([edge_cell(slots, *e) for e in edges])
-                except ValueError:
-                    raise _RowFault(t, slots) from None
+                seen: set[int] = set()
+                for e in edges:
+                    try:
+                        x = edge_cell(slots, *e)
+                    except ValueError:
+                        raise DomainError(
+                            f"edge {e} of constituent {t} out of class ranges {slots}") from None
+                    if x in seen:
+                        raise DomainError(f"duplicate edge {e} in constituent {t}")
+                    seen.add(x)
+                yield t, sorted(seen)
 
         try:
             host = self._from_cells(index_count, class_sizes, cells)
-        except _RowFault as fault:
-            raise _first_bad_edge(fault, blocks[fault.args[0]]) from None
+        except _RowFault as fault:  # the cells above are distinct
+            t, slots = fault.args
+            raise SelfCheckError(
+                f"constituent {t} was refused by the host rules, but none of its edges "
+                f"lies outside the class ranges {slots} or repeats") from None
         vars(self).update(vars(host))
 
     @classmethod
@@ -358,9 +344,10 @@ class ReducedHypergraph:
         size >= 1; the tables fit under TABLE_ENTRY_CAP (CapExceeded, before
         any is allocated); then, block by block, the key is a sorted triple
         within 1..m and the cells are distinct, so no row repeats.  Faults
-        raise DomainError; a repeated cell raises _RowFault, which the
-        constructor words by the offending edge.  Triples with equal
-        (sizes, cells) get one Constituent object.
+        raise DomainError; a repeated cell raises _RowFault.  The
+        constructor hands over cells it has proven distinct, so there
+        _RowFault means a defect of the program (SelfCheckError).  Triples
+        with equal (sizes, cells) get one Constituent object.
         """
         if m < 2:
             raise DomainError(f"index_count must be >= 2, got {m}")

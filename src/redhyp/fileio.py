@@ -52,7 +52,8 @@ from .errors import DomainError, ParseError
 from .plain import Plain3Graph
 
 
-def _tokens(text: str):
+def tokens(text: str):
+    """(line number, fields) of each line with fields, not led by '#'."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if parts and parts[0][0] != "#":
@@ -201,7 +202,7 @@ def _parse_lines(text: str) -> ReducedHypergraph:
     sizes: dict[tuple[int, int], int] = {}
     # per triple, checked on its first E line: slot sizes and the edge set
     cons: dict[tuple[int, int, int], tuple[int, int, int, set]] = {}
-    for lineno, parts in _tokens(text):
+    for lineno, parts in tokens(text):
         tag = parts[0]
         if tag == "E":
             if m is None:
@@ -281,7 +282,7 @@ def _parse_vertex_triples(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     n = None
     triples: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
-    for lineno, parts in _tokens(text):
+    for lineno, parts in tokens(text):
         tag = parts[0]
         if tag == "V":
             if n is not None:

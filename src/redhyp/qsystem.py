@@ -17,11 +17,12 @@ that stays delta-large, extract again, and re-verify the surviving
 triples from scratch.  Every stage failure is a structured result.
 
 Every per-triple stage does its work once per distinct value and a dict
-step per triple.  Within one build_q_graphs call, constituents with equal
-sizes and comp01 get one low-graph object.  color_triples and verify_star
-sum a low graph's squared degrees once per graph object, and
+step per triple.  Q-graphs are kept per Constituent object, one per
+distinct (sizes, comp01) in a host, and clean's three systems share them
+by that object (build_q_graphs' shared_with).  color_triples and
+verify_star sum a low graph's squared degrees once per graph object, and
 compute_s_sets builds the frozensets once per (|P^{ij}|, degree profile),
-handing equal triples the same objects.  Each memo lives for one call
+handing equal triples the same objects.  These memos live for one call
 only, so blue verification and verify_star recompute from their own
 inputs.
 """
@@ -82,21 +83,19 @@ class HighGraphs(Mapping):
 
     Only a triple that fails the blue bound reads its high graph, so on a
     host whose triples are all blue none is built, and nor is any comp12
-    table.  Triples that hold one Constituent object share one graph, and a
-    constituent that the shared system's host also holds has that system's
-    graph (the very object, built there if need be).  Reading every value
+    table.  Graphs are kept per Constituent object in by_con, which the
+    systems of one clean share (see build_q_graphs), so each object has one
+    graph, built by whichever system reads it first.  Reading every value
     (values(), items(), ==) builds every entry; a membership test builds
     none.  Read-only.
     """
 
     def __init__(self, host: ReducedHypergraph, need: Mapping[int, int],
-                 shared_with: HighGraphs | None, known: Mapping[Constituent, Triple]):
+                 by_con: dict[Constituent, BipartiteGraph]):
         self._constituents = host.constituents
         self._need = need
-        self._shared_with = shared_with
-        self._known = known  # constituent -> a triple of shared_with that holds it
         self._built: dict[Triple, BipartiteGraph] = {}  # the triples read so far
-        self._by_con: dict[Constituent, BipartiteGraph] = {}
+        self._by_con = by_con
 
     def __getitem__(self, t: Triple) -> BipartiteGraph:
         graph = self._built.get(t)
@@ -104,13 +103,9 @@ class HighGraphs(Mapping):
             con = self._constituents[t]
             graph = self._by_con.get(con)
             if graph is None:
-                old = self._known.get(con)
-                if old is not None:
-                    graph = self._shared_with[old]
-                else:
-                    s0, s1, s2 = con.sizes
-                    graph = BipartiteGraph.from_counts(con.comp12, s1, s2, self._need[s0])
-                self._by_con[con] = graph
+                s0, s1, s2 = con.sizes
+                graph = self._by_con[con] = BipartiteGraph.from_counts(
+                    con.comp12, s1, s2, self._need[s0])
             self._built[t] = graph
         return graph
 
@@ -168,33 +163,31 @@ def build_q_graphs(host: ReducedHypergraph, eps,
     The graphs of a triple depend only on its Constituent object and eps,
     so triples holding one object share its graph objects; a host holds
     one object per distinct constituent (see ReducedHypergraph._from_cells).
-    A constituent that shared_with's host also holds keeps that system's
-    graphs; shared_with must have the same eps.  Graphs are never mutated.
+    A constituent object that shared_with's host also holds keeps that
+    system's graphs: its low graph is looked up by object, and the new
+    HighGraphs shares shared_with's per-object dict.  shared_with must have
+    the same eps.  Graphs are never mutated.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    known = {}
+    low_by_con: dict[Constituent, BipartiteGraph] = {}
+    high_by_con: dict[Constituent, BipartiteGraph] = {}
     if shared_with is not None:
         if shared_with.eps != eps:
             raise DomainError(f"shared Q-graphs were built for eps={shared_with.eps}, not {eps}")
-        known = {con: t for t, con in shared_with.host.constituents.items()}
+        low_by_con = {con: shared_with.q_low[t]
+                      for t, con in shared_with.host.constituents.items()}
+        high_by_con = shared_with.q_high._by_con
     need = _ceil_per_size(host, eps * eps)
     q_low: dict[Triple, BipartiteGraph] = {}
-    built: dict[Constituent, BipartiteGraph] = {}
     for t, con in host.constituents.items():
-        graph = built.get(con)
+        graph = low_by_con.get(con)
         if graph is None:
-            old = known.get(con)
-            if old is not None:
-                graph = shared_with.q_low[old]
-            else:
-                s0, s1, s2 = con.sizes
-                graph = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
-            built[con] = graph
+            s0, s1, s2 = con.sizes
+            graph = low_by_con[con] = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
         q_low[t] = graph
-    q_high = HighGraphs(host, need, None if shared_with is None else shared_with.q_high,
-                        known)
+    q_high = HighGraphs(host, need, high_by_con)
     return QGraphSystem(host=host, eps=eps, q_low=q_low, q_high=q_high)
 
 
@@ -380,14 +373,17 @@ def _greedy_mono(items, coloring, color, target):
 
 def _exact_mono(items, coloring, color, target):
     """Lexicographically least monochromatic subset of exactly `target`
-    items, by include-first depth-first search with a size-pruned frontier."""
+    items, by include-first depth-first search with a size-pruned frontier.
+
+    A call never starts with too few items left to reach target: the root
+    call has n >= target, since ramsey_extract refuses fewer items, and a
+    recursive call at idx + 1 is made only after the loop's own check
+    passed for the same idx, so len(chosen) + (n - start) >= target."""
     n = len(items)
 
     def rec(chosen: list[int], start: int):
         if len(chosen) == target:
             return tuple(chosen)
-        if len(chosen) + (n - start) < target:
-            return None
         for idx in range(start, n):
             x = items[idx]
             if len(chosen) + (n - idx) < target:

@@ -171,8 +171,8 @@ def test_failed_self_check_exits_4(tmp_path, monkeypatch):
 
 
 def test_host_rule_disagreement_is_an_internal_error(tmp_path, monkeypatch):
-    # With edge_count miscounting, _from_cells refuses valid rows that
-    # _first_bad_edge finds nothing wrong with: the program is at fault.
+    # With edge_count miscounting, _from_cells refuses rows that the
+    # constructor proved distinct: the program is at fault.
     sizes = {(1, 2): 2, (1, 3): 2, (2, 3): 2}
     edges = {(1, 2, 3): [(0, 1, 1), (1, 0, 1)]}
     monkeypatch.setattr(core.Constituent, "edge_count", lambda con: -1)

@@ -256,6 +256,32 @@ def test_host_edge_error_messages(edges, message):
     assert str(err.value) == message
 
 
+def test_host_constructor_reads_each_edge_collection_once():
+    # One one-shot generator per constituent builds the host that lists
+    # build, and names the same first fault.
+    host = random_box_dense(5, 3, Fraction(1, 2), seed=1)
+
+    def build(cons, one_shot):
+        return ReducedHypergraph(5, host.class_sizes,
+                                 {t: (e for e in edges) if one_shot else list(edges)
+                                  for t, edges in cons.items()})
+
+    cons = {t: host.constituent(t).sorted_edges()[::-1] for t in host.triples()}
+    assert build(cons, True) == build(cons, False) == host
+    for bad, message in (
+            ([(0, 0, 0), (1, 1, 1), (0, 0, 3), (1, 1, 1)], "edge (0, 0, 3) of constituent "
+             "(2, 3, 4) out of class ranges (3, 3, 3)"),
+            ([(0, 0, 0), (1, 1, 1), (1, 1, 1), (0, 0, 3)],
+             "duplicate edge (1, 1, 1) in constituent (2, 3, 4)"),
+            ([(2, 2, 2), (0, 0, 0), (2, 2, 2)],
+             "duplicate edge (2, 2, 2) in constituent (2, 3, 4)")):
+        for faulty in ({(2, 3, 4): bad}, {**cons, (2, 3, 4): bad}):
+            for one_shot in (True, False):
+                with pytest.raises(DomainError) as err:
+                    build(faulty, one_shot)
+                assert str(err.value) == message
+
+
 def test_constituent_tables_match_edges():
     rng = random.Random(3)
     sizes = {(1, 2): 3, (1, 3): 4, (2, 3): 2}

@@ -281,9 +281,8 @@ def test_density_of_a_bulk_loaded_host_reads_only_the_tables(monkeypatch, tmp_pa
     def refuse(*args):
         raise AssertionError("the bulk path left the tables")
 
-    # neither the checking constructor nor _first_bad_edge runs, and no edge set is built
+    # the checking constructor does not run, and no edge set is built
     monkeypatch.setattr(core.ReducedHypergraph, "__init__", refuse)
-    monkeypatch.setattr(core, "_first_bad_edge", refuse)
     monkeypatch.setattr(core.Constituent, "edges", property(refuse))
     assert [dispatch(argv) for argv in commands] == want
 

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from redhyp import (DomainError, GlueConfig, PipelineConfig, ReducedHypergraph,
-                    RowPreparationError, build_q_graphs, clean, find_fstar,
+                    RowPreparationError, build_q_graphs, clean, embed, find_fstar,
                     find_many_triangles, glue, pattern_catalog, pipeline,
                     prepare_row, prepare_row_glue, qsystem, random_box_dense,
                     validate_reduced_map)
 from redhyp.cli import dispatch
 from redhyp.constructions import orientation_reduced
+from redhyp.embed import Violation
 from redhyp.fileio import write_host
 from redhyp.pipeline import covered_vertex, projection_set
 from redhyp.qsystem import BipartiteGraph
@@ -497,3 +498,44 @@ def test_retired_row_sites_exit_4(monkeypatch, tmp_path, command, force, message
     force(monkeypatch)
     assert dispatch([*command, "--host", str(path), "--eps", "1/2", "--delta", "1/4",
                      "--deterministic"]) == (4, f"error internal: {message}\n")
+
+
+def _fail_validation(module, name, call, why):
+    """A force: module.name, a validator, answers truly until its call-th
+    call, which fails with why."""
+    def force(monkeypatch):
+        validate, calls = getattr(module, name), []
+
+        def failing(*args):
+            calls.append(args)
+            return (False, why) if len(calls) == call else validate(*args)
+        monkeypatch.setattr(module, name, failing)
+    return force
+
+
+_FORCED = Violation("edge", "forced")
+
+
+# Each validation of an assembled answer, forced to fail on the complete M=7
+# host, where every command otherwise finds its target (the pipeline's check
+# on the working host is test_cli's test_failed_self_check_exits_4).
+@pytest.mark.parametrize("command,force,message", [
+    (["find", "--pattern", "K4"], _fail_validation(embed, "validate_reduced_map", 1, _FORCED),
+     f"engine produced an invalid map: {_FORCED}"),
+    (["pipeline", "--eps", "1/2", "--delta", "1/4", "--rounds", "4"],
+     _fail_validation(pipeline, "validate_reduced_map", 2, _FORCED),
+     f"assembled map fails validation on original host: {_FORCED}"),
+    (["glue", "--eps", "1/2", "--delta", "1/4", "--ladder", "4,2"],
+     _fail_validation(glue, "validate_glued", 1, "forced"),
+     "assembled configuration invalid on working host: forced"),
+    (["glue", "--eps", "1/2", "--delta", "1/4", "--ladder", "4,2"],
+     _fail_validation(glue, "validate_glued", 2, "forced"),
+     "assembled configuration invalid on original host: forced"),
+], ids=["engine", "pipeline-original", "glue-working", "glue-original"])
+def test_failed_answer_validation_exits_4(monkeypatch, tmp_path, command, force, message):
+    path = tmp_path / "complete7.rh"
+    path.write_text(write_host(random_box_dense(7, 2, 1, seed=0)))
+    argv = [*command, "--host", str(path), "--deterministic"]
+    assert dispatch(argv)[0] == 0
+    force(monkeypatch)
+    assert dispatch(argv) == (4, f"error internal: {message}\n")

@@ -203,6 +203,19 @@ def test_ramsey_greedy_fallback_flagged():
     assert result is not None and not result.exhaustive
 
 
+def test_ramsey_greedy_pass_that_finds_nothing_returns_none():
+    # Above the exact cap every colour's greedy pass stops short of 5: blue
+    # takes 1, 2, 3 and no more, red takes 1, 2, 4, 5.  No 5-subset is
+    # monochromatic, as the exact search confirms.
+    items = [1, 2, 3, 4, 5]
+    coloring = {t: "red" for t in itertools.combinations(items, 3)}
+    coloring[(1, 2, 3)] = "blue"
+    assert ramsey_extract(items, coloring, 5, exact_cap=3) is None
+    assert ramsey_extract(items, coloring, 5) is None
+    assert ramsey_extract(items, coloring, 4, exact_cap=3) == \
+        qsystem.RamseyResult((1, 2, 4, 5), "red", exhaustive=False)
+
+
 def test_clean_complete_host():
     host = complete_host(5, 2)
     config = PipelineConfig(eps=Fraction(1, 2), delta=Fraction(1, 4),
@@ -382,6 +395,30 @@ def test_thresholds_exactly_on_an_integer():
     assert verify_star(host, system, Fraction(1, 4), s_sets, 1) is None
 
 
+# One triple, with classes of s_ij, s_ik and 1 vertex (P^{jk}), so a low
+# edge needs one completion, and the blue bound compares
+# blue_lhs * den with num * s_ij^2 * s_ik, where num/den = 1/4 + eps/2:
+@pytest.mark.parametrize("eps,s_ij,s_ik,edges,gap", [
+    (Fraction(1, 2), 2, 2, [(0, 0, 0), (1, 0, 0)], 0),    # 4 * 2 = 1 * 4 * 2
+    (Fraction(3, 10), 1, 5, [(0, 0, 0), (0, 1, 0)], 0),   # 2 * 5 = 2 * 1 * 5
+    (Fraction(3, 10), 1, 3, [(0, 0, 0)], 1),              # 1 * 5 = 2 * 1 * 3 - 1
+    (Fraction(1, 10), 1, 7, [(0, 0, 0), (0, 1, 0)], 1),   # 2 * 10 = 3 * 1 * 7 - 1
+])
+def test_blue_bound_boundary(eps, s_ij, s_ik, edges, gap):
+    host = ReducedHypergraph(3, {(1, 2): s_ij, (1, 3): s_ik, (2, 3): 1}, {(1, 2, 3): edges})
+    system = build_q_graphs(host, eps)
+    quarter = Fraction(1, 4) + eps / 2
+    blue_lhs = sum(d ** 2 for d in map(int.bit_count, system.q_low[(1, 2, 3)].right_adj))
+    assert blue_lhs * quarter.denominator == quarter.numerator * s_ij ** 2 * s_ik - gap
+    # blue at equality, red one below, and no dichotomy self-check either way
+    assert color_triples(host, system) == {(1, 2, 3): "red" if gap else "blue"}
+    delta = Fraction(1, 3)
+    s_sets = compute_s_sets(host, system, delta)
+    r_star = max(level_coloring(host, system, delta, s_sets)[(1, 2, 3)], 1)
+    assert verify_star(host, system, delta, s_sets, r_star) == \
+        ("triple (1, 2, 3) fails the blue degree-square bound" if gap else None)
+
+
 @pytest.mark.parametrize("index_map", [[1, 2, 3, 4, 5, 6], [1, 3, 4, 6],
                                        [6, 5, 4, 3, 2, 1], [2, 6, 1, 4, 3]])
 def test_shared_q_graphs_equal_fresh_ones(index_map):
@@ -534,6 +571,37 @@ def test_high_graphs_are_built_for_red_triples_only(monkeypatch, m, p, d, seed, 
     # one comp12 per constituent whose high graph was built, and no other
     assert pivots.count(1) == len({id(system.host.constituent(t)) for system in systems
                                    for t in system.q_high._built})
+
+
+@pytest.mark.parametrize("m,p,d,eps,delta,t1,t2,low,high", [
+    (30, 2, 1, "7/10", "1/4", 30, 30, 1, 0),          # the bench's complete host
+    (12, 6, "9/10", "7/10", "1/4", 10, 8, 220, 0),    # the bench's dense host
+    # red subset, relabeled reversed: host and host2 hold 10 objects each,
+    # all red, and clean stops at blue verification
+    (5, 2, "1/2", "9/10", "1/2", 5, 5, 20, 20),
+])
+def test_clean_builds_one_graph_per_constituent_object(monkeypatch, m, p, d, eps, delta,
+                                                      t1, t2, low, high):
+    tables = []
+    from_counts = BipartiteGraph.from_counts.__func__
+
+    def counting(cls, comp, left_size, right_size, need):
+        tables.append(comp)
+        return from_counts(cls, comp, left_size, right_size, need)
+
+    _, systems = _record_lazy_builds(monkeypatch)
+    monkeypatch.setattr(BipartiteGraph, "from_counts", classmethod(counting))
+    clean(random_box_dense(m, p, Fraction(d), seed=0),
+          PipelineConfig(eps=Fraction(eps), delta=Fraction(delta),
+                         ramsey_target_1=t1, ramsey_target_2=t2))
+    objects = {id(con): con for system in systems
+               for con in system.host.constituents.values()}
+    red = {id(system.host.constituent(t)) for system in systems for t in system.q_high._built}
+    # one comp01 per constituent object and one comp12 per object read as red
+    assert sorted(map(id, tables)) == sorted(
+        [id(con.comp01) for con in objects.values()]
+        + [id(objects[key].comp12) for key in red])
+    assert (len(objects), len(red)) == (low, high)
 
 
 def test_high_graphs_are_read_only_and_membership_builds_nothing():
