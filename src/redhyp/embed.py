@@ -6,7 +6,11 @@ host indices tried ascending), then the class-vertex map over shadow
 pairs, most-constrained pair first with lexicographic tie-breaks, pruning
 domains through the host's link bitsets.  "not-found" is only reported
 after complete refutation; running out of node budget is a distinct
-outcome.
+outcome.  A node is a host index or a class-vertex value tried; each stage
+counts its nodes inline in a local.  Where a step spends many nodes at once
+(a replayed leaf, a cached subtree, a last level counted in closed form)
+it adds them and then checks the limit, so an exhausted search reports
+exactly limit + 1 nodes, as counting node by node would.
 
 Each class-vertex problem is searched once per run.  With the index map
 complete, the class-vertex stage depends only on each pattern edge's
@@ -21,14 +25,13 @@ use; the index stage finds an edge's number with one lookup of its
 ordered index triple, and a complete index map's leaf key is the tuple
 of its edges' numbers.
 The first leaf with a key resolves the pruning entries and initial
-domains, searches, and stores its count and node total.  A later leaf
-with that key adds the count and spends the nodes in one step, stopping
-at exactly limit + 1 when the budget runs out, as spending them node by
-node would.  The first-hit search stores a failed leaf with count 0; a
-successful leaf ends the search, so the first hit and its certificate
-are unchanged.  The table of searched leaves stops taking entries at
-LEAF_TABLE_CAP, so its memory does not grow with the length of a run;
-the other tables hold at most one entry per ordered index triple.
+domains, searches, and stores its count and node total; a later leaf with
+that key adds both in one step.  The first-hit search stores a failed
+leaf with count 0; a successful leaf ends the search, so the first hit
+and its certificate are unchanged.  The table of searched leaves stops
+taking entries at LEAF_TABLE_CAP, so its memory does not grow with the
+length of a run; the other tables hold at most one entry per ordered
+index triple.
 
 Counting (count_all) caches subtree results within one index map, keyed
 by what the subtree reads rather than by the path that reached it.  Below
@@ -80,6 +83,9 @@ from .errors import (CapExceeded, DanglingReferenceError, DomainError,
 DEFAULT_ORACLE_CAP = 10 ** 9
 # A run's table of searched leaves stops taking entries at this size.
 LEAF_TABLE_CAP = 2 ** 16
+# The deepest search find_reduced_image starts: it takes one stack frame per
+# level, and CPython's default recursion limit is 1000 frames.
+MAX_SEARCH_DEPTH = 500
 
 
 @dataclass(frozen=True)
@@ -167,27 +173,6 @@ def validate_reduced_map(host: ReducedHypergraph, pattern: Pattern,
 
 class _BudgetExhausted(Exception):
     pass
-
-
-class _BudgetTracker:
-    """Node counter with optional limit."""
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.nodes = 0
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise _BudgetExhausted
-
-    def spend_many(self, k: int) -> None:
-        """Spend k nodes at once; out of budget, stop where spending them
-        one by one would have."""
-        self.nodes += k
-        if self.limit is not None and self.nodes > self.limit:
-            self.nodes = self.limit + 1
-            raise _BudgetExhausted
 
 
 def _edge_layout(a: int, b: int, c: int) -> tuple[Triple, int]:
@@ -385,11 +370,13 @@ class _Engine:
             self.edge_pairs.append(tuple(
                 (pidx[p], (pidx[q], pidx[r]), place[p]) for p, q, r in _OTHERS))
 
-    def run(self, budget: _BudgetTracker, count_all: bool) -> SearchResult:
+    def run(self, limit: int | None, count_all: bool) -> SearchResult:
         n = self.n
         lam = [0] * (n + 1)
         found_cert: list[ReducedMap] = []
         total = 0
+        cap = math.inf if limit is None else limit
+        nodes = 0
 
         host = self.host
         M = host.index_count
@@ -435,28 +422,31 @@ class _Engine:
             return ec
 
         def lam_rec(u: int) -> bool:
-            nonlocal total
+            nonlocal total, nodes
             if u > n:
                 key = tuple(code)
                 seen = leaves.get(key)
                 if seen is not None:
-                    budget.spend_many(seen[1])
+                    nodes += seen[1]
+                    if nodes > cap:
+                        raise _BudgetExhausted
                     total += seen[0]
                     return False
-                before = budget.nodes
                 props, doms = self._resolve(code, parts)
                 if 0 in doms:
-                    count = 0
+                    count = spent = 0
                 elif count_all:
-                    count = self._phi_count(props, doms, budget)
+                    count, spent = self._phi_count(props, doms, cap - nodes)
                 else:
-                    phi = self._phi_find(props, doms, budget)
+                    phi, spent = self._phi_find(props, doms, cap - nodes)
                     if phi is not None:
+                        nodes += spent
                         found_cert.append(self._reduced_map(lam, phi))
                         return True
                     count = 0
+                nodes += spent
                 if len(leaves) < LEAF_TABLE_CAP:
-                    leaves[key] = (count, budget.nodes - before)
+                    leaves[key] = (count, spent)
                 total += count
                 return False
             banned = 0
@@ -465,7 +455,9 @@ class _Engine:
             # each edge completed at u, with its key less the last index
             heads = [((lam[x] * S + lam[y]) * S, ei) for x, y, ei in lam_sched[u]]
             for i in range(1, M + 1):
-                budget.spend()
+                nodes += 1
+                if nodes > cap:
+                    raise _BudgetExhausted
                 if banned >> i & 1:
                     continue
                 lam[u] = i
@@ -483,21 +475,21 @@ class _Engine:
 
         try:
             hit = lam_rec(1)
-        except _BudgetExhausted:
-            return SearchResult("budget-exhausted", None, None, budget.nodes)
+        except _BudgetExhausted:  # every stage stops where node-by-node spending would
+            return SearchResult("budget-exhausted", None, None, limit + 1)
         finally:
             del lam_rec  # it refers to itself; unbound, the closure dies at once
         if count_all:
             status = "found" if total > 0 else "not-found"
-            return SearchResult(status, None, total, budget.nodes)
+            return SearchResult(status, None, total, nodes)
         if hit:
             rmap = found_cert[0]
             ok, violation = validate_reduced_map(host, self.pattern, rmap)
             if not ok:
                 raise SelfCheckError(f"engine produced an invalid map: {violation}")
-            cert = EmbedCertificate(rmap, self.pattern, nodes=budget.nodes)
-            return SearchResult("found", cert, None, budget.nodes)
-        return SearchResult("not-found", None, None, budget.nodes)
+            cert = EmbedCertificate(rmap, self.pattern, nodes=nodes)
+            return SearchResult("found", cert, None, nodes)
+        return SearchResult("not-found", None, None, nodes)
 
     def _resolve(self, code: list[int], parts: list) -> tuple[list, list[int]]:
         """The pruning entries (see _propagate) and initial domains of the
@@ -519,14 +511,17 @@ class _Engine:
     # -- class-vertex stage ------------------------------------------------
     #
     # Both searches take the pruning entries and the initial domains of one
-    # complete index map, none of them empty; doms is theirs to narrow.
+    # complete index map, none of them empty; doms is theirs to narrow.  Each
+    # returns its result and the nodes it spent, and stops once they pass room.
 
-    def _phi_find(self, props, doms: list[int], budget: _BudgetTracker) -> list[int] | None:
+    def _phi_find(self, props, doms: list[int], room: float) -> tuple[list[int] | None, int]:
         """The first class-vertex map, as the value of each pair, or None."""
         np_ = len(doms)
         assigned: list[int | None] = [None] * np_
+        spent = 0
 
         def rec() -> bool:
+            nonlocal spent
             best = -1
             best_size = 1 << 62
             for p in range(np_):
@@ -540,7 +535,9 @@ class _Engine:
             entries = props[p]
             snapshot = doms[:]
             for val in iter_bits(doms[p]):
-                budget.spend()
+                spent += 1
+                if spent > room:
+                    raise _BudgetExhausted
                 assigned[p] = val
                 doms[p] = 1 << val
                 if _propagate(entries, val, doms, assigned) and rec():
@@ -550,7 +547,7 @@ class _Engine:
             return False
 
         try:
-            return assigned if rec() else None
+            return (assigned if rec() else None), spent
         finally:
             del rec  # it refers to itself; unbound, the closure dies at once
 
@@ -580,7 +577,7 @@ class _Engine:
                                               fget, tget)
         return plan
 
-    def _phi_count(self, props, doms: list[int], budget: _BudgetTracker) -> int:
+    def _phi_count(self, props, doms: list[int], room: float) -> tuple[int, int]:
         """The number of class-vertex maps, with subtree results cached and
         the last branching level counted in closed form (see the module
         docstring)."""
@@ -588,9 +585,7 @@ class _Engine:
         plans = self._plans
         # subtree key -> (count, nodes); valid for this index map only
         cache: dict[tuple, tuple[int, int]] = {}
-        # Nodes are spent inline: past `room` the budget is exhausted.
-        room = math.inf if budget.limit is None else budget.limit - budget.nodes
-        spent = 0  # nodes spent by this call, for the cached subtree sizes
+        spent = 0  # also gives the cached subtree sizes
 
         def branch(plan: _CountPlan) -> int:
             """The maps below a node of plan, which has pairs to branch on;
@@ -659,10 +654,8 @@ class _Engine:
             # At the root no pair is freed, since each lies in an edge with
             # two others, and the cache is empty.
             plan = plans.get(0) or self._count_plan(0)
-            return branch(plan) if plan.todo else 1
+            return (branch(plan) if plan.todo else 1), spent
         finally:
-            # Out of budget, the count stops where spending node by node would have.
-            budget.nodes += min(spent, room + 1)
             del branch  # it refers to itself; unbound, the closure and cache die at once
 
 
@@ -675,13 +668,19 @@ def find_reduced_image(host: ReducedHypergraph, pattern: Pattern,
     'budget-exhausted', never a silent 'not-found'.  count_all counts all
     valid maps instead of stopping at the first.  A pattern whose three
     per-vertex lists would hold more than TABLE_ENTRY_CAP entries is
-    refused (CapExceeded) before any of them is built.
+    refused (CapExceeded) before any of them is built, and so is a search
+    that could recurse deeper than MAX_SEARCH_DEPTH: one level per pattern
+    vertex and shadow pair, each entered after spending a node.
     """
     if budget is not None and budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    refuse_above_cap(3 * (pattern.vertex_count + 1),
-                     f"a search for a pattern on {pattern.vertex_count} vertices")
-    return _Engine(host, pattern).run(_BudgetTracker(budget), count_all)
+    n = pattern.vertex_count
+    refuse_above_cap(3 * (n + 1), f"a search for a pattern on {n} vertices")
+    depth = min(n + len(pattern.shadow), budget or math.inf)
+    if depth > MAX_SEARCH_DEPTH:
+        raise CapExceeded(f"a search for a pattern on {n} vertices may recurse {depth} "
+                          f"levels deep, above the cap {MAX_SEARCH_DEPTH}")
+    return _Engine(host, pattern).run(budget, count_all)
 
 
 def exhaustive_oracle(host: ReducedHypergraph, pattern: Pattern,

@@ -203,7 +203,8 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
 
     A sample U is counted through the packed rows (see _packed_rows): with
     grid = sum over v in U of (the bits of U) << v * (n + 1), the edges
-    inside U number the sum over u in U of popcount(rows[u] & grid).
+    inside U number the sum over u in U of popcount(rows[u] & grid).  grid
+    is built from U's own vertices, with no table over all n of them.
     """
     refuse_negative_cap(vertex_cap)
     d = exact_rational(d, "d")
@@ -240,14 +241,14 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
                 raise DomainError(f"sample size {s} out of range 1..{n}")
         scale, thresholds = _thresholds(n, d, eta)
         rows = _packed_rows(graph)
-        bit = [1 << v for v in range(n + 1)]
-        unit = [1 << v * (n + 1) for v in range(n + 1)]
+        shift = (1).__lshift__
+        lane = (n + 1).__mul__  # v -> where v's lane of the grid starts
         checked = 0
         for s in size_list:
             least = _least_count(scale, thresholds[s])
             for _ in range(samples):
                 subset = tuple(sorted(rng.sample(range(1, n + 1), s)))
-                grid = sum(map(bit.__getitem__, subset)) * sum(map(unit.__getitem__, subset))
+                grid = sum(map(shift, subset)) * sum(map(shift, map(lane, subset)))
                 count = sum(map(int.bit_count, map(grid.__and__, map(rows.__getitem__, subset))))
                 checked += 1
                 if count < least:

@@ -157,6 +157,56 @@ def test_absurd_pattern_size_is_refused_without_allocating(tmp_path, orientation
     assert peak < 1 << 20
 
 
+@pytest.fixture
+def deep_search_files(tmp_path):
+    """A small complete host, and a 15-byte pattern file whose search would
+    take one stack frame per vertex: 1200 of them."""
+    code, text = run(["gen", "--kind", "random", "--m", "3", "--class-size", "2",
+                      "--d", "1", "--seed", "0"])
+    assert code == 0
+    (tmp_path / "host.rh").write_text(text)
+    (tmp_path / "deep.pat").write_text("V 1200\nT 1 2 3\n")
+    return ["find", "--host", str(tmp_path / "host.rh"),
+            "--pattern", str(tmp_path / "deep.pat"), "--deterministic"]
+
+
+@pytest.mark.parametrize("budget,depth", [
+    (None, 1203), ("100000", 1203), ("501", 501)])
+def test_a_search_deeper_than_the_cap_is_refused(tmp_path, deep_search_files, budget, depth):
+    argv = deep_search_files + (["--budget", budget] if budget else [])
+    refusal = (2, "error cap-exceeded: a search for a pattern on 1200 vertices may "
+                  f"recurse {depth} levels deep, above the cap 500\n")
+    assert run(argv) == refusal
+    done = _run_cli(argv, cwd=tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (*refusal, "")
+
+
+def test_a_search_at_the_depth_cap_runs_out_of_budget(deep_search_files):
+    # budget 500 admits the search; it reaches depth 500 and stops at node 501
+    code, text = run(deep_search_files + ["--budget", "500"])
+    assert (code, text.splitlines()[-3:]) == (2, ["outcome budget-exhausted", "nodes 501",
+                                                  "exit 2"])
+
+
+def test_a_sampled_audit_allocates_per_sample_not_per_vertex(tmp_path):
+    # One edge on 1000 vertices; a sample of three costs rows and a grid of
+    # about n^2 bits (125 kB), not a shift table of n^3 / 2 bits (62 MB).
+    path = tmp_path / "sparse.p3"
+    path.write_text("V 1000\nT 1 999 1000\n")
+    argv = ["audit", "--graph", str(path), "--d", "0", "--eta", "0", "--samples", "1",
+            "--seed", "0", "--sizes", "3", "--deterministic"]
+    run(["--help"])  # the parser is built on the first dispatch
+    tracemalloc.start()
+    try:
+        code, text = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, text.splitlines()[-3:]) == (0, ["outcome sampled-pass",
+                                                  "subsets-checked 1", "exit 0"])
+    assert peak < 1 << 20
+
+
 def test_failed_self_check_exits_4(tmp_path, monkeypatch):
     code, text = run(["gen", "--kind", "random", "--m", "10", "--class-size",
                       "2", "--d", "1", "--seed", "0"])
@@ -660,7 +710,9 @@ def test_parse_glued_skips_blank_lines():
 # Command lines come from the documented grammar (build_parser): every
 # command, its options present or dropped, values valid or not, and files
 # valid, mutated, missing or a directory.  Searches that a mutated pattern
-# could make exponential always carry a small --budget or --cap.
+# could make exponential always carry a small --budget or --cap.  Pattern
+# files may declare up to a few thousand vertices, past find's depth cap;
+# plain-graph files keep the valid file's 7 vertices, give or take a mutation.
 
 FRACTION = (["1/2", "3/4", "9/10", "7/10", "1/4", "1"], ["0", "-1/2", "0.5", "x", "1/0", ""])
 EPS = (["1/2", "7/10", "9/10"], ["1", "0", "0.5", "x", ""])
@@ -780,7 +832,10 @@ def command_lines(draw, texts):
         argv.append("--bogus")
     kind = "graph" if command == "audit" else \
         "pattern" if command in ("find", "oracle") and draw(st.booleans()) else "host"
-    return argv, kind, draw(mutated(texts[kind]))
+    # The pattern file holds F*'s edges on up to a few thousand vertices:
+    # deep enough that find refuses most of them under --budget 5000.
+    sized = f"V {draw(st.integers(5, 3000))}\n" + texts["pattern"].split("\n", 1)[1]
+    return argv, kind, draw(mutated(sized if kind == "pattern" else texts[kind])), sized
 
 
 def _written_to_file(argv):
@@ -792,8 +847,9 @@ def _written_to_file(argv):
 @given(data=st.data())
 def test_dispatch_keeps_the_exit_code_contract(grammar_files, data):
     root, texts, paths = grammar_files
-    argv, kind, text = data.draw(command_lines(texts))
+    argv, kind, text, pattern = data.draw(command_lines(texts))
     (root / f"mutated-{kind}.txt").write_text(text)
+    (root / "pattern.txt").write_text(pattern)
     report = root / "report.txt"
     report.unlink(missing_ok=True)
     argv = [paths.get(a, a) for a in argv]
@@ -814,6 +870,27 @@ def test_dispatch_keeps_the_exit_code_contract(grammar_files, data):
     elif argv[0] != "gen" or _written_to_file(argv):
         # Everything but a generated file on stdout is a report.
         assert lines[-1] == f"exit {code}", (argv, out)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(size=st.integers(5, 3000), budget=st.integers(1, 5000), count_all=st.booleans())
+def test_find_at_any_depth_keeps_the_exit_code_contract(grammar_files, size, budget,
+                                                        count_all):
+    # F*'s edges (10 shadow pairs) on `size` vertices: the search is refused
+    # past the depth cap and otherwise runs, at depths up to 500, to a report.
+    root, texts, paths = grammar_files
+    path = root / "deep-pattern.txt"
+    path.write_text(f"V {size}\n" + texts["pattern"].split("\n", 1)[1])
+    argv = ["find", "--host", paths["host"], "--pattern", str(path),
+            "--budget", str(budget), "--deterministic"] + ["--count-all"] * count_all
+    code, out = dispatch(argv)
+    depth = min(size + 10, budget)
+    if depth > 500:
+        assert (code, out) == (2, f"error cap-exceeded: a search for a pattern on {size} "
+                                  f"vertices may recurse {depth} levels deep, above the "
+                                  "cap 500\n")
+    else:
+        assert code in (0, 1, 2) and out.endswith(f"\nexit {code}\n"), (argv, out)
 
 
 @settings(max_examples=100, deadline=None, database=None)

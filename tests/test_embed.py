@@ -18,7 +18,7 @@ from redhyp import (CapExceeded, DanglingReferenceError, DomainError, Pattern,
                     random_box_dense, validate_reduced_map)
 from redhyp.constructions import orientation_reduced
 from redhyp.core import sorted_pair
-from redhyp.embed import _SLOTS, _BudgetTracker, _completions, _Engine, _edge_layout
+from redhyp.embed import _SLOTS, _completions, _Engine, _edge_layout
 
 
 def complete_host(m, p=1):
@@ -887,7 +887,7 @@ def test_count_all_matches_the_plain_search_on_every_key_shape(seed):
     shapes = set()
     for name, pat in KEY_SHAPE_PATTERNS.items():
         engine = _Engine(host, pat)
-        got = engine.run(_BudgetTracker(None), True)
+        got = engine.run(None, True)
         want = reference_count(host, pat)
         assert (got.status, got.count, got.nodes) == want, name
         for budget in (want[2] // 2, want[2] - 1):

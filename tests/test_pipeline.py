@@ -140,6 +140,17 @@ def test_projection_set_members_are_completions():
     assert proj.meets_eps_bound
 
 
+def test_projection_set_refuses_an_index_off_the_spine():
+    host, result, _ = cleaned_random(seed=4)
+    system = result.system
+    m = system.host.index_count
+    row = prepare_row(system, list(range(1, m + 1)), m,
+                      require_size_hypothesis=False)
+    with pytest.raises(DomainError) as err:
+        projection_set(system, row, row.r_next, m)  # r_next is never a spine index
+    assert str(err.value) == f"row {row.index} has no spine vertex at {row.r_next}"
+
+
 def test_covered_vertex_pigeonhole():
     # 5 subsets of size 5 in a ground set of size 10 force a triple cover.
     subsets = [tuple((i + j) % 10 for j in range(5)) for i in range(0, 10, 2)]
@@ -498,6 +509,55 @@ def test_retired_row_sites_exit_4(monkeypatch, tmp_path, command, force, message
     force(monkeypatch)
     assert dispatch([*command, "--host", str(path), "--eps", "1/2", "--delta", "1/4",
                      "--deterministic"]) == (4, f"error internal: {message}\n")
+
+
+class _Edgeless:
+    """A low Q-graph that lists its neighbours truly but denies every edge,
+    which only the rows' direct adjacency checks ask about."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def __getattr__(self, name):
+        return getattr(self.graph, name)
+
+    def has(self, left, right):
+        return False
+
+
+def _deny(t):
+    """A force: the cleaned system's low Q-graph of triple t (and of t alone,
+    though its graph object is shared) denies its edges to the row checks."""
+    def force(monkeypatch):
+        def denying(host, config):
+            cleaned = qsystem.clean(host, config)
+            q_low = {**cleaned.system.q_low, t: _Edgeless(cleaned.system.q_low[t])}
+            cleaned.system = dataclasses.replace(cleaned.system, q_low=q_low)
+            return cleaned
+        monkeypatch.setattr(pipeline, "clean", denying)
+    return force
+
+
+# Each row's own adjacency checks, forced on the complete M=7 host: pipeline's
+# row 1 has r = 1, r_next = 2, top = 7 and spine {3, 4, 5, 6}; glue's row 1
+# has r = 1 and checks its witnessed pair (3, 4) first.
+@pytest.mark.parametrize("command,t,message", [
+    (["pipeline", "--rounds", "4"], (1, 2, 7), "row 1: apex-connector edge missing"),
+    (["pipeline", "--rounds", "4"], (1, 3, 7), "row 1: apex-spine edge missing at 3"),
+    (["pipeline", "--rounds", "4"], (1, 2, 3), "row 1: connector-spine edge missing at 3"),
+    (["glue", "--ladder", "4,2"], (1, 3, 7), "row 1: apex edge missing at column 3"),
+    (["glue", "--ladder", "4,2"], (1, 4, 7), "row 1: apex edge missing at column 4"),
+    (["glue", "--ladder", "4,2"], (1, 3, 4), "row 1: witness edge missing for (3, 4)"),
+], ids=["apex-connector", "apex-spine", "connector-spine", "glue-apex-j", "glue-apex-k",
+        "glue-witness"])
+def test_row_adjacency_checks_exit_4(monkeypatch, tmp_path, command, t, message):
+    path = tmp_path / "complete7.rh"
+    path.write_text(write_host(random_box_dense(7, 2, 1, seed=0)))
+    argv = [*command, "--host", str(path), "--eps", "1/2", "--delta", "1/4",
+            "--deterministic"]
+    assert dispatch(argv)[0] == 0
+    _deny(t)(monkeypatch)
+    assert dispatch(argv) == (4, f"error internal: {message}\n")
 
 
 def _fail_validation(module, name, call, why):

@@ -322,6 +322,12 @@ def test_constructor_words_the_first_bad_edge():
         assert str(exc.value) == message
 
 
+def test_density_below_three_vertices_is_zero():
+    for n in (1, 2):
+        assert Plain3Graph(n, []).density() == 0
+    assert Plain3Graph(3, [(1, 2, 3)]).density() == 1
+
+
 def test_the_row_builder_checks_every_rule():
     # fileio's bulk loader proves some rules itself; the builder still
     # checks them all, so a looser loader cannot build a bad graph.
