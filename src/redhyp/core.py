@@ -5,6 +5,11 @@ pair, and one 3-partite constituent per index triple.  Vertices within a
 class are dense integers 0..size-1; pairs and triples are always handled
 sorted ascending.  All densities are exact rationals; no floats appear on
 any decision path.
+
+The slot order is stated once, by slot_pairs: an edge (a, b, c) of A^{ijk},
+i < j < k, takes a from P^{ij}, b from P^{ik} and c from P^{jk}.  Only the
+embedding engine keeps its own copy (embed._SLOTS), for speed.  The edge
+rule of patterns and plain 3-graphs is stated once, by canonical_edges.
 """
 
 from __future__ import annotations
@@ -35,6 +40,28 @@ def sorted_triple(i: int, j: int, k: int) -> Triple:
     return tuple(sorted((i, j, k)))  # type: ignore[return-value]
 
 
+def slot_pairs(t: Triple) -> tuple[Pair, Pair, Pair]:
+    """The class pairs of the slots 0, 1, 2 of constituent t = (i, j, k), i < j < k."""
+    i, j, k = t
+    return (i, j), (i, k), (j, k)
+
+
+def canonical_edges(n: int, edges: Iterable[Edge], what: str) -> frozenset[Edge]:
+    """The edges, each three distinct vertices of 1..n (n >= 1), sorted and
+    kept once; the first fault raises DomainError, `what` naming an edge."""
+    if n < 1:
+        raise DomainError(f"vertex_count must be >= 1, got {n}")
+    canon: set[Edge] = set()
+    for e in edges:
+        if len(e) != 3 or len(set(e)) != 3:
+            raise DomainError(f"{what} {e} must have three distinct vertices")
+        u, v, w = sorted(e)
+        if not (1 <= u and w <= n):
+            raise DomainError(f"{what} {e} out of range 1..{n}")
+        canon.add((u, v, w))
+    return frozenset(canon)
+
+
 # A constituent of at most this many cells, at least half of them edges,
 # builds comp01 by summing the bits of its cells into one int and slicing
 # that, one step per entry.  Any other sets each cell's bit in its entry, one
@@ -58,10 +85,9 @@ def edge_cell(sizes: tuple[int, int, int], a: int, b: int, c: int) -> int:
 class Constituent:
     """Bitset adjacency, and edges on demand, for one 3-partite constituent.
 
-    Slots 0, 1, 2 are the classes of the sorted index pairs (i,j), (i,k),
-    (j,k) of the triple i<j<k.  An edge (a, b, c) selects vertex a from
-    slot 0, b from slot 1, c from slot 2; its cell is (a*s1 + b)*s2 + c
-    (see edge_cell).
+    Slots 0, 1, 2 are the classes of the triple's slot_pairs.  An edge
+    (a, b, c) selects vertex a from slot 0, b from slot 1, c from slot 2;
+    its cell is (a*s1 + b)*s2 + c (see edge_cell).
 
     Tables:
       comp01[a*s1+b] -> bitset over slot-2 completions, and likewise
@@ -308,6 +334,8 @@ class ReducedHypergraph:
                 slots = slot_sizes(t)
                 seen: set[int] = set()
                 for e in edges:
+                    if len(e) != 3:
+                        raise DomainError(f"edge {e} of constituent {t} must have three vertices")
                     try:
                         x = edge_cell(slots, *e)
                     except ValueError:
@@ -371,8 +399,8 @@ class ReducedHypergraph:
                 if len(t) != 3 or tuple(sorted(t)) != tuple(t):
                     raise DomainError(f"constituent key {t} must be a sorted triple")
                 raise DomainError(f"constituent key {t} out of range 1..{m}")
-            i, j, k = t
-            return sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]
+            x, y, z = slot_pairs(t)
+            return sizes[x], sizes[y], sizes[z]
 
         pool: dict[tuple, Constituent] = {}
         for t, cells in blocks(slot_sizes):
@@ -504,9 +532,8 @@ class ReducedHypergraph:
                 continue
             o = sorted_triple(ox, oy, oz)
             old = self._constituents[o]
-            old_slot_pairs = ((o[0], o[1]), (o[0], o[2]), (o[1], o[2]))
-            sel = tuple(old_slot_pairs.index(p) for p in
-                        (sorted_pair(ox, oy), sorted_pair(ox, oz), sorted_pair(oy, oz)))
+            sel = tuple(slot_pairs(o).index(sorted_pair(index_map[p - 1], index_map[q - 1]))
+                        for p, q in slot_pairs((x, y, z)))
             con = permuted.get((old, sel))
             if con is None:
                 p0, p1, p2 = sel
@@ -548,21 +575,10 @@ class Pattern:
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge],
                  name: str | None = None):
-        if vertex_count < 1:
-            raise DomainError(f"vertex_count must be >= 1, got {vertex_count}")
+        self.edges: frozenset[Edge] = canonical_edges(vertex_count, edges, "pattern edge")
         self.vertex_count = vertex_count
-        canon: set[Edge] = set()
-        for e in edges:
-            if len(set(e)) != 3:
-                raise DomainError(f"pattern edge {e} must have three distinct vertices")
-            u, v, w = sorted(e)
-            if not (1 <= u and w <= vertex_count):
-                raise DomainError(f"pattern edge {e} out of range 1..{vertex_count}")
-            canon.add((u, v, w))
-        self.edges: frozenset[Edge] = frozenset(canon)
-        self.shadow: frozenset[Pair] = frozenset(
-            sorted_pair(*pair)
-            for e in self.edges for pair in itertools.combinations(e, 2))
+        self.shadow: frozenset[Pair] = frozenset(  # pairs of sorted edges are sorted
+            pair for e in self.edges for pair in itertools.combinations(e, 2))
         self.name = name
 
     def __eq__(self, other: object) -> bool:

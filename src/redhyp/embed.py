@@ -62,7 +62,9 @@ branching search.
 
 The oracle enumerates candidate maps naively in fixed lexicographic
 order with direct edge-set membership checks and no propagation; it is
-the ground truth the engine is tested against.
+the ground truth the engine is tested against.  It stores no index map.
+The checker and the oracle read the slot order from core.slot_pairs; the
+engine's _SLOTS is its own copy, kept for speed.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ from typing import Callable, Iterable
 
 from ._bits import iter_bits
 from .core import (Constituent, Pair, Pattern, ReducedHypergraph, ReducedMap,
-                   Triple, refuse_above_cap, refuse_negative_cap, sorted_pair,
-                   sorted_triple)
+                   Triple, refuse_above_cap, refuse_negative_cap, slot_pairs,
+                   sorted_pair, sorted_triple)
 from .errors import (CapExceeded, DanglingReferenceError, DomainError,
                      SelfCheckError)
 
@@ -158,14 +160,9 @@ def validate_reduced_map(host: ReducedHypergraph, pattern: Pattern,
                 "class", f"phi({u},{v}) lies in P^{cls} but lambda puts the pair in P^{want}")
     for u, v, w in sorted(pattern.edges):
         t = sorted_triple(rmap.lam[u], rmap.lam[v], rmap.lam[w])
-        con = host.constituent(t)
-        slot_pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-        by_class = {}
-        for a, b in ((u, v), (u, w), (v, w)):
-            cls, vert = rmap.phi[(a, b)]
-            by_class[cls] = vert
-        edge = tuple(by_class[sp] for sp in slot_pairs)
-        if not con.has(*edge):
+        by_class = dict(rmap.phi[p] for p in itertools.combinations((u, v, w), 2))
+        edge = tuple(map(by_class.__getitem__, slot_pairs(t)))
+        if not host.constituent(t).has(*edge):
             return False, Violation(
                 "edge", f"edge ({u},{v},{w}) needs {edge} in constituent A^{t}")
     return True, None
@@ -194,7 +191,7 @@ def _edge_layout(a: int, b: int, c: int) -> tuple[Triple, int]:
 # _SLOTS[L]: the constituent slots of the pairs uv, uw, vw of an edge
 # u < v < w whose indices come in order L (see _edge_layout).  A pair's
 # slot is 2 minus the rank, within the sorted triple, of the edge's third
-# index: slot 0 is (t0, t1), slot 1 is (t0, t2), slot 2 is (t1, t2).
+# index, as core.slot_pairs orders them.
 _SLOTS = ((0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1), (1, 2, 0), (2, 1, 0))
 # For the pairs uv, uw, vw of an edge: the pair's place and the places of the
 # edge's other two pairs.
@@ -701,11 +698,13 @@ def exhaustive_oracle(host: ReducedHypergraph, pattern: Pattern,
         raise CapExceeded(
             f"index assignment space {M}^{n} exceeds oracle cap {cap}")
     pos_pairs = [(u - 1, v - 1) for u, v in pairs]
-    lam_space: list[tuple[int, ...]] = []
+
+    def admitted():  # the index maps, in order, that split every shadow pair
+        return (lam0 for lam0 in itertools.product(range(1, M + 1), repeat=n)
+                if not any(lam0[a] == lam0[b] for a, b in pos_pairs))
+
     leaves = 0
-    for lam0 in itertools.product(range(1, M + 1), repeat=n):
-        if any(lam0[a] == lam0[b] for a, b in pos_pairs):
-            continue
+    for lam0 in admitted():
         width = 1
         for a, b in pos_pairs:
             width *= host.class_size(lam0[a], lam0[b])
@@ -714,11 +713,8 @@ def exhaustive_oracle(host: ReducedHypergraph, pattern: Pattern,
             raise CapExceeded(
                 f"candidate space exceeds oracle cap {cap} "
                 f"(reached {leaves} leaves)")
-        lam_space.append(lam0)
 
-    total = 0
-    for lam0 in lam_space:
-        total += _oracle_count_for_lam(host, pattern, pairs, lam0)
+    total = sum(_oracle_count_for_lam(host, pattern, pairs, lam0) for lam0 in admitted())
     return OracleResult(found=total > 0, count=total, leaves=leaves)
 
 
@@ -728,20 +724,13 @@ def _oracle_count_for_lam(host: ReducedHypergraph, pattern: Pattern,
     pos = {p: i for i, p in enumerate(pairs)}
     sizes = [host.class_size(lam0[u - 1], lam0[v - 1]) for u, v in pairs]
     sched: list[list[tuple[frozenset, int, int, int]]] = [[] for _ in range(np_)]
-    for e in sorted(pattern.edges):
-        u, v, w = e
-        ps = (sorted_pair(u, v), sorted_pair(u, w), sorted_pair(v, w))
+    for u, v, w in sorted(pattern.edges):
+        # the place of each of the edge's pattern pairs, keyed by its class pair
+        place = {sorted_pair(lam0[a - 1], lam0[b - 1]): pos[(a, b)]
+                 for a, b in itertools.combinations((u, v, w), 2)}
         t = sorted_triple(lam0[u - 1], lam0[v - 1], lam0[w - 1])
-        con = host.constituent(t)
-        slot_pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-        order = []
-        for sp in slot_pairs:
-            for pp in ps:
-                if sorted_pair(lam0[pp[0] - 1], lam0[pp[1] - 1]) == sp:
-                    order.append(pos[pp])
-                    break
-        last = max(pos[pp] for pp in ps)
-        sched[last].append((con.edges, order[0], order[1], order[2]))
+        sched[max(place.values())].append(
+            (host.constituent(t).edges, *map(place.__getitem__, slot_pairs(t))))
     if np_ == 0:
         return 1
 

@@ -5,6 +5,7 @@ Host files are line oriented:
     M <index_count>
     P <i> <j> <size>            one line per pair, i < j
     E <i> <j> <k> <a> <b> <c>   one line per constituent edge, i < j < k,
+                                a b c in core.slot_pairs order:
                                 a in P^{ij}, b in P^{ik}, c in P^{jk}
 
 Pattern and plain-graph files share one format:
@@ -47,7 +48,7 @@ import itertools
 from operator import lt
 
 from ._bits import iter_bits
-from .core import Pattern, ReducedHypergraph, edge_cell
+from .core import Pattern, ReducedHypergraph, edge_cell, slot_pairs
 from .errors import DomainError, ParseError
 from .plain import Plain3Graph
 
@@ -83,7 +84,7 @@ def _check_e_line(lineno: int, i: int, j: int, k: int, a: int, b: int, c: int,
     """
     if not (1 <= i < j < k <= m):
         raise ParseError(lineno, f"triple ({i}, {j}, {k}) not sorted within 1..{m}")
-    for (x, y), v in (((i, j), a), ((i, k), b), ((j, k), c)):
+    for (x, y), v in zip(slot_pairs((i, j, k)), (a, b, c)):
         if (x, y) not in sizes:
             raise ParseError(lineno, f"E line uses pair ({x}, {y}) with no P line")
         if not (0 <= v < sizes[(x, y)]):
@@ -154,9 +155,7 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
                 map("P %d %d %d\n".__mod__, [(i, j, s) for (i, j), s in zip(pairs, class_sizes)])):
             return None
 
-        sizes = dict(zip(pairs, class_sizes))
-
-        def blocks(_slot_sizes):  # the keys are the triples of 1..m, walked in order
+        def blocks(slot_sizes):  # the keys are the triples of 1..m, walked in order
             tables: dict[tuple[int, int, int], tuple[_TailCells, int, int]] = {}
             pos = e0
             for t in itertools.combinations(range(1, m + 1), 3):
@@ -165,8 +164,7 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
                 sep = "\nE %d %d %d " % t  # text[pos - 1] is a newline
                 if not text.startswith(sep, pos - 1):
                     continue  # no block: an empty constituent
-                i, j, k = t
-                slots = (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
+                slots = slot_sizes(t)
                 info = tables.get(slots)
                 if info is None:
                     s0, s1, s2 = slots
@@ -184,7 +182,7 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
             if pos != len(text):
                 raise ValueError(f"line at {pos} does not start the next canonical block")
 
-        host = ReducedHypergraph._from_cells(m, sizes, blocks)
+        host = ReducedHypergraph._from_cells(m, dict(zip(pairs, class_sizes)), blocks)
     except Exception:
         return None
     host.canonical_sha256 = hashlib.sha256(text.encode()).hexdigest()
@@ -215,7 +213,7 @@ def _parse_lines(text: str) -> ReducedHypergraph:
             if entry is None:
                 _check_e_line(lineno, i, j, k, a, b, c, m, sizes)
                 entry = cons[(i, j, k)] = (
-                    sizes[(i, j)], sizes[(i, k)], sizes[(j, k)], set())
+                    *map(sizes.__getitem__, slot_pairs((i, j, k))), set())
             s0, s1, s2, edges = entry
             if not (0 <= a < s0 and 0 <= b < s1 and 0 <= c < s2):
                 _check_e_line(lineno, i, j, k, a, b, c, m, sizes)

@@ -4,7 +4,8 @@ fourth constituent edge sharing one vertex.
 
 The configuration lives on indices i1, i2, i3, i4 with vertices
 alpha_{jk} in P^{i_j i_k} plus two extra vertices alpha'_{23}, alpha'_{24},
-and requires the four constituent edges
+and requires the four constituent edges, each read in core.slot_pairs
+order by _claim:
 
     a13 a14 a34,   a12 a13 a23,   a12 a14 a24,   a'23 a'24 a34.
 
@@ -22,13 +23,14 @@ every stage failure is the driver's.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._bits import iter_bits, least_bit
-from .core import (ReducedHypergraph, refuse_negative_cap, sorted_pair,
-                   sorted_triple)
+from .core import (ReducedHypergraph, refuse_negative_cap, slot_pairs,
+                   sorted_pair, sorted_triple)
 from .embed import DEFAULT_ORACLE_CAP
 from .errors import CapExceeded, DomainError, RowPreparationError, SelfCheckError
 from .pipeline import (ProjectionRecord, completion_vertex, max_count_least_arg,
@@ -36,6 +38,8 @@ from .pipeline import (ProjectionRecord, completion_vertex, max_count_least_arg,
 from .qsystem import CleanResult, QGraphSystem, StageFailure
 
 ROLE_PAIRS = frozenset(itertools.combinations(range(1, 5), 2))
+# The role triples of the four claimed edges; the last takes the primed vertices.
+_CLAIMED_ROLES = ((1, 3, 4), (1, 2, 3), (1, 2, 4), (2, 3, 4))
 
 
 @dataclass(frozen=True)
@@ -114,31 +118,21 @@ class GlueResult:
     trace: list[str] = field(default_factory=list)
 
 
+def _claim(indices: Sequence[int], roles: tuple[int, int, int], alpha: dict[tuple[int, int], int]
+           ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The (triple, edge) constituent membership claimed on a role triple:
+    alpha maps each of its role pairs to a vertex of that pair's class."""
+    t = sorted_triple(*(indices[r - 1] for r in roles))
+    by_class = {sorted_pair(indices[j - 1], indices[k - 1]): alpha[(j, k)]
+                for j, k in itertools.combinations(roles, 2)}
+    return t, tuple(map(by_class.__getitem__, slot_pairs(t)))
+
+
 def _config_edges(host: ReducedHypergraph, cfg: GluedConfiguration):
     """The four (triple, edge) constituent memberships the configuration claims."""
-    i1, i2, i3, i4 = cfg.indices
-    a = cfg.alpha
-    claims = [
-        ((i1, i3, i4), {sorted_pair(i1, i3): a[(1, 3)],
-                        sorted_pair(i1, i4): a[(1, 4)],
-                        sorted_pair(i3, i4): a[(3, 4)]}),
-        ((i1, i2, i3), {sorted_pair(i1, i2): a[(1, 2)],
-                        sorted_pair(i1, i3): a[(1, 3)],
-                        sorted_pair(i2, i3): a[(2, 3)]}),
-        ((i1, i2, i4), {sorted_pair(i1, i2): a[(1, 2)],
-                        sorted_pair(i1, i4): a[(1, 4)],
-                        sorted_pair(i2, i4): a[(2, 4)]}),
-        ((i2, i3, i4), {sorted_pair(i2, i3): cfg.alpha23_prime,
-                        sorted_pair(i2, i4): cfg.alpha24_prime,
-                        sorted_pair(i3, i4): a[(3, 4)]}),
-    ]
-    out = []
-    for raw_triple, by_class in claims:
-        t = sorted_triple(*raw_triple)
-        slot_pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-        edge = tuple(by_class[sp] for sp in slot_pairs)
-        out.append((t, edge))
-    return out
+    primed = {**cfg.alpha, (2, 3): cfg.alpha23_prime, (2, 4): cfg.alpha24_prime}
+    return [_claim(cfg.indices, roles, primed if roles == (2, 3, 4) else cfg.alpha)
+            for roles in _CLAIMED_ROLES]
 
 
 def validate_glued(host: ReducedHypergraph,
@@ -302,6 +296,12 @@ def _assemble_glued(system: QGraphSystem, row_i: GlueRowRecord,
         alpha23_prime=row_j.apex, alpha24_prime=row_j.spine[m_prime])
 
 
+def _role_class_sizes(host: ReducedHypergraph,
+                      roles: tuple[int, int, int, int]) -> dict[tuple[int, int], int]:
+    """The size of each role pair's class."""
+    return {(j, k): host.class_size(roles[j - 1], roles[k - 1]) for j, k in ROLE_PAIRS}
+
+
 def _role_assignments(subset: tuple[int, int, int, int]):
     """All role assignments up to the 3<->4 symmetry: ordered (i1, i2),
     remaining pair ascending as (i3, i4)."""
@@ -325,13 +325,9 @@ def brute_force_glued(host: ReducedHypergraph,
     total_space = 0
     subsets = list(itertools.combinations(host.indices(), 4))
     for subset in subsets:
-        for i1, i2, i3, i4 in _role_assignments(subset):
-            width = 1
-            for a, b in itertools.combinations((i1, i2, i3, i4), 2):
-                width *= host.class_size(*sorted_pair(a, b))
-            width *= host.class_size(*sorted_pair(i2, i3))
-            width *= host.class_size(*sorted_pair(i2, i4))
-            total_space += width
+        for roles in _role_assignments(subset):
+            size = _role_class_sizes(host, roles)  # the primed 23 and 24 count twice
+            total_space += math.prod(size.values()) * size[(2, 3)] * size[(2, 4)]
             if total_space > cap:
                 raise CapExceeded(
                     f"glued enumeration space exceeds cap {cap}")
@@ -350,44 +346,27 @@ def brute_force_glued(host: ReducedHypergraph,
 
 def _enumerate_configs(host: ReducedHypergraph,
                        roles: tuple[int, int, int, int]) -> Iterable[GluedConfiguration]:
-    i1, i2, i3, i4 = roles
-    s12 = host.class_size(*sorted_pair(i1, i2))
-    s13 = host.class_size(*sorted_pair(i1, i3))
-    s14 = host.class_size(*sorted_pair(i1, i4))
-    s23 = host.class_size(*sorted_pair(i2, i3))
-    s24 = host.class_size(*sorted_pair(i2, i4))
-    s34 = host.class_size(*sorted_pair(i3, i4))
+    size = _role_class_sizes(host, roles)
 
-    def member(t_raw, by_class) -> bool:
-        t = sorted_triple(*t_raw)
-        slot_pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-        edge = tuple(by_class[sp] for sp in slot_pairs)
+    def member(role_triple, alpha) -> bool:
+        t, edge = _claim(roles, role_triple, alpha)
         return host.constituent(t).has(*edge)
 
-    for a12 in range(s12):
-        for a13 in range(s13):
-            for a23 in range(s23):
-                if not member((i1, i2, i3), {sorted_pair(i1, i2): a12,
-                                             sorted_pair(i1, i3): a13,
-                                             sorted_pair(i2, i3): a23}):
+    for a12 in range(size[(1, 2)]):
+        for a13 in range(size[(1, 3)]):
+            for a23 in range(size[(2, 3)]):
+                if not member((1, 2, 3), {(1, 2): a12, (1, 3): a13, (2, 3): a23}):
                     continue
-                for a14 in range(s14):
-                    for a24 in range(s24):
-                        if not member((i1, i2, i4), {sorted_pair(i1, i2): a12,
-                                                     sorted_pair(i1, i4): a14,
-                                                     sorted_pair(i2, i4): a24}):
+                for a14 in range(size[(1, 4)]):
+                    for a24 in range(size[(2, 4)]):
+                        if not member((1, 2, 4), {(1, 2): a12, (1, 4): a14, (2, 4): a24}):
                             continue
-                        for a34 in range(s34):
-                            if not member((i1, i3, i4), {sorted_pair(i1, i3): a13,
-                                                         sorted_pair(i1, i4): a14,
-                                                         sorted_pair(i3, i4): a34}):
+                        for a34 in range(size[(3, 4)]):
+                            if not member((1, 3, 4), {(1, 3): a13, (1, 4): a14, (3, 4): a34}):
                                 continue
-                            for p23 in range(s23):
-                                for p24 in range(s24):
-                                    if member((i2, i3, i4),
-                                              {sorted_pair(i2, i3): p23,
-                                               sorted_pair(i2, i4): p24,
-                                               sorted_pair(i3, i4): a34}):
+                            for p23 in range(size[(2, 3)]):
+                                for p24 in range(size[(2, 4)]):
+                                    if member((2, 3, 4), {(2, 3): p23, (2, 4): p24, (3, 4): a34}):
                                         yield GluedConfiguration(
                                             indices=roles,
                                             alpha={(1, 2): a12, (1, 3): a13,

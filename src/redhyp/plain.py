@@ -1,8 +1,8 @@
 """Plain 3-graph support: uniform density auditing and pattern-copy counts.
 
 A plain 3-graph is an ordinary 3-uniform hypergraph on vertices 1..n.
-The constructor sorts, de-duplicates and checks arbitrary edges (n >= 1,
-each edge a triple 1 <= u < v < w <= n once sorted) and words the first bad
+The constructor sorts, de-duplicates and checks arbitrary edges by
+core.canonical_edges, the rule patterns share, and words the first bad
 one; Plain3Graph._from_rows builds a graph from rows that fileio's bulk
 loader has already sorted.  The audit checks, for vertex subsets U, the
 exact-rational inequality
@@ -36,7 +36,8 @@ from math import comb
 from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
-from .core import TABLE_ENTRY_CAP, Pattern, exact_rational, refuse_negative_cap
+from .core import (TABLE_ENTRY_CAP, Pattern, canonical_edges, exact_rational,
+                   refuse_above_cap, refuse_negative_cap)
 from .errors import CapExceeded, DomainError
 
 EXHAUSTIVE_VERTEX_CAP = 20
@@ -52,18 +53,8 @@ class Plain3Graph:
     canonical_sha256: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, int]]):
-        if vertex_count < 1:
-            raise DomainError(f"vertex_count must be >= 1, got {vertex_count}")
-        canon = set()
-        for e in edges:
-            if len(set(e)) != 3:
-                raise DomainError(f"edge {e} must have three distinct vertices")
-            u, v, w = sorted(e)
-            if not (1 <= u and w <= vertex_count):
-                raise DomainError(f"edge {e} out of range 1..{vertex_count}")
-            canon.add((u, v, w))
+        object.__setattr__(self, "edges", canonical_edges(vertex_count, edges, "edge"))
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", frozenset(canon))
 
     @classmethod
     def _from_rows(cls, vertex_count: int, rows: Iterable[tuple[int, int, int]],
@@ -180,8 +171,14 @@ def _scan_masks(counts: Sequence[int], n: int, d: Fraction, eta: Fraction):
 
 
 def _packed_rows(graph: Plain3Graph) -> list[int]:
-    """rows[u] has bit v * (n + 1) + w for each edge (u, v, w), u < v < w."""
+    """rows[u] has bit v * (n + 1) + w for each edge (u, v, w), u < v < w.
+    The n + 1 rows, and (n + 1)^2 / 64 words for each vertex leading an edge
+    and for each of the three grid-sized ints a sample holds at once, are
+    refused (CapExceeded) above TABLE_ENTRY_CAP before any is built."""
     r = graph.vertex_count + 1
+    leaders = len(set(map(itemgetter(0), graph.edges)))
+    refuse_above_cap(r + (leaders + 3) * r * r // 64,
+                     f"a sampled audit of {leaders} edge-leading vertices on {r - 1}")
     rows = [0] * r
     for u, v, w in graph.edges:
         rows[u] |= 1 << (v * r + w)
@@ -197,8 +194,9 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
 
     mode 'exhaustive' checks every subset (requires n <= vertex_cap and a
     table of 2^n counts within core.TABLE_ENTRY_CAP); mode 'sampled' draws
-    `samples` subsets uniformly for each size in `sizes` (default 3..n) and
-    can only return 'sampled-pass' or 'fail'.  A negative vertex_cap, and a
+    `samples` subsets uniformly for each size in `sizes` (default 3..n), with
+    packed rows within the cap (see _packed_rows), and can only return
+    'sampled-pass' or 'fail'.  A negative vertex_cap, and a
     float d or eta, are refused (DomainError) in every mode.
 
     A sample U is counted through the packed rows (see _packed_rows): with
@@ -239,8 +237,8 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
         for s in size_list:
             if not (1 <= s <= n):
                 raise DomainError(f"sample size {s} out of range 1..{n}")
-        scale, thresholds = _thresholds(n, d, eta)
         rows = _packed_rows(graph)
+        scale, thresholds = _thresholds(n, d, eta)
         shift = (1).__lshift__
         lane = (n + 1).__mul__  # v -> where v's lane of the grid starts
         checked = 0

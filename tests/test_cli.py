@@ -207,6 +207,29 @@ def test_a_sampled_audit_allocates_per_sample_not_per_vertex(tmp_path):
     assert peak < 1 << 20
 
 
+def test_a_sampled_audit_refuses_packed_rows_above_the_cap(tmp_path):
+    # Three vertices lead an edge on 16000 vertices: their packed rows would
+    # take 16001^2 bits each, 96 MB in all, and are refused before any is built.
+    # So is a sample's grid on 10^6 vertices (125 GB each), edges or not.
+    path = tmp_path / "wide.p3"
+    path.write_text("V 16000\n" + "".join(f"T {u} 15999 16000\n" for u in (1, 2, 3)))
+    argv = ["audit", "--graph", str(path), "--d", "0", "--eta", "0", "--samples", "1",
+            "--seed", "0", "--sizes", "3", "--deterministic"]
+    run(["--help"])  # the parser is built on the first dispatch
+    tracemalloc.start()
+    try:
+        got = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (2, "error cap-exceeded: a sampled audit of 3 edge-leading vertices on 16000 "
+                      "needs 24019001 entries, above the cap 10000000\n")
+    assert peak < 1 << 20
+    path.write_text("V 1000000\n")
+    assert run(argv) == (2, "error cap-exceeded: a sampled audit of 0 edge-leading vertices on "
+                            "1000000 needs 46876093751 entries, above the cap 10000000\n")
+
+
 def test_failed_self_check_exits_4(tmp_path, monkeypatch):
     code, text = run(["gen", "--kind", "random", "--m", "10", "--class-size",
                       "2", "--d", "1", "--seed", "0"])

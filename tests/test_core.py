@@ -184,6 +184,16 @@ def test_pattern_validation():
         Pattern(0, [])
 
 
+def test_a_malformed_pattern_edge_is_a_domain_error():
+    # (1, 1, 2, 3) has three distinct values, so only its length gives it away
+    for edges, message in (
+            ([(1, 1, 2, 3)], "pattern edge (1, 1, 2, 3) must have three distinct vertices"),
+            ([(1, 2)], "pattern edge (1, 2) must have three distinct vertices")):
+        with pytest.raises(DomainError) as err:
+            Pattern(5, edges)
+        assert str(err.value) == message
+
+
 def test_host_validation():
     with pytest.raises(DomainError):  # missing class size
         ReducedHypergraph(3, {(1, 2): 1, (1, 3): 1}, {})
@@ -196,6 +206,13 @@ def test_host_validation():
             3, 2, {(1, 2, 3): [(0, 0, 0), (0, 0, 0)]})
     with pytest.raises(DomainError):  # unsorted constituent key
         ReducedHypergraph.with_uniform_classes(3, 1, {(2, 1, 3): [(0, 0, 0)]})
+
+
+def test_a_malformed_host_edge_is_a_domain_error():
+    for edge in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(DomainError) as err:
+            ReducedHypergraph.with_uniform_classes(3, 2, {(1, 2, 3): [edge]})
+        assert str(err.value) == f"edge {edge} of constituent (1, 2, 3) must have three vertices"
 
 
 _SIZES3 = {(1, 2): 2, (1, 3): 2, (2, 3): 3}

@@ -173,6 +173,20 @@ def test_oracle_cap_refusal():
         exhaustive_oracle(host, pattern_catalog("Fstar"), cap=10 ** 4)
 
 
+def test_the_oracle_stores_no_index_maps():
+    # 13122 of the 3^10 index maps are admitted; a list of them peaked at 1.6 MiB
+    host = complete_host(3)
+    pattern = Pattern(10, [(1, 2, 3)])
+    tracemalloc.start()
+    try:
+        oracle = exhaustive_oracle(host, pattern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (oracle.count, oracle.leaves) == (13122, 13122)
+    assert peak < 0.1 * (1 << 20)
+
+
 def test_negative_oracle_cap_is_a_domain_error():
     host = orientation_reduced(4)
     for cap in (-5, -1):

@@ -322,6 +322,13 @@ def test_constructor_words_the_first_bad_edge():
         assert str(exc.value) == message
 
 
+def test_a_malformed_edge_is_a_domain_error():
+    # (1, 1, 2, 3) has three distinct values, so only its length gives it away
+    with pytest.raises(DomainError) as exc:
+        Plain3Graph(5, [(1, 1, 2, 3)])
+    assert str(exc.value) == "edge (1, 1, 2, 3) must have three distinct vertices"
+
+
 def test_density_below_three_vertices_is_zero():
     for n in (1, 2):
         assert Plain3Graph(n, []).density() == 0
