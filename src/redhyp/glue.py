@@ -17,14 +17,16 @@ flagged degenerate.
 
 The finder runs on the pipeline's row driver, `pipeline.run_rows`, with
 this module's row preparation and a pigeonhole over two projections;
-every stage failure is the driver's.
+every stage failure is the driver's.  The row record and the result
+extend the pipeline's `Row` and `RowRun`, and each spine step counts
+triangle links with the pipeline's `linked`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -33,9 +35,9 @@ from .core import (ReducedHypergraph, refuse_negative_cap, slot_pairs,
                    sorted_pair, sorted_triple)
 from .embed import DEFAULT_ORACLE_CAP
 from .errors import CapExceeded, DomainError, RowPreparationError, SelfCheckError
-from .pipeline import (ProjectionRecord, completion_vertex, max_count_least_arg,
+from .pipeline import (Row, RowRun, completion_vertex, linked, max_count_least_arg,
                        row_working_set, run_rows, select_apex, validate_clean_fields)
-from .qsystem import CleanResult, QGraphSystem, StageFailure
+from .qsystem import QGraphSystem
 
 ROLE_PAIRS = frozenset(itertools.combinations(range(1, 5), 2))
 # The role triples of the four claimed edges; the last takes the primed vertices.
@@ -72,21 +74,13 @@ class GlueConfig:
 
 
 @dataclass(frozen=True)
-class GlueRowRecord:
+class GlueRowRecord(Row):
     """One all-pairs row: spine[k] = z_k; witnesses[(j, k)] = y making
     x z_k y a triangle, present for every pair j < k of surviving
     non-top columns; degenerate lists spines picked arbitrarily."""
 
-    index: int
-    row_index: int
-    source: tuple[int, ...]
-    surviving: tuple[int, ...]
-    r_next: int
-    apex: int
-    spine: dict[int, int]
     witnesses: dict[tuple[int, int], int]
     degenerate: tuple[int, ...]
-    apex_hits: int
     target: int
     achieved: int
 
@@ -107,15 +101,8 @@ class GluedConfiguration:
 
 
 @dataclass
-class GlueResult:
-    ok: bool
-    configuration: GluedConfiguration | None
-    failure: StageFailure | None
-    clean: CleanResult | None
-    rows: list[GlueRowRecord] = field(default_factory=list)
-    projections: list[ProjectionRecord] = field(default_factory=list)
-    pigeonhole: dict | None = None
-    trace: list[str] = field(default_factory=list)
+class GlueResult(RowRun):
+    configuration: GluedConfiguration | None = None
 
 
 def _claim(indices: Sequence[int], roles: tuple[int, int, int], alpha: dict[tuple[int, int], int]
@@ -194,15 +181,9 @@ def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
         k = max(candidates)
         candidates.remove(k)
         a_k = a_sets[k]
-        d_bits = []
         others = list(candidates)  # all smaller than k, which was the maximum
-        for j in others:
-            link = system.q_low[(r, j, k)]  # left P^{rj}, right P^{rk}
-            bits = 0
-            for z in iter_bits(a_k):
-                if link.right_adj[z] & a_sets[j]:
-                    bits |= 1 << z
-            d_bits.append(bits)
+        d_bits = [linked(system.q_low[(r, j, k)].right_adj, a_k, a_sets[j])
+                  for j in others]  # left P^{rj}, right P^{rk}
         # z_k: the apex's neighbour in P^{rk} with triangle links into the
         # most other columns, least among ties.  A step that links none while
         # other columns remain, or finds a_k empty (z_k = 0), is degenerate.
@@ -243,7 +224,7 @@ def _verify_row_glue(system: QGraphSystem, row: GlueRowRecord, top: int) -> None
 def find_glued(host: ReducedHypergraph, config: GlueConfig) -> GlueResult:
     """Clean, run the ladder of all-pairs rows, pigeonhole two projections,
     and return a validated glued configuration or a structured failure."""
-    result = GlueResult(False, None, None, None)
+    result = GlueResult()
     ladder = config.ladder
     ran = run_rows(
         host, config, result, len(ladder),

@@ -13,7 +13,9 @@ those sets stitches the rows into the final map.
 `run_rows` is the row driver this finder and glue's share: clean, one row
 per round through a caller's preparation, the final index set, m', the
 projections into P^{m'm} and the pigeonhole.  Both row preparations
-start with `row_working_set`, the input guard, and `select_apex`.
+start with `row_working_set`, the input guard, and `select_apex`, and
+count triangle links with `linked`.  Their records extend `Row`, what
+the driver reads, and their results `RowRun`, what it fills in.
 
 Every tie is broken lexicographic-least among maximizers, so runs are
 deterministic.  Stage failures are structured results from `clean` and
@@ -87,13 +89,11 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class RowRecord:
-    """One prepared row.
-
-    row_index is r = min of the source set; r_next = min of the surviving
-    set; spine maps each surviving j (other than r_next and the top index)
-    to z_j with x z_j y a triangle in the row's Q-graphs.
-    """
+class Row:
+    """What every prepared row carries: round index, row_index r = min of
+    the source set, r_next = min of the surviving set, the apex x in
+    P^{r top} lying in apex_hits S-sets, and spine, mapping surviving
+    columns j to vertices z_j in P^{rj}."""
 
     index: int
     row_index: int
@@ -101,9 +101,17 @@ class RowRecord:
     surviving: tuple[int, ...]
     r_next: int
     apex: int
-    connector: int
     spine: dict[int, int]
     apex_hits: int
+
+
+@dataclass(frozen=True)
+class RowRecord(Row):
+    """One prepared pipeline row: the spine covers each surviving j other
+    than r_next and the top index, with x z_j y a triangle through the
+    connector y in P^{r r_next}."""
+
+    connector: int
     connector_hits: int
     meets_delta_bound: bool
 
@@ -118,15 +126,22 @@ class ProjectionRecord:
 
 
 @dataclass
-class PipelineResult:
-    ok: bool
-    certificate: EmbedCertificate | None
-    failure: StageFailure | None
-    clean: CleanResult | None
-    rows: list[RowRecord] = field(default_factory=list)
+class RowRun:
+    """The fields `run_rows` fills in as it goes; each finder's result
+    extends it with what the finder assembles."""
+
+    ok: bool = False
+    failure: StageFailure | None = None
+    clean: CleanResult | None = None
+    rows: list[Row] = field(default_factory=list)
     projections: list[ProjectionRecord] = field(default_factory=list)
     pigeonhole: dict | None = None
     trace: list[str] = field(default_factory=list)
+
+
+@dataclass
+class PipelineResult(RowRun):
+    certificate: EmbedCertificate | None = None
 
 
 def find_many_triangles(system: QGraphSystem, i: int, j1: int, j2: int,
@@ -152,12 +167,8 @@ def find_many_triangles(system: QGraphSystem, i: int, j1: int, j2: int,
     a_j1 = system.q_low[(i, j1, k)].right_adj[x]
     a_j2 = system.q_low[(i, j2, k)].right_adj[x]
     link = system.q_low[(i, j1, j2)]  # left P^{ij1}, right P^{ij2}
-    out = []
-    for y in iter_bits(a_j2):
-        for z in iter_bits(link.right_adj[y] & a_j1):
-            out.append((y, z))
-    out.sort()
-    return out
+    # iter_bits ascends, so the pairs come out sorted.
+    return [(y, z) for y in iter_bits(a_j2) for z in iter_bits(link.right_adj[y] & a_j1)]
 
 
 def max_count_least_arg(universe: Sequence[int], bitsets: Sequence[int]) -> tuple[int, int]:
@@ -173,6 +184,12 @@ def max_count_least_arg(universe: Sequence[int], bitsets: Sequence[int]) -> tupl
             best_count = c
             best_v = v
     return best_count, best_v
+
+
+def linked(adj: Sequence[int], candidates: int, target: int) -> int:
+    """The candidates v, as a bitset, whose adj[v] meets target: with adj
+    a link Q-graph's adjacency, those triangle-linked into target."""
+    return sum(1 << v for v in iter_bits(candidates) if adj[v] & target)
 
 
 def select_apex(system: QGraphSystem, working: Sequence[int],
@@ -243,21 +260,14 @@ def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
             "connector-pigeonhole", "apex has no neighbours in the connector class")
 
     # Connector: the P^{r r_next} vertex triangle-linked to the most columns.
-    d_bits = []
-    for j in i_prime[1:]:
-        link = system.q_low[(r, r_next, j)]  # left P^{r r_next}, right P^{rj}
-        bits = 0
-        for y in iter_bits(a_rnext):
-            if link.left_adj[y] & a_sets[j]:
-                bits |= 1 << y
-        d_bits.append(bits)
+    d_bits = [linked(system.q_low[(r, r_next, j)].left_adj, a_rnext, a_sets[j])
+              for j in i_prime[1:]]  # left P^{r r_next}, right P^{rj}
     conn_hits, connector = max_count_least_arg(list(iter_bits(a_rnext)), d_bits)
     i_dprime = [j for j, bits in zip(i_prime[1:], d_bits) if bits >> connector & 1]
 
     surviving = sorted(i_dprime + [r_next, top])
-    spine = {}
-    for j in i_dprime:
-        spine[j] = least_bit(system.q_low[(r, r_next, j)].left_adj[connector] & a_sets[j])
+    spine = {j: least_bit(system.q_low[(r, r_next, j)].left_adj[connector] & a_sets[j])
+             for j in i_dprime}
 
     record = RowRecord(
         index=round_index, row_index=r, source=tuple(working),
@@ -282,12 +292,9 @@ def _verify_row(system: QGraphSystem, row: RowRecord, top: int) -> None:
             raise SelfCheckError(f"row {row.index}: connector-spine edge missing at {j}")
 
 
-def projection_set(system: QGraphSystem, row, m_prime: int,
+def projection_set(system: QGraphSystem, row: Row, m_prime: int,
                    top: int) -> ProjectionRecord:
-    """Completions in P^{m' top} of the row's (apex, spine at m') edge.
-
-    row is a RowRecord or a glue row; both carry index, row_index, apex
-    and spine."""
+    """Completions in P^{m' top} of the row's (apex, spine at m') edge."""
     if m_prime not in row.spine:
         raise DomainError(f"row {row.index} has no spine vertex at {m_prime}")
     r = row.row_index
@@ -320,8 +327,8 @@ def covered_vertex(universe_size: int, member_lists: Sequence[Sequence[int]],
 _IN_WORDS = {2: "two", 3: "three"}
 
 
-def run_rows(host: ReducedHypergraph, config, result, rounds: int,
-             prepare: Callable, describe: Callable,
+def run_rows(host: ReducedHypergraph, config, result: RowRun, rounds: int,
+             prepare: Callable[..., Row], describe: Callable[[Row], str],
              multiplicity: int) -> tuple[QGraphSystem, int, int, list[int]] | None:
     """The row driver shared by find_fstar and find_glued.
 
@@ -330,10 +337,9 @@ def run_rows(host: ReducedHypergraph, config, result, rounds: int,
     describe(row), checks the final index set, takes m' as its largest
     index below top, projects each row's (apex, spine at m') edge into
     P^{m' top}, and pigeonholes a vertex v covered by `multiplicity`
-    projections.  result (a PipelineResult or GlueResult) takes the clean
-    result, rows, projections (all or none), pigeonhole and trace lines as
-    they are made.  Returns (system, m', v, 0-based covering row
-    positions), or None once `clean`, `row-t`, `final-index-set` or
+    projections.  result takes the clean result, rows, projections (all or
+    none), pigeonhole and trace lines as they are made.  Returns (system,
+    m', v, 0-based covering row positions), or None once `clean`, `row-t`, `final-index-set` or
     `pigeonhole` failed, with result.failure and a `fail <stage>` line.
 
     A row's spine covers its surviving set, and so the final set, except
@@ -398,7 +404,7 @@ def find_fstar(host: ReducedHypergraph, config: PipelineConfig) -> PipelineResul
     """Clean, iterate rows, pigeonhole, and return a validated certificate
     embedding the five-vertex target Fstar, or a structured stage failure."""
     pattern = pattern_catalog("Fstar")
-    result = PipelineResult(False, None, None, None)
+    result = PipelineResult()
     ran = run_rows(
         host, config, result, config.effective_rounds,
         lambda system, working, top, t: prepare_row(
@@ -480,7 +486,6 @@ def _unrelabel_map(system: QGraphSystem, rmap: ReducedMap) -> ReducedMap:
     """
     back = system.to_original
     lam = {u: back[i - 1] for u, i in rmap.lam.items()}
-    phi = {}
-    for pair, ((i, j), vert) in rmap.phi.items():
-        phi[pair] = (sorted_pair(back[i - 1], back[j - 1]), vert)
+    phi = {pair: (sorted_pair(back[i - 1], back[j - 1]), vert)
+           for pair, ((i, j), vert) in rmap.phi.items()}
     return ReducedMap(lam=lam, phi=phi)

@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 
 from .core import (TABLE_ENTRY_CAP, Pattern, canonical_edges, exact_rational,
                    refuse_above_cap, refuse_negative_cap)
+from .embed import MAX_SEARCH_DEPTH
 from .errors import CapExceeded, DomainError
 
 EXHAUSTIVE_VERTEX_CAP = 20
@@ -195,9 +196,10 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
     mode 'exhaustive' checks every subset (requires n <= vertex_cap and a
     table of 2^n counts within core.TABLE_ENTRY_CAP); mode 'sampled' draws
     `samples` subsets uniformly for each size in `sizes` (default 3..n), with
-    packed rows within the cap (see _packed_rows), and can only return
-    'sampled-pass' or 'fail'.  A negative vertex_cap, and a
-    float d or eta, are refused (DomainError) in every mode.
+    samples * sum(sizes) sampled vertices and the packed rows (see
+    _packed_rows) each within the cap, and can only return 'sampled-pass'
+    or 'fail'.  A negative vertex_cap, and a float d or eta, are refused
+    (DomainError) in every mode.
 
     A sample U is counted through the packed rows (see _packed_rows): with
     grid = sum over v in U of (the bits of U) << v * (n + 1), the edges
@@ -233,10 +235,16 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
         if samples < 1:
             raise DomainError(f"sampled mode needs samples >= 1, got {samples}")
         rng = random.Random(seed)
-        size_list = list(sizes) if sizes is not None else list(range(3, n + 1))
-        for s in size_list:
-            if not (1 <= s <= n):
-                raise DomainError(f"sample size {s} out of range 1..{n}")
+        if sizes is None:  # 3..n, summed without walking them
+            size_list, total = range(3, n + 1), (n + 3) * max(n - 2, 0) // 2
+        else:
+            size_list = list(sizes)
+            for s in size_list:
+                if not (1 <= s <= n):
+                    raise DomainError(f"sample size {s} out of range 1..{n}")
+            total = sum(size_list)
+        refuse_above_cap(samples * total, f"a sampled audit of {samples} samples per size, "
+                                          f"sizes summing to {total},")
         rows = _packed_rows(graph)
         scale, thresholds = _thresholds(n, d, eta)
         shift = (1).__lshift__
@@ -263,14 +271,17 @@ def count_copies(graph: Plain3Graph, pattern: Pattern, labeled: bool = True) -> 
     carry every pattern edge to a graph edge.
 
     labeled=True returns the raw injective count; labeled=False divides by
-    the pattern's automorphism count (computed by brute force).
+    the pattern's automorphism count (computed by brute force).  The search
+    takes a stack frame per pattern vertex: above embed.MAX_SEARCH_DEPTH
+    vertices, the pattern is refused (CapExceeded).
     """
-    if pattern.vertex_count > graph.vertex_count:
-        raise DomainError(
-            f"pattern has {pattern.vertex_count} vertices but graph only "
-            f"{graph.vertex_count}")
-    edges = graph.edges
     pv = pattern.vertex_count
+    if pv > graph.vertex_count:
+        raise DomainError(f"pattern has {pv} vertices but graph only {graph.vertex_count}")
+    if pv > MAX_SEARCH_DEPTH:
+        raise CapExceeded(f"counting copies of a pattern on {pv} vertices recurses {pv} "
+                          f"levels deep, above the cap {MAX_SEARCH_DEPTH}")
+    edges = graph.edges
     # Pattern edges checked as soon as their last vertex is mapped.
     sched: list[list[tuple[int, int, int]]] = [[] for _ in range(pv + 1)]
     for e in pattern.edges:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from redhyp import (Plain3Graph, core, cyclic_triple_3graph, find_reduced_image,
                     validate_reduced_map)
 from redhyp.cli import (certificate_lines, dispatch, parse_certificate,
                         parse_fraction, parse_glued)
-from redhyp.fileio import parse_host, write_host, write_pattern, write_plain3
+from redhyp.fileio import parse_host, parse_plain3, write_host, write_pattern, write_plain3
 from redhyp.embed import Violation
 from redhyp.glue import validate_glued
 from redhyp.errors import DomainError, ParseError, SelfCheckError
@@ -228,6 +229,50 @@ def test_a_sampled_audit_refuses_packed_rows_above_the_cap(tmp_path):
     path.write_text("V 1000000\n")
     assert run(argv) == (2, "error cap-exceeded: a sampled audit of 0 edge-leading vertices on "
                             "1000000 needs 46876093751 entries, above the cap 10000000\n")
+
+
+def test_a_sampled_audit_refuses_more_draws_than_the_cap_before_the_first(tmp_path,
+                                                                          monkeypatch):
+    # 10^9 samples of three vertices would run for hours: their 3 * 10^9
+    # draws are refused before the first.  So are the sizes 3..10^8 that a
+    # 12-byte file asks for by default, without a list of them.  With the
+    # cap lowered to 12, four samples of three run and five are refused.
+    drawn = []
+    real = random.Random.sample
+
+    def sample(rng, population, k):
+        drawn.append(k)
+        return real(rng, population, k)
+
+    monkeypatch.setattr(random.Random, "sample", sample)
+    path = tmp_path / "one-edge.p3"
+    path.write_text("V 4\nT 1 2 3\n")
+    argv = ["audit", "--graph", str(path), "--d", "0", "--eta", "0", "--seed", "0",
+            "--deterministic", "--samples"]
+    assert run(argv + ["1000000000", "--sizes", "3"]) == (
+        2, "error cap-exceeded: a sampled audit of 1000000000 samples per size, sizes "
+           "summing to 3, needs 3000000000 entries, above the cap 10000000\n")
+    path.write_text("V 100000000\n")
+    run(["--help"])  # the parser is built on the first dispatch
+    tracemalloc.start()
+    try:
+        got = run(argv + ["1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (2, "error cap-exceeded: a sampled audit of 1 samples per size, sizes "
+                      "summing to 5000000049999997, needs 5000000049999997 entries, above "
+                      "the cap 10000000\n")
+    assert peak < 1 << 20 and drawn == []
+    path.write_text("V 4\nT 1 2 3\n")
+    monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 12)
+    code, text = run(argv + ["4", "--sizes", "3"])
+    assert (code, text.splitlines()[-2:], drawn) == (0, ["subsets-checked 4", "exit 0"],
+                                                     [3] * 4)
+    assert run(argv + ["5", "--sizes", "3"]) == (
+        2, "error cap-exceeded: a sampled audit of 5 samples per size, sizes summing to 3, "
+           "needs 15 entries, above the cap 12\n")
+    assert drawn == [3] * 4
 
 
 def test_failed_self_check_exits_4(tmp_path, monkeypatch):
@@ -912,6 +957,36 @@ def test_find_at_any_depth_keeps_the_exit_code_contract(grammar_files, size, bud
         assert (code, out) == (2, f"error cap-exceeded: a search for a pattern on {size} "
                                   f"vertices may recurse {depth} levels deep, above the "
                                   "cap 500\n")
+    else:
+        assert code in (0, 1, 2) and out.endswith(f"\nexit {code}\n"), (argv, out)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(size=st.integers(3, 3000), exhaustive=st.booleans(), d=st.sampled_from(["0", "1/4", "1"]),
+       samples=st.one_of(st.integers(1, 4), st.integers(10 ** 7 // 3 + 1, 10 ** 12)),
+       data=st.data())
+def test_audit_at_any_size_keeps_the_exit_code_contract(grammar_files, size, exhaustive, d,
+                                                        samples, data):
+    # The 7-vertex cyclic graph's edges on `size` vertices.  An exhaustive
+    # audit above the default cap of 20 vertices, and a sampled one drawing
+    # more than 10^7 vertices, are refused; any other runs to a report.
+    # samples is a few, or so many that sizes summing to 3 pass the cap.
+    root, texts, paths = grammar_files
+    edges = parse_plain3(texts["graph"]).edges
+    path = root / "wide-graph.txt"
+    path.write_text(write_plain3(Plain3Graph(size, [e for e in edges if e[2] <= size])))
+    sizes = data.draw(st.lists(st.integers(3, min(size, 6)), min_size=1, max_size=3))
+    argv = ["audit", "--graph", str(path), "--d", d, "--eta", "1/20", "--deterministic"]
+    argv += ["--exhaustive"] if exhaustive else \
+        ["--samples", str(samples), "--seed", "0", "--sizes", ",".join(map(str, sizes))]
+    code, out = dispatch(argv)
+    if exhaustive and size > 20:
+        assert (code, out) == (2, "error cap-exceeded: exhaustive audit capped at 20 vertices "
+                                  f"(graph has {size}); use sampled mode\n")
+    elif not exhaustive and samples * sum(sizes) > 10 ** 7:
+        assert (code, out) == (2, f"error cap-exceeded: a sampled audit of {samples} samples "
+                                  f"per size, sizes summing to {sum(sizes)}, needs "
+                                  f"{samples * sum(sizes)} entries, above the cap 10000000\n")
     else:
         assert code in (0, 1, 2) and out.endswith(f"\nexit {code}\n"), (argv, out)
 

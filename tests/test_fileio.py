@@ -9,12 +9,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from redhyp import (CapExceeded, DomainError, ParseError, Plain3Graph, ReducedHypergraph,
                     constituent_density, is_box_dense, random_box_dense)
 from redhyp import core, fileio
-from redhyp.cli import dispatch
+from redhyp.cli import dispatch, parse_certificate, parse_glued
 from redhyp.constructions import (cyclic_triple_3graph, orientation_reduced, random_tournament,
                                   reduced_blow_up)
 from redhyp.core import pattern_catalog
@@ -535,6 +535,80 @@ def test_oversized_canonical_text_is_refused_before_any_table():
         tracemalloc.stop()
     assert str(err.value) == str(want)
     assert peak < 1 << 20
+
+
+@st.composite
+def _texts_declaring_large_sizes(draw):
+    """(reader, text, entries): a few hundred bytes declaring a large M,
+    class sizes or V, for one of the five readers.  entries is what
+    core._table_size counts for a host whose P lines cover every pair,
+    else None."""
+    big = st.integers(10 ** 3, 10 ** 15)
+    number = st.one_of(st.integers(0, 9), big)
+    one_in = lambda k: st.sampled_from([False] * (k - 1) + [True])  # noqa: E731
+    reader = draw(st.sampled_from(
+        [parse_host, parse_pattern, parse_plain3, parse_certificate, parse_glued]))
+    entries = None
+    if reader is parse_host:
+        m = draw(big if draw(one_in(4)) else st.sampled_from([2, 3, 3, 4, 5]))
+        pairs = list(itertools.combinations(range(1, min(m, 5) + 1), 2))
+        # One pair in twenty has no P line.
+        sizes = {p: draw(st.one_of(st.integers(1, 40), st.integers(500, 3000), big))
+                 for p in pairs if not draw(one_in(20))}
+        lines = [f"M {m}"] + [f"P {i} {j} {s}" for (i, j), s in sizes.items()]
+        triples = list(itertools.combinations(range(1, min(m, 5) + 1), 3))
+        if triples:  # cells 0 and 1, so classes of one refuse some
+            lines += [f"E {i} {j} {k} {draw(st.integers(0, 1))} 0 {draw(st.integers(0, 1))}"
+                      for i, j, k in draw(st.lists(st.sampled_from(triples), max_size=4))]
+        if m <= 5 and len(sizes) == len(pairs):
+            entries = core._table_size(m, sizes)
+    elif reader in (parse_pattern, parse_plain3):
+        n = draw(st.one_of(st.integers(1, 9), big))
+        vertex = st.one_of(st.integers(1, min(n, 9)), st.integers(1, n), big)
+        lines = [f"V {n}"] + [f"T {u} {v} {w}" for u, v, w in draw(
+            st.lists(st.tuples(vertex, vertex, vertex), max_size=5))]
+    elif reader is parse_certificate:
+        lines = [f"L {u} {draw(number)}" for u in range(1, draw(st.integers(1, 5)) + 1)]
+        lines += [f"F {u} {v} {draw(number)} {draw(number)} {draw(number)}"
+                  for u, v in itertools.combinations(range(1, 5), 2)]
+    else:
+        lines = ["G-indices " + " ".join(str(draw(number)) for _ in range(4))]
+        lines += [f"G {j} {k} {draw(number)}" for j, k in itertools.combinations(range(1, 5), 2)]
+        lines += [f"G-prime 2 {k} {draw(number)}" for k in (3, 4)]
+    return reader, "\n".join(lines) + "\n", entries
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_texts_declaring_large_sizes())
+def test_readers_allocate_no_more_than_the_caps_count(case):
+    # A reader holds a few kilobytes of its own, and a host adds at most one
+    # 8-byte list slot per table entry that TABLE_ENTRY_CAP admits; a host
+    # above the cap is refused before any table is built.
+    reader, text, entries = case
+    admitted = entries if entries is not None and entries <= core.TABLE_ENTRY_CAP else 0
+    assume(admitted <= 4 * 10 ** 6)  # keeps each draw under about 50 MB
+    tracemalloc.start()
+    try:
+        try:
+            got = reader(text)
+        except (ParseError, DomainError, CapExceeded) as exc:
+            got = exc
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 18) + 8 * admitted, (text, got)
+    if entries is not None and entries > core.TABLE_ENTRY_CAP:
+        assert isinstance(got, (CapExceeded, ParseError)), (text, got)
+    if isinstance(got, ReducedHypergraph):
+        assert core._table_size(got.index_count, got.class_sizes) == entries <= \
+            core.TABLE_ENTRY_CAP
+    # The same answer, or the same error, outside tracemalloc.
+    try:
+        again = reader(text)
+    except (ParseError, DomainError, CapExceeded) as exc:
+        again = exc
+    assert type(again) is type(got) and (str(again) == str(got) if
+                                         isinstance(got, Exception) else again == got)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from redhyp.cli import dispatch
 from redhyp.constructions import orientation_reduced
 from redhyp.embed import Violation
 from redhyp.fileio import write_host
-from redhyp.pipeline import covered_vertex, projection_set
+from redhyp.pipeline import covered_vertex, linked, projection_set
 from redhyp.qsystem import BipartiteGraph
 
 
@@ -379,6 +379,33 @@ def test_connector_pigeonhole_pinned_on_a_doctored_system():
         prepare_row(doctored, range(1, 7), 6, require_size_hypothesis=False)
     assert (err.value.step, err.value.reason) == \
         ("connector-pigeonhole", "apex has no neighbours in the connector class")
+
+
+def test_linked_keeps_the_candidates_whose_adjacency_meets_the_target():
+    adj = [0b110, 0b001, 0b100, 0b000]
+    assert linked(adj, 0b1111, 0b100) == 0b0101
+    assert linked(adj, 0b1110, 0b011) == 0b0010
+    assert linked(adj, 0b1111, 0) == linked(adj, 0, 0b111) == 0
+
+
+def test_connector_and_spine_pinned_on_a_doctored_system():
+    # The complete M=6 host (row index 1, top 6, apex 0, classes of 2) with
+    # three low graphs cut down to the listed (left, right) edges.  The apex
+    # keeps only connector candidate 1 (graph (1, 2, 6)); 1 is linked into
+    # column 3 through z = 0 and into column 5, not into column 4.
+    system, _ = cleaned_complete(6, 2)
+    q_low = dict(system.q_low)
+    for t, edges in {(1, 2, 6): [(1, 0)], (1, 2, 3): [(1, 0)], (1, 2, 4): []}.items():
+        g = q_low[t]
+        left_adj, right_adj = [0] * g.left_size, [0] * g.right_size
+        for a, b in edges:
+            left_adj[a] |= 1 << b
+            right_adj[b] |= 1 << a
+        q_low[t] = BipartiteGraph(g.left_size, g.right_size, left_adj, right_adj)
+    row = prepare_row(dataclasses.replace(system, q_low=q_low), _ALL, 6,
+                      require_size_hypothesis=False)
+    assert (row.apex, row.r_next, row.connector, row.connector_hits, row.spine,
+            row.surviving) == (0, 2, 1, 2, {3: 0, 5: 0}, (2, 3, 5, 6))
 
 
 _ALL = [1, 2, 3, 4, 5, 6]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redhyp import (CapExceeded, DomainError, Plain3Graph, automorphism_count,
+from redhyp import (CapExceeded, DomainError, Pattern, Plain3Graph, automorphism_count,
                     count_copies, cyclic_triple_3graph, pattern_catalog,
                     random_tournament, uniform_density_audit)
 from redhyp import plain
@@ -383,6 +383,25 @@ def test_count_copies_matches_naive_permutations():
                        in g.edges for u, v, w in pat.edges):
                     naive += 1
             assert count_copies(g, pat) == naive
+
+
+def test_count_copies_refuses_patterns_deeper_than_the_search_cap(monkeypatch):
+    # The search takes one stack frame per pattern vertex: a pattern on 1200
+    # vertices would end in a RecursionError, so it is refused before it
+    # starts.  A pattern larger than the graph stays a domain error.
+    for n in (501, 1200):
+        with pytest.raises(CapExceeded) as err:
+            count_copies(Plain3Graph(n, [(1, 2, 3)]), Pattern(n, [(1, 2, 3)]))
+        assert str(err.value) == (f"counting copies of a pattern on {n} vertices recurses "
+                                  f"{n} levels deep, above the cap 500")
+    with pytest.raises(DomainError) as err:
+        count_copies(Plain3Graph(3, [(1, 2, 3)]), Pattern(1200, [(1, 2, 3)]))
+    assert str(err.value) == "pattern has 1200 vertices but graph only 3"
+    # At the cap the count runs; the cap is lowered to 5 to keep it small.
+    monkeypatch.setattr(plain, "MAX_SEARCH_DEPTH", 5)
+    assert count_copies(complete_k(6), pattern_catalog("Fstar")) == 720
+    with pytest.raises(CapExceeded, match="on 6 vertices recurses 6 levels deep, above the cap 5"):
+        count_copies(complete_k(6), Pattern(6, [(1, 2, 3)]))
 
 
 def test_count_copies_monotone_under_edges():
