@@ -19,10 +19,12 @@ deficiency becomes a Fraction again.
 An exhaustive run counts the edges inside all 2^n subsets at once: a table
 of one- or two-byte fields packed into one Python int, summed over subsets
 with one big-integer addition per vertex, then read back as a flat array.
-The scan then reads each mask's count against its size's threshold.  A
-sampled run packs the graph into one bit row per vertex, so the edges
-inside a sample are counted with one AND and one popcount per sampled
-vertex.
+The scan then judges 2^14 masks at a time: one big-integer subtraction of
+a block's counts from its per-mask bars flags the masks that may be the
+worst violation, every block alike, and only those are read one by one
+(see _scan_masks).  A sampled run packs the graph into one bit row per
+vertex, so the edges inside a sample are counted with one AND and one
+popcount per sampled vertex.
 """
 
 from __future__ import annotations
@@ -152,34 +154,96 @@ def _least_count(scale: int, threshold: int) -> int:
     return -(-threshold // scale)
 
 
+_BLOCK_BITS = 14
+# _SIZES[o] = popcount(o) for every offset o within a block.
+_SIZES = b"\x00"
+for _ in range(_BLOCK_BITS):
+    _SIZES += _SIZES.translate(bytes(range(1, 256)) + b"\x00")
+# A bar is kept within 0.._BAR_CAP, the least power of two above every
+# count of a table the cap admits (C(23, 3) = 1771 edges, so 2^11); each
+# 16-bit field holds 2^15 - 1 + bar, so subtracting a count borrows nothing
+# from the next field and leaves bit 15 set iff count < bar.
+_BAR_CAP = 1 << comb(TABLE_ENTRY_CAP.bit_length() - 1, 3).bit_length()
+_GUARD = 1 << 15
+
+
 def _scan_masks(counts: Sequence[int], n: int, d: Fraction, eta: Fraction):
     """Worst violation among all subset masks as (deficiency, subset); None
-    when all hold."""
+    when all hold.
+
+    bars[s] is the smallest count of a size-s mask that is not a candidate:
+    at first the least count that does not violate, and once a worst
+    violation is known, the least count that could neither beat nor tie it.
+    The masks are judged in blocks of 2^14 (2^n when smaller).  A block's
+    bars, one 16-bit field per mask, come from bytes.translate of the
+    offsets' popcounts, shifted by the popcount of the block's start, and
+    are kept until the bars change.  One subtraction of every block's counts
+    from its bars shows its candidates, and only they are read one by one.
+    The table's bytes are read in the byte order of its memoryview, the
+    host's.
+    """
     scale, thresholds = _thresholds(n, d, eta)
-    least = [_least_count(scale, t) for t in thresholds]
+    bars = [_least_count(scale, t) for t in thresholds]
+    width = counts.itemsize
+    raw = counts.cast("B")
+    bits = min(n, _BLOCK_BITS)
+    block = 1 << bits
+    sizes = _SIZES[:block]
+    # one-byte counts are widened into 16-bit little-endian fields
+    order = "little" if width == 1 else sys.byteorder
+    low, high = (0, 1) if order == "little" else (1, 0)
+    guards = int.from_bytes(_GUARD.to_bytes(2, order) * block, order)
+    wide = bytearray(2 * block)
+    block_bars: dict[int, int] = {}
     worst = None
-    for mask, count in enumerate(counts):
-        size = mask.bit_count()
-        if count >= least[size]:
+    for start in range(0, 1 << n, block):
+        base = start.bit_count()
+        bar = block_bars.get(base)
+        if bar is None:
+            fields = [_GUARD - 1 + min(max(b, 0), _BAR_CAP) for b in bars[base:base + bits + 1]]
+            buf = bytearray(2 * block)
+            buf[low::2] = sizes.translate(bytes(f & 0xff for f in fields).ljust(256, b"\0"))
+            buf[high::2] = sizes.translate(bytes(f >> 8 for f in fields).ljust(256, b"\0"))
+            bar = block_bars[base] = int.from_bytes(buf, order)
+        if width == 1:
+            wide[::2] = raw[start:start + block]
+            have = int.from_bytes(wide, order)
+        else:
+            have = int.from_bytes(raw[2 * start:2 * (start + block)], order)
+        below = (bar - have) & guards
+        if not below:
             continue
-        margin = thresholds[size] - count * scale
-        if worst is not None and (margin < worst[0] or margin == worst[0] and size > worst[1]):
-            continue
-        subset = tuple(v + 1 for v in range(n) if mask >> v & 1)
-        if worst is None or (-margin, size, subset) < (-worst[0], worst[1], worst[2]):
-            worst = (margin, size, subset)
+        flags = below.to_bytes(2 * block, order)[high::2]
+        for mask in itertools.compress(range(start, start + block), flags):
+            size = mask.bit_count()
+            count = raw[mask] if width == 1 else int.from_bytes(raw[2 * mask:2 * mask + 2], order)
+            margin = thresholds[size] - count * scale
+            if worst is not None and (margin < worst[0] or margin == worst[0] and size > worst[1]):
+                continue
+            subset = tuple(v + 1 for v in range(n) if mask >> v & 1)
+            if worst is None or (-margin, size, subset) < (-worst[0], worst[1], worst[2]):
+                worst = (margin, size, subset)
+                # a tie needs no larger size: its subset then decides
+                bars = [_least_count(scale, t - margin + (s <= size))
+                        for s, t in enumerate(thresholds)]
+                block_bars = {}
     return None if worst is None else (Fraction(worst[0], scale), worst[2])
 
 
-def _packed_rows(graph: Plain3Graph) -> list[int]:
+def _packed_rows(graph: Plain3Graph, draws: int) -> list[int]:
     """rows[u] has bit v * (n + 1) + w for each edge (u, v, w), u < v < w.
     The n + 1 rows, and (n + 1)^2 / 64 words for each vertex leading an edge
     and for each of the three grid-sized ints a sample holds at once, are
-    refused (CapExceeded) above TABLE_ENTRY_CAP before any is built."""
+    refused (CapExceeded) above TABLE_ENTRY_CAP before any is built; so are
+    the ceil((n + 1)^2 / 64) words of a grid that each of the `draws`
+    sampled vertices' rows is ANDed with."""
     r = graph.vertex_count + 1
     leaders = len(set(map(itemgetter(0), graph.edges)))
     refuse_above_cap(r + (leaders + 3) * r * r // 64,
                      f"a sampled audit of {leaders} edge-leading vertices on {r - 1}")
+    words = -(-r * r // 64)
+    refuse_above_cap(draws * words, f"a sampled audit reading {draws} sampled vertices "
+                                    f"against grids of {words} words on {r - 1}")
     rows = [0] * r
     for u, v, w in graph.edges:
         rows[u] |= 1 << (v * r + w)
@@ -196,10 +260,11 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
     mode 'exhaustive' checks every subset (requires n <= vertex_cap and a
     table of 2^n counts within core.TABLE_ENTRY_CAP); mode 'sampled' draws
     `samples` subsets uniformly for each size in `sizes` (default 3..n), with
-    samples * sum(sizes) sampled vertices and the packed rows (see
-    _packed_rows) each within the cap, and can only return 'sampled-pass'
-    or 'fail'.  A negative vertex_cap, and a float d or eta, are refused
-    (DomainError) in every mode.
+    samples * sum(sizes) sampled vertices, the packed rows, and the grid
+    words those vertices are read against (see _packed_rows) each within
+    the cap, and can only return 'sampled-pass' or 'fail'.  A negative
+    vertex_cap, and a float d or eta, are refused (DomainError) in every
+    mode.
 
     A sample U is counted through the packed rows (see _packed_rows): with
     grid = sum over v in U of (the bits of U) << v * (n + 1), the edges
@@ -245,7 +310,7 @@ def uniform_density_audit(graph: Plain3Graph, d, eta,
             total = sum(size_list)
         refuse_above_cap(samples * total, f"a sampled audit of {samples} samples per size, "
                                           f"sizes summing to {total},")
-        rows = _packed_rows(graph)
+        rows = _packed_rows(graph, samples * total)
         scale, thresholds = _thresholds(n, d, eta)
         shift = (1).__lshift__
         lane = (n + 1).__mul__  # v -> where v's lane of the grid starts

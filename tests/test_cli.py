@@ -275,6 +275,32 @@ def test_a_sampled_audit_refuses_more_draws_than_the_cap_before_the_first(tmp_pa
     assert drawn == [3] * 4
 
 
+def test_a_sampled_audit_refuses_more_grid_words_than_the_cap_before_the_first_draw(
+        tmp_path, monkeypatch):
+    # One edge on 1000 vertices: 3333333 samples of three are 9999999 draws,
+    # under the cap, but each drawn vertex's row is ANDed with a grid of
+    # ceil(1001^2 / 64) = 15657 words, about 45 minutes in all; refused
+    # before the first draw.  A single sample runs.
+    drawn = []
+    real = random.Random.sample
+
+    def sample(rng, population, k):
+        drawn.append(k)
+        return real(rng, population, k)
+
+    monkeypatch.setattr(random.Random, "sample", sample)
+    path = tmp_path / "sparse.p3"
+    path.write_text("V 1000\nT 1 999 1000\n")
+    argv = ["audit", "--graph", str(path), "--d", "0", "--eta", "0", "--seed", "0",
+            "--sizes", "3", "--deterministic", "--samples"]
+    assert run(argv + ["3333333"]) == (
+        2, "error cap-exceeded: a sampled audit reading 9999999 sampled vertices against "
+           "grids of 15657 words on 1000 needs 156569984343 entries, above the cap 10000000\n")
+    assert drawn == []
+    code, text = run(argv + ["1"])
+    assert (code, text.splitlines()[-2:], drawn) == (0, ["subsets-checked 1", "exit 0"], [3])
+
+
 def test_failed_self_check_exits_4(tmp_path, monkeypatch):
     code, text = run(["gen", "--kind", "random", "--m", "10", "--class-size",
                       "2", "--d", "1", "--seed", "0"])
@@ -968,9 +994,11 @@ def test_find_at_any_depth_keeps_the_exit_code_contract(grammar_files, size, bud
 def test_audit_at_any_size_keeps_the_exit_code_contract(grammar_files, size, exhaustive, d,
                                                         samples, data):
     # The 7-vertex cyclic graph's edges on `size` vertices.  An exhaustive
-    # audit above the default cap of 20 vertices, and a sampled one drawing
-    # more than 10^7 vertices, are refused; any other runs to a report.
-    # samples is a few, or so many that sizes summing to 3 pass the cap.
+    # audit above the default cap of 20 vertices, a sampled one drawing
+    # more than 10^7 vertices, and one whose drawn vertices' rows are read
+    # against grids of more than 10^7 words in all, are refused; any other
+    # runs to a report.  samples is a few, or so many that sizes summing to
+    # 3 pass the cap.
     root, texts, paths = grammar_files
     edges = parse_plain3(texts["graph"]).edges
     path = root / "wide-graph.txt"
@@ -980,6 +1008,7 @@ def test_audit_at_any_size_keeps_the_exit_code_contract(grammar_files, size, exh
     argv += ["--exhaustive"] if exhaustive else \
         ["--samples", str(samples), "--seed", "0", "--sizes", ",".join(map(str, sizes))]
     code, out = dispatch(argv)
+    words = -(-(size + 1) ** 2 // 64)  # of one sample's grid
     if exhaustive and size > 20:
         assert (code, out) == (2, "error cap-exceeded: exhaustive audit capped at 20 vertices "
                                   f"(graph has {size}); use sampled mode\n")
@@ -987,6 +1016,11 @@ def test_audit_at_any_size_keeps_the_exit_code_contract(grammar_files, size, exh
         assert (code, out) == (2, f"error cap-exceeded: a sampled audit of {samples} samples "
                                   f"per size, sizes summing to {sum(sizes)}, needs "
                                   f"{samples * sum(sizes)} entries, above the cap 10000000\n")
+    elif not exhaustive and samples * sum(sizes) * words > 10 ** 7:
+        assert (code, out) == (2, "error cap-exceeded: a sampled audit reading "
+                                  f"{samples * sum(sizes)} sampled vertices against grids of "
+                                  f"{words} words on {size} needs {samples * sum(sizes) * words} "
+                                  "entries, above the cap 10000000\n")
     else:
         assert code in (0, 1, 2) and out.endswith(f"\nexit {code}\n"), (argv, out)
 

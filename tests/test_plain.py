@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from redhyp import (CapExceeded, DomainError, Pattern, Plain3Graph, automorphism_count,
                     count_copies, cyclic_triple_3graph, pattern_catalog,
                     random_tournament, uniform_density_audit)
-from redhyp import plain
+from redhyp import core, plain
 from redhyp.plain import _edge_counts_by_subset
 
 
@@ -294,6 +295,125 @@ def test_two_byte_counts_follow_the_byte_order_the_host_reads(monkeypatch):
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(plain, "sys", SimpleNamespace(byteorder=other))
     assert list(_edge_counts_by_subset(g)) == [c >> 8 | (c & 0xff) << 8 for c in native]
+
+
+def test_a_tie_across_sizes_goes_to_the_smaller_size_met_later():
+    # Six vertices at d = 1/2, eta = 0: {1, ..., 5} holds 3 edges and misses
+    # by 5 - 3 = 2, {3, 4, 5, 6} holds none and misses by 2 - 0 = 2, and no
+    # other set misses by 2 or more.  Mask order meets the 5-set (mask 31)
+    # before the 4-set (mask 60), which must win on its smaller size.
+    edges = [(1, 2, 3), (1, 4, 5), (2, 3, 4)] + [
+        (u, v, 6) for u, v in ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))]
+    g = Plain3Graph(6, edges)
+    result = uniform_density_audit(g, Fraction(1, 2), 0)
+    assert (result.status, result.witness, result.deficiency) == ("fail", (3, 4, 5, 6), 2)
+    assert audit_outcome(result) == naive_worst_violation(g, Fraction(1, 2), 0)
+
+
+def reference_scan(counts, n, d, eta):
+    """(deficiency, subset) of the worst violating mask, or None: each mask
+    judged on its own in Fraction arithmetic, ties to the smaller size, then
+    the lexicographically least subset."""
+    bounds = [d * comb(s, 3) - eta * n ** 3 for s in range(n + 1)]
+    worst = None
+    for mask, count in enumerate(counts):
+        margin = bounds[mask.bit_count()] - count
+        if margin > 0:
+            key = (-margin, mask.bit_count(), tuple(v + 1 for v in range(n) if mask >> v & 1))
+            worst = key if worst is None else min(worst, key)
+    return None if worst is None else (-worst[0], worst[2])
+
+
+def tied_sizes(counts, n):
+    """Each (d, margin) with 0 <= d <= 1 at which the worst margin at eta = 0
+    is positive and met at two or more sizes: where two sizes' lines
+    d * C(s, 3) - (fewest edges at size s) cross on their upper envelope."""
+    fewest = [comb(n, 3)] * (n + 1)
+    for mask, count in enumerate(counts):
+        fewest[mask.bit_count()] = min(fewest[mask.bit_count()], count)
+    ties = set()
+    for s, t in itertools.combinations(range(n + 1), 2):
+        if comb(t, 3) > comb(s, 3):
+            d = Fraction(fewest[t] - fewest[s], comb(t, 3) - comb(s, 3))
+            top = max(d * comb(u, 3) - fewest[u] for u in range(n + 1))
+            if 0 <= d <= 1 and 0 < top == d * comb(s, 3) - fewest[s]:
+                ties.add((d, top))
+    return sorted(ties)
+
+
+@st.composite
+def scan_instances(draw):
+    """A graph on n <= 14 vertices with a one- or two-byte table (>= 256
+    edges), a bound of one kind, and a block size of 2^1..2^14 masks."""
+    two_byte = draw(st.booleans())
+    n = 14 if two_byte else draw(st.integers(1, 14))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.75, 0.9] if two_byte else [0, 0.2, 0.5, 0.8, 1]))
+    g = Plain3Graph(n, [t for t in itertools.combinations(range(1, n + 1), 3)
+                        if rng.random() < density])
+    counts = _edge_counts_by_subset(g)
+    kind = draw(st.sampled_from(["vacuous", "free", "binding", "tie"]))
+    d = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 12)))
+    d = min(d, Fraction(1))
+    eta = Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 2 * n ** 3)))
+    if kind == "vacuous":  # no threshold is positive
+        eta += d * comb(n, 3) / n ** 3
+    elif kind == "binding":  # the worst set meets its bound, or misses by 1
+        worst = reference_scan(counts, n, d, Fraction(0))
+        eta = max(Fraction((worst[0] if worst else 0) - draw(st.integers(0, 1)), n ** 3), 0)
+    elif kind == "tie":
+        ties = tied_sizes(counts, n)
+        if ties:
+            d, top = draw(st.sampled_from(ties))
+            eta = top * Fraction(draw(st.integers(0, 9)), 10 * n ** 3)
+    return counts, n, d, eta, draw(st.integers(1, 14))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(scan_instances())
+def test_scan_matches_a_per_mask_reference(instance):
+    counts, n, d, eta, block_bits = instance
+    with patch.object(plain, "_BLOCK_BITS", block_bits):
+        assert plain._scan_masks(counts, n, d, eta) == reference_scan(counts, n, d, eta)
+
+
+def test_table_and_scan_give_the_same_worst_in_either_byte_order(monkeypatch):
+    # One- and two-byte tables, audited in the host's byte order and then,
+    # table and scan alike, in the other one, in one block and in sixteen.
+    triples = list(itertools.combinations(range(1, 15), 3))
+    graphs = [Plain3Graph(14, [t for t in triples if sum(t) % 4]),
+              Plain3Graph(14, triples[:256]),
+              Plain3Graph(13, [t for t in triples if t[2] < 14 and sum(t) % 3])]
+    bounds = [(Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0)),
+              (Fraction(1, 2), Fraction(1, 1000)), (Fraction(9, 10), Fraction(1, 500))]
+
+    def audits():
+        return [uniform_density_audit(g, d, eta) for g in graphs for d, eta in bounds]
+
+    native = audits()
+    assert [r.status for r in native].count("fail") == 11
+    assert (native[1].witness, native[1].deficiency) == ((1, 2, 5, 6, 9, 13), 2)
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(plain, "sys", SimpleNamespace(byteorder=other))
+    assert audits() == native
+    monkeypatch.setattr(plain, "_BLOCK_BITS", 10)
+    assert audits() == native
+
+
+def test_bars_stay_above_every_count_the_table_cap_admits():
+    # The largest table the cap admits is on the n vertices with 2^n <= the
+    # cap (23 today, C(23, 3) = 1771 edges); bars are capped at the least
+    # power of two above that many edges, and with the guard fit 16 bits.
+    n = core.TABLE_ENTRY_CAP.bit_length() - 1
+    assert 1 << n <= core.TABLE_ENTRY_CAP < 1 << (n + 1)
+    with pytest.raises(CapExceeded, match=f"needs 2\\^{n + 1} subset counts"):
+        uniform_density_audit(Plain3Graph(n + 1, []), 1, 0, vertex_cap=n + 1)
+    assert plain._BAR_CAP == 1 << comb(n, 3).bit_length()
+    assert plain._GUARD - 1 + plain._BAR_CAP < 1 << 16
+
+
+def test_block_popcounts_cover_a_block_of_2_14_masks():
+    assert plain._SIZES == bytes(map(int.bit_count, range(1 << 14)))
 
 
 @pytest.mark.parametrize("d,eta", [(0.25, 0), (Fraction(1, 4), 0.05), (0.5, 0.0)])
