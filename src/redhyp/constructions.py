@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import ceil, comb
 from typing import Callable, Mapping
 
-from .core import (Pair, ReducedHypergraph, Triple, check_table_size,
+from .core import (Pair, ReducedHypergraph, Triple, cell_code, check_table_size,
                    refuse_above_cap, sorted_pair)
 from .errors import DomainError
 from .plain import Plain3Graph
@@ -145,11 +145,12 @@ def random_box_dense(index_count: int, class_size: int, d, seed: int) -> Reduced
     rng = random.Random(seed)
     sizes = dict.fromkeys(itertools.combinations(range(1, index_count + 1), 2), p)
 
-    def cells(_slot_sizes):
+    def cells(slot_sizes):
         # each triple's k picks, in turn; pick x is the cell of the edge
         # (x // p^2, x // p % p, x % p) in classes of p
+        code = cell_code((p, p, p), k)
         for t in itertools.combinations(range(1, index_count + 1), 3):
-            yield t, sorted(_sample_indices(rng, space, k))
+            yield t, slot_sizes(t), list(map(code, sorted(_sample_indices(rng, space, k))))
 
     return ReducedHypergraph._from_cells(index_count, sizes, cells)
 

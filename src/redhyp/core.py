@@ -62,12 +62,13 @@ def canonical_edges(n: int, edges: Iterable[Edge], what: str) -> frozenset[Edge]
     return frozenset(canon)
 
 
-# A constituent of at most this many cells, at least half of them edges,
-# builds comp01 by summing the bits of its cells into one int and slicing
-# that, one step per entry.  Any other sets each cell's bit in its entry, one
-# step per edge: it is the faster on sparse constituents, and it builds no
-# int wider than an entry, whatever the class sizes.  Every process holds
-# _BITS, whether or not it loads a host, so the limit is kept small.
+# A constituent of at most this many cells, at least half of them edges, is
+# handed over, pooled and built as one int, the sum of the bits 1 << cell of
+# its edges: comp01 is sliced from it, one step per entry.  Any other is
+# handed over as its ascending cells, each set in its entry, one step per
+# edge: it is the faster on sparse constituents, and it builds no int wider
+# than an entry, whatever the class sizes.  Every process holds _BITS,
+# whether or not it loads a host, so the limit is kept small.
 _FLAT_CELLS = 1 << 10
 _BITS = [1 << x for x in range(_FLAT_CELLS)]
 
@@ -80,6 +81,22 @@ def edge_cell(sizes: tuple[int, int, int], a: int, b: int, c: int) -> int:
     if not (0 <= a < s0 and 0 <= b < s1 and 0 <= c < s2):
         raise ValueError(f"edge {(a, b, c)} outside class sizes {sizes}")
     return (a * s1 + b) * s2 + c
+
+
+def least_masked(sizes: tuple[int, int, int]) -> float:
+    """The fewest edges with which a constituent of slot sizes (s0, s1, s2)
+    is handed over as one int (see _FLAT_CELLS): half its s0*s1*s2 cells,
+    rounded up, when they are at most _FLAT_CELLS, else never (inf)."""
+    s0, s1, s2 = sizes
+    volume = s0 * s1 * s2
+    return (volume + 1) // 2 if volume <= _FLAT_CELLS else math.inf
+
+
+def cell_code(sizes: tuple[int, int, int], n: int) -> Callable[[int], int]:
+    """How a constituent of slot sizes (s0, s1, s2) with n edges is handed to
+    ReducedHypergraph._from_cells, cell by cell: each cell as its bit
+    1 << cell from least_masked(sizes) edges on, else as the cell itself."""
+    return _BITS.__getitem__ if n >= least_masked(sizes) else int
 
 
 class Constituent:
@@ -100,7 +117,7 @@ class Constituent:
         slot-y vertex vy: comp is comp01, comp02 or comp12 with its
         operands in the order x, y.
     sizes, comp01 and the edge count are the stored form, and the
-    constructor builds only them, from the cells of the edges: cleaning's
+    constructor builds only them, from the edges' cells: cleaning's
     blue test, rows, projections, has() and edge_count() read nothing else.
     edges, the frozenset of (a, b, c), is built from comp01 on its first
     read and then kept; sorted_edges() reads them from comp01 in order
@@ -122,22 +139,23 @@ class Constituent:
 
     __slots__ = ("sizes", "_count", "_edges", "comp01", "_comp02", "_comp12", "occupied", "fwd")
 
-    def __init__(self, sizes: tuple[int, int, int], cells: Sequence[int]):
-        """The constituent of the given slot sizes with an edge at each of
-        the cells, which must lie below s0*s1*s2 (edge_cell checks that).
-        A repeated cell adds no edge, so edge_count() falls short of the
-        number of cells: ReducedHypergraph._from_cells checks it."""
+    def __init__(self, sizes: tuple[int, int, int], row: int | Sequence[int]):
+        """The constituent of the given slot sizes whose edges `row` holds:
+        the int sum of their bits 1 << cell, or the sequence of their cells,
+        each below s0*s1*s2 (edge_cell checks that; see _FLAT_CELLS for
+        which).  A repeated cell adds no edge, so edge_count() falls short
+        of the number of cells handed over: ReducedHypergraph._from_cells
+        checks it."""
         self.sizes = sizes
         s0, s1, s2 = sizes
         keys = s0 * s1
-        if keys * s2 <= min(_FLAT_CELLS, 2 * len(cells)):
-            mask = sum(map(_BITS.__getitem__, cells))
+        if isinstance(row, int):
             full = (1 << s2) - 1
-            self.comp01 = list(map(full.__and__, map(mask.__rshift__, range(0, keys * s2, s2))))
-            self._count = mask.bit_count()
+            self.comp01 = list(map(full.__and__, map(row.__rshift__, range(0, keys * s2, s2))))
+            self._count = row.bit_count()
         else:
             comp01 = self.comp01 = [0] * keys
-            for x in cells:
+            for x in row:
                 key, c = divmod(x, s2)
                 comp01[key] |= 1 << c
             self._count = sum(map(int.bit_count, comp01))
@@ -295,17 +313,22 @@ class _RowFault(DomainError):
 
 
 SlotSizes = Callable[[Triple], tuple[int, int, int]]
+# (triple, its slot sizes, the cells of its edges coded by cell_code)
+Block = tuple[Triple, tuple[int, int, int], list[int]]
 
 
 def _pooled(pool: dict[tuple, Constituent], slots: tuple[int, int, int],
-            cells: Sequence[int]) -> Constituent:
-    """The constituent of the given slot sizes and ascending cells: the one
-    pool already holds for them, else a new one, added.  A host builds all
-    its constituents through one pool, so equal ones are one object."""
-    key = (slots, tuple(cells))
-    con = pool.get(key)
+            codes: Sequence[int]) -> Constituent:
+    """The constituent of the given slot sizes whose edges have the
+    ascending cells that codes hands over (see cell_code): the one pool
+    already holds for them, else a new one, added.  It is pooled, and
+    built, by the sum of the codes when they are bits, else by the cells.
+    A host builds all its constituents through one pool, so equal ones are
+    one object."""
+    row = sum(codes) if len(codes) >= least_masked(slots) else tuple(codes)
+    con = pool.get((slots, row))
     if con is None:
-        con = pool[key] = Constituent(slots, cells)
+        con = pool[(slots, row)] = Constituent(slots, row)
     return con
 
 
@@ -316,11 +339,11 @@ class ReducedHypergraph:
     triples to edge collections and may omit empty constituents.  The
     constructor reads each constituent's edges once, in input order, turns
     each into its cell (edge_cell) and words the first edge outside the
-    class ranges or repeated as a DomainError; it hands the sorted cells to
-    _from_cells, the one statement of the other host rules.  The
-    canonical-text parser (fileio) and random_box_dense hand their cells to
-    it too.  It builds one Constituent (see there) per distinct (sizes,
-    cells), whose edge set is built only when read.
+    class ranges or repeated as a DomainError; it hands the sorted cells,
+    coded by cell_code, to _from_cells, the one statement of the other host
+    rules.  The canonical-text parser (fileio) and random_box_dense hand
+    their coded cells to it too.  It builds one Constituent (see there) per
+    distinct (sizes, cells), whose edge set is built only when read.
 
     canonical_sha256 is the sha256 of this host's canonical text
     (fileio.write_host) when the parser already hashed it, else None.
@@ -329,7 +352,7 @@ class ReducedHypergraph:
     def __init__(self, index_count: int,
                  class_sizes: Mapping[Pair, int],
                  constituents: Mapping[Triple, Iterable[Edge]]):
-        def cells(slot_sizes: SlotSizes) -> Iterator[tuple[Triple, list[int]]]:
+        def cells(slot_sizes: SlotSizes) -> Iterator[Block]:
             for t, edges in constituents.items():
                 slots = slot_sizes(t)
                 seen: set[int] = set()
@@ -344,7 +367,7 @@ class ReducedHypergraph:
                     if x in seen:
                         raise DomainError(f"duplicate edge {e} in constituent {t}")
                     seen.add(x)
-                yield t, sorted(seen)
+                yield t, slots, list(map(cell_code(slots, len(seen)), sorted(seen)))
 
         try:
             host = self._from_cells(index_count, class_sizes, cells)
@@ -357,25 +380,28 @@ class ReducedHypergraph:
 
     @classmethod
     def _from_cells(cls, m: int, class_sizes: Mapping[Pair, int],
-                    blocks: Callable[[SlotSizes], Iterable[tuple[Triple, list[int]]]]
+                    blocks: Callable[[SlotSizes], Iterable[Block]]
                     ) -> "ReducedHypergraph":
         """The host on indices 1..m whose non-empty constituents come from
-        blocks(slot_sizes): each as (triple, cells), once, with the cells
-        of its edges in ascending order.  edge_cell, the cell rule, refuses
-        an edge outside its classes before its cell is handed over.
-        slot_sizes(t) gives the class sizes of key t's three slots,
-        refusing a bad key as below; blocks is called only once the cap is
+        blocks(slot_sizes): each as (triple, slots, codes), once, where
+        slots = slot_sizes(t) and codes are the cells of its edges in
+        ascending order, coded by cell_code(slots, len(codes)).  edge_cell,
+        the cell rule, refuses an edge outside its classes before its cell
+        is handed over.  slot_sizes(t) gives the class sizes of key t's
+        three slots, refusing a bad key as below; blocks looks up each
+        key's sizes through it, once, and is called only once the cap is
         checked.
 
         This states every other host rule, checked in this order: m >= 2;
         class_sizes names exactly the sorted pairs within 1..m, each of
         size >= 1; the tables fit under TABLE_ENTRY_CAP (CapExceeded, before
         any is allocated); then, block by block, the key is a sorted triple
-        within 1..m and the cells are distinct, so no row repeats.  Faults
-        raise DomainError; a repeated cell raises _RowFault.  The
-        constructor hands over cells it has proven distinct, so there
-        _RowFault means a defect of the program (SelfCheckError).  Triples
-        with equal (sizes, cells) get one Constituent object.
+        within 1..m (slot_sizes) and the cells are distinct, so no row
+        repeats.  Faults raise DomainError; a repeated cell raises
+        _RowFault.  The constructor hands over cells it has proven
+        distinct, so there _RowFault means a defect of the program
+        (SelfCheckError).  Triples with equal (sizes, cells) get one
+        Constituent object.
         """
         if m < 2:
             raise DomainError(f"index_count must be >= 2, got {m}")
@@ -403,10 +429,10 @@ class ReducedHypergraph:
             return sizes[x], sizes[y], sizes[z]
 
         pool: dict[tuple, Constituent] = {}
-        for t, cells in blocks(slot_sizes):
-            slots = slot_sizes(t)
-            con = cons[t] = _pooled(pool, slots, cells)
-            if con.edge_count() != len(cells):  # a repeated cell sets no new bit
+        for t, slots, codes in blocks(slot_sizes):
+            con = cons[t] = _pooled(pool, slots, codes)
+            # a repeated cell sets no new bit: a repeated bit carries
+            if con.edge_count() != len(codes):
                 raise _RowFault(t, slots)
         for t, con in cons.items():
             if con is None:
@@ -538,8 +564,9 @@ class ReducedHypergraph:
             if con is None:
                 p0, p1, p2 = sel
                 slots = (old.sizes[p0], old.sizes[p1], old.sizes[p2])
-                con = permuted[(old, sel)] = _pooled(pool, slots, sorted(
-                    [edge_cell(slots, e[p0], e[p1], e[p2]) for e in old.sorted_edges()]))
+                cells = sorted(edge_cell(slots, e[p0], e[p1], e[p2]) for e in old.sorted_edges())
+                con = permuted[(old, sel)] = _pooled(pool, slots,
+                                                     list(map(cell_code(slots, len(cells)), cells)))
             new_cons[(x, y, z)] = con
         return ReducedHypergraph._assemble(t_new, new_sizes, new_cons)
 

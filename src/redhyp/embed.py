@@ -685,8 +685,10 @@ def exhaustive_oracle(host: ReducedHypergraph, pattern: Pattern,
     """Count all valid maps by naive enumeration in lexicographic order.
 
     Refuses (CapExceeded) when the candidate space -- index assignments
-    times the product of class sizes over shadow pairs -- exceeds cap, and
-    a negative cap (DomainError).
+    times the product of class sizes over shadow pairs -- exceeds cap, or
+    when the count would recurse deeper than MAX_SEARCH_DEPTH (one level
+    per shadow pair), both before the first index map is walked; and a
+    negative cap (DomainError).
     """
     refuse_negative_cap(cap)
     n = pattern.vertex_count
@@ -697,6 +699,9 @@ def exhaustive_oracle(host: ReducedHypergraph, pattern: Pattern,
     if n >= cap.bit_length() or M ** n > cap:
         raise CapExceeded(
             f"index assignment space {M}^{n} exceeds oracle cap {cap}")
+    if len(pairs) > MAX_SEARCH_DEPTH:
+        raise CapExceeded(f"an oracle count for a pattern on {n} vertices would recurse "
+                          f"{len(pairs)} levels deep, above the cap {MAX_SEARCH_DEPTH}")
     pos_pairs = [(u - 1, v - 1) for u, v in pairs]
 
     def admitted():  # the index maps, in order, that split every shadow pair

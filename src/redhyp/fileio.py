@@ -18,19 +18,23 @@ out-of-range lines raise ParseError with the line number.  Writers emit a
 canonical form: P lines then E lines, each sorted lexicographically.
 
 A host text in exactly that canonical form, as write_host emits it, is
-parsed in bulk, one constituent block at a time, and its digest is the
-sha256 of the input itself.  The bulk recogniser (see _parse_canonical)
-checks only the text's shape: the header against its regenerated text,
-each block's head against the next triple in order, and each "a b c" tail
-through a table of the tails already seen, which never holds more entries
-than the text has E lines, whatever the class sizes.  The host rules are
-core's: edge_cell gives each tail's cell and refuses a vertex outside its
-class, and ReducedHypergraph._from_cells proves the rest on each
-constituent's cells and builds the host, with one Constituent object for
-the triples of equal sizes and cells.  A constituent's tables other than
-comp01, and its edge set, are built only when something reads them.  Any other text, malformed or not,
-goes through the line parser and the host constructor; the line parser is
-the only code that words a ParseError.
+loaded in bulk, one pass per constituent block (the E lines of one index
+triple), and its digest is the sha256 of the input itself.  The bulk
+recogniser (see _parse_canonical) checks only the text's shape: the header
+against its regenerated text, each block's head against the next triple
+in order, and each "a b c" tail through tables of the tails already seen,
+which never hold more entries than the text has E lines, whatever the
+class sizes.  A table holds each tail's cell as core.cell_code hands it
+over: its bit 1 << cell in a block of a small triple at least half full,
+else the cell.  The host rules are core's: edge_cell gives each tail's cell
+and refuses a vertex outside its class, and ReducedHypergraph._from_cells
+proves the rest on each block and builds the host, taking such a block's
+edges as one int, the sum of its bits, and giving one Constituent object
+to the triples of equal sizes and edges.  A constituent's tables other
+than comp01, and its edge set, are built only when something reads them.
+Any other text, malformed or not, goes through the line parser and the
+host constructor; the line parser is the only code that words a
+ParseError.
 
 Plain-graph text is loaded the same way: a text equal to write_plain3 of
 its graph is recognised in bulk, a chunk of lines at a time (see
@@ -45,10 +49,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from operator import lt
+from typing import Callable
 
 from ._bits import iter_bits
-from .core import Pattern, ReducedHypergraph, edge_cell, slot_pairs
+from .core import Pattern, ReducedHypergraph, cell_code, edge_cell, least_masked, slot_pairs
 from .errors import DomainError, ParseError
 from .plain import Plain3Graph
 
@@ -93,23 +99,24 @@ def _check_e_line(lineno: int, i: int, j: int, k: int, a: int, b: int, c: int,
                 f"of size {sizes[(x, y)]}")
 
 
-class _TailCells(dict):
-    """The cells (core.edge_cell) of E-line tails "a b c" in one slot-size
-    triple, keyed by the tail's text and filled only from tails looked up:
-    never more entries than the text has E lines, whatever the class sizes.
-    A tail not in canonical decimals, or outside the classes, raises
-    ValueError."""
+class _TailCodes(dict):
+    """The coded cells (core.edge_cell, then code) of E-line tails "a b c"
+    in one slot-size triple, keyed by the tail's text and filled only from
+    tails looked up: never more entries than the text has E lines, whatever
+    the class sizes.  A tail not in canonical decimals, or outside the
+    classes, raises ValueError."""
 
-    def __init__(self, slots: tuple[int, int, int]):
+    def __init__(self, slots: tuple[int, int, int], code: Callable[[int], int]):
         super().__init__()
         self.slots = slots
+        self.code = code
 
     def __missing__(self, tail: str) -> int:
         a, b, c = map(int, tail.split(" "))
         if "%d %d %d" % (a, b, c) != tail:
             raise ValueError(f"tail {tail!r} is not in canonical decimals")
-        cell = self[tail] = edge_cell(self.slots, a, b, c)
-        return cell
+        code = self[tail] = self.code(edge_cell(self.slots, a, b, c))
+        return code
 
 
 def _parse_canonical(text: str) -> ReducedHypergraph | None:
@@ -120,24 +127,27 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
     into tokens.  The M line and the P lines must equal their regenerated
     text "M %d" and "P %d %d %d", for the pairs of 1..M in order; an M with
     more pairs than the text has newlines is refused before any pair list
-    is built.
+    is built, and _from_cells checks the cap before any table is built.
 
     The E section is read one constituent block at a time, walking the
     triples of 1..M in order: a block starts with the head "E i j k " of
     the next triple that has one, so its head is spelled canonically, its
     triple lies in 1..M and rises above the previous block's, and a line
-    that starts no such block is left over and defers.  One rfind of
-    newline + head, within a window of s0*s1*s2 lines of the widest
+    that starts no such block is left over and defers.  The block's slot
+    sizes are looked up once, through _from_cells' slot_sizes.  One rfind
+    of newline + head, within a window of s0*s1*s2 lines of the widest
     canonical line of the triple, finds the block's last line.  A longer
     block would repeat a row, and the window leaves its rest as a second
     block with the same head, which nothing matches.  One split of the
-    block on newline + head gives its "a b c" tails, and a _TailCells
-    table per slot-size triple gives their cells.  The cells must be
-    sorted, and _from_cells refuses a repeated one, so they rise strictly:
-    that is the order write_host emits and the digest relies on.  Every
-    host rule (M, the class sizes, the cap, the keys and distinct rows) is
-    then proven by ReducedHypergraph._from_cells, which builds the host
-    with one Constituent per distinct (sizes, cells).
+    block on newline + head gives its "a b c" tails, and the _TailCodes
+    tables of its slot-size triple give their coded cells: bits when the
+    block has at least core.least_masked(slots) tails, so that _from_cells
+    takes its edges as one sum, else cells (core.cell_code).  Either way
+    the codes must be sorted, and _from_cells refuses a repeated one, so the
+    cells rise strictly: that is the order write_host emits and the digest
+    relies on.  Every host rule (M, the class sizes, the cap, the keys and
+    distinct rows) is proven by ReducedHypergraph._from_cells, which builds
+    the host with one Constituent per distinct (sizes, edges).
     """
     if not (text.isascii() and text.startswith("M ") and text.endswith("\n")):
         return None
@@ -156,10 +166,13 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
             return None
 
         def blocks(slot_sizes):  # the keys are the triples of 1..m, walked in order
-            tables: dict[tuple[int, int, int], tuple[_TailCells, int, int]] = {}
-            pos = e0
+            # per slot-size triple: the lookups of its tail tables coding cells
+            # as cells and as bits (core.cell_code), the fewest tails a block
+            # needs for bits (core.least_masked), its volume and widest tail
+            tables: dict[tuple[int, int, int], tuple] = {}
+            pos, end = e0, len(text)
             for t in itertools.combinations(range(1, m + 1), 3):
-                if pos == len(text):
+                if pos == end:
                     break
                 sep = "\nE %d %d %d " % t  # text[pos - 1] is a newline
                 if not text.startswith(sep, pos - 1):
@@ -168,18 +181,24 @@ def _parse_canonical(text: str) -> ReducedHypergraph | None:
                 info = tables.get(slots)
                 if info is None:
                     s0, s1, s2 = slots
-                    info = tables[slots] = (_TailCells(slots), s0 * s1 * s2,
-                                            len("%d %d %d" % (s0 - 1, s1 - 1, s2 - 1)))
-                table, volume, tail_width = info
-                # the widest line, newline included, is len(sep) + tail_width
-                last = text.rfind(sep, pos - 1, pos + volume * (len(sep) + tail_width))
+                    least = least_masked(slots)
+                    info = tables[slots] = (
+                        _TailCodes(slots, cell_code(slots, 0)).__getitem__,
+                        _TailCodes(slots, cell_code(slots, least)).__getitem__
+                        if least < math.inf else None,
+                        least, s0 * s1 * s2, len("%d %d %d" % (s0 - 1, s1 - 1, s2 - 1)))
+                as_cells, as_bits, least, volume, tail_width = info
+                head = len(sep)
+                # the widest line, newline included, is head + tail_width
+                last = text.rfind(sep, pos - 1, pos + volume * (head + tail_width))
                 stop = text.index("\n", last + 1)
-                cells = list(map(table.__getitem__, text[pos + len(sep) - 1:stop].split(sep)))
-                if cells != sorted(cells):
+                tails = text[pos + head - 1:stop].split(sep)
+                codes = list(map(as_bits if len(tails) >= least else as_cells, tails))
+                if codes != sorted(codes):
                     raise ValueError(f"rows of {t} are not in canonical order")
-                yield t, cells
+                yield t, slots, codes
                 pos = stop + 1
-            if pos != len(text):
+            if pos != end:
                 raise ValueError(f"line at {pos} does not start the next canonical block")
 
         host = ReducedHypergraph._from_cells(m, dict(zip(pairs, class_sizes)), blocks)

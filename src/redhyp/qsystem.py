@@ -22,9 +22,9 @@ distinct (sizes, comp01) in a host, and clean's three systems share them
 by that object (build_q_graphs' shared_with).  color_triples and
 verify_star sum a low graph's squared degrees once per graph object, and
 compute_s_sets builds the frozensets once per (|P^{ij}|, degree profile),
-handing equal triples the same objects.  These memos live for one call
-only, so blue verification and verify_star recompute from their own
-inputs.
+handing equal triples the same row of them (SSets).  These memos live for
+one call only, so blue verification and verify_star recompute from their
+own inputs.
 """
 
 from __future__ import annotations
@@ -119,6 +119,36 @@ class HighGraphs(Mapping):
         return len(self._constituents)
 
 
+class SSets(Mapping):
+    """The S-sets of one host, S^i_{jk}(r) keyed by (t, r) for every triple
+    t and level r of levels, stored as one row per triple: row(t) is the
+    tuple of t's sets, levels ascending.  Triples with equal low graphs
+    share one row (see compute_s_sets).  Iteration runs through the triples
+    in order, levels ascending within each.  Read-only.
+    """
+
+    def __init__(self, rows: dict[Triple, tuple[frozenset[int], ...]], levels: range):
+        self._rows = rows
+        self._levels = levels
+
+    def row(self, t: Triple) -> tuple[frozenset[int], ...]:
+        """The sets of sorted triple t, levels ascending; KeyError if t has none."""
+        return self._rows[t]
+
+    def __getitem__(self, key: tuple[Triple, int]) -> frozenset[int]:
+        try:
+            t, r = key
+            return self._rows[t][self._levels.index(r)]
+        except (KeyError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[tuple[Triple, int]]:
+        return itertools.product(self._rows, self._levels)
+
+    def __len__(self) -> int:
+        return len(self._rows) * len(self._levels)
+
+
 @dataclass
 class QGraphSystem:
     """Q-graphs for one host, plus the cleaning results once `clean` ran.
@@ -136,17 +166,17 @@ class QGraphSystem:
     q_low: dict[Triple, BipartiteGraph]
     q_high: Mapping[Triple, BipartiteGraph]
     delta: Fraction | None = None
-    s_sets: dict[tuple[Triple, int], frozenset[int]] | None = None
+    s_sets: Mapping[tuple[Triple, int], frozenset[int]] | None = None
     r_star: int | None = None
     to_original: tuple[int, ...] | None = None
 
     def s_set(self, triple: Triple, r: int) -> frozenset[int]:
         if self.s_sets is None:
             raise DomainError("S-sets are only available after clean()")
-        key = (sorted_triple(*triple), r)
-        if key not in self.s_sets:
+        found = self.s_sets.get((sorted_triple(*triple), r))
+        if found is None:
             raise DomainError(f"no stored S-set for triple {triple} at level {r}")
-        return self.s_sets[key]
+        return found
 
 
 def _ceil_per_size(host: ReducedHypergraph, q: Fraction) -> dict[int, int]:
@@ -247,22 +277,22 @@ def level_cap(delta: Fraction) -> int:
     return math.ceil(Fraction(1, 2) / delta)
 
 
-def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem,
-                   delta) -> dict[tuple[Triple, int], frozenset[int]]:
-    """S-sets for every triple and level 1..level_cap(delta)+1.
+def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem, delta) -> SSets:
+    """S-sets for every triple and level 1..level_cap(delta)+1, one row of
+    sets per triple (see SSets).
 
     S^i_{jk}(r) collects x in P^{ik} whose low-graph degree toward P^{ij}
     is at least (1/2 + r*delta) * |P^{ij}|.  Levels are nested decreasing.
     The sets depend only on the low graph, through |P^{ij}| (its left side)
     and its degree profile, so each distinct pair of them is computed once
-    and its frozensets shared.
+    and its row shared.
     """
     delta = Fraction(delta)
     levels = range(1, level_cap(delta) + 2)
     needs = [_ceil_per_size(host, Fraction(1, 2) + r * delta) for r in levels]
     by_profile: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], ...]] = {}
     by_graph: dict[int, tuple[frozenset[int], ...]] = {}  # id(low graph); as in color_triples
-    rows = []
+    rows: dict[Triple, tuple[frozenset[int], ...]] = {}
     for t in host.constituents:
         low = system.q_low[t]
         sets = by_graph.get(id(low))
@@ -275,14 +305,12 @@ def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem,
                     frozenset(x for x, deg in enumerate(degrees) if deg >= need[size_ij])
                     for need in needs)
             by_graph[id(low)] = sets
-        rows.append(sets)
-    # keys (t, r) in triple order, levels ascending within a triple
-    return dict(zip(itertools.product(host.constituents, levels),
-                    itertools.chain.from_iterable(rows)))
+        rows[t] = sets
+    return SSets(rows, levels)
 
 
 def level_coloring(host: ReducedHypergraph, system: QGraphSystem, delta,
-                   s_sets: Mapping[tuple[Triple, int], frozenset[int]]) -> dict[Triple, int]:
+                   s_sets: SSets) -> dict[Triple, int]:
     """Color each triple by the deepest level whose S-set is delta-large.
 
     Level 0 marks triples where even level 1 falls below delta * |P^{ik}|;
@@ -295,9 +323,10 @@ def level_coloring(host: ReducedHypergraph, system: QGraphSystem, delta,
     deepest_first = range(cap, 0, -1)
     for t, con in host.constituents.items():
         least = need[con.sizes[1]]
+        row = s_sets.row(t)
         level = 0
         for r in deepest_first:
-            if len(s_sets[(t, r)]) >= least:
+            if len(row[r - 1]) >= least:
                 level = r
                 break
         colors[t] = level

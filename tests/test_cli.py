@@ -18,7 +18,7 @@ import redhyp
 from redhyp import (Plain3Graph, core, cyclic_triple_3graph, find_reduced_image,
                     pattern_catalog, pipeline, random_box_dense, random_tournament,
                     validate_reduced_map)
-from redhyp.cli import (certificate_lines, dispatch, parse_certificate,
+from redhyp.cli import (certificate_lines, dispatch, main, parse_certificate,
                         parse_fraction, parse_glued)
 from redhyp.fileio import parse_host, parse_plain3, write_host, write_pattern, write_plain3
 from redhyp.embed import Violation
@@ -75,6 +75,18 @@ def test_find_found_and_certificate_revalidates(complete_file):
     host = parse_host(open(complete_file).read())
     ok, violation = validate_reduced_map(host, pattern_catalog("Fstar"), rmap)
     assert ok, violation
+
+
+def test_main_prints_the_report_and_returns_its_exit_code(complete_file, capsys):
+    argv = ["find", "--host", complete_file, "--pattern", "Fstar", "--deterministic"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (run(argv)[1], "")
+    assert "\noutcome found\nnodes 25\n" in out and out.endswith("\nexit 0\n")
+    assert main(["find", "--host", complete_file]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("error the following arguments are required: --pattern\n"
+                          "usage: redhyp find ") and err == ""
 
 
 def test_find_not_found_and_budget(orientation_file):
@@ -187,6 +199,20 @@ def test_a_search_at_the_depth_cap_runs_out_of_budget(deep_search_files):
     code, text = run(deep_search_files + ["--budget", "500"])
     assert (code, text.splitlines()[-3:]) == (2, ["outcome budget-exhausted", "nodes 501",
                                                   "exit 2"])
+
+
+def test_an_oracle_count_deeper_than_the_cap_is_refused(tmp_path, deep_search_files):
+    # Every triple through vertex 1 of 33: the shadow is all 528 pairs, one
+    # level each.  3^33 index maps fit under the cap of 10^20, so only the
+    # depth refuses the count, before the first map is walked.
+    pattern = tmp_path / "fan.pat"
+    pattern.write_text("V 33\n" + "".join(f"T 1 {a} {b}\n"
+                                          for a, b in itertools.combinations(range(2, 34), 2)))
+    host = deep_search_files[deep_search_files.index("--host") + 1]  # M = 3
+    argv = ["oracle", "--host", host, "--pattern", str(pattern),
+            "--cap", str(10 ** 20), "--deterministic"]
+    assert run(argv) == (2, "error cap-exceeded: an oracle count for a pattern on 33 vertices "
+                            "would recurse 528 levels deep, above the cap 500\n")
 
 
 def test_a_sampled_audit_allocates_per_sample_not_per_vertex(tmp_path):
@@ -987,23 +1013,31 @@ def test_find_at_any_depth_keeps_the_exit_code_contract(grammar_files, size, bud
         assert code in (0, 1, 2) and out.endswith(f"\nexit {code}\n"), (argv, out)
 
 
+# (size, exhaustive, samples, sizes) of an audit; sizes None is drawn in the
+# test.  The second arm reads 4 * 18 sampled vertices against grids of at
+# least 138943 words, past 10^7 in all, so the grid-word refusal is reached.
+_AUDIT_CASES = st.one_of(
+    st.tuples(st.integers(3, 3000), st.booleans(),
+              st.one_of(st.integers(1, 4), st.integers(10 ** 7 // 3 + 1, 10 ** 12)), st.none()),
+    st.tuples(st.integers(2981, 3000), st.just(False), st.just(4), st.just([6, 6, 6])))
+
+
 @settings(max_examples=60, deadline=None, database=None)
-@given(size=st.integers(3, 3000), exhaustive=st.booleans(), d=st.sampled_from(["0", "1/4", "1"]),
-       samples=st.one_of(st.integers(1, 4), st.integers(10 ** 7 // 3 + 1, 10 ** 12)),
-       data=st.data())
-def test_audit_at_any_size_keeps_the_exit_code_contract(grammar_files, size, exhaustive, d,
-                                                        samples, data):
+@given(case=_AUDIT_CASES, d=st.sampled_from(["0", "1/4", "1"]), data=st.data())
+def test_audit_at_any_size_keeps_the_exit_code_contract(grammar_files, case, d, data):
     # The 7-vertex cyclic graph's edges on `size` vertices.  An exhaustive
     # audit above the default cap of 20 vertices, a sampled one drawing
     # more than 10^7 vertices, and one whose drawn vertices' rows are read
     # against grids of more than 10^7 words in all, are refused; any other
     # runs to a report.  samples is a few, or so many that sizes summing to
     # 3 pass the cap.
+    size, exhaustive, samples, sizes = case
     root, texts, paths = grammar_files
     edges = parse_plain3(texts["graph"]).edges
     path = root / "wide-graph.txt"
     path.write_text(write_plain3(Plain3Graph(size, [e for e in edges if e[2] <= size])))
-    sizes = data.draw(st.lists(st.integers(3, min(size, 6)), min_size=1, max_size=3))
+    if sizes is None:
+        sizes = data.draw(st.lists(st.integers(3, min(size, 6)), min_size=1, max_size=3))
     argv = ["audit", "--graph", str(path), "--d", d, "--eta", "1/20", "--deterministic"]
     argv += ["--exhaustive"] if exhaustive else \
         ["--samples", str(samples), "--seed", "0", "--sizes", ",".join(map(str, sizes))]

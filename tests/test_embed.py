@@ -103,6 +103,18 @@ def test_validate_distinctness_and_class_violations():
     assert not ok and violation.kind == "class"
 
 
+def test_a_vertex_equal_to_its_class_size_is_a_dangling_reference():
+    # class_size(1, 3) is the first vertex outside P^{1,3}: an error, not an
+    # edge violation
+    host = complete_host(3)
+    with pytest.raises(DanglingReferenceError) as err:
+        validate_reduced_map(host, pattern_catalog("single_edge"), ReducedMap(
+            lam={1: 1, 2: 2, 3: 3},
+            phi={(1, 2): ((1, 2), 0), (1, 3): ((1, 3), host.class_size(1, 3)),
+                 (2, 3): ((2, 3), 0)}))
+    assert str(err.value) == "phi(1, 3) names vertex 1 outside class P^{1,3}"
+
+
 def test_validate_dangling_references_are_errors_not_violations():
     host = complete_host(3)
     pat = pattern_catalog("single_edge")

@@ -871,3 +871,71 @@ def test_bulk_loader_defers_near_canonical_hosts_to_the_line_parser(m, p, d, see
     assert errors["vertex equal to its class size"] is ParseError
     assert errors["class size past the cap"] is CapExceeded
     assert isinstance(errors["rows swapped in a block"], ReducedHypergraph)
+
+
+@st.composite
+def _hosts_on_both_sides_of_the_flat_limit(draw):
+    """Hosts of 2 to 4 indices and classes of 1 to 12, so a constituent's
+    volume may lie either side of core._FLAT_CELLS, with empty, complete,
+    sparse and nearly complete constituents: handed over as bits or as
+    cells (core.cell_code)."""
+    m = draw(st.integers(2, 4))
+    sizes = {p: draw(st.integers(1, 12)) for p in itertools.combinations(range(1, m + 1), 2)}
+    cons = {}
+    for t in itertools.combinations(range(1, m + 1), 3):
+        box = list(itertools.product(*(range(sizes[p]) for p in core.slot_pairs(t))))
+        kind = draw(st.sampled_from(["empty", "complete", "sparse", "nearly complete"]))
+        picked = draw(st.sets(st.integers(0, len(box) - 1), max_size=8))
+        cons[t] = {"empty": [], "complete": box,
+                   "sparse": [box[x] for x in picked],
+                   "nearly complete": [e for x, e in enumerate(box) if x not in picked]}[kind]
+    return ReducedHypergraph(m, sizes, cons)
+
+
+def _wide(sizes, kind):
+    box = list(itertools.product(*map(range, sizes)))
+    edges = box if kind == "complete" else box[::3]
+    return ReducedHypergraph(3, dict(zip([(1, 2), (1, 3), (2, 3)], sizes)), {(1, 2, 3): edges})
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_hosts_on_both_sides_of_the_flat_limit(), st.data())
+@example(_wide((12, 12, 12), "complete"), None)  # 1728 cells: pooled by cells
+@example(_wide((12, 12, 7), "complete"), None)   # 1008 cells, all edges: by bits
+@example(_wide((12, 12, 7), "sparse"), None)     # a third of them: by cells
+def test_bulk_loader_equals_the_line_parser_at_any_class_size(host, data):
+    assert core._FLAT_CELLS < 12 ** 3
+    text = write_host(host)
+    bulk, lines = fileio._parse_canonical(text), fileio._parse_lines(text)
+    assert bulk is not None and parse_host(text) == bulk == lines == host
+    assert host_digest(bulk) == host_digest(lines) == hashlib.sha256(text.encode()).hexdigest()
+    assert len(set(map(id, bulk.constituents.values()))) == \
+        len(set(map(id, lines.constituents.values())))
+    if data is None:
+        return
+    # Each mutant is off the canonical form: it defers, and parse_host then
+    # answers as the line parser does, ParseError text included.
+    rows = text.splitlines(keepends=True)
+    at = data.draw(st.integers(0, len(rows) - 1))
+    mutants = {"repeated line": rows[:at + 1] + rows[at:]}
+    other = data.draw(st.integers(0, len(rows) - 1))
+    if rows[other] != rows[at]:
+        swapped = list(rows)
+        swapped[at], swapped[other] = rows[other], rows[at]
+        mutants["swapped lines"] = swapped
+    tokens = rows[at].split()
+    field = data.draw(st.integers(1, len(tokens) - 1))
+    tok = tokens[field]
+    tokens[field] = data.draw(st.sampled_from(["0" + tok, "+" + tok, "-" + tok, tok + "_0",
+                                               tok + ".0", " " + tok, "\u0663"]))
+    mutants["non-canonical decimal"] = rows[:at] + [" ".join(tokens) + "\n"] + rows[at + 1:]
+    inside = [r for r in range(1, len(rows))
+              if rows[r - 1].split()[:4] == rows[r].split()[:4] and rows[r][0] == "E"]
+    if inside:
+        r = data.draw(st.sampled_from(inside))
+        stray = data.draw(st.sampled_from(["# stray\n", "\n", "P 1 2 1\n", "M 2\n", "T 1 2 3\n"]))
+        mutants["stray line in a block"] = rows[:r] + [stray] + rows[r:]
+    for name, mutant in mutants.items():
+        mutant = "".join(mutant)
+        assert fileio._parse_canonical(mutant) is None, name
+        assert _outcome(parse_host, mutant) == _outcome(fileio._parse_lines, mutant), name

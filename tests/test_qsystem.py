@@ -100,6 +100,14 @@ def test_sum_of_squares_complete_and_empty():
     assert lhs == 0 and not holds
 
 
+def test_sum_of_squares_holds_at_exact_equality():
+    # lhs = 2 * 2 (vertex 0 of P^{1,3}) + 0 * 0, and (1/4 + eps/2) * 2^3 = 4
+    host = ReducedHypergraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2},
+                             {(1, 2, 3): [(0, 0, 0), (1, 0, 1)]})
+    system = build_q_graphs(host, Fraction(1, 2))
+    assert check_sum_of_squares(host, system, (1, 2, 3)) == (Fraction(4), True)
+
+
 def test_sum_of_squares_holds_above_quarter_plus_eps():
     eps = Fraction(1, 10)
     for seed in range(6):
