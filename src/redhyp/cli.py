@@ -9,6 +9,11 @@ Under --deterministic, reports carry no timing lines and are
 byte-identical across runs.  Every command accepts --threads N (N >= 1)
 for compatibility; runs are single-threaded whatever N is, and `find`
 echoes N in its report.
+
+A command imports only the layers it runs: at module level this file
+imports the standard library and errors alone, and each command handler
+and report helper imports its own layers when it is called, so `find`
+never loads the pipeline and `audit` never loads the search engine.
 """
 
 from __future__ import annotations
@@ -20,20 +25,14 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import fileio
-from .constructions import (RNG_ALGORITHM, check_3graph_request,
-                            cyclic_triple_3graph, orientation_reduced,
-                            random_box_dense, random_tournament, reduced_blow_up)
-from .core import (Pattern, ReducedHypergraph, ReducedMap, constituent_density,
-                   is_box_dense, pattern_catalog, refuse_negative_cap)
-from .embed import DEFAULT_ORACLE_CAP, exhaustive_oracle, find_reduced_image
 from .errors import (CapExceeded, DomainError, ParseError, RedhypError,
                      SelfCheckError)
-from .glue import (ROLE_PAIRS, GlueConfig, GluedConfiguration, brute_force_glued,
-                   find_glued)
-from .pipeline import PipelineConfig, find_fstar
-from .plain import uniform_density_audit
+
+if TYPE_CHECKING:
+    from .core import Pattern, ReducedHypergraph, ReducedMap
+    from .glue import GluedConfiguration
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -94,6 +93,8 @@ def parse_certificate(text: str) -> ReducedMap:
 
     A malformed L or F line, or a second L line for one vertex or F line for
     one pair, raises ParseError with its line number."""
+    from . import fileio
+    from .core import ReducedMap
     lam: dict[int, int] = {}
     phi: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
     for lineno, parts in fileio.tokens(text):
@@ -122,6 +123,8 @@ def parse_glued(text: str) -> GluedConfiguration:
     lines are skipped.  A malformed or repeated one raises ParseError with
     its line number; a missing one, or G lines naming other than the six
     role pairs, DomainError."""
+    from . import fileio
+    from .glue import ROLE_PAIRS, GluedConfiguration
     indices = None
     alpha: dict[tuple[int, int], int] = {}
     primes: dict[tuple[int, int], int] = {}
@@ -157,22 +160,27 @@ def _read_text(path: str) -> str:
 
 
 def _read_host(path: str) -> ReducedHypergraph:
+    from . import fileio
     return fileio.parse_host(_read_text(path))
 
 
 def _read_pattern(value: str) -> Pattern:
     if Path(value).is_file():
+        from . import fileio
         return fileio.parse_pattern(_read_text(value))
+    from .core import pattern_catalog
     return pattern_catalog(value)
 
 
 def _pattern_label(value: str, pattern: Pattern) -> str:
     if pattern.name:
         return pattern.name
+    from . import fileio
     return f"sha256:{fileio.pattern_digest(pattern)}"
 
 
 def build_parser() -> _Parser:
+    from .core import DEFAULT_ORACLE_CAP
     parser = _Parser(prog="redhyp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -266,6 +274,8 @@ def _finish(args, lines: list[str], code: int, started: float) -> tuple[int, str
 
 
 def _cmd_density(args, started) -> tuple[int, str]:
+    from . import fileio
+    from .core import constituent_density, is_box_dense
     host = _read_host(args.host)
     d = parse_fraction(args.d)
     lines = ["command density",
@@ -282,6 +292,8 @@ def _cmd_density(args, started) -> tuple[int, str]:
 
 
 def _cmd_find(args, started) -> tuple[int, str]:
+    from . import fileio
+    from .embed import find_reduced_image
     host = _read_host(args.host)
     pattern = _read_pattern(args.pattern)
     lines = ["command find",
@@ -305,6 +317,8 @@ def _cmd_find(args, started) -> tuple[int, str]:
 
 
 def _cmd_oracle(args, started) -> tuple[int, str]:
+    from . import fileio
+    from .embed import exhaustive_oracle
     host = _read_host(args.host)
     pattern = _read_pattern(args.pattern)
     lines = ["command oracle",
@@ -347,6 +361,8 @@ def _finish_clean_run(args, lines: list[str], result, started: float,
 
 
 def _cmd_pipeline(args, started) -> tuple[int, str]:
+    from . import fileio
+    from .pipeline import PipelineConfig, find_fstar
     host = _read_host(args.host)
     config = PipelineConfig(rounds=args.rounds, **_clean_fields(args, host))
     lines = ["command pipeline",
@@ -368,6 +384,8 @@ def _cmd_pipeline(args, started) -> tuple[int, str]:
 
 
 def _cmd_glue(args, started) -> tuple[int, str]:
+    from . import fileio
+    from .glue import GlueConfig, find_glued
     host = _read_host(args.host)
     try:
         ladder = tuple(int(x) for x in args.ladder.split(","))
@@ -389,6 +407,8 @@ def _cmd_glue(args, started) -> tuple[int, str]:
 
 
 def _cmd_glue_oracle(args, started) -> tuple[int, str]:
+    from . import fileio
+    from .glue import brute_force_glued
     host = _read_host(args.host)
     lines = ["command glue-oracle",
              f"host sha256:{fileio.host_digest(host)}",
@@ -400,6 +420,10 @@ def _cmd_glue_oracle(args, started) -> tuple[int, str]:
 
 
 def _cmd_gen(args, started) -> tuple[int, str]:
+    from . import fileio
+    from .constructions import (RNG_ALGORITHM, check_3graph_request,
+                                cyclic_triple_3graph, orientation_reduced,
+                                random_box_dense, random_tournament, reduced_blow_up)
     if args.kind == "random":
         if args.m is None or args.d is None:
             raise DomainError("gen --kind random needs --m and --d")
@@ -429,6 +453,8 @@ def _cmd_gen(args, started) -> tuple[int, str]:
 
 
 def _cmd_audit(args, started) -> tuple[int, str]:
+    from . import fileio
+    from .plain import uniform_density_audit
     graph = fileio.parse_plain3(_read_text(args.graph))
     d = parse_fraction(args.d)
     eta = parse_fraction(args.eta)
@@ -487,6 +513,7 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     except _HelpRequested as exc:
         return EXIT_OK, exc.args[0]
     try:
+        from .core import refuse_negative_cap
         if args.threads < 1:
             raise DomainError(f"threads must be >= 1, got {args.threads}")
         refuse_negative_cap(getattr(args, "cap", 0))

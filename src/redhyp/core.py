@@ -30,6 +30,12 @@ Edge = tuple[int, int, int]
 
 # Refuse hosts whose constituents plus all their table entries exceed this.
 TABLE_ENTRY_CAP = 10 ** 7
+# The default cap on the candidate space of the two brute-force oracles,
+# embed.exhaustive_oracle and glue.brute_force_glued.
+DEFAULT_ORACLE_CAP = 10 ** 9
+# The deepest search find_reduced_image starts: it takes one stack frame per
+# level, and CPython's default recursion limit is 1000 frames.
+MAX_SEARCH_DEPTH = 500
 
 
 def sorted_pair(i: int, j: int) -> Pair:

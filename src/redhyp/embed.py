@@ -76,18 +76,14 @@ from operator import itemgetter
 from typing import Callable, Iterable
 
 from ._bits import iter_bits
-from .core import (Constituent, Pair, Pattern, ReducedHypergraph, ReducedMap,
-                   Triple, refuse_above_cap, refuse_negative_cap, slot_pairs,
-                   sorted_pair, sorted_triple)
+from .core import (DEFAULT_ORACLE_CAP, MAX_SEARCH_DEPTH, Constituent, Pair,
+                   Pattern, ReducedHypergraph, ReducedMap, Triple, refuse_above_cap,
+                   refuse_negative_cap, slot_pairs, sorted_pair, sorted_triple)
 from .errors import (CapExceeded, DanglingReferenceError, DomainError,
                      SelfCheckError)
 
-DEFAULT_ORACLE_CAP = 10 ** 9
 # A run's table of searched leaves stops taking entries at this size.
 LEAF_TABLE_CAP = 2 ** 16
-# The deepest search find_reduced_image starts: it takes one stack frame per
-# level, and CPython's default recursion limit is 1000 frames.
-MAX_SEARCH_DEPTH = 500
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ _parse_canonical_plain3), Plain3Graph._from_rows checks the graph rules
 on its rows and builds it, and its digest is the sha256 of the input.  Any
 other plain-graph text, and every pattern text, goes through the line
 parser and the Plain3Graph constructor; the line parser alone words a
-ParseError.
+ParseError.  Only the two plain-graph readers import plain, so commands
+that read hosts and patterns do not load it.
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ import hashlib
 import itertools
 import math
 from operator import lt
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ._bits import iter_bits
 from .core import Pattern, ReducedHypergraph, cell_code, edge_cell, least_masked, slot_pairs
 from .errors import DomainError, ParseError
-from .plain import Plain3Graph
+
+if TYPE_CHECKING:
+    from .plain import Plain3Graph
 
 
 def tokens(text: str):
@@ -362,6 +365,7 @@ def _parse_canonical_plain3(text: str) -> Plain3Graph | None:
     repeated triple.  Plain3Graph._from_rows checks the graph rules on the
     rows (u < v < w within each) and builds the graph.
     """
+    from .plain import Plain3Graph
     if not (text.startswith("V ") and text.endswith("\n")):
         return None
     try:
@@ -397,6 +401,7 @@ def _parse_canonical_plain3(text: str) -> Plain3Graph | None:
 def parse_plain3(text: str) -> Plain3Graph:
     graph = _parse_canonical_plain3(text)
     if graph is None:
+        from .plain import Plain3Graph
         n, triples = _parse_vertex_triples(text)
         graph = Plain3Graph(n, triples)
     return graph

@@ -31,9 +31,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._bits import iter_bits, least_bit
-from .core import (ReducedHypergraph, refuse_negative_cap, slot_pairs,
-                   sorted_pair, sorted_triple)
-from .embed import DEFAULT_ORACLE_CAP
+from .core import (DEFAULT_ORACLE_CAP, ReducedHypergraph, refuse_negative_cap,
+                   slot_pairs, sorted_pair, sorted_triple)
 from .errors import CapExceeded, DomainError, RowPreparationError, SelfCheckError
 from .pipeline import (Row, RowRun, completion_vertex, linked, max_count_least_arg,
                        row_working_set, run_rows, select_apex, validate_clean_fields)

@@ -38,9 +38,8 @@ from math import comb
 from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
-from .core import (TABLE_ENTRY_CAP, Pattern, canonical_edges, exact_rational,
-                   refuse_above_cap, refuse_negative_cap)
-from .embed import MAX_SEARCH_DEPTH
+from .core import (MAX_SEARCH_DEPTH, TABLE_ENTRY_CAP, Pattern, canonical_edges,
+                   exact_rational, refuse_above_cap, refuse_negative_cap)
 from .errors import CapExceeded, DomainError
 
 EXHAUSTIVE_VERTEX_CAP = 20
@@ -337,7 +336,7 @@ def count_copies(graph: Plain3Graph, pattern: Pattern, labeled: bool = True) -> 
 
     labeled=True returns the raw injective count; labeled=False divides by
     the pattern's automorphism count (computed by brute force).  The search
-    takes a stack frame per pattern vertex: above embed.MAX_SEARCH_DEPTH
+    takes a stack frame per pattern vertex: above core.MAX_SEARCH_DEPTH
     vertices, the pattern is refused (CapExceeded).
     """
     pv = pattern.vertex_count

@@ -358,13 +358,18 @@ def test_host_rule_disagreement_is_an_internal_error(tmp_path, monkeypatch):
         (4, f"error internal: {message}\n")
 
 
-def _run_cli(argv, **kwargs):
-    """python -m redhyp.cli in a fresh interpreter, importing this redhyp."""
+def _python(*args, **kwargs):
+    """python *args in a fresh interpreter, importing this redhyp."""
     src = str(Path(redhyp.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "redhyp.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, **kwargs)
+
+
+def _run_cli(argv, **kwargs):
+    """python -m redhyp.cli in a fresh interpreter, importing this redhyp."""
+    return _python("-m", "redhyp.cli", *argv, **kwargs)
 
 
 def test_cli_main_exit_codes_in_a_subprocess(tmp_path, complete_file):
@@ -384,6 +389,68 @@ def test_cli_main_exit_codes_in_a_subprocess(tmp_path, complete_file):
     for argv, code, stdout in cases:
         done = _run_cli(argv, cwd=tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (code, stdout, "")
+
+
+# Prints the redhyp modules loaded after `import redhyp.cli`, runs main on
+# the command line, then prints them again.
+_LOADED_AROUND_MAIN = """
+import sys
+def loaded():
+    return " ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "redhyp"))
+import redhyp.cli
+print(loaded())
+code = redhyp.cli.main(sys.argv[1:])
+print(loaded())
+sys.exit(code)
+"""
+_BARE = {"redhyp", "redhyp.cli", "redhyp.errors"}
+_HOST_LAYERS = _BARE | {"redhyp._bits", "redhyp.core", "redhyp.fileio"}
+_SEARCH_LAYERS = _HOST_LAYERS | {"redhyp.embed"}
+_CLEAN_LAYERS = _SEARCH_LAYERS | {"redhyp.pipeline", "redhyp.qsystem"}
+_PLAIN_LAYERS = _HOST_LAYERS | {"redhyp.plain"}
+
+
+@pytest.fixture(scope="module")
+def layer_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("layers")
+    texts = {"complete5": write_host(random_box_dense(5, 1, 1, seed=0)),
+             "complete10": write_host(random_box_dense(10, 2, 1, seed=0)),
+             "empty6": "V 6\n"}
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return root
+
+
+# (command line with file names relative to layer_files, exit code, the
+# redhyp modules loaded after it ran)
+_LAYER_CASES = [
+    (["density", "--host", "complete5", "--d", "1/2"], 0, _HOST_LAYERS),
+    (["find", "--host", "complete5", "--pattern", "Fstar"], 0, _SEARCH_LAYERS),
+    (["oracle", "--host", "complete5", "--pattern", "K4minus"], 0, _SEARCH_LAYERS),
+    (["pipeline", "--host", "complete10", "--eps", "7/10", "--delta", "1/4",
+      "--rounds", "4"], 0, _CLEAN_LAYERS),
+    (["glue", "--host", "complete10", "--eps", "7/10", "--delta", "1/4",
+      "--ladder", "4,3"], 0, _CLEAN_LAYERS | {"redhyp.glue"}),
+    (["glue-oracle", "--host", "complete5", "--cap", "1000"], 0,
+     _CLEAN_LAYERS | {"redhyp.glue"}),
+    (["gen", "--kind", "random", "--m", "4", "--d", "1/2", "--out", "gen.rh"], 0,
+     _PLAIN_LAYERS | {"redhyp.constructions"}),
+    (["audit", "--graph", "empty6", "--d", "0", "--eta", "0", "--exhaustive"], 0,
+     _PLAIN_LAYERS),
+]
+
+
+@pytest.mark.parametrize("argv,code,modules", _LAYER_CASES,
+                         ids=[argv[0] for argv, _, _ in _LAYER_CASES])
+def test_a_command_loads_only_its_own_layers(layer_files, argv, code, modules):
+    # In a fresh interpreter: importing the CLI loads no layer, and a
+    # command loads the layers it runs and no others.
+    done = _python("-c", _LOADED_AROUND_MAIN, *argv, "--deterministic", cwd=layer_files)
+    lines = done.stdout.splitlines()
+    assert (done.returncode, done.stderr) == (code, ""), done.stdout
+    assert lines[-2] == f"exit {code}"
+    assert set(lines[0].split()) == _BARE
+    assert set(lines[-1].split()) == modules
 
 
 def test_gen_round_trip(tmp_path):
@@ -936,19 +1003,27 @@ COMMON = [("--report", (["report"], ["dir"]), False), ("--deterministic", None, 
 @st.composite
 def command_lines(draw, texts):
     command = draw(st.sampled_from(sorted(GRAMMAR)))
+    # About one line in four is fully valid: every required option, valid
+    # values only and no --bogus, so each handler runs its own layers.
+    valid_only = draw(st.sampled_from([False, False, False, True]))
     argv = [command]
     for option, values, required in GRAMMAR[command] + COMMON:
-        # A required option is dropped now and then, to test the usage error,
-        # except for the limits that keep a search small.
-        keep = st.sampled_from([True] * 19 + [False]) if required else st.booleans()
-        if option not in ("--budget", "--cap") and not draw(keep):
+        # Otherwise a required option is dropped now and then, to test the
+        # usage error, except for the limits that keep a search small.
+        if required:
+            kept = valid_only or option in ("--budget", "--cap") or \
+                draw(st.sampled_from([True] * 19 + [False]))
+        else:
+            kept = draw(st.booleans())
+        if not kept:
             continue
         argv.append(option)
         if values is not None:
             valid, invalid = values
-            # One value in ten is invalid.
-            argv.append(draw(st.sampled_from(valid if draw(ONE_IN_TEN) else invalid)))
-    if not draw(ONE_IN_TEN):
+            # Otherwise one value in ten is invalid.
+            argv.append(draw(st.sampled_from(
+                valid if valid_only or draw(ONE_IN_TEN) else invalid)))
+    if not valid_only and not draw(ONE_IN_TEN):
         argv.append("--bogus")
     kind = "graph" if command == "audit" else \
         "pattern" if command in ("find", "oracle") and draw(st.booleans()) else "host"
