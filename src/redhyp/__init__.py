@@ -16,10 +16,9 @@ import importlib
 
 _EXPORTS = {
     "constructions": ("Tournament", "cyclic_triple_3graph", "orientation_reduced",
-                      "random_box_dense", "random_tournament", "reduced_blow_up",
-                      "transitive_tournament"),
+                      "random_box_dense", "random_tournament", "reduced_blow_up"),
     "core": ("Pattern", "ReducedHypergraph", "ReducedMap", "blow_up",
-             "constituent_density", "is_box_dense", "pattern_catalog", "shadow"),
+             "constituent_density", "is_box_dense", "pattern_catalog"),
     "embed": ("EmbedCertificate", "OracleResult", "SearchResult",
               "exhaustive_oracle", "find_reduced_image", "validate_reduced_map"),
     "errors": ("CapExceeded", "DanglingReferenceError", "DomainError",
@@ -27,7 +26,7 @@ _EXPORTS = {
     "glue": ("GlueConfig", "GluedConfiguration", "GlueResult", "brute_force_glued",
              "find_glued", "prepare_row_glue", "validate_glued"),
     "pipeline": ("PipelineConfig", "PipelineResult", "RowRecord", "find_fstar",
-                 "find_many_triangles", "prepare_row"),
+                 "prepare_row"),
     "plain": ("AuditResult", "Plain3Graph", "automorphism_count", "count_copies",
               "uniform_density_audit"),
     "qsystem": ("CleanResult", "QGraphSystem", "StageFailure", "build_q_graphs",

@@ -91,6 +91,8 @@ class Tournament:
             raise DomainError("orientation bits must be 0 or 1")
 
     def beats(self, a: int, b: int) -> bool:
+        """Whether a beats b, read from the orientation bit.  No command
+        calls it; the tests check is_cyclic_triple's table against it."""
         if a == b:
             raise DomainError("a vertex does not play itself")
         i, j = sorted_pair(a, b)
@@ -102,11 +104,6 @@ def random_tournament(n: int, seed: int) -> Tournament:
     rng = random.Random(seed)
     orient = {p: rng.getrandbits(1)
               for p in itertools.combinations(range(1, n + 1), 2)}
-    return Tournament(n, orient)
-
-
-def transitive_tournament(n: int) -> Tournament:
-    orient = {p: 1 for p in itertools.combinations(range(1, n + 1), 2)}
     return Tournament(n, orient)
 
 

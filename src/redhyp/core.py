@@ -521,16 +521,6 @@ class ReducedHypergraph:
                  for p in itertools.combinations(range(1, index_count + 1), 2)}
         return cls(index_count, sizes, constituents)
 
-    def with_extra_edges(self, extra: Mapping[Triple, Iterable[Edge]]) -> "ReducedHypergraph":
-        """New hypergraph with additional constituent edges (duplicates ignored)."""
-        cons: dict[Triple, set[Edge]] = {t: set(c.edges)
-                                         for t, c in self._constituents.items()
-                                         if c.edges}
-        for t, edges in extra.items():
-            key = sorted_triple(*t)
-            cons.setdefault(key, set()).update(tuple(e) for e in edges)
-        return ReducedHypergraph(self._m, self._sizes, cons)
-
     def induced(self, index_map: Sequence[int]) -> "ReducedHypergraph":
         """Relabeled sub-hypergraph: new index p corresponds to index_map[p-1].
 
@@ -624,17 +614,14 @@ class Pattern:
         return f"Pattern{tag}(v={self.vertex_count}, e={len(self.edges)})"
 
 
-def shadow(pattern: Pattern) -> frozenset[Pair]:
-    """The shadow of the pattern: all pairs e minus one vertex, e an edge."""
-    return pattern.shadow
-
-
 def blow_up(pattern: Pattern, t: int) -> Pattern:
     """Replace every vertex by t copies.
 
     Copy s of original u becomes vertex (u-1)*t + s + 1.  A triple of
     copies is an edge exactly when its originals are three distinct
-    vertices forming an edge.
+    vertices forming an edge.  No command runs it; the tests build
+    blown-up patterns with it (test_core's edge counts and shadows,
+    test_embed's containment check).
     """
     if t < 1:
         raise DomainError(f"blow-up factor must be >= 1, got {t}")

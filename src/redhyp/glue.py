@@ -49,7 +49,9 @@ class GlueConfig:
 
     ladder lists, per row, how many spine columns to secure; it must be
     strictly decreasing.  The asymptotic relation between consecutive
-    ladder entries is not enforced; achieved sizes are reported instead.
+    ladder entries is not enforced; each row records its entry and the
+    spine columns it secured in GlueRowRecord.target and .achieved, which
+    no command prints.
     """
 
     eps: Fraction

@@ -66,7 +66,10 @@ class PipelineConfig:
 
     rounds defaults to ceil(2 / eps^2) + 1; the two Ramsey targets default
     to the host's full index count when the caller leaves them at 0 (the
-    CLI fills them in from the host).
+    CLI fills them in from the host).  The paper's size bounds are not
+    enforced: RowRecord.meets_delta_bound and
+    ProjectionRecord.meets_eps_bound record whether each row and
+    projection met them, and no command prints them.
     """
 
     eps: Fraction
@@ -144,33 +147,6 @@ class PipelineResult(RowRun):
     certificate: EmbedCertificate | None = None
 
 
-def find_many_triangles(system: QGraphSystem, i: int, j1: int, j2: int,
-                        k: int, x: int) -> list[tuple[int, int]]:
-    """All triangles x y z with y in P^{ij2}, z in P^{ij1} through the
-    low Q-graphs of index i.
-
-    Requires i < j1 < j2 < k within the system's host and x in both
-    S^i_{j1 k}(r_star) and S^i_{j2 k}(r_star); violations are domain
-    errors.  Returns (y, z) pairs sorted lexicographically.
-    """
-    if not (i < j1 < j2 < k):
-        raise DomainError(f"need i < j1 < j2 < k, got {(i, j1, j2, k)}")
-    if k > system.host.index_count:
-        raise DomainError(f"index {k} outside host range")
-    if system.r_star is None:
-        raise DomainError("system has not been cleaned")
-    r_star = system.r_star
-    if x not in system.s_set((i, j1, k), r_star) or \
-            x not in system.s_set((i, j2, k), r_star):
-        raise DomainError(
-            f"x={x} must lie in S^{i}_{{{j1},{k}}} and S^{i}_{{{j2},{k}}} at level {r_star}")
-    a_j1 = system.q_low[(i, j1, k)].right_adj[x]
-    a_j2 = system.q_low[(i, j2, k)].right_adj[x]
-    link = system.q_low[(i, j1, j2)]  # left P^{ij1}, right P^{ij2}
-    # iter_bits ascends, so the pairs come out sorted.
-    return [(y, z) for y in iter_bits(a_j2) for z in iter_bits(link.right_adj[y] & a_j1)]
-
-
 def max_count_least_arg(universe: Sequence[int], bitsets: Sequence[int]) -> tuple[int, int]:
     """(best count, least element achieving it) of membership counts.
 
@@ -233,22 +209,18 @@ def row_working_set(system: QGraphSystem, working: Sequence[int], top: int,
 
 
 def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
-                require_size_hypothesis: bool = True,
                 round_index: int = 1) -> RowRecord:
     """Prepare one row inside the cleaned system.
 
-    With require_size_hypothesis (the default for direct calls) the input
-    set must satisfy |I| > 2 / delta^2; the iterated pipeline runs with
-    the check relaxed and reports achieved sizes instead.  Failures of
-    the two pigeonhole steps raise RowPreparationError naming the step;
-    a cleaned system never fails the connector step, as the apex lies in
-    S^r_{r_next,top}.  Each column the connector keeps has a spine vertex.
+    The paper's |I| > 2 / delta^2 is not required; whether the row keeps
+    delta^2 |I| columns is recorded in RowRecord.meets_delta_bound.
+    Failures of the two pigeonhole steps raise RowPreparationError naming
+    the step; a cleaned system never fails the connector step, as the apex
+    lies in S^r_{r_next,top}.  Each column the connector keeps has a spine
+    vertex.
     """
     working = row_working_set(system, working, top, "prepare_row")
     delta = system.delta
-    if require_size_hypothesis and Fraction(len(working)) <= 2 / (delta * delta):
-        raise DomainError(
-            f"|I| = {len(working)} does not exceed 2/delta^2 = {2 / (delta * delta)}")
     r = working[0]
     apex, a_sets = select_apex(system, working, top)
     i_prime = list(a_sets)
@@ -407,8 +379,7 @@ def find_fstar(host: ReducedHypergraph, config: PipelineConfig) -> PipelineResul
     result = PipelineResult()
     ran = run_rows(
         host, config, result, config.effective_rounds,
-        lambda system, working, top, t: prepare_row(
-            system, working, top, require_size_hypothesis=False, round_index=t),
+        prepare_row,
         lambda row: (f"row {row.index} r={row.row_index} x={row.apex} "
                      f"y={row.connector} next={row.r_next} "
                      f"J={list(row.surviving)}"),

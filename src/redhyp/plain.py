@@ -84,6 +84,8 @@ class Plain3Graph:
         return graph
 
     def density(self) -> Fraction:
+        """Edges over C(n, 3).  No command prints it; the acceptance check
+        that cyclic-triple 3-graphs have density near 1/4 reads it."""
         n = self.vertex_count
         if n < 3:
             return Fraction(0)
@@ -337,7 +339,8 @@ def count_copies(graph: Plain3Graph, pattern: Pattern, labeled: bool = True) -> 
     labeled=True returns the raw injective count; labeled=False divides by
     the pattern's automorphism count (computed by brute force).  The search
     takes a stack frame per pattern vertex: above core.MAX_SEARCH_DEPTH
-    vertices, the pattern is refused (CapExceeded).
+    vertices, the pattern is refused (CapExceeded).  No command runs it;
+    the acceptance check that cyclic-triple 3-graphs are K4minus-free does.
     """
     pv = pattern.vertex_count
     if pv > graph.vertex_count:

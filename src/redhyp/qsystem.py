@@ -71,9 +71,6 @@ class BipartiteGraph:
     def has(self, left: int, right: int) -> bool:
         return bool(self.left_adj[left] >> right & 1)
 
-    def right_degree(self, right: int) -> int:
-        return self.right_adj[right].bit_count()
-
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.left_adj)
 
@@ -538,14 +535,16 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
 
 
 def verify_star(host: ReducedHypergraph, system: QGraphSystem, delta,
-                s_sets: Mapping[tuple[Triple, int], frozenset[int]],
-                r_star: int) -> str | None:
+                s_sets: SSets, r_star: int) -> str | None:
     """Re-verify both survival clauses for every triple from scratch.
 
     Returns None when everything holds, else a message naming the first
-    failing triple and clause.
+    failing triple and clause.  r_star must lie in 1..level_cap(delta).
     """
     delta = Fraction(delta)
+    cap = level_cap(delta)
+    if not 1 <= r_star <= cap:
+        raise DomainError(f"r_star must lie in 1..{cap}, got {r_star}")
     quarter = Fraction(1, 4) + system.eps / 2
     num, den = quarter.numerator, quarter.denominator
     need = _ceil_per_size(host, delta)
@@ -560,8 +559,9 @@ def verify_star(host: ReducedHypergraph, system: QGraphSystem, delta,
         if blue_lhs * den < num * s_ij ** 2 * s_ik:
             return f"triple {t} fails the blue degree-square bound"
         least = need[s_ik]
-        if len(s_sets[(t, r_star)]) < least:
+        row = s_sets.row(t)
+        if len(row[r_star - 1]) < least:
             return f"triple {t} has |S(r_star)| below delta * |P^{{{i},{k}}}|"
-        if not len(s_sets[(t, r_star + 1)]) < least:
+        if not len(row[r_star]) < least:
             return f"triple {t} has |S(r_star + 1)| not below delta * |P^{{{i},{k}}}|"
     return None

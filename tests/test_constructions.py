@@ -12,7 +12,7 @@ import pytest
 from redhyp import (DomainError, Tournament, constituent_density,
                     cyclic_triple_3graph, exhaustive_oracle, is_box_dense,
                     orientation_reduced, pattern_catalog, random_box_dense,
-                    random_tournament, reduced_blow_up, transitive_tournament)
+                    random_tournament, reduced_blow_up)
 from redhyp.constructions import _sample_indices, is_cyclic_triple
 from redhyp.fileio import write_host
 
@@ -101,7 +101,8 @@ def test_tournament_beats_agrees_with_the_orientation_bits():
 
 
 def test_cyclic_triple_transitive_and_smallest():
-    assert len(cyclic_triple_3graph(transitive_tournament(7)).edges) == 0
+    transitive = Tournament(7, dict.fromkeys(itertools.combinations(range(1, 8), 2), 1))
+    assert len(cyclic_triple_3graph(transitive).edges) == 0
     cyclic = Tournament(3, {(1, 2): 1, (1, 3): 0, (2, 3): 1})  # 1->2->3->1
     assert len(cyclic_triple_3graph(cyclic).edges) == 1
 

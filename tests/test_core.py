@@ -8,7 +8,7 @@ import pytest
 
 from redhyp import (DomainError, Pattern, ReducedHypergraph, blow_up,
                     constituent_density, is_box_dense, pattern_catalog,
-                    random_box_dense, shadow)
+                    random_box_dense)
 from redhyp.constructions import orientation_reduced
 from redhyp.core import sorted_pair, sorted_triple
 
@@ -114,11 +114,11 @@ def test_density_invariant_under_index_relabeling():
 
 def test_shadow_examples():
     fstar = pattern_catalog("Fstar")
-    assert shadow(fstar) == frozenset(itertools.combinations(range(1, 6), 2))
+    assert fstar.shadow == frozenset(itertools.combinations(range(1, 6), 2))
     k4m = pattern_catalog("K4minus")
-    assert shadow(k4m) == frozenset(itertools.combinations(range(1, 5), 2))
+    assert k4m.shadow == frozenset(itertools.combinations(range(1, 5), 2))
     single = pattern_catalog("single_edge")
-    assert shadow(single) == frozenset({(1, 2), (1, 3), (2, 3)})
+    assert single.shadow == frozenset({(1, 2), (1, 3), (2, 3)})
 
 
 def test_shadow_matches_definition():

@@ -618,7 +618,8 @@ def test_monotone_under_edge_addition():
         for t in host.triples():
             if rng.random() < 0.5:
                 extra[t] = [(rng.randrange(2), rng.randrange(2), rng.randrange(2))]
-        bigger = host.with_extra_edges(extra)
+        bigger = ReducedHypergraph.with_uniform_classes(
+            5, 2, {t: host.edges(t) | set(extra.get(t, ())) for t in host.triples()})
         after = find_reduced_image(bigger, pat).status
         if before == "found":
             assert after == "found"

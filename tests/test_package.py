@@ -3,6 +3,7 @@
 import ast
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import redhyp
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "redhyp"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def test_imports_only_the_standard_library():
@@ -58,10 +60,10 @@ EXPORTED_OBJECTS = (
     "Tournament", "automorphism_count", "blow_up", "brute_force_glued", "build_q_graphs",
     "check_sum_of_squares", "clean", "color_triples", "compute_s_sets",
     "constituent_density", "count_copies", "cyclic_triple_3graph", "exhaustive_oracle",
-    "find_fstar", "find_glued", "find_many_triangles", "find_reduced_image",
+    "find_fstar", "find_glued", "find_reduced_image",
     "is_box_dense", "level_coloring", "orientation_reduced", "pattern_catalog",
     "prepare_row", "prepare_row_glue", "ramsey_extract", "random_box_dense",
-    "random_tournament", "reduced_blow_up", "shadow", "transitive_tournament",
+    "random_tournament", "reduced_blow_up",
     "uniform_density_audit", "validate_glued", "validate_reduced_map",
 )
 EXPORTED_MODULES = ("constructions", "core", "embed", "errors", "glue", "pipeline",
@@ -69,7 +71,7 @@ EXPORTED_MODULES = ("constructions", "core", "embed", "errors", "glue", "pipelin
 
 
 def test_exported_names_resolve_to_their_defining_modules():
-    assert (len(EXPORTED_OBJECTS), len(EXPORTED_MODULES)) == (56, 8)
+    assert (len(EXPORTED_OBJECTS), len(EXPORTED_MODULES)) == (53, 8)
     assert redhyp.__all__ == sorted(EXPORTED_OBJECTS + EXPORTED_MODULES)
     for name in EXPORTED_MODULES:
         assert getattr(redhyp, name) is importlib.import_module(f"redhyp.{name}")
@@ -84,3 +86,63 @@ def test_exported_names_resolve_to_their_defining_modules():
     assert set(redhyp.__all__) <= set(dir(redhyp))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         redhyp.no_such_name
+
+
+# Definitions in src/redhyp that neither the package nor perfbench uses,
+# each with the consumer that keeps it.
+USED_ONLY_FROM_OUTSIDE = {
+    "blow_up": "tests build blown-up patterns with it (test_core, test_embed)",
+    "count_copies": "acceptance criterion 2: cyclic-triple 3-graphs are K4minus-free",
+    "Plain3Graph.density": "acceptance criterion 2: cyclic-triple density is near 1/4",
+    "Tournament.beats": "the reference is_cyclic_triple's table is tested against",
+    "_Parser.error": "argparse calls it on a bad command line",
+    "_Parser.print_help": "argparse calls it for --help",
+}
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """Each Name id and imported name under tree, and each Attribute both as
+    ".attr" and as "owner.attr", owner the name it hangs off.  String
+    constants do not count, so _EXPORTS alone keeps nothing alive."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "id", getattr(node.value, "attr", ""))
+            used[f".{node.attr}"] += 1
+            used[f"{owner}.{node.attr}"] += 1
+    return used
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and class, and of
+    each method of a top-level class; dunders are left out."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("__"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, kinds) and not item.name.startswith("__"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def test_every_definition_is_used_by_the_program_or_named_with_its_consumer():
+    # A module-level name counts as used by name or as module.name, so an
+    # attribute of the same name elsewhere does not keep it; a method
+    # counts as used by any attribute of its name.
+    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    used = sum((_uses(tree) for tree in trees.values()), Counter())
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node in _definitions(trees[path]):
+            owner, _, name = qualname.rpartition(".")
+            keys = (name, f".{name}" if owner else f"{path.stem}.{name}")
+            own = _uses(node)
+            if sum(used[key] - own[key] for key in keys) <= 0:
+                unused.add(qualname)
+    assert unused == set(USED_ONLY_FROM_OUTSIDE)

@@ -1,5 +1,5 @@
-"""Pipeline tests: triangle enumeration, row preparation, pigeonholes,
-and end-to-end soundness of the five-vertex target search."""
+"""Pipeline tests: row preparation, pigeonholes, and end-to-end soundness
+of the five-vertex target search."""
 
 import dataclasses
 from fractions import Fraction
@@ -8,9 +8,8 @@ import pytest
 
 from redhyp import (DomainError, GlueConfig, PipelineConfig, ReducedHypergraph,
                     RowPreparationError, build_q_graphs, clean, embed, find_fstar,
-                    find_many_triangles, glue, pattern_catalog, pipeline,
-                    prepare_row, prepare_row_glue, qsystem, random_box_dense,
-                    validate_reduced_map)
+                    glue, pattern_catalog, pipeline, prepare_row, prepare_row_glue,
+                    qsystem, random_box_dense, validate_reduced_map)
 from redhyp.cli import dispatch
 from redhyp.constructions import orientation_reduced
 from redhyp.embed import Violation
@@ -37,65 +36,20 @@ def cleaned_random(seed, m=12, p=6, d=Fraction(9, 10),
     return host, clean(host, config), config
 
 
-def test_find_many_triangles_complete():
-    system, _ = cleaned_complete(5, 3)
-    triangles = find_many_triangles(system, 1, 2, 3, 4, x=0)
-    assert len(triangles) == 9  # complete Q: p * p pairs
-    # soundness by direct adjacency: x-z, x-y, z-y edges all present
-    for y, z in triangles:
-        assert system.q_low[(1, 2, 4)].right_adj[0] >> z & 1
-        assert system.q_low[(1, 3, 4)].right_adj[0] >> y & 1
-        assert system.q_low[(1, 2, 3)].has(z, y)
-
-
-def test_find_many_triangles_precondition():
-    system, _ = cleaned_complete(5, 2)
-    with pytest.raises(DomainError):
-        find_many_triangles(system, 2, 1, 3, 4, x=0)  # not ascending
-    with pytest.raises(DomainError):
-        find_many_triangles(system, 1, 2, 3, 9, x=0)  # out of range
-
-
-def test_find_many_triangles_matches_naive_recount():
-    host, result, _ = cleaned_random(seed=2)
-    assert result.ok
-    system = result.system
-    r_star = system.r_star
-    i, j1, j2, k = 1, 2, 3, 4
-    candidates = system.s_set((i, j1, k), r_star) & system.s_set((i, j2, k), r_star)
-    assert candidates, "cleaned dense instance should admit a shared S-set vertex"
-    x = min(candidates)
-    got = find_many_triangles(system, i, j1, j2, k, x)
-    naive = []
-    for y in range(system.host.class_size(i, j2)):
-        for z in range(system.host.class_size(i, j1)):
-            if (system.q_low[(i, j2, k)].has(y, x)
-                    and system.q_low[(i, j1, k)].has(z, x)
-                    and system.q_low[(i, j1, j2)].has(z, y)):
-                naive.append((y, z))
-    assert got == sorted(naive)
-    # delta-many triangles under the survival conditions
-    delta = system.delta
-    assert len(got) >= delta * system.host.class_size(i, j1) * system.host.class_size(i, j2)
-
-
 def test_prepare_row_complete_takes_everything():
     system, config = cleaned_complete(8, 2)
     working = list(range(1, 9))
-    row = prepare_row(system, working, 8, require_size_hypothesis=False)
+    row = prepare_row(system, working, 8)
     assert row.surviving == tuple(range(2, 9))  # everything but the row index
     assert row.row_index == 1 and row.r_next == 2
     assert row.apex == 0 and row.connector == 0
     assert set(row.spine) == {3, 4, 5, 6, 7}
 
 
-def test_prepare_row_size_hypothesis():
+def test_prepare_row_runs_below_the_size_hypothesis():
+    # |I| = 8 <= 2/(1/4)^2 = 32: the row runs and records its delta bound.
     system, config = cleaned_complete(8, 2)
-    with pytest.raises(DomainError):
-        prepare_row(system, list(range(1, 9)), 8)  # 8 <= 2/(1/4)^2 = 32
-    # a permissive delta would allow it: 2/delta^2 < |I| needs delta > 1/2;
-    # instead verify the relaxed flag runs and reports the achieved bound
-    row = prepare_row(system, list(range(1, 9)), 8, require_size_hypothesis=False)
+    row = prepare_row(system, list(range(1, 9)), 8)
     assert isinstance(row.meets_delta_bound, bool)
 
 
@@ -104,8 +58,7 @@ def test_prepare_row_soundness_on_random_instance():
     assert result.ok
     system = result.system
     m = system.host.index_count
-    row = prepare_row(system, list(range(1, m + 1)), m,
-                      require_size_hypothesis=False)
+    row = prepare_row(system, list(range(1, m + 1)), m)
     r = row.row_index
     for j, z in row.spine.items():
         assert system.q_low[(r, j, m)].has(z, row.apex)
@@ -121,7 +74,7 @@ def test_prepare_row_fails_structured_on_empty_q():
     system.r_star = 1
     system.s_sets = compute_s_sets(host, system, Fraction(1, 4))
     with pytest.raises(RowPreparationError) as err:
-        prepare_row(system, list(range(1, 7)), 6, require_size_hypothesis=False)
+        prepare_row(system, list(range(1, 7)), 6)
     assert err.value.step == "apex-pigeonhole"
 
 
@@ -130,8 +83,7 @@ def test_projection_set_members_are_completions():
     assert result.ok
     system = result.system
     m = system.host.index_count
-    row = prepare_row(system, list(range(1, m + 1)), m,
-                      require_size_hypothesis=False)
+    row = prepare_row(system, list(range(1, m + 1)), m)
     m_prime = max(j for j in row.spine)
     proj = projection_set(system, row, m_prime, m)
     con = system.host.constituent((row.row_index, m_prime, m))
@@ -144,8 +96,7 @@ def test_projection_set_refuses_an_index_off_the_spine():
     host, result, _ = cleaned_random(seed=4)
     system = result.system
     m = system.host.index_count
-    row = prepare_row(system, list(range(1, m + 1)), m,
-                      require_size_hypothesis=False)
+    row = prepare_row(system, list(range(1, m + 1)), m)
     with pytest.raises(DomainError) as err:
         projection_set(system, row, row.r_next, m)  # r_next is never a spine index
     assert str(err.value) == f"row {row.index} has no spine vertex at {row.r_next}"
@@ -228,27 +179,19 @@ def test_config_validation():
     assert cfg.effective_rounds == 6  # ceil(2 / 0.49) + 1
 
 
-def test_find_many_triangles_contrapositive_on_broken_link():
+def test_verify_star_fails_on_a_broken_link():
     # Empty the (1,2,3) constituent in an otherwise complete host: the
-    # shared-S-set precondition for (i, j1, j2, k) = (1, 2, 3, 4) still
-    # holds through the complete triples, the triangle count drops to
-    # zero, and the survival clauses for (1, 2, 3) necessarily fail.
-    from redhyp import ReducedHypergraph, build_q_graphs, compute_s_sets
+    # survival clauses for (1, 2, 3) necessarily fail.
+    from redhyp import build_q_graphs, compute_s_sets
     from redhyp.qsystem import verify_star
     full = random_box_dense(4, 2, 1, seed=0)
     cons = {t: set(full.edges(t)) for t in full.triples()}
     del cons[(1, 2, 3)]
     host = ReducedHypergraph.with_uniform_classes(4, 2, cons)
     system = build_q_graphs(host, Fraction(1, 2))
-    system.delta = Fraction(1, 4)
-    system.r_star = 1
-    system.s_sets = compute_s_sets(host, system, Fraction(1, 4))
-    x = 0
-    assert x in system.s_set((1, 2, 4), 1) and x in system.s_set((1, 3, 4), 1)
-    triangles = find_many_triangles(system, 1, 2, 3, 4, x)
-    delta = system.delta
-    assert len(triangles) < delta * 2 * 2
-    assert verify_star(host, system, delta, system.s_sets, 1) is not None
+    delta = Fraction(1, 4)
+    s_sets = compute_s_sets(host, system, delta)
+    assert verify_star(host, system, delta, s_sets, 1) is not None
 
 
 # -- every stage a seeded host reaches, pinned ------------------------------
@@ -376,7 +319,7 @@ def test_connector_pigeonhole_pinned_on_a_doctored_system():
     empty = BipartiteGraph(g.left_size, g.right_size, [0] * g.left_size, [0] * g.right_size)
     doctored = dataclasses.replace(system, q_low={**system.q_low, (1, 2, 6): empty})
     with pytest.raises(RowPreparationError) as err:
-        prepare_row(doctored, range(1, 7), 6, require_size_hypothesis=False)
+        prepare_row(doctored, range(1, 7), 6)
     assert (err.value.step, err.value.reason) == \
         ("connector-pigeonhole", "apex has no neighbours in the connector class")
 
@@ -402,8 +345,7 @@ def test_connector_and_spine_pinned_on_a_doctored_system():
             left_adj[a] |= 1 << b
             right_adj[b] |= 1 << a
         q_low[t] = BipartiteGraph(g.left_size, g.right_size, left_adj, right_adj)
-    row = prepare_row(dataclasses.replace(system, q_low=q_low), _ALL, 6,
-                      require_size_hypothesis=False)
+    row = prepare_row(dataclasses.replace(system, q_low=q_low), _ALL, 6)
     assert (row.apex, row.r_next, row.connector, row.connector_hits, row.spine,
             row.surviving) == (0, 2, 1, 2, {3: 0, 5: 0}, (2, 3, 5, 6))
 
@@ -414,21 +356,17 @@ _ALL = [1, 2, 3, 4, 5, 6]
 # Q-graphs, the DomainError's text), one fault per call.
 ARGUMENT_REFUSALS = {
     "prepare_row-uncleaned": (
-        lambda system, raw: prepare_row(raw, _ALL, 6, require_size_hypothesis=False),
+        lambda system, raw: prepare_row(raw, _ALL, 6),
         "prepare_row needs a cleaned QGraphSystem"),
     "prepare_row-two-indices": (
-        lambda system, raw: prepare_row(system, [1, 6], 6, require_size_hypothesis=False),
+        lambda system, raw: prepare_row(system, [1, 6], 6),
         "index set must have >= 3 elements, got [1, 6]"),
     "prepare_row-top-below-max": (
-        lambda system, raw: prepare_row(system, _ALL, 5, require_size_hypothesis=False),
+        lambda system, raw: prepare_row(system, _ALL, 5),
         "top index 5 must be the maximum of [1, 2, 3, 4, 5, 6]"),
     "prepare_row-top-missing": (
-        lambda system, raw: prepare_row(system, [1, 2, 3, 5], 4,
-                                        require_size_hypothesis=False),
+        lambda system, raw: prepare_row(system, [1, 2, 3, 5], 4),
         "top index 4 must be the maximum of [1, 2, 3, 5]"),
-    "prepare_row-size-hypothesis": (
-        lambda system, raw: prepare_row(system, _ALL, 6),
-        "|I| = 6 does not exceed 2/delta^2 = 32"),
     "prepare_row_glue-uncleaned": (
         lambda system, raw: prepare_row_glue(raw, _ALL, 6, m2_target=2),
         "prepare_row_glue needs a cleaned QGraphSystem"),
@@ -444,21 +382,6 @@ ARGUMENT_REFUSALS = {
     "prepare_row_glue-top-missing": (
         lambda system, raw: prepare_row_glue(system, [1, 2, 3, 5], 4, m2_target=2),
         "top index 4 must be the maximum of [1, 2, 3, 5]"),
-    "triangles-descending": (
-        lambda system, raw: find_many_triangles(system, 2, 1, 3, 4, 0),
-        "need i < j1 < j2 < k, got (2, 1, 3, 4)"),
-    "triangles-equal": (
-        lambda system, raw: find_many_triangles(system, 1, 2, 2, 4, 0),
-        "need i < j1 < j2 < k, got (1, 2, 2, 4)"),
-    "triangles-out-of-range": (
-        lambda system, raw: find_many_triangles(system, 1, 2, 3, 9, 0),
-        "index 9 outside host range"),
-    "triangles-uncleaned": (
-        lambda system, raw: find_many_triangles(raw, 1, 2, 3, 4, 0),
-        "system has not been cleaned"),
-    "triangles-apex-outside-s-sets": (
-        lambda system, raw: find_many_triangles(system, 1, 2, 3, 4, 5),
-        "x=5 must lie in S^1_{2,4} and S^1_{3,4} at level 2"),
 }
 
 

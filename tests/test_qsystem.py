@@ -393,7 +393,7 @@ def test_thresholds_exactly_on_an_integer():
     host = ReducedHypergraph(3, sizes, {(1, 2, 3): edges})
     system = build_q_graphs(host, Fraction(1, 2))
     low = system.q_low[(1, 2, 3)]
-    assert [low.right_degree(v) for v in range(4)] == [3, 3, 3, 3]
+    assert [low.right_adj[v].bit_count() for v in range(4)] == [3, 3, 3, 3]
     s_sets = compute_s_sets(host, system, Fraction(1, 4))
     assert s_sets[((1, 2, 3), 1)] == frozenset(range(4))   # 3 >= (1/2 + 1/4) * 4
     assert s_sets[((1, 2, 3), 2)] == frozenset()           # 3 < (1/2 + 2/4) * 4
@@ -780,6 +780,21 @@ def test_s_set_refusals_are_pinned():
     with pytest.raises(DomainError) as err:
         cleaned.system.s_set((1, 2, 3), 7)
     assert str(err.value) == "no stored S-set for triple (1, 2, 3) at level 7"
+
+
+@pytest.mark.parametrize("r_star,text", [
+    (0, "r_star must lie in 1..2, got 0"),
+    (-1, "r_star must lie in 1..2, got -1"),
+    (3, "r_star must lie in 1..2, got 3"),
+], ids=["zero", "negative", "above-cap"])
+def test_verify_star_refuses_a_level_outside_the_cap(r_star, text):
+    # delta = 1/4: the levels run 1..level_cap = 2, with the S-sets one deeper.
+    cleaned = clean(complete_host(5, 2), PipelineConfig(
+        eps=Fraction(1, 2), delta=Fraction(1, 4), ramsey_target_1=5, ramsey_target_2=5))
+    system = cleaned.system
+    with pytest.raises(DomainError) as err:
+        verify_star(system.host, system, system.delta, system.s_sets, r_star)
+    assert (type(err.value), str(err.value)) == (DomainError, text)
 
 
 @pytest.mark.parametrize("eps,text", [
