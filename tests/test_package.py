@@ -130,19 +130,47 @@ def _definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item
 
 
-def test_every_definition_is_used_by_the_program_or_named_with_its_consumer():
-    # A module-level name counts as used by name or as module.name, so an
-    # attribute of the same name elsewhere does not keep it; a method
-    # counts as used by any attribute of its name.
-    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+def _unused(trees: dict, defining) -> set:
+    """Qualified names of the definitions in the modules at paths defining
+    that no tree in trees (path -> module) uses outside their own def.
+
+    A module-level name counts as used by name or as module.name, so an
+    attribute of the same name elsewhere does not keep it; a method
+    counts as used by any attribute of its name."""
     used = sum((_uses(tree) for tree in trees.values()), Counter())
     unused = set()
-    for path in sorted(SRC.glob("*.py")):
+    for path in defining:
         for qualname, node in _definitions(trees[path]):
             owner, _, name = qualname.rpartition(".")
             keys = (name, f".{name}" if owner else f"{path.stem}.{name}")
             own = _uses(node)
             if sum(used[key] - own[key] for key in keys) <= 0:
                 unused.add(qualname)
-    assert unused == set(USED_ONLY_FROM_OUTSIDE)
+    return unused
+
+
+def test_every_definition_is_used_by_the_program_or_named_with_its_consumer():
+    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    assert _unused(trees, sorted(SRC.glob("*.py"))) == set(USED_ONLY_FROM_OUTSIDE)
+
+
+# Each case: the source of a defining module m.py, of a second module
+# user.py, and the names the guard must report as unused.
+GUARD_CASES = {
+    "unused": ("def f(): pass\n", "", {"f"}),
+    "called": ("def f(): pass\n", "import m\nm.f()\n", set()),
+    "imported": ("def f(): pass\n", "from m import f\n", set()),
+    "own-recursion": ("def f(): return f()\n", "", {"f"}),
+    "string-constant": ("def f(): pass\nNAMES = ('f',)\n", "", {"f"}),
+    "other-owner-attribute": ("def f(): pass\n", "import x\nx.f()\n", {"f"}),
+    "method": ("class C:\n    def g(self): pass\n    def h(self): pass\n",
+               "from m import C\nC().g()\n", {"C.h"}),
+}
+
+
+@pytest.mark.parametrize("name", GUARD_CASES)
+def test_definition_guard_counts_uses_outside_the_def(name):
+    defining, user, unused = GUARD_CASES[name]
+    trees = {Path("m.py"): ast.parse(defining), Path("user.py"): ast.parse(user)}
+    assert _unused(trees, [Path("m.py")]) == unused

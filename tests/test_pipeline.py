@@ -2,6 +2,7 @@
 of the five-vertex target search."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,35 @@ def cleaned_random(seed, m=12, p=6, d=Fraction(9, 10),
     return host, clean(host, config), config
 
 
+def _triangles_through(system, i, j1, j2, k, x):
+    """(y, z) in P^{ij2} x P^{ij1} forming a triangle with x in P^{ik}
+    through the low Q-graphs, by direct adjacency lookups."""
+    return [(y, z) for y in range(system.host.class_size(i, j2))
+            for z in range(system.host.class_size(i, j1))
+            if system.q_low[(i, j2, k)].has(y, x) and system.q_low[(i, j1, k)].has(z, x)
+            and system.q_low[(i, j1, j2)].has(z, y)]
+
+
+@pytest.mark.parametrize("make,complete", [
+    (lambda: cleaned_complete(5, 3)[0], True),
+    (lambda: cleaned_random(seed=2)[1].system, False),
+], ids=["complete", "random"])
+def test_shared_s_set_vertex_lies_in_delta_many_triangles(make, complete):
+    # x in S^i_{j1 k}(r_star) and S^i_{j2 k}(r_star) of a cleaned system
+    # lies in at least delta |P^{ij1}| |P^{ij2}| triangles, for every
+    # i < j1 < j2 < k; in the complete host, in all of them.
+    system = make()
+    host, delta, r_star = system.host, system.delta, system.r_star
+    shared = 0
+    for i, j1, j2, k in itertools.combinations(range(1, host.index_count + 1), 4):
+        for x in system.s_set((i, j1, k), r_star) & system.s_set((i, j2, k), r_star):
+            shared += 1
+            pairs = host.class_size(i, j1) * host.class_size(i, j2)
+            count = len(_triangles_through(system, i, j1, j2, k, x))
+            assert count == pairs if complete else count >= delta * pairs
+    assert shared > 0
+
+
 def test_prepare_row_complete_takes_everything():
     system, config = cleaned_complete(8, 2)
     working = list(range(1, 9))
@@ -51,6 +81,31 @@ def test_prepare_row_runs_below_the_size_hypothesis():
     system, config = cleaned_complete(8, 2)
     row = prepare_row(system, list(range(1, 9)), 8)
     assert isinstance(row.meets_delta_bound, bool)
+
+
+def test_prepare_row_takes_the_round_index_fourth():
+    # run_rows calls prepare(system, working, top, t) positionally.
+    system, config = cleaned_complete(8, 2)
+    assert prepare_row(system, list(range(1, 9)), 8).index == 1
+    assert prepare_row(system, list(range(1, 9)), 8, 3).index == 3
+
+
+def test_find_fstar_prepares_its_rows_through_the_module_name(monkeypatch):
+    # find_fstar looks prepare_row up when it runs, so a wrapper installed
+    # on the module (as perfbench's tracer installs one) sees every row.
+    calls = []
+    prepare = pipeline.prepare_row
+
+    def recording(system, working, top, round_index):
+        calls.append((tuple(working), top, round_index))
+        return prepare(system, working, top, round_index)
+    monkeypatch.setattr(pipeline, "prepare_row", recording)
+    config = PipelineConfig(eps=Fraction(1, 2), delta=Fraction(1, 4),
+                            ramsey_target_1=7, ramsey_target_2=7, rounds=4)
+    result = find_fstar(random_box_dense(7, 2, 1, seed=0), config)
+    assert result.ok
+    assert calls == [(row.source, 7, row.index) for row in result.rows]
+    assert [row.index for row in result.rows] == [1, 2, 3, 4]
 
 
 def test_prepare_row_soundness_on_random_instance():
