@@ -98,7 +98,6 @@ class Violation:
 class EmbedCertificate:
     rmap: ReducedMap
     pattern: Pattern
-    nodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -480,8 +479,7 @@ class _Engine:
             ok, violation = validate_reduced_map(host, self.pattern, rmap)
             if not ok:
                 raise SelfCheckError(f"engine produced an invalid map: {violation}")
-            cert = EmbedCertificate(rmap, self.pattern, nodes=nodes)
-            return SearchResult("found", cert, None, nodes)
+            return SearchResult("found", EmbedCertificate(rmap, self.pattern), None, nodes)
         return SearchResult("not-found", None, None, nodes)
 
     def _resolve(self, code: list[int], parts: list) -> tuple[list, list[int]]:

@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._bits import iter_bits, least_bit
-from .core import (DEFAULT_ORACLE_CAP, ReducedHypergraph, refuse_negative_cap,
-                   slot_pairs, sorted_pair, sorted_triple)
+from .core import (DEFAULT_ORACLE_CAP, ReducedHypergraph, refuse_above_cap,
+                   refuse_negative_cap, slot_pairs, sorted_pair, sorted_triple)
 from .errors import CapExceeded, DomainError, RowPreparationError, SelfCheckError
 from .pipeline import (Row, RowRun, completion_vertex, linked, max_count_least_arg,
                        row_working_set, run_rows, select_apex, validate_clean_fields)
@@ -151,9 +151,10 @@ def validate_glued(host: ReducedHypergraph,
     return True, None
 
 
-def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
+def prepare_row_glue(system: QGraphSystem, working: Sequence[int],
                      m2_target: int, round_index: int = 1) -> GlueRowRecord:
-    """Prepare one all-pairs row, securing m2_target spine columns.
+    """Prepare one all-pairs row on the working index set, top its largest
+    index, securing m2_target spine columns.
 
     Columns are taken largest-first; each spine choice pigeonholes the
     remaining candidates.  Structured failures name the step that broke;
@@ -163,11 +164,11 @@ def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
     re-verified pairwise by direct lookups.  Each pair j < k of kept
     columns has a witness: k's step keeps only columns j with one.
     """
-    working = row_working_set(system, working, top, "prepare_row_glue")
+    working = row_working_set(system, working, "prepare_row_glue")
     if m2_target < 1:
         raise DomainError(f"m2_target must be >= 1, got {m2_target}")
-    r = working[0]
-    apex, a_sets = select_apex(system, working, top)
+    r, top = working[0], working[-1]
+    apex, a_sets = select_apex(system, working)
     i_prime = list(a_sets)
 
     chosen: list[int] = []
@@ -206,13 +207,13 @@ def prepare_row_glue(system: QGraphSystem, working: Sequence[int], top: int,
         surviving=tuple(surviving), r_next=min(surviving), apex=apex,
         spine=spine, witnesses=witnesses, degenerate=tuple(degenerate),
         apex_hits=len(i_prime), target=m2_target, achieved=len(chosen))
-    _verify_row_glue(system, record, top)
+    _verify_row_glue(system, record)
     return record
 
 
-def _verify_row_glue(system: QGraphSystem, row: GlueRowRecord, top: int) -> None:
+def _verify_row_glue(system: QGraphSystem, row: GlueRowRecord) -> None:
     """The witnessed triangles must exist by direct adjacency lookups."""
-    r, x = row.row_index, row.apex
+    r, top, x = row.row_index, row.source[-1], row.apex
     for (j, k), y in row.witnesses.items():
         if not system.q_low[(r, j, top)].has(y, x):
             raise SelfCheckError(f"row {row.index}: apex edge missing at column {j}")
@@ -229,8 +230,8 @@ def find_glued(host: ReducedHypergraph, config: GlueConfig) -> GlueResult:
     ladder = config.ladder
     ran = run_rows(
         host, config, result, len(ladder),
-        lambda system, working, top, t: prepare_row_glue(
-            system, working, top, ladder[t - 1], round_index=t),
+        lambda system, working, t: prepare_row_glue(
+            system, working, ladder[t - 1], round_index=t),
         lambda row: (f"row {row.index} r={row.row_index} x={row.apex} "
                      f"J={list(row.surviving)} degenerate={list(row.degenerate)}"),
         2)
@@ -301,7 +302,9 @@ def brute_force_glued(host: ReducedHypergraph,
     (triple, edge) memberships; the 3<->4 role symmetry therefore counts
     once, and on a complete host with singleton classes each index
     4-subset contributes exactly one certificate.  Refuses above cap
-    (CapExceeded), and a negative cap (DomainError).
+    (CapExceeded), and a negative cap (DomainError).  Counting keeps up to
+    one certificate per configuration, so it also refuses a space above
+    core.TABLE_ENTRY_CAP (CapExceeded), before the first configuration.
     """
     refuse_negative_cap(cap)
     total_space = 0
@@ -313,6 +316,8 @@ def brute_force_glued(host: ReducedHypergraph,
             if total_space > cap:
                 raise CapExceeded(
                     f"glued enumeration space exceeds cap {cap}")
+    if count_all:
+        refuse_above_cap(total_space, "counting glued certificates")
 
     found = False
     certificates: set[frozenset] = set()

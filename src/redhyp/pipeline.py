@@ -168,21 +168,21 @@ def linked(adj: Sequence[int], candidates: int, target: int) -> int:
     return sum(1 << v for v in iter_bits(candidates) if adj[v] & target)
 
 
-def select_apex(system: QGraphSystem, working: Sequence[int],
-                top: int) -> tuple[int, dict[int, int]]:
+def select_apex(system: QGraphSystem, working: Sequence[int]) -> tuple[int, dict[int, int]]:
     """The row's apex and its neighbourhoods in the columns that keep it.
 
-    working is sorted with r = working[0]; the apex is the P^{r top} vertex
-    lying in the most S^r_{j,top}(r_star) over the middle columns j.  The
-    returned dict maps each column whose S-set holds the apex, ascending,
-    to the apex's neighbourhood in the low Q-graph of (r, j, top).
+    working is sorted with r = working[0] and top = working[-1]; the apex
+    is the P^{r top} vertex lying in the most S^r_{j,top}(r_star) over the
+    middle columns j.  The returned dict maps each column whose S-set holds
+    the apex, ascending, to the apex's neighbourhood in the low Q-graph of
+    (r, j, top).
     """
-    r = working[0]
-    middle = [j for j in working if j not in (r, top)]
+    r, top = working[0], working[-1]
+    middle = working[1:-1]
     member_bits = []
     for j in middle:
         bits = 0
-        for x in system.s_set((r, j, top), system.r_star):
+        for x in system.s_sets[(r, j, top)][system.r_star - 1]:
             bits |= 1 << x
         member_bits.append(bits)
     hit_count, apex = max_count_least_arg(range(system.host.class_size(r, top)),
@@ -194,23 +194,22 @@ def select_apex(system: QGraphSystem, working: Sequence[int],
                   for j, bits in zip(middle, member_bits) if bits >> apex & 1}
 
 
-def row_working_set(system: QGraphSystem, working: Sequence[int], top: int,
+def row_working_set(system: QGraphSystem, working: Sequence[int],
                     caller: str) -> list[int]:
-    """Sorted distinct working indices; DomainError unless the system is
-    cleaned (caller names the preparation), >= 3 indices, top the maximum."""
+    """Sorted distinct working indices, the row's top last; DomainError
+    unless the system is cleaned (caller names the preparation), >= 3 indices."""
     if system.r_star is None or system.delta is None or system.s_sets is None:
         raise DomainError(f"{caller} needs a cleaned QGraphSystem")
     working = sorted(set(working))
     if len(working) < 3:
         raise DomainError(f"index set must have >= 3 elements, got {working}")
-    if top != working[-1]:
-        raise DomainError(f"top index {top} must be the maximum of {working}")
     return working
 
 
-def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
+def prepare_row(system: QGraphSystem, working: Sequence[int],
                 round_index: int = 1) -> RowRecord:
-    """Prepare one row inside the cleaned system.
+    """Prepare one row inside the cleaned system, on the working index set
+    with top its largest index.
 
     The paper's |I| > 2 / delta^2 is not required; whether the row keeps
     delta^2 |I| columns is recorded in RowRecord.meets_delta_bound.
@@ -219,10 +218,10 @@ def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
     lies in S^r_{r_next,top}.  Each column the connector keeps has a spine
     vertex.
     """
-    working = row_working_set(system, working, top, "prepare_row")
+    working = row_working_set(system, working, "prepare_row")
     delta = system.delta
-    r = working[0]
-    apex, a_sets = select_apex(system, working, top)
+    r, top = working[0], working[-1]
+    apex, a_sets = select_apex(system, working)
     i_prime = list(a_sets)
 
     r_next = i_prime[0]
@@ -247,13 +246,13 @@ def prepare_row(system: QGraphSystem, working: Sequence[int], top: int,
         connector=connector, spine=spine, apex_hits=len(i_prime),
         connector_hits=len(i_dprime),
         meets_delta_bound=Fraction(len(surviving)) >= delta * delta * len(working))
-    _verify_row(system, record, top)
+    _verify_row(system, record)
     return record
 
 
-def _verify_row(system: QGraphSystem, row: RowRecord, top: int) -> None:
+def _verify_row(system: QGraphSystem, row: RowRecord) -> None:
     """Every reported triangle must exist by direct adjacency lookups."""
-    r, x, y = row.row_index, row.apex, row.connector
+    r, top, x, y = row.row_index, row.source[-1], row.apex, row.connector
     rn = row.r_next
     if not system.q_low[(r, rn, top)].has(y, x):
         raise SelfCheckError(f"row {row.index}: apex-connector edge missing")
@@ -264,12 +263,12 @@ def _verify_row(system: QGraphSystem, row: RowRecord, top: int) -> None:
             raise SelfCheckError(f"row {row.index}: connector-spine edge missing at {j}")
 
 
-def projection_set(system: QGraphSystem, row: Row, m_prime: int,
-                   top: int) -> ProjectionRecord:
-    """Completions in P^{m' top} of the row's (apex, spine at m') edge."""
+def projection_set(system: QGraphSystem, row: Row, m_prime: int) -> ProjectionRecord:
+    """Completions in P^{m' top} of the row's (apex, spine at m') edge, top
+    the largest index of the row's source."""
     if m_prime not in row.spine:
         raise DomainError(f"row {row.index} has no spine vertex at {m_prime}")
-    r = row.row_index
+    r, top = row.row_index, row.source[-1]
     z = row.spine[m_prime]
     con = system.host.constituent((r, m_prime, top))
     bits = con.comp01[z * con.sizes[1] + row.apex]
@@ -305,14 +304,15 @@ def run_rows(host: ReducedHypergraph, config, result: RowRun, rounds: int,
     """The row driver shared by find_fstar and find_glued.
 
     Cleans the host, prepares rows 1..rounds with prepare(system, working,
-    top, t), each on the row before's surviving indices and traced by
+    t), each on the row before's surviving indices and traced by
     describe(row), checks the final index set, takes m' as its largest
-    index below top, projects each row's (apex, spine at m') edge into
-    P^{m' top}, and pigeonholes a vertex v covered by `multiplicity`
-    projections.  result takes the clean result, rows, projections (all or
-    none), pigeonhole and trace lines as they are made.  Returns (system,
-    m', v, 0-based covering row positions), or None once `clean`, `row-t`, `final-index-set` or
-    `pigeonhole` failed, with result.failure and a `fail <stage>` line.
+    index below top (the cleaned host's last index), projects each row's
+    (apex, spine at m') edge into P^{m' top}, and pigeonholes a vertex v
+    covered by `multiplicity` projections.  result takes the clean result,
+    rows, projections (all or none), pigeonhole and trace lines as they are
+    made.  Returns (system, m', v, 0-based covering row positions), or None
+    once `clean`, `row-t`, `final-index-set` or `pigeonhole` failed, with
+    result.failure and a `fail <stage>` line.
 
     A row's spine covers its surviving set, and so the final set, except
     top and its r_next: the next row's index or the final set's least of
@@ -336,7 +336,7 @@ def run_rows(host: ReducedHypergraph, config, result: RowRun, rounds: int,
         if len(current) < 3:
             return failed(StageFailure(f"row-{t}", f"index set exhausted: {current}"))
         try:
-            row = prepare(system, current, top, t)
+            row = prepare(system, current, t)
         except RowPreparationError as exc:
             return failed(StageFailure(f"row-{t}", f"{exc.step}: {exc.reason}"))
         result.rows.append(row)
@@ -354,7 +354,7 @@ def run_rows(host: ReducedHypergraph, config, result: RowRun, rounds: int,
     for row in result.rows:
         if m_prime not in row.spine:
             raise SelfCheckError(f"row {row.index} lacks a spine vertex at m'={m_prime}")
-        proj = projection_set(system, row, m_prime, top)
+        proj = projection_set(system, row, m_prime)
         projections.append(proj)
         trace.append(f"projection {row.index} size={len(proj.members)}")
     result.projections = projections

@@ -22,7 +22,7 @@ distinct (sizes, comp01) in a host, and clean's three systems share them
 by that object (build_q_graphs' shared_with).  color_triples and
 verify_star sum a low graph's squared degrees once per graph object, and
 compute_s_sets builds the frozensets once per (|P^{ij}|, degree profile),
-handing equal triples the same row of them (SSets).  These memos live for
+handing equal triples the same row of them.  These memos live for
 one call only, so blue verification and verify_star recompute from their
 own inputs.
 """
@@ -116,36 +116,6 @@ class HighGraphs(Mapping):
         return len(self._constituents)
 
 
-class SSets(Mapping):
-    """The S-sets of one host, S^i_{jk}(r) keyed by (t, r) for every triple
-    t and level r of levels, stored as one row per triple: row(t) is the
-    tuple of t's sets, levels ascending.  Triples with equal low graphs
-    share one row (see compute_s_sets).  Iteration runs through the triples
-    in order, levels ascending within each.  Read-only.
-    """
-
-    def __init__(self, rows: dict[Triple, tuple[frozenset[int], ...]], levels: range):
-        self._rows = rows
-        self._levels = levels
-
-    def row(self, t: Triple) -> tuple[frozenset[int], ...]:
-        """The sets of sorted triple t, levels ascending; KeyError if t has none."""
-        return self._rows[t]
-
-    def __getitem__(self, key: tuple[Triple, int]) -> frozenset[int]:
-        try:
-            t, r = key
-            return self._rows[t][self._levels.index(r)]
-        except (KeyError, ValueError):
-            raise KeyError(key) from None
-
-    def __iter__(self) -> Iterator[tuple[Triple, int]]:
-        return itertools.product(self._rows, self._levels)
-
-    def __len__(self) -> int:
-        return len(self._rows) * len(self._levels)
-
-
 @dataclass
 class QGraphSystem:
     """Q-graphs for one host, plus the cleaning results once `clean` ran.
@@ -155,7 +125,8 @@ class QGraphSystem:
     equal constituents share a graph (see build_q_graphs); q_high builds a
     triple's graph when it is first read (see HighGraphs).  After
     cleaning, the host here is the relabeled survivor and to_original maps
-    its indices back to the input host's labels.
+    its indices back to the input host's labels, and s_sets holds its
+    S-sets (see compute_s_sets).
     """
 
     host: ReducedHypergraph
@@ -163,17 +134,9 @@ class QGraphSystem:
     q_low: dict[Triple, BipartiteGraph]
     q_high: Mapping[Triple, BipartiteGraph]
     delta: Fraction | None = None
-    s_sets: Mapping[tuple[Triple, int], frozenset[int]] | None = None
+    s_sets: dict[Triple, tuple[frozenset[int], ...]] | None = None
     r_star: int | None = None
     to_original: tuple[int, ...] | None = None
-
-    def s_set(self, triple: Triple, r: int) -> frozenset[int]:
-        if self.s_sets is None:
-            raise DomainError("S-sets are only available after clean()")
-        found = self.s_sets.get((sorted_triple(*triple), r))
-        if found is None:
-            raise DomainError(f"no stored S-set for triple {triple} at level {r}")
-        return found
 
 
 def _ceil_per_size(host: ReducedHypergraph, q: Fraction) -> dict[int, int]:
@@ -218,23 +181,20 @@ def build_q_graphs(host: ReducedHypergraph, eps,
     return QGraphSystem(host=host, eps=eps, q_low=q_low, q_high=q_high)
 
 
-def check_sum_of_squares(host: ReducedHypergraph, system: QGraphSystem,
-                         triple: Triple) -> tuple[Fraction, bool]:
+def check_sum_of_squares(system: QGraphSystem, triple: Triple) -> tuple[Fraction, bool]:
     """Exact left-hand side of the degree-product bound for one triple,
     and whether it reaches (1/4 + eps/2) * |P^{ij}| * |P^{jk}| * |P^{ik}|."""
     t = sorted_triple(*triple)
-    low = system.q_low[t]
-    high = system.q_high[t]
-    i, j, k = t
+    low = system.q_low[t]    # P^{ij} x P^{ik}
+    high = system.q_high[t]  # P^{ik} x P^{jk}
     lhs = sum(low.right_adj[v].bit_count() * high.left_adj[v].bit_count()
               for v in range(low.right_size))
     quarter = Fraction(1, 4) + system.eps / 2
-    volume = host.class_size(i, j) * host.class_size(j, k) * host.class_size(i, k)
+    volume = low.left_size * low.right_size * high.right_size
     return Fraction(lhs), lhs * quarter.denominator >= quarter.numerator * volume
 
 
-def color_triples(host: ReducedHypergraph,
-                  system: QGraphSystem) -> dict[Triple, str]:
+def color_triples(system: QGraphSystem) -> dict[Triple, str]:
     """Color each triple blue or red by the degree-square dichotomy.
 
     Blue means the low-graph degree squares over P^{ik} reach
@@ -249,7 +209,7 @@ def color_triples(host: ReducedHypergraph,
     # id(low graph) -> its squared right degrees summed; q_low holds every
     # graph while this runs, so no id is reused
     sums: dict[int, int] = {}
-    for t, con in host.constituents.items():
+    for t, con in system.host.constituents.items():
         s_ij, s_ik, s_jk = con.sizes
         low = system.q_low[t]
         blue_lhs = sums.get(id(low))
@@ -259,7 +219,7 @@ def color_triples(host: ReducedHypergraph,
             colors[t] = "blue"
             continue
         colors[t] = "red"
-        sos_lhs, sos_holds = check_sum_of_squares(host, system, t)
+        sos_lhs, sos_holds = check_sum_of_squares(system, t)
         if sos_holds:
             red_lhs = sum(x.bit_count() ** 2 for x in system.q_high[t].left_adj)
             if red_lhs * den < num * s_jk ** 2 * s_ik:
@@ -274,9 +234,9 @@ def level_cap(delta: Fraction) -> int:
     return math.ceil(Fraction(1, 2) / delta)
 
 
-def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem, delta) -> SSets:
+def compute_s_sets(system: QGraphSystem, delta) -> dict[Triple, tuple[frozenset[int], ...]]:
     """S-sets for every triple and level 1..level_cap(delta)+1, one row of
-    sets per triple (see SSets).
+    sets per triple: row[r - 1] is S^i_{jk}(r).
 
     S^i_{jk}(r) collects x in P^{ik} whose low-graph degree toward P^{ij}
     is at least (1/2 + r*delta) * |P^{ij}|.  Levels are nested decreasing.
@@ -285,8 +245,9 @@ def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem, delta) -> SSet
     and its row shared.
     """
     delta = Fraction(delta)
-    levels = range(1, level_cap(delta) + 2)
-    needs = [_ceil_per_size(host, Fraction(1, 2) + r * delta) for r in levels]
+    host = system.host
+    needs = [_ceil_per_size(host, Fraction(1, 2) + r * delta)
+             for r in range(1, level_cap(delta) + 2)]
     by_profile: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], ...]] = {}
     by_graph: dict[int, tuple[frozenset[int], ...]] = {}  # id(low graph); as in color_triples
     rows: dict[Triple, tuple[frozenset[int], ...]] = {}
@@ -303,11 +264,11 @@ def compute_s_sets(host: ReducedHypergraph, system: QGraphSystem, delta) -> SSet
                     for need in needs)
             by_graph[id(low)] = sets
         rows[t] = sets
-    return SSets(rows, levels)
+    return rows
 
 
-def level_coloring(host: ReducedHypergraph, system: QGraphSystem, delta,
-                   s_sets: SSets) -> dict[Triple, int]:
+def level_coloring(system: QGraphSystem, delta,
+                   s_sets: dict[Triple, tuple[frozenset[int], ...]]) -> dict[Triple, int]:
     """Color each triple by the deepest level whose S-set is delta-large.
 
     Level 0 marks triples where even level 1 falls below delta * |P^{ik}|;
@@ -316,11 +277,11 @@ def level_coloring(host: ReducedHypergraph, system: QGraphSystem, delta,
     delta = Fraction(delta)
     cap = level_cap(delta)
     colors: dict[Triple, int] = {}
-    need = _ceil_per_size(host, delta)
+    need = _ceil_per_size(system.host, delta)
     deepest_first = range(cap, 0, -1)
-    for t, con in host.constituents.items():
+    for t, con in system.host.constituents.items():
         least = need[con.sizes[1]]
-        row = s_sets.row(t)
+        row = s_sets[t]
         level = 0
         for r in deepest_first:
             if len(row[r - 1]) >= least:
@@ -471,7 +432,7 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
             f"need at least {target1}"), log)
 
     system = build_q_graphs(host, eps)
-    colors = color_triples(host, system)
+    colors = color_triples(system)
     blue = sum(1 for c in colors.values() if c == "blue")
     log.append(f"color1 blue={blue} red={len(colors) - blue}")
 
@@ -489,18 +450,18 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
         log.append("relabel reversed order for red subset")
     host2 = host.induced(map1)
     system2 = build_q_graphs(host2, eps, shared_with=system)
-    colors2 = color_triples(host2, system2)
+    colors2 = color_triples(system2)
     offenders = sorted(t for t, c in colors2.items() if c != "blue")
     if offenders:
         t = offenders[0]
-        lhs, _ = check_sum_of_squares(host2, system2, t)
+        lhs, _ = check_sum_of_squares(system2, t)
         return CleanResult(False, None, StageFailure(
             "blue-verification",
             f"triple {t} (original {tuple(map1[x - 1] for x in t)}) is not blue "
             f"after relabeling; degree-product lhs={lhs}"), log)
 
-    s_sets2 = compute_s_sets(host2, system2, delta)
-    levels = level_coloring(host2, system2, delta, s_sets2)
+    s_sets2 = compute_s_sets(system2, delta)
+    levels = level_coloring(system2, delta, s_sets2)
     log.append(f"levels min={min(levels.values())} max={max(levels.values())}")
     if host2.index_count != target1:
         raise SelfCheckError(f"the first extraction kept {host2.index_count} indices, "
@@ -519,10 +480,10 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
     map2 = list(extraction2.subset)
     host3 = host2.induced(map2)
     system3 = build_q_graphs(host3, eps, shared_with=system2)
-    s_sets3 = compute_s_sets(host3, system3, delta)
+    s_sets3 = compute_s_sets(system3, delta)
     to_original = tuple(map1[map2[x - 1] - 1] for x in range(1, host3.index_count + 1))
 
-    verify = verify_star(host3, system3, delta, s_sets3, r_star)
+    verify = verify_star(system3, delta, s_sets3, r_star)
     if verify is not None:
         raise SelfCheckError(f"star verification failed after cleaning: {verify}")
     log.append(f"surviving={list(to_original)}")
@@ -534,8 +495,8 @@ def clean(host: ReducedHypergraph, config) -> CleanResult:
     return CleanResult(True, system3, None, log)
 
 
-def verify_star(host: ReducedHypergraph, system: QGraphSystem, delta,
-                s_sets: SSets, r_star: int) -> str | None:
+def verify_star(system: QGraphSystem, delta,
+                s_sets: dict[Triple, tuple[frozenset[int], ...]], r_star: int) -> str | None:
     """Re-verify both survival clauses for every triple from scratch.
 
     Returns None when everything holds, else a message naming the first
@@ -547,9 +508,9 @@ def verify_star(host: ReducedHypergraph, system: QGraphSystem, delta,
         raise DomainError(f"r_star must lie in 1..{cap}, got {r_star}")
     quarter = Fraction(1, 4) + system.eps / 2
     num, den = quarter.numerator, quarter.denominator
-    need = _ceil_per_size(host, delta)
+    need = _ceil_per_size(system.host, delta)
     sums: dict[int, int] = {}  # as in color_triples
-    for t, con in host.constituents.items():
+    for t, con in system.host.constituents.items():
         i, j, k = t
         s_ij, s_ik, _ = con.sizes
         low = system.q_low[t]
@@ -559,7 +520,7 @@ def verify_star(host: ReducedHypergraph, system: QGraphSystem, delta,
         if blue_lhs * den < num * s_ij ** 2 * s_ik:
             return f"triple {t} fails the blue degree-square bound"
         least = need[s_ik]
-        row = s_sets.row(t)
+        row = s_sets[t]
         if len(row[r_star - 1]) < least:
             return f"triple {t} has |S(r_star)| below delta * |P^{{{i},{k}}}|"
         if not len(row[r_star]) < least:

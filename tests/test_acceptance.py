@@ -154,7 +154,7 @@ def test_criterion_4_sum_of_squares_validation():
         for host in _criterion45_hosts():
             system = build_q_graphs(host, eps)
             for t in host.triples():
-                lhs, holds = check_sum_of_squares(host, system, t)
+                lhs, holds = check_sum_of_squares(system, t)
                 assert holds, t
                 low, high = _naive_q_degrees(host, eps, t)
                 assert lhs == sum(l * h for l, h in zip(low, high)), t
@@ -188,7 +188,7 @@ def test_criterion_5_cleaning_soundness():
                          for r in range(1, cap + 2)}
                 assert sizes[r_star] >= delta * s1 > sizes[r_star + 1], t
                 for r in range(1, cap + 1):
-                    assert system.s_set(t, r + 1) <= system.s_set(t, r), t
+                    assert system.s_sets[t][r] <= system.s_sets[t][r - 1], t
         assert successes >= 80, f"only {successes}/100 hosts cleaned"
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redhyp
-from redhyp import (Plain3Graph, core, cyclic_triple_3graph, find_reduced_image,
+from redhyp import (Plain3Graph, core, cyclic_triple_3graph, find_reduced_image, glue,
                     pattern_catalog, pipeline, random_box_dense, random_tournament,
                     validate_reduced_map)
 from redhyp.cli import (certificate_lines, dispatch, main, parse_certificate,
@@ -566,6 +566,21 @@ def test_glue_oracle_cli(orientation_file):
     code, text = run(["glue-oracle", "--host", orientation_file,
                       "--deterministic"])
     assert code == 1 and "count 0" in text
+
+
+def test_glue_oracle_refuses_to_count_above_the_table_cap(tmp_path, monkeypatch):
+    # Criterion 6's complete M = 30 host, classes of 2: 84188160
+    # configurations, within the default --cap, each of which could keep a
+    # certificate of about 1 KB.  The refusal comes before the first one.
+    path = tmp_path / "complete30.rh"
+    path.write_text(write_host(random_box_dense(30, 2, 1, seed=0)))
+
+    def enumerate_configs(host, roles):
+        raise AssertionError("enumerated a configuration")
+    monkeypatch.setattr(glue, "_enumerate_configs", enumerate_configs)
+    assert run(["glue-oracle", "--host", str(path)]) == (
+        2, "error cap-exceeded: counting glued certificates needs 84188160 entries, "
+           "above the cap 10000000\n")
 
 
 def test_audit_cli(tmp_path):

@@ -411,8 +411,6 @@ def test_first_hit_nodes_certificates_and_budgets_are_pinned(label):
         pat = pattern_catalog(name)
         r = find_reduced_image(host, pat)
         assert (r.status, r.nodes, certificate_key(r)) == (status, nodes, cert), name
-        if r.certificate is not None:
-            assert r.certificate.nodes == nodes
         for budget in sorted({1, nodes // 2, nodes - 1}):
             r = find_reduced_image(host, pat, budget=budget)
             assert (r.status, r.nodes, r.certificate) == \

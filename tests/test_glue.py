@@ -15,6 +15,7 @@ from redhyp import (CapExceeded, DomainError, GlueConfig, GluedConfiguration,
                     clean, compute_s_sets, find_glued, prepare_row_glue,
                     random_box_dense, validate_glued)
 from redhyp.constructions import orientation_reduced
+from redhyp import core
 from redhyp.core import sorted_pair, sorted_triple
 from redhyp.glue import _config_edges, _enumerate_configs
 from redhyp.pipeline import PipelineConfig
@@ -37,7 +38,7 @@ def glue_config(m, ladder):
 
 def test_prepare_row_glue_complete_takes_everything():
     system = cleaned_complete(8)
-    row = prepare_row_glue(system, list(range(1, 9)), 8, m2_target=6)
+    row = prepare_row_glue(system, list(range(1, 9)), m2_target=6)
     assert row.surviving == tuple(range(2, 9))  # I minus the row index
     assert row.achieved == 6 and not row.degenerate
     # all-pairs witnesses present for every pair of non-top columns
@@ -49,7 +50,7 @@ def test_prepare_row_glue_complete_takes_everything():
 def test_prepare_row_glue_target_too_large():
     system = cleaned_complete(6)
     with pytest.raises(RowPreparationError) as err:
-        prepare_row_glue(system, list(range(1, 7)), 6, m2_target=5)
+        prepare_row_glue(system, list(range(1, 7)), m2_target=5)
     assert err.value.step.startswith("spine-step")
 
 
@@ -58,9 +59,9 @@ def test_prepare_row_glue_empty_q_fails_at_apex():
     system = build_q_graphs(host, Fraction(1, 2))
     system.delta = Fraction(1, 4)
     system.r_star = 1
-    system.s_sets = compute_s_sets(host, system, Fraction(1, 4))
+    system.s_sets = compute_s_sets(system, Fraction(1, 4))
     with pytest.raises(RowPreparationError) as err:
-        prepare_row_glue(system, list(range(1, 7)), 6, m2_target=2)
+        prepare_row_glue(system, list(range(1, 7)), m2_target=2)
     assert err.value.step == "apex-pigeonhole"
 
 
@@ -72,7 +73,7 @@ def test_prepare_row_glue_dense_instance_verified_pairwise():
     assert result.ok
     system = result.system
     m = system.host.index_count
-    row = prepare_row_glue(system, list(range(1, m + 1)), m, m2_target=4)
+    row = prepare_row_glue(system, list(range(1, m + 1)), m2_target=4)
     assert row.achieved == 4
     r = row.row_index
     non_top = [j for j in row.surviving if j != m]
@@ -130,10 +131,10 @@ def test_prepare_row_glue_degenerate_spine_steps_pinned(name):
     system = _doctored(cleaned_complete(6), graphs)
     if isinstance(want[0], str):
         with pytest.raises(RowPreparationError) as err:
-            prepare_row_glue(system, working, 6, m2_target=m2_target)
+            prepare_row_glue(system, working, m2_target=m2_target)
         assert (err.value.step, err.value.reason) == want
         return
-    row = prepare_row_glue(system, working, 6, m2_target=m2_target)
+    row = prepare_row_glue(system, working, m2_target=m2_target)
     assert (row.row_index, row.apex) == (1, 0)
     assert (row.spine, row.degenerate, row.surviving, row.achieved) == want
 
@@ -187,6 +188,23 @@ def test_brute_force_glued_refuses_a_negative_cap_in_every_mode():
             assert str(exc.value) == f"cap must be >= 0, got {cap}", count_all
         with pytest.raises(CapExceeded):
             brute_force_glued(host, cap=0, count_all=count_all)
+
+
+def test_brute_force_glued_counts_up_to_the_table_cap(monkeypatch):
+    # complete M = 5 with classes of 2: 5 subsets x 12 role assignments x
+    # 2^8 configurations.  Counting is refused only above the cap; finding
+    # one does not store certificates and is never refused by it.
+    host = random_box_dense(5, 2, 1, seed=0)
+    counted = brute_force_glued(host)
+    monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 5 * 12 * 2 ** 8)
+    assert brute_force_glued(host) == counted
+    monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 5 * 12 * 2 ** 8 - 1)
+    with pytest.raises(CapExceeded) as exc:
+        brute_force_glued(host)
+    assert str(exc.value) == \
+        "counting glued certificates needs 15360 entries, above the cap 15359"
+    monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 0)
+    assert brute_force_glued(host, count_all=False) == (True, 1)
 
 
 def test_brute_force_glued_empty():

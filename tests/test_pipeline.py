@@ -15,7 +15,8 @@ from redhyp.cli import dispatch
 from redhyp.constructions import orientation_reduced
 from redhyp.embed import Violation
 from redhyp.fileio import write_host
-from redhyp.pipeline import covered_vertex, linked, projection_set
+from redhyp.glue import GlueRowRecord
+from redhyp.pipeline import ProjectionRecord, RowRecord, covered_vertex, linked, projection_set
 from redhyp.qsystem import BipartiteGraph
 
 
@@ -58,7 +59,7 @@ def test_shared_s_set_vertex_lies_in_delta_many_triangles(make, complete):
     host, delta, r_star = system.host, system.delta, system.r_star
     shared = 0
     for i, j1, j2, k in itertools.combinations(range(1, host.index_count + 1), 4):
-        for x in system.s_set((i, j1, k), r_star) & system.s_set((i, j2, k), r_star):
+        for x in system.s_sets[(i, j1, k)][r_star - 1] & system.s_sets[(i, j2, k)][r_star - 1]:
             shared += 1
             pairs = host.class_size(i, j1) * host.class_size(i, j2)
             count = len(_triangles_through(system, i, j1, j2, k, x))
@@ -69,7 +70,7 @@ def test_shared_s_set_vertex_lies_in_delta_many_triangles(make, complete):
 def test_prepare_row_complete_takes_everything():
     system, config = cleaned_complete(8, 2)
     working = list(range(1, 9))
-    row = prepare_row(system, working, 8)
+    row = prepare_row(system, working)
     assert row.surviving == tuple(range(2, 9))  # everything but the row index
     assert row.row_index == 1 and row.r_next == 2
     assert row.apex == 0 and row.connector == 0
@@ -79,15 +80,70 @@ def test_prepare_row_complete_takes_everything():
 def test_prepare_row_runs_below_the_size_hypothesis():
     # |I| = 8 <= 2/(1/4)^2 = 32: the row runs and records its delta bound.
     system, config = cleaned_complete(8, 2)
-    row = prepare_row(system, list(range(1, 9)), 8)
+    row = prepare_row(system, list(range(1, 9)))
     assert isinstance(row.meets_delta_bound, bool)
 
 
-def test_prepare_row_takes_the_round_index_fourth():
-    # run_rows calls prepare(system, working, top, t) positionally.
+def test_prepare_row_takes_the_round_index_third():
+    # run_rows calls prepare(system, working, t) positionally.
     system, config = cleaned_complete(8, 2)
-    assert prepare_row(system, list(range(1, 9)), 8).index == 1
-    assert prepare_row(system, list(range(1, 9)), 8, 3).index == 3
+    assert prepare_row(system, list(range(1, 9))).index == 1
+    assert prepare_row(system, list(range(1, 9)), 3).index == 3
+
+
+def test_rows_take_their_top_from_the_working_set():
+    # A cleaned 6-index host and rows on [1..5], a working set without the
+    # host's top index 6.  Each row's top is 5, the largest working index:
+    # the records are those the rows gave when 5 was passed as top.  Every
+    # triple holding 6 is hollowed (no edges, empty low graph and S-sets),
+    # so a row that took its top from the host would fail or differ.
+    host = random_box_dense(10, 6, Fraction(4, 5), seed=4)
+    system = clean(host, PipelineConfig(eps=Fraction(1, 2), delta=Fraction(1, 8),
+                                        ramsey_target_1=8, ramsey_target_2=6)).system
+    work = system.host
+    assert work.index_count == 6
+    system = dataclasses.replace(
+        system,
+        host=ReducedHypergraph.with_uniform_classes(
+            6, 6, {t: work.edges(t) for t in work.triples() if 6 not in t}),
+        q_low={t: BipartiteGraph(g.left_size, g.right_size, [0] * g.left_size,
+                                 [0] * g.right_size) if 6 in t else g
+               for t, g in system.q_low.items()},
+        s_sets={t: tuple(frozenset() for _ in row) if 6 in t else row
+                for t, row in system.s_sets.items()})
+    row = prepare_row(system, [5, 4, 3, 2, 1], 2)
+    assert row == RowRecord(
+        index=2, row_index=1, source=(1, 2, 3, 4, 5), surviving=(2, 3, 4, 5), r_next=2,
+        apex=1, spine={3: 0, 4: 0}, apex_hits=3, connector=0, connector_hits=2,
+        meets_delta_bound=True)
+    assert projection_set(system, row, 4) == ProjectionRecord(
+        row=2, edge=(1, 0), m_prime=4, members=(0, 1, 2, 3, 5), meets_eps_bound=True)
+    assert prepare_row_glue(system, [1, 2, 3, 4, 5], 2, round_index=2) == GlueRowRecord(
+        index=2, row_index=1, source=(1, 2, 3, 4, 5), surviving=(3, 4, 5), r_next=3,
+        apex=1, spine={4: 0, 3: 0}, apex_hits=3, witnesses={(3, 4): 0}, degenerate=(),
+        target=2, achieved=2)
+
+
+ROW_PREPARATIONS = {
+    "prepare_row": lambda system, working: prepare_row(system, working),
+    "prepare_row_glue": lambda system, working: prepare_row_glue(system, working, 2),
+}
+
+
+@pytest.mark.parametrize("name", ROW_PREPARATIONS)
+def test_row_top_is_the_largest_working_index_in_any_order(name):
+    # A working set listed unsorted, its top first and repeated, gives the
+    # row of its sorted distinct indices: top is the largest index, not the
+    # last one listed.
+    _, result, _ = cleaned_random(seed=3)
+    system = result.system
+    m = system.host.index_count
+    prepare = ROW_PREPARATIONS[name]
+    for working in ([m, 3, 1, m, 2, m - 1, 4], [m - 2, 1, 2, m - 1, 3, 1]):
+        row = prepare(system, working)
+        assert row.source == tuple(sorted(set(working)))
+        assert row.surviving[-1] == max(working)
+        assert row == prepare(system, sorted(set(working)))
 
 
 def test_find_fstar_prepares_its_rows_through_the_module_name(monkeypatch):
@@ -96,15 +152,15 @@ def test_find_fstar_prepares_its_rows_through_the_module_name(monkeypatch):
     calls = []
     prepare = pipeline.prepare_row
 
-    def recording(system, working, top, round_index):
-        calls.append((tuple(working), top, round_index))
-        return prepare(system, working, top, round_index)
+    def recording(system, working, round_index):
+        calls.append((tuple(working), round_index))
+        return prepare(system, working, round_index)
     monkeypatch.setattr(pipeline, "prepare_row", recording)
     config = PipelineConfig(eps=Fraction(1, 2), delta=Fraction(1, 4),
                             ramsey_target_1=7, ramsey_target_2=7, rounds=4)
     result = find_fstar(random_box_dense(7, 2, 1, seed=0), config)
     assert result.ok
-    assert calls == [(row.source, 7, row.index) for row in result.rows]
+    assert calls == [(row.source, row.index) for row in result.rows]
     assert [row.index for row in result.rows] == [1, 2, 3, 4]
 
 
@@ -113,7 +169,7 @@ def test_prepare_row_soundness_on_random_instance():
     assert result.ok
     system = result.system
     m = system.host.index_count
-    row = prepare_row(system, list(range(1, m + 1)), m)
+    row = prepare_row(system, list(range(1, m + 1)))
     r = row.row_index
     for j, z in row.spine.items():
         assert system.q_low[(r, j, m)].has(z, row.apex)
@@ -127,9 +183,9 @@ def test_prepare_row_fails_structured_on_empty_q():
     system = build_q_graphs(host, Fraction(1, 2))
     system.delta = Fraction(1, 4)
     system.r_star = 1
-    system.s_sets = compute_s_sets(host, system, Fraction(1, 4))
+    system.s_sets = compute_s_sets(system, Fraction(1, 4))
     with pytest.raises(RowPreparationError) as err:
-        prepare_row(system, list(range(1, 7)), 6)
+        prepare_row(system, list(range(1, 7)))
     assert err.value.step == "apex-pigeonhole"
 
 
@@ -138,9 +194,9 @@ def test_projection_set_members_are_completions():
     assert result.ok
     system = result.system
     m = system.host.index_count
-    row = prepare_row(system, list(range(1, m + 1)), m)
+    row = prepare_row(system, list(range(1, m + 1)))
     m_prime = max(j for j in row.spine)
-    proj = projection_set(system, row, m_prime, m)
+    proj = projection_set(system, row, m_prime)
     con = system.host.constituent((row.row_index, m_prime, m))
     for v in proj.members:
         assert con.has(row.spine[m_prime], row.apex, v)
@@ -151,9 +207,9 @@ def test_projection_set_refuses_an_index_off_the_spine():
     host, result, _ = cleaned_random(seed=4)
     system = result.system
     m = system.host.index_count
-    row = prepare_row(system, list(range(1, m + 1)), m)
+    row = prepare_row(system, list(range(1, m + 1)))
     with pytest.raises(DomainError) as err:
-        projection_set(system, row, row.r_next, m)  # r_next is never a spine index
+        projection_set(system, row, row.r_next)  # r_next is never a spine index
     assert str(err.value) == f"row {row.index} has no spine vertex at {row.r_next}"
 
 
@@ -245,8 +301,8 @@ def test_verify_star_fails_on_a_broken_link():
     host = ReducedHypergraph.with_uniform_classes(4, 2, cons)
     system = build_q_graphs(host, Fraction(1, 2))
     delta = Fraction(1, 4)
-    s_sets = compute_s_sets(host, system, delta)
-    assert verify_star(host, system, delta, s_sets, 1) is not None
+    s_sets = compute_s_sets(system, delta)
+    assert verify_star(system, delta, s_sets, 1) is not None
 
 
 # -- every stage a seeded host reaches, pinned ------------------------------
@@ -374,7 +430,7 @@ def test_connector_pigeonhole_pinned_on_a_doctored_system():
     empty = BipartiteGraph(g.left_size, g.right_size, [0] * g.left_size, [0] * g.right_size)
     doctored = dataclasses.replace(system, q_low={**system.q_low, (1, 2, 6): empty})
     with pytest.raises(RowPreparationError) as err:
-        prepare_row(doctored, range(1, 7), 6)
+        prepare_row(doctored, range(1, 7))
     assert (err.value.step, err.value.reason) == \
         ("connector-pigeonhole", "apex has no neighbours in the connector class")
 
@@ -400,7 +456,7 @@ def test_connector_and_spine_pinned_on_a_doctored_system():
             left_adj[a] |= 1 << b
             right_adj[b] |= 1 << a
         q_low[t] = BipartiteGraph(g.left_size, g.right_size, left_adj, right_adj)
-    row = prepare_row(dataclasses.replace(system, q_low=q_low), _ALL, 6)
+    row = prepare_row(dataclasses.replace(system, q_low=q_low), _ALL)
     assert (row.apex, row.r_next, row.connector, row.connector_hits, row.spine,
             row.surviving) == (0, 2, 1, 2, {3: 0, 5: 0}, (2, 3, 5, 6))
 
@@ -411,32 +467,20 @@ _ALL = [1, 2, 3, 4, 5, 6]
 # Q-graphs, the DomainError's text), one fault per call.
 ARGUMENT_REFUSALS = {
     "prepare_row-uncleaned": (
-        lambda system, raw: prepare_row(raw, _ALL, 6),
+        lambda system, raw: prepare_row(raw, _ALL),
         "prepare_row needs a cleaned QGraphSystem"),
     "prepare_row-two-indices": (
-        lambda system, raw: prepare_row(system, [1, 6], 6),
+        lambda system, raw: prepare_row(system, [1, 6]),
         "index set must have >= 3 elements, got [1, 6]"),
-    "prepare_row-top-below-max": (
-        lambda system, raw: prepare_row(system, _ALL, 5),
-        "top index 5 must be the maximum of [1, 2, 3, 4, 5, 6]"),
-    "prepare_row-top-missing": (
-        lambda system, raw: prepare_row(system, [1, 2, 3, 5], 4),
-        "top index 4 must be the maximum of [1, 2, 3, 5]"),
     "prepare_row_glue-uncleaned": (
-        lambda system, raw: prepare_row_glue(raw, _ALL, 6, m2_target=2),
+        lambda system, raw: prepare_row_glue(raw, _ALL, m2_target=2),
         "prepare_row_glue needs a cleaned QGraphSystem"),
     "prepare_row_glue-m2_target": (
-        lambda system, raw: prepare_row_glue(system, _ALL, 6, m2_target=0),
+        lambda system, raw: prepare_row_glue(system, _ALL, m2_target=0),
         "m2_target must be >= 1, got 0"),
     "prepare_row_glue-two-indices": (
-        lambda system, raw: prepare_row_glue(system, [1, 1, 6], 6, m2_target=1),
+        lambda system, raw: prepare_row_glue(system, [1, 1, 6], m2_target=1),
         "index set must have >= 3 elements, got [1, 6]"),
-    "prepare_row_glue-top-below-max": (
-        lambda system, raw: prepare_row_glue(system, _ALL, 5, m2_target=2),
-        "top index 5 must be the maximum of [1, 2, 3, 4, 5, 6]"),
-    "prepare_row_glue-top-missing": (
-        lambda system, raw: prepare_row_glue(system, [1, 2, 3, 5], 4, m2_target=2),
-        "top index 4 must be the maximum of [1, 2, 3, 5]"),
 }
 
 

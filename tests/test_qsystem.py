@@ -92,11 +92,11 @@ def test_q_graphs_match_naive_recount():
 def test_sum_of_squares_complete_and_empty():
     host = complete_host(3, 3)
     system = build_q_graphs(host, Fraction(1, 2))
-    lhs, holds = check_sum_of_squares(host, system, (1, 2, 3))
+    lhs, holds = check_sum_of_squares(system, (1, 2, 3))
     assert lhs == 27 and holds  # p^3 with p = 3
     empty = random_box_dense(3, 3, 0, seed=0)
     system = build_q_graphs(empty, Fraction(1, 2))
-    lhs, holds = check_sum_of_squares(empty, system, (1, 2, 3))
+    lhs, holds = check_sum_of_squares(system, (1, 2, 3))
     assert lhs == 0 and not holds
 
 
@@ -105,7 +105,7 @@ def test_sum_of_squares_holds_at_exact_equality():
     host = ReducedHypergraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2},
                              {(1, 2, 3): [(0, 0, 0), (1, 0, 1)]})
     system = build_q_graphs(host, Fraction(1, 2))
-    assert check_sum_of_squares(host, system, (1, 2, 3)) == (Fraction(4), True)
+    assert check_sum_of_squares(system, (1, 2, 3)) == (Fraction(4), True)
 
 
 def test_sum_of_squares_holds_above_quarter_plus_eps():
@@ -114,7 +114,7 @@ def test_sum_of_squares_holds_above_quarter_plus_eps():
         host = random_box_dense(6, 5, Fraction(1, 4) + eps, seed=seed)
         system = build_q_graphs(host, eps)
         for t in host.triples():
-            lhs, holds = check_sum_of_squares(host, system, t)
+            lhs, holds = check_sum_of_squares(system, t)
             assert holds
             naive = sum(
                 sum(1 for w, v in itertools.product(
@@ -128,13 +128,13 @@ def test_sum_of_squares_holds_above_quarter_plus_eps():
 def test_color_triples_complete_blue_and_matches_recomputation():
     host = complete_host(4, 2)
     system = build_q_graphs(host, Fraction(1, 2))
-    colors = color_triples(host, system)
+    colors = color_triples(system)
     assert set(colors.values()) == {"blue"}
     rng = random.Random(9)
     for _ in range(5):
         host = random_box_dense(5, 3, Fraction(2, 5), seed=rng.randint(0, 99))
         system = build_q_graphs(host, Fraction(1, 5))
-        colors = color_triples(host, system)
+        colors = color_triples(system)
         quarter = Fraction(1, 4) + Fraction(1, 5) / 2
         for t, color in colors.items():
             i, j, k = t
@@ -148,16 +148,16 @@ def test_s_sets_nested_and_levels():
     host = complete_host(4, 2)
     delta = Fraction(1, 4)
     system = build_q_graphs(host, Fraction(1, 2))
-    s_sets = compute_s_sets(host, system, delta)
+    s_sets = compute_s_sets(system, delta)
     cap = level_cap(delta)
     assert cap == 2
     for t in host.triples():
         for r in range(1, cap + 1):
-            assert s_sets[(t, r + 1)] <= s_sets[(t, r)]
+            assert s_sets[t][r] <= s_sets[t][r - 1]
         # complete host: degree is full, so every level keeps the whole class
-        assert s_sets[(t, cap)] == frozenset(range(2))
-        assert s_sets[(t, cap + 1)] == frozenset()
-    levels = level_coloring(host, system, delta, s_sets)
+        assert s_sets[t][cap - 1] == frozenset(range(2))
+        assert s_sets[t][cap] == frozenset()
+    levels = level_coloring(system, delta, s_sets)
     assert set(levels.values()) == {cap}
 
 
@@ -234,7 +234,7 @@ def test_clean_complete_host():
     assert system.r_star == level_cap(Fraction(1, 4))
     assert system.to_original == (1, 2, 3, 4, 5)
     for t in system.host.triples():
-        assert system.s_set(t, system.r_star) == frozenset(range(2))
+        assert system.s_sets[t][system.r_star - 1] == frozenset(range(2))
 
 
 def test_clean_orientation_fails_with_named_stage():
@@ -258,15 +258,15 @@ def test_clean_random_dense_host_star_verified():
     assert result.ok
     system = result.system
     assert len(system.to_original) >= 5
-    assert verify_star(system.host, system, system.delta, system.s_sets,
+    assert verify_star(system, system.delta, system.s_sets,
                        system.r_star) is None
     # S-set nesting at every level, recomputed from scratch
-    fresh = compute_s_sets(system.host, system, system.delta)
+    fresh = compute_s_sets(system, system.delta)
     assert fresh == system.s_sets
     cap = level_cap(system.delta)
     for t in system.host.triples():
         for r in range(1, cap + 1):
-            assert fresh[(t, r + 1)] <= fresh[(t, r)]
+            assert fresh[t][r] <= fresh[t][r - 1]
 
 
 def test_clean_reports_small_host():
@@ -309,9 +309,10 @@ def _ref_s_sets(host, eps, delta, cap):
         low, _ = naive_q_edges(host, eps, t)
         size_ij = host.class_size(i, j)
         degrees = [sum(1 for _, v in low if v == x) for x in range(host.class_size(i, k))]
-        for r in range(1, cap + 2):
-            bound = (Fraction(1, 2) + r * delta) * size_ij
-            out[(t, r)] = frozenset(x for x, d in enumerate(degrees) if d >= bound)
+        out[t] = tuple(
+            frozenset(x for x, d in enumerate(degrees)
+                      if d >= (Fraction(1, 2) + r * delta) * size_ij)
+            for r in range(1, cap + 2))
     return out
 
 
@@ -320,7 +321,7 @@ def _ref_levels(host, delta, s_sets, cap):
     for t in host.triples():
         floor = delta * host.class_size(t[0], t[2])
         levels[t] = next((r for r in range(cap, 0, -1)
-                          if len(s_sets[(t, r)]) >= floor), 0)
+                          if len(s_sets[t][r - 1]) >= floor), 0)
     return levels
 
 
@@ -334,9 +335,9 @@ def _ref_verify(host, eps, delta, s_sets, r_star):
         if squares < quarter * s_ij ** 2 * s_ik:
             return f"triple {t} fails the blue degree-square bound"
         floor = delta * s_ik
-        if len(s_sets[(t, r_star)]) < floor:
+        if len(s_sets[t][r_star - 1]) < floor:
             return f"triple {t} has |S(r_star)| below delta * |P^{{{i},{k}}}|"
-        if not len(s_sets[(t, r_star + 1)]) < floor:
+        if not len(s_sets[t][r_star]) < floor:
             return f"triple {t} has |S(r_star + 1)| not below delta * |P^{{{i},{k}}}|"
     return None
 
@@ -375,13 +376,13 @@ def test_integer_thresholds_match_rational_reference(eps, delta):
                     for v in range(system.q_low[t].right_size) if bits >> v & 1} == low
             assert {(v, u) for v, bits in enumerate(system.q_high[t].left_adj)
                     for u in range(system.q_high[t].right_size) if bits >> u & 1} == high
-        assert color_triples(host, system) == _ref_colors(host, eps)
-        s_sets = compute_s_sets(host, system, delta)
+        assert color_triples(system) == _ref_colors(host, eps)
+        s_sets = compute_s_sets(system, delta)
         assert s_sets == _ref_s_sets(host, eps, delta, cap)
-        assert level_coloring(host, system, delta, s_sets) == \
+        assert level_coloring(system, delta, s_sets) == \
             _ref_levels(host, delta, s_sets, cap)
         for r_star in range(1, cap + 1):
-            assert verify_star(host, system, delta, s_sets, r_star) == \
+            assert verify_star(system, delta, s_sets, r_star) == \
                 _ref_verify(host, eps, delta, s_sets, r_star)
 
 
@@ -394,13 +395,13 @@ def test_thresholds_exactly_on_an_integer():
     system = build_q_graphs(host, Fraction(1, 2))
     low = system.q_low[(1, 2, 3)]
     assert [low.right_adj[v].bit_count() for v in range(4)] == [3, 3, 3, 3]
-    s_sets = compute_s_sets(host, system, Fraction(1, 4))
-    assert s_sets[((1, 2, 3), 1)] == frozenset(range(4))   # 3 >= (1/2 + 1/4) * 4
-    assert s_sets[((1, 2, 3), 2)] == frozenset()           # 3 < (1/2 + 2/4) * 4
-    assert level_coloring(host, system, Fraction(1, 4), s_sets) == {(1, 2, 3): 1}
+    s_sets = compute_s_sets(system, Fraction(1, 4))
+    assert s_sets[(1, 2, 3)][0] == frozenset(range(4))   # 3 >= (1/2 + 1/4) * 4
+    assert s_sets[(1, 2, 3)][1] == frozenset()           # 3 < (1/2 + 2/4) * 4
+    assert level_coloring(system, Fraction(1, 4), s_sets) == {(1, 2, 3): 1}
     # blue bound: 4 * 3^2 = 36 >= (1/4 + 1/4) * 4^2 * 4 = 32
-    assert color_triples(host, system) == {(1, 2, 3): "blue"}
-    assert verify_star(host, system, Fraction(1, 4), s_sets, 1) is None
+    assert color_triples(system) == {(1, 2, 3): "blue"}
+    assert verify_star(system, Fraction(1, 4), s_sets, 1) is None
 
 
 # One triple, with classes of s_ij, s_ik and 1 vertex (P^{jk}), so a low
@@ -419,11 +420,11 @@ def test_blue_bound_boundary(eps, s_ij, s_ik, edges, gap):
     blue_lhs = sum(d ** 2 for d in map(int.bit_count, system.q_low[(1, 2, 3)].right_adj))
     assert blue_lhs * quarter.denominator == quarter.numerator * s_ij ** 2 * s_ik - gap
     # blue at equality, red one below, and no dichotomy self-check either way
-    assert color_triples(host, system) == {(1, 2, 3): "red" if gap else "blue"}
+    assert color_triples(system) == {(1, 2, 3): "red" if gap else "blue"}
     delta = Fraction(1, 3)
-    s_sets = compute_s_sets(host, system, delta)
-    r_star = max(level_coloring(host, system, delta, s_sets)[(1, 2, 3)], 1)
-    assert verify_star(host, system, delta, s_sets, r_star) == \
+    s_sets = compute_s_sets(system, delta)
+    r_star = max(level_coloring(system, delta, s_sets)[(1, 2, 3)], 1)
+    assert verify_star(system, delta, s_sets, r_star) == \
         ("triple (1, 2, 3) fails the blue degree-square bound" if gap else None)
 
 
@@ -543,7 +544,7 @@ def test_all_blue_pipeline_and_glue_build_no_high_tables(monkeypatch, tmp_path,
     assert len(systems) == 6 and 1 not in pivots
     for system in systems:
         assert system.q_high._built == {}
-        assert set(color_triples(system.host, system).values()) == {"blue"}
+        assert set(color_triples(system).values()) == {"blue"}
         assert system.q_high._built == {}
     assert 1 not in pivots
 
@@ -561,12 +562,12 @@ def test_high_graphs_are_built_for_red_triples_only(monkeypatch, m, p, d, seed, 
                                ramsey_target_1=t1, ramsey_target_2=t2))
     monkeypatch.undo()
     first = systems[0]
-    red = {t for t, c in color_triples(host, build_q_graphs(host, first.eps)).items()
+    red = {t for t, c in color_triples(build_q_graphs(host, first.eps)).items()
            if c == "red"}
     assert red and set(first.q_high._built) == red
     for system in systems:
         fresh = build_q_graphs(system.host, system.eps)
-        red_here = {t for t, c in color_triples(system.host, fresh).items() if c == "red"}
+        red_here = {t for t, c in color_triples(fresh).items() if c == "red"}
         assert set(system.q_high._built) <= red_here
         need = qsystem._ceil_per_size(system.host, system.eps ** 2)
         for t, graph in system.q_high._built.items():
@@ -652,7 +653,7 @@ def _per_triple_colors(host, system):
             colors[t] = "blue"
             continue
         colors[t] = "red"
-        if check_sum_of_squares(host, system, t)[1]:
+        if check_sum_of_squares(system, t)[1]:
             red_lhs = sum(x.bit_count() ** 2 for x in system.q_high[t].left_adj)
             assert red_lhs * den >= num * s_jk ** 2 * s_ik
     return colors
@@ -664,9 +665,10 @@ def _per_triple_s_sets(host, system, delta):
         i, j, k = t
         size_ij = host.class_size(i, j)
         degrees = [x.bit_count() for x in system.q_low[t].right_adj]
-        for r in range(1, level_cap(delta) + 2):
-            least = math.ceil((Fraction(1, 2) + r * delta) * size_ij)
-            out[(t, r)] = frozenset(x for x, deg in enumerate(degrees) if deg >= least)
+        out[t] = tuple(
+            frozenset(x for x, deg in enumerate(degrees)
+                      if deg >= math.ceil((Fraction(1, 2) + r * delta) * size_ij))
+            for r in range(1, level_cap(delta) + 2))
     return out
 
 
@@ -676,7 +678,7 @@ def _per_triple_levels(host, delta, s_sets):
         i, j, k = t
         least = math.ceil(delta * host.class_size(i, k))
         colors[t] = next((r for r in range(level_cap(delta), 0, -1)
-                          if len(s_sets[(t, r)]) >= least), 0)
+                          if len(s_sets[t][r - 1]) >= least), 0)
     return colors
 
 
@@ -689,9 +691,9 @@ def _per_triple_verify(host, system, delta, s_sets, r_star):
         if blue_lhs * quarter.denominator < quarter.numerator * s_ij ** 2 * s_ik:
             return f"triple {t} fails the blue degree-square bound"
         least = math.ceil(delta * s_ik)
-        if len(s_sets[(t, r_star)]) < least:
+        if len(s_sets[t][r_star - 1]) < least:
             return f"triple {t} has |S(r_star)| below delta * |P^{{{i},{k}}}|"
-        if not len(s_sets[(t, r_star + 1)]) < least:
+        if not len(s_sets[t][r_star]) < least:
             return f"triple {t} has |S(r_star + 1)| not below delta * |P^{{{i},{k}}}|"
     return None
 
@@ -746,14 +748,14 @@ def test_value_sharing_stages_match_per_triple_references(kind, m, seed, eps, de
         h = system.host
         reference = _per_triple_q_low(h, eps)
         assert list(system.q_low.items()) == list(reference.items())
-        colors = color_triples(h, system)
+        colors = color_triples(system)
         assert list(colors.items()) == list(_per_triple_colors(h, system).items())
-        s_sets = compute_s_sets(h, system, delta)
+        s_sets = compute_s_sets(system, delta)
         assert list(s_sets.items()) == list(_per_triple_s_sets(h, system, delta).items())
-        levels = level_coloring(h, system, delta, s_sets)
+        levels = level_coloring(system, delta, s_sets)
         assert list(levels.items()) == list(_per_triple_levels(h, delta, s_sets).items())
         for r_star in range(1, level_cap(delta) + 1):
-            assert verify_star(h, system, delta, s_sets, r_star) == \
+            assert verify_star(system, delta, s_sets, r_star) == \
                 _per_triple_verify(h, system, delta, s_sets, r_star)
     # one low-graph object per distinct constituent value in a fresh system
     first = systems[0]
@@ -764,23 +766,6 @@ def test_value_sharing_stages_match_per_triple_references(kind, m, seed, eps, de
 
 
 # -- argument refusals ----------------------------------------------------
-
-def test_s_set_refusals_are_pinned():
-    host = random_box_dense(4, 2, Fraction(1, 2), seed=0)
-    system = build_q_graphs(host, Fraction(1, 3))
-    with pytest.raises(DomainError) as err:
-        system.s_set((1, 2, 3), 1)
-    assert str(err.value) == "S-sets are only available after clean()"
-    system.s_sets = {}
-    with pytest.raises(DomainError) as err:
-        system.s_set((3, 2, 1), 1)
-    assert str(err.value) == "no stored S-set for triple (3, 2, 1) at level 1"
-    cleaned = clean(complete_host(5, 2), PipelineConfig(
-        eps=Fraction(1, 2), delta=Fraction(1, 4), ramsey_target_1=5, ramsey_target_2=5))
-    with pytest.raises(DomainError) as err:
-        cleaned.system.s_set((1, 2, 3), 7)
-    assert str(err.value) == "no stored S-set for triple (1, 2, 3) at level 7"
-
 
 @pytest.mark.parametrize("r_star,text", [
     (0, "r_star must lie in 1..2, got 0"),
@@ -793,7 +778,7 @@ def test_verify_star_refuses_a_level_outside_the_cap(r_star, text):
         eps=Fraction(1, 2), delta=Fraction(1, 4), ramsey_target_1=5, ramsey_target_2=5))
     system = cleaned.system
     with pytest.raises(DomainError) as err:
-        verify_star(system.host, system, system.delta, system.s_sets, r_star)
+        verify_star(system, system.delta, system.s_sets, r_star)
     assert (type(err.value), str(err.value)) == (DomainError, text)
 
 
@@ -863,7 +848,7 @@ def _failing_star_verification(monkeypatch):
 
 def _product_bound_always_holds(monkeypatch):
     monkeypatch.setattr(qsystem, "check_sum_of_squares",
-                        lambda host, system, triple: (Fraction(0), True))
+                        lambda system, triple: (Fraction(0), True))
 
 
 @pytest.mark.parametrize("command", [["pipeline"], ["glue", "--ladder", "3"]])
