@@ -7,8 +7,7 @@ sorted ascending.  All densities are exact rationals; no floats appear on
 any decision path.
 
 The slot order is stated once, by slot_pairs: an edge (a, b, c) of A^{ijk},
-i < j < k, takes a from P^{ij}, b from P^{ik} and c from P^{jk}.  Only the
-embedding engine keeps its own copy (embed._SLOTS), for speed.  The edge
+i < j < k, takes a from P^{ij}, b from P^{ik} and c from P^{jk}.  The edge
 rule of patterns and plain 3-graphs is stated once, by canonical_edges.
 """
 

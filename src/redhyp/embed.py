@@ -63,8 +63,8 @@ branching search.
 The oracle enumerates candidate maps naively in fixed lexicographic
 order with direct edge-set membership checks and no propagation; it is
 the ground truth the engine is tested against.  It stores no index map.
-The checker and the oracle read the slot order from core.slot_pairs; the
-engine's _SLOTS is its own copy, kept for speed.
+The checker and the oracle read the slot order from core.slot_pairs, and
+the engine's _SLOTS table is built from it at import.
 """
 
 from __future__ import annotations
@@ -183,11 +183,13 @@ def _edge_layout(a: int, b: int, c: int) -> tuple[Triple, int]:
     return (c, b, a), 5
 
 
-# _SLOTS[L]: the constituent slots of the pairs uv, uw, vw of an edge
-# u < v < w whose indices come in order L (see _edge_layout).  A pair's
-# slot is 2 minus the rank, within the sorted triple, of the edge's third
-# index, as core.slot_pairs orders them.
-_SLOTS = ((0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1), (1, 2, 0), (2, 1, 0))
+# _SLOTS[L]: the constituent slots, in core.slot_pairs order, of the pairs
+# uv, uw, vw of an edge u < v < w whose indices come in order L (see
+# _edge_layout); built here from the six orders of the ranks 0, 1, 2.
+_SLOTS = tuple(slots for _, slots in sorted(
+    (_edge_layout(a, b, c)[1],
+     tuple(slot_pairs((0, 1, 2)).index(sorted_pair(x, y)) for x, y in ((a, b), (a, c), (b, c))))
+    for a, b, c in itertools.permutations(range(3))))
 # For the pairs uv, uw, vw of an edge: the pair's place and the places of the
 # edge's other two pairs.
 _OTHERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))

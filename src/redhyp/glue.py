@@ -310,12 +310,16 @@ def brute_force_glued(host: ReducedHypergraph,
     total_space = 0
     subsets = list(itertools.combinations(host.indices(), 4))
     for subset in subsets:
-        for roles in _role_assignments(subset):
-            size = _role_class_sizes(host, roles)  # the primed 23 and 24 count twice
-            total_space += math.prod(size.values()) * size[(2, 3)] * size[(2, 4)]
-            if total_space > cap:
-                raise CapExceeded(
-                    f"glued enumeration space exceeds cap {cap}")
+        size = {pair: host.class_size(*pair) for pair in itertools.combinations(subset, 2)}
+        volume = math.prod(size.values())
+        # The primed 23 and 24 count i2's classes toward i3 and i4 twice.  Each
+        # index is i2 for three role assignments, one per choice of i1 among
+        # the other three, which leaves i3 and i4 as the remaining two.
+        for i2 in subset:
+            x, y, z = (size[sorted_pair(i2, i)] for i in subset if i != i2)
+            total_space += volume * (x * y + x * z + y * z)
+        if total_space > cap:
+            raise CapExceeded(f"glued enumeration space exceeds cap {cap}")
     if count_all:
         refuse_above_cap(total_space, "counting glued certificates")
 

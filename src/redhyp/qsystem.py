@@ -4,10 +4,11 @@ monochromatic extraction, and S-sets.
 For a triple i<j<k two bipartite graphs are kept.  The low graph joins
 w in P^{ij} to v in P^{ik} when at least eps^2 * |P^{jk}| vertices of
 P^{jk} complete wv to a constituent edge; the high graph joins v in
-P^{ik} to w in P^{jk} with completions counted in P^{ij}.  Counts are
-integers, so every threshold is exact: a rational bound q is rounded up to
-the integer ceil(q) once, and count >= q is tested as count >= ceil(q);
-a bound q * X on an integer sum is tested as sum * den(q) >= num(q) * X.
+P^{ik} to w in P^{jk} with completions counted in P^{ij}, and is built
+only for a triple that reads it (see high_graph).  Counts are integers,
+so every threshold is exact: a rational bound q is rounded up to the
+integer ceil(q) once, and count >= q is tested as count >= ceil(q); a
+bound q * X on an integer sum is tested as sum * den(q) >= num(q) * X.
 
 `clean` runs the whole process: color every triple blue or red by a
 degree-square inequality, extract a monochromatic index subset (an exact
@@ -18,8 +19,8 @@ triples from scratch.  Every stage failure is a structured result.
 
 Every per-triple stage does its work once per distinct value and a dict
 step per triple.  Q-graphs are kept per Constituent object, one per
-distinct (sizes, comp01) in a host, and clean's three systems share them
-by that object (build_q_graphs' shared_with).  color_triples and
+distinct (sizes, comp01) in a host, in one dict that clean's three
+systems share (build_q_graphs' shared_with).  color_triples and
 verify_star sum a low graph's squared degrees once per graph object, and
 compute_s_sets builds the frozensets once per (|P^{ij}|, degree profile),
 handing equal triples the same row of them.  These memos live for
@@ -31,10 +32,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .core import Constituent, ReducedHypergraph, Triple, sorted_triple
 from .errors import DomainError, SelfCheckError
@@ -75,68 +75,30 @@ class BipartiteGraph:
         return sum(a.bit_count() for a in self.left_adj)
 
 
-class HighGraphs(Mapping):
-    """The high Q-graphs of one host, each built on its first read.
-
-    Only a triple that fails the blue bound reads its high graph, so on a
-    host whose triples are all blue none is built, and nor is any comp12
-    table.  Graphs are kept per Constituent object in by_con, which the
-    systems of one clean share (see build_q_graphs), so each object has one
-    graph, built by whichever system reads it first.  Reading every value
-    (values(), items(), ==) builds every entry; a membership test builds
-    none.  Read-only.
-    """
-
-    def __init__(self, host: ReducedHypergraph, need: Mapping[int, int],
-                 by_con: dict[Constituent, BipartiteGraph]):
-        self._constituents = host.constituents
-        self._need = need
-        self._built: dict[Triple, BipartiteGraph] = {}  # the triples read so far
-        self._by_con = by_con
-
-    def __getitem__(self, t: Triple) -> BipartiteGraph:
-        graph = self._built.get(t)
-        if graph is None:
-            con = self._constituents[t]
-            graph = self._by_con.get(con)
-            if graph is None:
-                s0, s1, s2 = con.sizes
-                graph = self._by_con[con] = BipartiteGraph.from_counts(
-                    con.comp12, s1, s2, self._need[s0])
-            self._built[t] = graph
-        return graph
-
-    def __contains__(self, t: object) -> bool:
-        return t in self._constituents
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(self._constituents)
-
-    def __len__(self) -> int:
-        return len(self._constituents)
-
-
 @dataclass
 class QGraphSystem:
     """Q-graphs for one host, plus the cleaning results once `clean` ran.
 
-    q_low[(i,j,k)] joins P^{ij} (left) to P^{ik} (right); q_high[(i,j,k)]
-    joins P^{ik} (left) to P^{jk} (right).  q_low is built whole, and
-    equal constituents share a graph (see build_q_graphs); q_high builds a
-    triple's graph when it is first read (see HighGraphs).  After
-    cleaning, the host here is the relabeled survivor and to_original maps
-    its indices back to the input host's labels, and s_sets holds its
-    S-sets (see compute_s_sets).
+    q_low[(i,j,k)] joins P^{ij} (left) to P^{ik} (right) and is built
+    whole.  q_high[(i,j,k)] joins P^{ik} (left) to P^{jk} (right) and holds
+    only the triples that high_graph has read: it is empty when
+    build_q_graphs returns.  After cleaning, the host here is the relabeled
+    survivor and to_original maps its indices back to the input host's
+    labels, and s_sets holds its S-sets (see compute_s_sets).
     """
 
     host: ReducedHypergraph
     eps: Fraction
     q_low: dict[Triple, BipartiteGraph]
-    q_high: Mapping[Triple, BipartiteGraph]
+    q_high: dict[Triple, BipartiteGraph] = field(default_factory=dict)
     delta: Fraction | None = None
     s_sets: dict[Triple, tuple[frozenset[int], ...]] | None = None
     r_star: int | None = None
     to_original: tuple[int, ...] | None = None
+    # (constituent object, "low" or "high") -> its graph; one dict serves
+    # every system built with shared_with from this one
+    _by_con: dict[tuple[Constituent, str], BipartiteGraph] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 def _ceil_per_size(host: ReducedHypergraph, q: Fraction) -> dict[int, int]:
@@ -147,38 +109,49 @@ def _ceil_per_size(host: ReducedHypergraph, q: Fraction) -> dict[int, int]:
 
 def build_q_graphs(host: ReducedHypergraph, eps,
                    shared_with: QGraphSystem | None = None) -> QGraphSystem:
-    """Both Q-graph families for every index triple of the host: the low
-    graphs now, each high graph on its first read (see HighGraphs).
+    """The low Q-graph of every index triple of the host (see high_graph
+    for the high ones).
 
     The graphs of a triple depend only on its Constituent object and eps,
     so triples holding one object share its graph objects; a host holds
     one object per distinct constituent (see ReducedHypergraph._from_cells).
-    A constituent object that shared_with's host also holds keeps that
-    system's graphs: its low graph is looked up by object, and the new
-    HighGraphs shares shared_with's per-object dict.  shared_with must have
-    the same eps.  Graphs are never mutated.
+    Graphs are kept per object in the system's _by_con, and a system built
+    with shared_with uses that system's _by_con, so the systems of one
+    clean build each object's graphs once.  shared_with must have the same
+    eps.  Graphs are never mutated.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    low_by_con: dict[Constituent, BipartiteGraph] = {}
-    high_by_con: dict[Constituent, BipartiteGraph] = {}
-    if shared_with is not None:
-        if shared_with.eps != eps:
-            raise DomainError(f"shared Q-graphs were built for eps={shared_with.eps}, not {eps}")
-        low_by_con = {con: shared_with.q_low[t]
-                      for t, con in shared_with.host.constituents.items()}
-        high_by_con = shared_with.q_high._by_con
+    if shared_with is not None and shared_with.eps != eps:
+        raise DomainError(f"shared Q-graphs were built for eps={shared_with.eps}, not {eps}")
+    by_con = {} if shared_with is None else shared_with._by_con
     need = _ceil_per_size(host, eps * eps)
     q_low: dict[Triple, BipartiteGraph] = {}
     for t, con in host.constituents.items():
-        graph = low_by_con.get(con)
+        graph = by_con.get((con, "low"))
         if graph is None:
             s0, s1, s2 = con.sizes
-            graph = low_by_con[con] = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
+            graph = by_con[con, "low"] = BipartiteGraph.from_counts(con.comp01, s0, s1, need[s2])
         q_low[t] = graph
-    q_high = HighGraphs(host, need, high_by_con)
-    return QGraphSystem(host=host, eps=eps, q_low=q_low, q_high=q_high)
+    return QGraphSystem(host=host, eps=eps, q_low=q_low, _by_con=by_con)
+
+
+def high_graph(system: QGraphSystem, t: Triple) -> BipartiteGraph:
+    """The high Q-graph of triple t, built from its constituent's comp12
+    on first read and recorded in system.q_high.  Only a triple failing the
+    blue bound reads it, so an all-blue host builds no high graph and no
+    comp12.  A triple the host does not hold raises KeyError."""
+    graph = system.q_high.get(t)
+    if graph is None:
+        con = system.host.constituents[t]
+        graph = system._by_con.get((con, "high"))
+        if graph is None:
+            s0, s1, s2 = con.sizes
+            graph = system._by_con[con, "high"] = BipartiteGraph.from_counts(
+                con.comp12, s1, s2, math.ceil(system.eps ** 2 * s0))
+        system.q_high[t] = graph
+    return graph
 
 
 def check_sum_of_squares(system: QGraphSystem, triple: Triple) -> tuple[Fraction, bool]:
@@ -186,7 +159,7 @@ def check_sum_of_squares(system: QGraphSystem, triple: Triple) -> tuple[Fraction
     and whether it reaches (1/4 + eps/2) * |P^{ij}| * |P^{jk}| * |P^{ik}|."""
     t = sorted_triple(*triple)
     low = system.q_low[t]    # P^{ij} x P^{ik}
-    high = system.q_high[t]  # P^{ik} x P^{jk}
+    high = high_graph(system, t)  # P^{ik} x P^{jk}
     lhs = sum(low.right_adj[v].bit_count() * high.left_adj[v].bit_count()
               for v in range(low.right_size))
     quarter = Fraction(1, 4) + system.eps / 2
@@ -221,7 +194,7 @@ def color_triples(system: QGraphSystem) -> dict[Triple, str]:
         colors[t] = "red"
         sos_lhs, sos_holds = check_sum_of_squares(system, t)
         if sos_holds:
-            red_lhs = sum(x.bit_count() ** 2 for x in system.q_high[t].left_adj)
+            red_lhs = sum(x.bit_count() ** 2 for x in high_graph(system, t).left_adj)
             if red_lhs * den < num * s_jk ** 2 * s_ik:
                 raise SelfCheckError(
                     f"degree-square dichotomy violated at triple {t}: "

@@ -3,6 +3,7 @@ the finder, and the brute-force enumerator."""
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redhyp import (CapExceeded, DomainError, GlueConfig, GluedConfiguration,
-                    RowPreparationError, brute_force_glued, build_q_graphs,
+                    ReducedHypergraph, RowPreparationError, brute_force_glued, build_q_graphs,
                     clean, compute_s_sets, find_glued, prepare_row_glue,
                     random_box_dense, validate_glued)
 from redhyp.constructions import orientation_reduced
@@ -205,6 +206,34 @@ def test_brute_force_glued_counts_up_to_the_table_cap(monkeypatch):
         "counting glued certificates needs 15360 entries, above the cap 15359"
     monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 0)
     assert brute_force_glued(host, count_all=False) == (True, 1)
+
+
+def test_brute_force_glued_admits_its_space_on_unequal_classes():
+    # Classes of 1 to 3 vertices, so each role assignment's primed classes
+    # P^{i2 i3} and P^{i2 i4} weigh differently: counting P^{i3 i4} twice
+    # instead gives another total.  The space is summed here one role
+    # assignment at a time, as _enumerate_configs walks them.
+    m = 5
+    sizes = {(i, j): 1 + (i * j) % 3 for i, j in itertools.combinations(range(1, m + 1), 2)}
+    host = ReducedHypergraph(m, sizes, {
+        (i, j, k): [e for e in itertools.product(range(sizes[(i, j)]), range(sizes[(i, k)]),
+                                                 range(sizes[(j, k)])) if sum(e) % 2 == 0]
+        for i, j, k in itertools.combinations(range(1, m + 1), 3)})
+    space = wrong = 0
+    for subset in itertools.combinations(range(1, m + 1), 4):
+        for i1, i2 in itertools.permutations(subset, 2):
+            roles = (i1, i2, *sorted(set(subset) - {i1, i2}))
+
+            def size(j, k):
+                return host.class_size(*sorted_pair(roles[j - 1], roles[k - 1]))
+            volume = math.prod(size(j, k) for j, k in itertools.combinations(range(1, 5), 2))
+            space += volume * size(2, 3) * size(2, 4)
+            wrong += volume * size(3, 4) ** 2
+    assert (space, wrong) == (30096, 32112)
+    assert brute_force_glued(host, cap=space) == brute_force_glued(host) == (True, 1065)
+    with pytest.raises(CapExceeded) as exc:
+        brute_force_glued(host, cap=space - 1)
+    assert str(exc.value) == f"glued enumeration space exceeds cap {space - 1}"
 
 
 def test_brute_force_glued_empty():

@@ -19,11 +19,16 @@ from redhyp.constructions import orientation_reduced, reduced_blow_up
 from redhyp.core import Constituent
 from redhyp.fileio import parse_host, write_host
 from redhyp import qsystem
-from redhyp.qsystem import BipartiteGraph, level_cap, verify_star
+from redhyp.qsystem import BipartiteGraph, high_graph, level_cap, verify_star
 
 
 def complete_host(m, p):
     return random_box_dense(m, p, 1, seed=0)
+
+
+def every_high_graph(system):
+    """The high graph of every triple, each read through high_graph."""
+    return {t: high_graph(system, t) for t in system.host.triples()}
 
 
 def naive_q_edges(host, eps, t):
@@ -51,7 +56,7 @@ def test_q_graphs_complete_and_empty():
     system = build_q_graphs(host, Fraction(1, 2))
     for t in host.triples():
         assert system.q_low[t].edge_count() == 9
-        assert system.q_high[t].edge_count() == 9
+        assert high_graph(system, t).edge_count() == 9
     empty = random_box_dense(4, 3, 0, seed=0)
     system = build_q_graphs(empty, Fraction(1, 2))
     for t in empty.triples():
@@ -83,9 +88,9 @@ def test_q_graphs_match_naive_recount():
             got_low = {(w, v) for w in range(system.q_low[t].left_size)
                        for v in range(system.q_low[t].right_size)
                        if system.q_low[t].has(w, v)}
-            got_high = {(v, u) for v in range(system.q_high[t].left_size)
-                        for u in range(system.q_high[t].right_size)
-                        if system.q_high[t].has(v, u)}
+            high_t = high_graph(system, t)
+            got_high = {(v, u) for v in range(high_t.left_size)
+                        for u in range(high_t.right_size) if high_t.has(v, u)}
             assert got_low == low and got_high == high
 
 
@@ -120,7 +125,7 @@ def test_sum_of_squares_holds_above_quarter_plus_eps():
                 sum(1 for w, v in itertools.product(
                     range(5), range(5)) if system.q_low[t].has(w, v) and v == x)
                 * sum(1 for v, u in itertools.product(
-                    range(5), range(5)) if system.q_high[t].has(v, u) and v == x)
+                    range(5), range(5)) if high_graph(system, t).has(v, u) and v == x)
                 for x in range(5))
             assert lhs == naive
 
@@ -374,8 +379,9 @@ def test_integer_thresholds_match_rational_reference(eps, delta):
             low, high = naive_q_edges(host, eps, t)
             assert {(w, v) for w, bits in enumerate(system.q_low[t].left_adj)
                     for v in range(system.q_low[t].right_size) if bits >> v & 1} == low
-            assert {(v, u) for v, bits in enumerate(system.q_high[t].left_adj)
-                    for u in range(system.q_high[t].right_size) if bits >> u & 1} == high
+            high_t = high_graph(system, t)
+            assert {(v, u) for v, bits in enumerate(high_t.left_adj)
+                    for u in range(high_t.right_size) if bits >> u & 1} == high
         assert color_triples(system) == _ref_colors(host, eps)
         s_sets = compute_s_sets(system, delta)
         assert s_sets == _ref_s_sets(host, eps, delta, cap)
@@ -437,13 +443,14 @@ def test_shared_q_graphs_equal_fresh_ones(index_map):
     sub = host.induced(index_map)
     shared = build_q_graphs(sub, eps, shared_with=system)
     fresh = build_q_graphs(sub, eps)
-    assert (shared.q_low, shared.q_high) == (fresh.q_low, fresh.q_high)
+    assert shared.q_low == fresh.q_low
+    assert every_high_graph(shared) == every_high_graph(fresh)
     for t in sub.triples():
         images = [index_map[x - 1] for x in t]
         kept = images == sorted(images)
         old = tuple(sorted(images))
         assert (shared.q_low[t] is system.q_low[old]) == kept
-        assert (shared.q_high[t] is system.q_high[old]) == kept
+        assert (high_graph(shared, t) is high_graph(system, old)) == kept
     with pytest.raises(DomainError):
         build_q_graphs(sub, Fraction(1, 4), shared_with=system)
 
@@ -461,17 +468,18 @@ def test_shared_q_graphs_hold_when_triples_share_a_constituent(index_map):
         sub = host.induced(index_map)
         shared = build_q_graphs(sub, eps, shared_with=system)
         fresh = build_q_graphs(sub, eps)
-        assert (shared.q_low, shared.q_high) == (fresh.q_low, fresh.q_high)
+        assert shared.q_low == fresh.q_low
+        assert every_high_graph(shared) == every_high_graph(fresh)
         for t in sub.triples():
             images = [index_map[x - 1] for x in t]
             kept = images == sorted(images)
             old = tuple(sorted(images))
             assert (sub.constituent(t) is host.constituent(old)) == kept
             assert (shared.q_low[t] is system.q_low[old]) == kept
-            assert (shared.q_high[t] is system.q_high[old]) == kept
+            assert (high_graph(shared, t) is high_graph(system, old)) == kept
         # one graph object per constituent object, in every system
         for built in (system, shared, fresh):
-            for graphs in (built.q_low, built.q_high):
+            for graphs in (built.q_low, every_high_graph(built)):
                 by_con = {}
                 for t, con in built.host.constituents.items():
                     assert by_con.setdefault(id(con), graphs[t]) is graphs[t]
@@ -500,7 +508,8 @@ def test_clean_q_graphs_equal_fresh_ones(monkeypatch, m, p, d, seed, eps, delta,
     assert len(built) >= 2
     for system in built:
         fresh = build(system.host, system.eps)
-        assert (system.q_low, system.q_high) == (fresh.q_low, fresh.q_high)
+        assert system.q_low == fresh.q_low
+        assert every_high_graph(system) == every_high_graph(fresh)
     if result.ok:
         assert result.system is built[-1]
 
@@ -543,9 +552,9 @@ def test_all_blue_pipeline_and_glue_build_no_high_tables(monkeypatch, tmp_path,
         assert code == 0 and "outcome found" in text
     assert len(systems) == 6 and 1 not in pivots
     for system in systems:
-        assert system.q_high._built == {}
+        assert system.q_high == {}
         assert set(color_triples(system).values()) == {"blue"}
-        assert system.q_high._built == {}
+        assert system.q_high == {}
     assert 1 not in pivots
 
 
@@ -564,13 +573,13 @@ def test_high_graphs_are_built_for_red_triples_only(monkeypatch, m, p, d, seed, 
     first = systems[0]
     red = {t for t, c in color_triples(build_q_graphs(host, first.eps)).items()
            if c == "red"}
-    assert red and set(first.q_high._built) == red
+    assert red and set(first.q_high) == red
     for system in systems:
         fresh = build_q_graphs(system.host, system.eps)
         red_here = {t for t, c in color_triples(fresh).items() if c == "red"}
-        assert set(system.q_high._built) <= red_here
+        assert set(system.q_high) <= red_here
         need = qsystem._ceil_per_size(system.host, system.eps ** 2)
-        for t, graph in system.q_high._built.items():
+        for t, graph in system.q_high.items():
             con = system.host.constituent(t)
             s0, s1, s2 = con.sizes
             comp12 = [0] * (s1 * s2)  # from the edge set, apart from Constituent
@@ -579,7 +588,7 @@ def test_high_graphs_are_built_for_red_triples_only(monkeypatch, m, p, d, seed, 
             assert graph == BipartiteGraph.from_counts(comp12, s1, s2, need[s0])
     # one comp12 per constituent whose high graph was built, and no other
     assert pivots.count(1) == len({id(system.host.constituent(t)) for system in systems
-                                   for t in system.q_high._built})
+                                   for t in system.q_high})
 
 
 @pytest.mark.parametrize("m,p,d,eps,delta,t1,t2,low,high", [
@@ -605,7 +614,7 @@ def test_clean_builds_one_graph_per_constituent_object(monkeypatch, m, p, d, eps
                          ramsey_target_1=t1, ramsey_target_2=t2))
     objects = {id(con): con for system in systems
                for con in system.host.constituents.values()}
-    red = {id(system.host.constituent(t)) for system in systems for t in system.q_high._built}
+    red = {id(system.host.constituent(t)) for system in systems for t in system.q_high}
     # one comp01 per constituent object and one comp12 per object read as red
     assert sorted(map(id, tables)) == sorted(
         [id(con.comp01) for con in objects.values()]
@@ -613,17 +622,15 @@ def test_clean_builds_one_graph_per_constituent_object(monkeypatch, m, p, d, eps
     assert (len(objects), len(red)) == (low, high)
 
 
-def test_high_graphs_are_read_only_and_membership_builds_nothing():
+def test_high_graph_of_a_triple_the_host_lacks_raises_and_records_nothing():
     host = random_box_dense(5, 2, Fraction(1, 2), seed=0)
     system = build_q_graphs(host, Fraction(9, 10))
-    assert (1, 2, 3) in system.q_high and (3, 2, 1) not in system.q_high
-    assert len(system.q_high) == 10 and system.q_high._built == {}
+    assert system.q_high == {}
     with pytest.raises(KeyError):
-        system.q_high[(3, 2, 1)]
-    with pytest.raises(TypeError):
-        system.q_high[(1, 2, 3)] = system.q_low[(1, 2, 3)]
-    assert list(system.q_high) == list(host.triples())
-    assert dict(system.q_high) == build_q_graphs(host, Fraction(9, 10)).q_high
+        high_graph(system, (3, 2, 1))
+    assert system.q_high == {}
+    graph = high_graph(system, (1, 2, 3))
+    assert system.q_high == {(1, 2, 3): graph} and high_graph(system, (1, 2, 3)) is graph
 
 
 # -- per-triple references for the value-sharing stages --------------------
@@ -654,7 +661,7 @@ def _per_triple_colors(host, system):
             continue
         colors[t] = "red"
         if check_sum_of_squares(system, t)[1]:
-            red_lhs = sum(x.bit_count() ** 2 for x in system.q_high[t].left_adj)
+            red_lhs = sum(x.bit_count() ** 2 for x in high_graph(system, t).left_adj)
             assert red_lhs * den >= num * s_jk ** 2 * s_ik
     return colors
 
